@@ -1,56 +1,21 @@
 # CI gate and developer conveniences. `make check` is the gate:
 # vet plus staticcheck plus the full test suite under the race
 # detector. `make soak` runs the fabric churn scenario long-form on
-# the virtual clock, and `make bench-json` emits the committed
-# perf-trajectory artifact (gated against regressions by
-# `make bench-check`). `make help` lists everything.
+# the virtual clock, and `make bench-json` emits the committed bench
+# baseline BENCH.json (whose gates `make bench-check` applies to a
+# fresh run). `make help` lists everything.
 
 GO ?= go
 
-# Output artifact of `make bench-json` (override to write elsewhere).
-BENCH_OUT ?= BENCH_PR4.json
+# Output artifact of `make bench-json`: the rows and gates of every
+# gated ptibench experiment (override to write elsewhere).
+BENCH_OUT ?= BENCH.json
 
-# Output artifact of `make bench-fanout` — the PR 5 async-pipeline
-# broadcast fan-out metrics.
-BENCH_FANOUT_OUT ?= BENCH_PR5.json
-
-# Output artifact of `make bench-invoke` — the PR 6 pipelined invoke
-# path metrics (latency percentiles, goodput under overload, shed
-# counts, pipelined-vs-serialized comparison).
-BENCH_INVOKE_OUT ?= BENCH_PR6.json
-
-# Output artifact of `make bench-recv` — the PR 7 compiled receive
-# path metrics (compiled vs reflective decode per codec, end-to-end
-# Unmarshal time and allocation budget).
-BENCH_RECV_OUT ?= BENCH_PR7.json
-
-# Output artifact of `make bench-churn` — the PR 8 connection
-# lifecycle metrics (crash/restart waves over managed links: lineage
-# match rate, session resumes, redial counts against their budget).
-BENCH_CHURN_OUT ?= BENCH_PR8.json
-
-# Output artifact of `make bench-registry` — the PR 9 durable type
-# registry metrics (cold vs warm restart over the file store:
-# description fetches, warm preloads, time to first delivery).
-BENCH_REGISTRY_OUT ?= BENCH_PR9.json
-
-# Output artifact of `make bench-scale` — the PR 10 fabric
-# scalability metrics (fan-out + crash wave at two fleet sizes:
-# match rate, peak goroutines per peer, scheduler ops per frame,
-# wall clock against the CI budget).
-BENCH_SCALE_OUT ?= BENCH_PR10.json
-
-# Scratch artifacts `make bench-check` regenerates and diffs against
-# the committed baselines. Deliberately NOT the baseline files: the
-# gate must never overwrite a baseline and then diff it against
-# itself.
+# Scratch artifact `make bench-check` regenerates and evaluates
+# against the committed BENCH.json. Deliberately NOT the baseline:
+# the gate must never overwrite the baseline and then evaluate it
+# against itself.
 BENCH_CHECK_OUT ?= /tmp/pti-bench-check.json
-BENCH_FANOUT_CHECK_OUT ?= /tmp/pti-fanout-check.json
-BENCH_INVOKE_CHECK_OUT ?= /tmp/pti-invoke-check.json
-BENCH_RECV_CHECK_OUT ?= /tmp/pti-recv-check.json
-BENCH_CHURN_CHECK_OUT ?= /tmp/pti-churn-check.json
-BENCH_REGISTRY_CHECK_OUT ?= /tmp/pti-registry-check.json
-BENCH_SCALE_CHECK_OUT ?= /tmp/pti-scale-check.json
 
 # Coverage profile location and the ratcheting floor `make cover`
 # enforces via cmd/covercheck. Raise the floor as coverage grows;
@@ -61,7 +26,7 @@ COVER_MIN ?= 82.0
 # Pinned staticcheck build, fetched on demand by `go run`.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: help check vet lint test test-race cover bench bench-plan bench-wire bench-json bench-fanout bench-invoke bench-recv bench-churn bench-registry bench-scale bench-check soak churn scale build
+.PHONY: help check vet lint test test-race cover bench bench-plan bench-wire bench-json bench-check soak churn scale build
 
 help:
 	@echo "Targets:"
@@ -80,33 +45,12 @@ help:
 	@echo "  bench       full paper-table benchmark run"
 	@echo "  bench-plan  compiled-plan vs reflective dispatch + cache numbers"
 	@echo "  bench-wire  compiled vs reflective wire codecs + SendObject end-to-end"
-	@echo "  bench-json  fabric scenario metrics (reliable on+off, virtual clock)"
-	@echo "              -> $(BENCH_OUT) (override with BENCH_OUT=file)"
-	@echo "  bench-fanout broadcast fan-out over the async send pipeline"
-	@echo "              (blackholed peer, queue/RTO/NACK metrics)"
-	@echo "              -> $(BENCH_FANOUT_OUT) (override with BENCH_FANOUT_OUT=file)"
-	@echo "  bench-invoke pipelined invoke path under load (latency percentiles,"
-	@echo "              goodput at capacity vs 2x overload, shed counts,"
-	@echo "              pipelined-vs-serialized comparison)"
-	@echo "              -> $(BENCH_INVOKE_OUT) (override with BENCH_INVOKE_OUT=file)"
-	@echo "  bench-recv  compiled receive path: compiled vs reflective decode per"
-	@echo "              codec plus end-to-end Unmarshal time and alloc budget"
-	@echo "              -> $(BENCH_RECV_OUT) (override with BENCH_RECV_OUT=file)"
-	@echo "  bench-churn connection-lifecycle churn: crash/restart waves over"
-	@echo "              managed links (lineage match rate, session resumes,"
-	@echo "              redials vs budget)"
-	@echo "              -> $(BENCH_CHURN_OUT) (override with BENCH_CHURN_OUT=file)"
-	@echo "  bench-registry durable registry store: cold vs warm restart over the"
-	@echo "              file store (description fetches, warm preloads, TTFD)"
-	@echo "              -> $(BENCH_REGISTRY_OUT) (override with BENCH_REGISTRY_OUT=file)"
-	@echo "  bench-scale fabric scalability: fan-out + crash wave at two fleet"
-	@echo "              sizes (match rate, goroutines/peer, scheduler ops/frame,"
-	@echo "              wall clock vs the CI budget)"
-	@echo "              -> $(BENCH_SCALE_OUT) (override with BENCH_SCALE_OUT=file)"
-	@echo "  bench-check regenerate scenario + fan-out + invoke + recv + churn +"
-	@echo "              registry + scale metrics into scratch files (never the"
-	@echo "              baselines) and diff against the committed BENCH_PR4.json"
-	@echo "              through BENCH_PR10.json"
+	@echo "  bench-json  one ptibench run of the gated experiments (scenario,"
+	@echo "              fanout, invoke, recv, churn, scale, registry): rows and"
+	@echo "              gates -> $(BENCH_OUT) (override with BENCH_OUT=file)"
+	@echo "  bench-check regenerate the gated metrics into $(BENCH_CHECK_OUT)"
+	@echo "              (never the baseline) and apply the gates of the"
+	@echo "              committed BENCH.json via cmd/benchdiff"
 	@echo "  churn       the churn convergence scenario long-form under -race"
 	@echo "              (PTI_SOAK scales it; PTI_SEED=n replays a failure)"
 	@echo "  scale       500-peer fabric convergence under -race on the virtual"
@@ -185,86 +129,18 @@ bench-wire:
 	$(GO) test -run '^$$' -bench 'EncodeBinary|EncodeSOAP|DecodeBinary' -benchmem ./internal/wire
 	$(GO) test -run '^$$' -bench 'SendObject' -benchmem ./internal/transport
 
-# Machine-readable scenario metrics: match rate, delivery counts and
-# reliable-layer retransmit/dedup counters per fault profile, with
-# the reliable layer both off and on, under the virtual clock.
+# The gated experiments in one seeded run: fabric fault-profile
+# scenarios, broadcast fan-out, pipelined invoke, compiled receive,
+# lifecycle churn, scalability and the durable registry. Each
+# experiment declares its gates in cmd/ptibench beside the rows it
+# emits; both land in one artifact.
 bench-json:
-	$(GO) run ./cmd/ptibench -exp scenario -reps 2 -seed 42 -reliable -vclock -json $(BENCH_OUT)
+	$(GO) run ./cmd/ptibench -exp gated -reps 2 -seed 42 -json $(BENCH_OUT)
 
-# Broadcast fan-out metrics over the async send pipeline: one
-# blackholed subscriber, queue depth / adaptive RTO / NACK counters,
-# and the NACK-vs-backoff single-loss recovery comparison.
-bench-fanout:
-	$(GO) run ./cmd/ptibench -exp fanout -reps 2 -seed 42 -json $(BENCH_FANOUT_OUT)
-
-# Pipelined invoke-path metrics: closed-loop invokers at capacity and
-# 2x overload on the slow/chaos profiles (latency percentiles, goodput,
-# shed counts) plus the pipelined-vs-serialized round-trip comparison.
-bench-invoke:
-	$(GO) run ./cmd/ptibench -exp invoke -reps 2 -seed 42 -json $(BENCH_INVOKE_OUT)
-
-# Compiled receive-path metrics: compiled vs reflective decode for
-# both codecs and the end-to-end Unmarshal comparison (time and
-# allocations) the compiled envelope/decode caches are accountable to.
-bench-recv:
-	$(GO) run ./cmd/ptibench -exp recv -reps 2 -seed 42 -json $(BENCH_RECV_OUT)
-
-# Connection-lifecycle churn metrics: crash/restart waves over managed
-# links on the virtual clock — lineage match rate (must converge to
-# 1.0), sessions resumed per churned link, redial counts against the
-# committed budget.
-bench-churn:
-	$(GO) run ./cmd/ptibench -exp churn -reps 2 -seed 42 -json $(BENCH_CHURN_OUT)
-
-# Durable-registry metrics: a store-backed subscriber's cold first
-# contact vs its warm restart from the same directory — description
-# fetches (warm must be zero), store preloads and time to first
-# delivery on the virtual clock.
-bench-registry:
-	$(GO) run ./cmd/ptibench -exp registry -reps 2 -seed 42 -json $(BENCH_REGISTRY_OUT)
-
-# Fabric scalability metrics: broadcast fan-out plus a crash wave at
-# two fleet sizes on the virtual clock — match rate (must be exactly
-# 1.0), peak goroutines per peer (must stay flat across fleet sizes),
-# scheduler heap ops per frame (~2) and wall clock against the
-# committed CI budget.
-bench-scale:
-	$(GO) run ./cmd/ptibench -exp scale -seed 42 -json $(BENCH_SCALE_OUT)
-
-# The bench-regression gate: fresh metrics vs the committed baselines.
+# The bench-regression gate: fresh metrics vs the committed baseline.
 bench-check:
-	@if [ "$(BENCH_CHECK_OUT)" = "BENCH_PR4.json" ]; then \
+	@if [ "$(BENCH_CHECK_OUT)" = "BENCH.json" ]; then \
 		echo "bench-check: BENCH_CHECK_OUT must not be the committed baseline"; exit 2; \
 	fi
-	@if [ "$(BENCH_FANOUT_CHECK_OUT)" = "BENCH_PR5.json" ]; then \
-		echo "bench-check: BENCH_FANOUT_CHECK_OUT must not be the committed baseline"; exit 2; \
-	fi
-	@if [ "$(BENCH_INVOKE_CHECK_OUT)" = "BENCH_PR6.json" ]; then \
-		echo "bench-check: BENCH_INVOKE_CHECK_OUT must not be the committed baseline"; exit 2; \
-	fi
-	@if [ "$(BENCH_RECV_CHECK_OUT)" = "BENCH_PR7.json" ]; then \
-		echo "bench-check: BENCH_RECV_CHECK_OUT must not be the committed baseline"; exit 2; \
-	fi
-	@if [ "$(BENCH_CHURN_CHECK_OUT)" = "BENCH_PR8.json" ]; then \
-		echo "bench-check: BENCH_CHURN_CHECK_OUT must not be the committed baseline"; exit 2; \
-	fi
-	@if [ "$(BENCH_REGISTRY_CHECK_OUT)" = "BENCH_PR9.json" ]; then \
-		echo "bench-check: BENCH_REGISTRY_CHECK_OUT must not be the committed baseline"; exit 2; \
-	fi
-	@if [ "$(BENCH_SCALE_CHECK_OUT)" = "BENCH_PR10.json" ]; then \
-		echo "bench-check: BENCH_SCALE_CHECK_OUT must not be the committed baseline"; exit 2; \
-	fi
 	$(MAKE) bench-json BENCH_OUT=$(BENCH_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR4.json -candidate $(BENCH_CHECK_OUT)
-	$(MAKE) bench-fanout BENCH_FANOUT_OUT=$(BENCH_FANOUT_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR5.json -candidate $(BENCH_FANOUT_CHECK_OUT)
-	$(MAKE) bench-invoke BENCH_INVOKE_OUT=$(BENCH_INVOKE_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR6.json -candidate $(BENCH_INVOKE_CHECK_OUT)
-	$(MAKE) bench-recv BENCH_RECV_OUT=$(BENCH_RECV_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR7.json -candidate $(BENCH_RECV_CHECK_OUT)
-	$(MAKE) bench-churn BENCH_CHURN_OUT=$(BENCH_CHURN_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR8.json -candidate $(BENCH_CHURN_CHECK_OUT)
-	$(MAKE) bench-registry BENCH_REGISTRY_OUT=$(BENCH_REGISTRY_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR9.json -candidate $(BENCH_REGISTRY_CHECK_OUT)
-	$(MAKE) bench-scale BENCH_SCALE_OUT=$(BENCH_SCALE_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR10.json -candidate $(BENCH_SCALE_CHECK_OUT)
+	$(GO) run ./cmd/benchdiff -baseline BENCH.json -candidate $(BENCH_CHECK_OUT)

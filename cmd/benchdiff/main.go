@@ -1,729 +1,63 @@
-// Command benchdiff is the bench-regression gate: it compares a fresh
-// `make bench-json` / `make bench-fanout` artifact against the
-// committed baseline (BENCH_PR4.json / BENCH_PR5.json) and fails when
-// the guarantees regress.
+// Command benchdiff is the bench-regression gate. It applies the
+// gates of a committed baseline (BENCH.json, written by `make
+// bench-json`) to a freshly generated candidate and prints one
+// `ok` or `FAIL` line per gate. The gates themselves are declared in
+// cmd/ptibench beside the experiments that emit the rows; see
+// internal/benchfmt for the gate kinds.
 //
-// Scenario rules, matched on (profile, reliable):
-//
-//   - reliable rows must deliver exactly once — a match rate of
-//     precisely 1.0, no tolerance: the reliable layer's guarantee is
-//     binary, and any drift is a dedup or retransmit bug;
-//   - unreliable rows must stay within -tol (default 0.10) of the
-//     baseline: lossy match rates track the fault schedule, which is
-//     seed-pinned, but protocol-retry timing wiggles a little.
-//
-// Fan-out rules (the PR 5 async-pipeline artifact), matched on name:
-//
-//   - reliable fan-out rows must hold a 1.0 match rate across the
-//     healthy subscribers even with a sibling blackholed;
-//   - rows carrying a stall budget must finish inside it — a
-//     broadcast pipeline that stalls behind a dead peer blows the
-//     virtual-time budget by an order of magnitude;
-//   - NACK fast-retransmit recovery must beat the pure-backoff
-//     baseline outright (nack_recovery_ms < backoff_recovery_ms).
-//
-// Invoke rules (the PR 6 pipelined-RPC artifact), matched on
-// (profile, load):
-//
-//   - every row must finish with zero non-shed failures and a nonzero
-//     completion count — sheds are the typed backpressure contract,
-//     anything else (timeout, decode error) is a bug;
-//   - per profile, goodput at 2x overload must hold at least half the
-//     goodput at capacity: load shedding must prevent congestion
-//     collapse, not merely rename it;
-//   - the pipelined client window must beat strictly serialized calls
-//     outright on the clean high-latency link
-//     (pipelined_ms < serialized_ms).
-//
-// Churn rules (the PR 8 connection-lifecycle artifact), matched on
-// name:
-//
-//   - every subscriber lineage must converge to exactly 1.0 — the
-//     reliable session resumed across each crash/restart rather than
-//     resetting, so no message was lost to the outage window;
-//   - sessions_resumed + sessions_fresh must cover every churned link
-//     and no queued frame may be abandoned;
-//   - redials must stay inside the committed budget (a redial storm
-//     is a backoff or failure-detector regression even when delivery
-//     still converges), and the run must finish inside its
-//     virtual-time stall budget.
-//
-// Registry rules (the PR 9 durable-store artifact), matched on name:
-//
-//   - the warm-restart row must report ZERO description fetches: a
-//     peer restarting over its file store answers every description
-//     need from disk, never the wire;
-//   - the warm row must preload at least one description and beat
-//     the cold row's time-to-first-delivery outright — the cold path
-//     pays the description round-trip, the warm path must not;
-//   - both rows must deliver every message they were sent.
-//
-// Scale rules (the PR 10 scalability artifact), matched on name:
-//
-//   - every fleet size must deliver at a match rate of exactly 1.0
-//     with zero duplicates — scale must not cost the exactly-once
-//     contract;
-//   - every run must finish inside its committed wall-clock budget,
-//     the CI-viability bar: a busy probe or scheduler that went
-//     O(peers·links) again blows it by an order of magnitude;
-//   - scheduler ops per frame must stay at ~2 (one heap push + one
-//     pop per frame) — re-sorts and thrashing show up here;
-//   - peak goroutines must grow sublinearly in peers: the per-peer
-//     goroutine cost at the larger fleet must not exceed the smaller
-//     fleet's (within tolerance), proving idle links hold no parked
-//     goroutines and the scheduler pool stays fixed.
+// It fails when the seeds differ, when a row is missing from or new
+// in the candidate, when the two files declare different gate sets
+// (regenerate and commit the baseline), or when any gate fails.
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_PR4.json -candidate /tmp/bench.json [-tol 0.10]
-//	benchdiff -baseline BENCH_PR5.json -candidate /tmp/fanout.json
-//	benchdiff -baseline BENCH_PR6.json -candidate /tmp/invoke.json
-//	benchdiff -baseline BENCH_PR8.json -candidate /tmp/churn.json
-//	benchdiff -baseline BENCH_PR9.json -candidate /tmp/registry.json
-//	benchdiff -baseline BENCH_PR10.json -candidate /tmp/scale.json
+//	benchdiff -baseline BENCH.json -candidate /tmp/bench.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
+
+	"pti/internal/benchfmt"
 )
 
-type scenario struct {
-	Profile   string  `json:"profile"`
-	Reliable  bool    `json:"reliable"`
-	MatchRate float64 `json:"match_rate"`
-}
-
-type fanoutRow struct {
-	Name             string  `json:"name"`
-	Reliable         bool    `json:"reliable"`
-	MatchRate        float64 `json:"match_rate"`
-	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
-	StallBudgetMs    float64 `json:"stall_budget_ms"`
-}
-
-type singleLoss struct {
-	NackMs    float64 `json:"nack_recovery_ms"`
-	BackoffMs float64 `json:"backoff_recovery_ms"`
-}
-
-type invokeRow struct {
-	Profile   string  `json:"profile"`
-	Load      string  `json:"load"`
-	Completed int     `json:"completed"`
-	Failures  int     `json:"failures"`
-	P99Ms     float64 `json:"p99_ms"`
-	Goodput   float64 `json:"goodput_per_sec"`
-}
-
-type invokePipeline struct {
-	SerializedMs float64 `json:"serialized_ms"`
-	PipelinedMs  float64 `json:"pipelined_ms"`
-}
-
-type recvRow struct {
-	Name         string  `json:"name"`
-	CompiledNs   float64 `json:"compiled_ns"`
-	ReflectiveNs float64 `json:"reflective_ns"`
-	Speedup      float64 `json:"speedup"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-}
-
-// recvSOAPFloor is the PR 7 acceptance bar: the compiled SOAP decode
-// must beat the reflective pipeline by at least this factor. The
-// other receive rows must merely win outright (> 1x) — timing noise
-// headroom without letting the compiled path silently lose.
-const recvSOAPFloor = 2.0
-
-// invokeNoCollapseFraction is the congestion-collapse floor: goodput
-// at 2x overload must be at least this fraction of goodput at
-// capacity on the same profile.
-const invokeNoCollapseFraction = 0.5
-
-type churnRow struct {
-	Name             string  `json:"name"`
-	Churned          int     `json:"churned"`
-	MatchRate        float64 `json:"match_rate"`
-	SessionsResumed  uint64  `json:"sessions_resumed"`
-	SessionsFresh    uint64  `json:"sessions_fresh"`
-	Redials          uint64  `json:"redials"`
-	RedialBudget     uint64  `json:"redial_budget"`
-	QueueAbandoned   uint64  `json:"queue_abandoned"`
-	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
-	StallBudgetMs    float64 `json:"stall_budget_ms"`
-}
-
-type registryRow struct {
-	Name           string  `json:"name"`
-	Messages       int     `json:"messages"`
-	Delivered      int     `json:"delivered"`
-	DescFetches    uint64  `json:"desc_fetches"`
-	DescWarmLoaded uint64  `json:"desc_warm_loaded"`
-	TTFDMs         float64 `json:"ttfd_ms"`
-}
-
-type scaleRow struct {
-	Name             string  `json:"name"`
-	Peers            int     `json:"peers"`
-	MatchRate        float64 `json:"match_rate"`
-	Duplicates       int     `json:"duplicates"`
-	PeakGoroutines   int     `json:"peak_goroutines"`
-	SchedOpsPerFrame float64 `json:"sched_ops_per_frame"`
-	ElapsedWallMs    float64 `json:"elapsed_wall_ms"`
-	WallBudgetMs     float64 `json:"wall_budget_ms"`
-}
-
-// scaleGoroutineSlack is the tolerance on the sublinearity check: the
-// per-peer goroutine cost at the larger fleet may exceed the smaller
-// fleet's by at most this factor, headroom for runtime background
-// goroutines without letting per-link parked goroutines creep back
-// (which would roughly double the per-peer cost, not +30%).
-const scaleGoroutineSlack = 1.3
-
-// scaleOpsCeiling bounds scheduler heap ops per delivered frame. The
-// steady state is exactly 2 (one push, one pop); modest headroom
-// covers frames abandoned in the heap at teardown, while a scheduler
-// that re-sorts or thrashes overshoots immediately.
-const scaleOpsCeiling = 2.25
-
-type doc struct {
-	Seed           int64           `json:"seed"`
-	Scenarios      []scenario      `json:"scenarios"`
-	Rows           []fanoutRow     `json:"rows"`
-	SingleLoss     *singleLoss     `json:"single_loss"`
-	InvokeRows     []invokeRow     `json:"invoke_rows"`
-	InvokePipeline *invokePipeline `json:"invoke_pipeline"`
-	RecvRows       []recvRow       `json:"recv_rows"`
-	ChurnRows      []churnRow      `json:"churn_rows"`
-	RegistryRows   []registryRow   `json:"registry_rows"`
-	ScaleRows      []scaleRow      `json:"scale_rows"`
-}
-
-func load(path string) (doc, error) {
-	var d doc
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return d, err
-	}
-	if err := json.Unmarshal(data, &d); err != nil {
-		return d, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(d.Scenarios) == 0 && len(d.Rows) == 0 && d.SingleLoss == nil &&
-		len(d.InvokeRows) == 0 && d.InvokePipeline == nil && len(d.RecvRows) == 0 &&
-		len(d.ChurnRows) == 0 && len(d.RegistryRows) == 0 && len(d.ScaleRows) == 0 {
-		return d, fmt.Errorf("%s: no scenarios, fan-out, invoke, recv, churn, registry or scale rows", path)
-	}
-	return d, nil
-}
-
-func key(s scenario) string {
-	if s.Reliable {
-		return s.Profile + "+rel"
-	}
-	return s.Profile
-}
-
 func main() {
-	baseline := flag.String("baseline", "BENCH_PR4.json", "committed bench-json artifact")
-	candidate := flag.String("candidate", "", "freshly generated bench-json artifact")
-	tol := flag.Float64("tol", 0.10, "allowed match-rate drift for unreliable rows")
+	baseline := flag.String("baseline", "BENCH.json", "committed bench artifact whose gates apply")
+	candidate := flag.String("candidate", "", "freshly generated bench artifact")
 	flag.Parse()
 	if *candidate == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -candidate is required")
 		os.Exit(2)
 	}
-
-	base, err := load(*baseline)
+	base, err := benchfmt.Load(*baseline)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	cand, err := load(*candidate)
+	cand, err := benchfmt.Load(*candidate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	if base.Seed != cand.Seed {
-		fmt.Fprintf(os.Stderr, "benchdiff: seed mismatch: baseline %d vs candidate %d (rates are only comparable per seed)\n",
-			base.Seed, cand.Seed)
-		os.Exit(2)
-	}
-
-	failures := 0
-	checked := 0
-	failures += diffScenarios(base, cand, *tol, &checked)
-	failures += diffFanout(base, cand, &checked)
-	failures += diffInvoke(base, cand, &checked)
-	failures += diffRecv(base, cand, &checked)
-	failures += diffChurn(base, cand, &checked)
-	failures += diffRegistry(base, cand, &checked)
-	failures += diffScale(base, cand, &checked)
-	if failures > 0 {
-		fmt.Printf("benchdiff: %d regression(s) against %s\n", failures, *baseline)
+	results := benchfmt.Evaluate(base, cand)
+	if failed := report(results); failed > 0 {
+		fmt.Printf("benchdiff: %d of %d checks failed against %s\n", failed, len(results), *baseline)
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %d checks within tolerance of %s\n", checked, *baseline)
+	fmt.Printf("benchdiff: %d checks pass against %s\n", len(results), *baseline)
 }
 
-func diffScenarios(base, cand doc, tol float64, checked *int) int {
-	got := make(map[string]scenario, len(cand.Scenarios))
-	for _, s := range cand.Scenarios {
-		got[key(s)] = s
-	}
-	failures := 0
-	for _, want := range base.Scenarios {
-		*checked++
-		k := key(want)
-		have, ok := got[k]
-		switch {
-		case !ok:
-			fmt.Printf("FAIL %-24s missing from candidate\n", k)
-			failures++
-		case want.Reliable && have.MatchRate != 1.0:
-			fmt.Printf("FAIL %-24s match %.4f, reliable rows must be exactly 1.0\n", k, have.MatchRate)
-			failures++
-		case !want.Reliable && math.Abs(have.MatchRate-want.MatchRate) > tol:
-			fmt.Printf("FAIL %-24s match %.4f vs baseline %.4f (tol %.2f)\n",
-				k, have.MatchRate, want.MatchRate, tol)
-			failures++
-		default:
-			fmt.Printf("ok   %-24s match %.4f (baseline %.4f)\n", k, have.MatchRate, want.MatchRate)
+// report prints one line per result and returns the number failed.
+func report(results []benchfmt.Result) int {
+	failed := 0
+	for _, r := range results {
+		status := "ok  "
+		if !r.OK {
+			status = "FAIL"
+			failed++
 		}
+		fmt.Printf("%s %-50s %s\n", status, r.Name, r.Detail)
 	}
-	// Candidate-only rows mean the scenario set grew without the
-	// baseline being regenerated — fail rather than silently skip
-	// them (a new reliable row would otherwise dodge the 1.0 rule).
-	known := make(map[string]bool, len(base.Scenarios))
-	for _, s := range base.Scenarios {
-		known[key(s)] = true
-	}
-	for _, s := range cand.Scenarios {
-		if !known[key(s)] {
-			fmt.Printf("FAIL %-24s not in baseline — regenerate and commit the baseline\n", key(s))
-			failures++
-		}
-	}
-	return failures
-}
-
-func diffFanout(base, cand doc, checked *int) int {
-	failures := 0
-	got := make(map[string]fanoutRow, len(cand.Rows))
-	for _, r := range cand.Rows {
-		got[r.Name] = r
-	}
-	for _, want := range base.Rows {
-		*checked++
-		have, ok := got[want.Name]
-		switch {
-		case !ok:
-			fmt.Printf("FAIL %-24s missing from candidate\n", want.Name)
-			failures++
-		case want.Reliable && have.MatchRate != 1.0:
-			fmt.Printf("FAIL %-24s match %.4f, reliable fan-out rows must be exactly 1.0\n",
-				want.Name, have.MatchRate)
-			failures++
-		case want.StallBudgetMs > 0 && have.ElapsedVirtualMs > want.StallBudgetMs:
-			fmt.Printf("FAIL %-24s elapsed %.0fms exceeds the %.0fms stall budget (pipeline stalled?)\n",
-				want.Name, have.ElapsedVirtualMs, want.StallBudgetMs)
-			failures++
-		default:
-			fmt.Printf("ok   %-24s match %.4f, elapsed %.0fms (budget %.0fms)\n",
-				want.Name, have.MatchRate, have.ElapsedVirtualMs, want.StallBudgetMs)
-		}
-	}
-	known := make(map[string]bool, len(base.Rows))
-	for _, r := range base.Rows {
-		known[r.Name] = true
-	}
-	for _, r := range cand.Rows {
-		if !known[r.Name] {
-			fmt.Printf("FAIL %-24s not in baseline — regenerate and commit the baseline\n", r.Name)
-			failures++
-		}
-	}
-	if base.SingleLoss != nil {
-		*checked++
-		switch sl := cand.SingleLoss; {
-		case sl == nil:
-			fmt.Printf("FAIL %-24s missing from candidate\n", "single-loss-recovery")
-			failures++
-		case sl.NackMs <= 0 || sl.BackoffMs <= 0:
-			fmt.Printf("FAIL %-24s degenerate timings: nack %.1fms, backoff %.1fms\n",
-				"single-loss-recovery", sl.NackMs, sl.BackoffMs)
-			failures++
-		case sl.NackMs >= sl.BackoffMs:
-			fmt.Printf("FAIL %-24s nack %.0fms not faster than pure backoff %.0fms\n",
-				"single-loss-recovery", sl.NackMs, sl.BackoffMs)
-			failures++
-		default:
-			fmt.Printf("ok   %-24s nack %.0fms vs backoff %.0fms (%.1fx)\n",
-				"single-loss-recovery", sl.NackMs, sl.BackoffMs, sl.BackoffMs/sl.NackMs)
-		}
-	}
-	return failures
-}
-
-func invokeKey(r invokeRow) string { return r.Profile + "/" + r.Load }
-
-func diffInvoke(base, cand doc, checked *int) int {
-	failures := 0
-	got := make(map[string]invokeRow, len(cand.InvokeRows))
-	for _, r := range cand.InvokeRows {
-		got[invokeKey(r)] = r
-	}
-	for _, want := range base.InvokeRows {
-		*checked++
-		k := invokeKey(want)
-		have, ok := got[k]
-		switch {
-		case !ok:
-			fmt.Printf("FAIL %-24s missing from candidate\n", k)
-			failures++
-		case have.Failures > 0:
-			fmt.Printf("FAIL %-24s %d non-shed failures (sheds are typed; anything else is a bug)\n",
-				k, have.Failures)
-			failures++
-		case have.Completed == 0 || have.Goodput <= 0 || have.P99Ms <= 0:
-			fmt.Printf("FAIL %-24s degenerate row: completed %d, goodput %.1f/s, p99 %.1fms\n",
-				k, have.Completed, have.Goodput, have.P99Ms)
-			failures++
-		default:
-			fmt.Printf("ok   %-24s completed %d, goodput %.0f/s, p99 %.1fms\n",
-				k, have.Completed, have.Goodput, have.P99Ms)
-		}
-	}
-	// Candidate-only rows mean the load matrix grew without the
-	// baseline being regenerated — fail rather than silently skip.
-	known := make(map[string]bool, len(base.InvokeRows))
-	for _, r := range base.InvokeRows {
-		known[invokeKey(r)] = true
-	}
-	for _, r := range cand.InvokeRows {
-		if !known[invokeKey(r)] {
-			fmt.Printf("FAIL %-24s not in baseline — regenerate and commit the baseline\n", invokeKey(r))
-			failures++
-		}
-	}
-	// No-collapse: per profile with both load points in the baseline,
-	// the candidate's overload goodput must hold the floor fraction of
-	// its own capacity goodput. Both sides come from the candidate, so
-	// the check gates the shedding behaviour, not absolute throughput.
-	profiles := make(map[string]bool)
-	for _, r := range base.InvokeRows {
-		profiles[r.Profile] = true
-	}
-	for profile := range profiles {
-		capRow, okCap := got[profile+"/capacity"]
-		overRow, okOver := got[profile+"/overload2x"]
-		if !okCap || !okOver {
-			continue // the missing row already failed above
-		}
-		*checked++
-		floor := invokeNoCollapseFraction * capRow.Goodput
-		if overRow.Goodput < floor {
-			fmt.Printf("FAIL %-24s goodput collapsed under overload: %.0f/s < %.0f%% of capacity's %.0f/s\n",
-				profile+"/no-collapse", overRow.Goodput, invokeNoCollapseFraction*100, capRow.Goodput)
-			failures++
-		} else {
-			fmt.Printf("ok   %-24s overload goodput %.0f/s holds >= %.0f%% of capacity's %.0f/s\n",
-				profile+"/no-collapse", overRow.Goodput, invokeNoCollapseFraction*100, capRow.Goodput)
-		}
-	}
-	if base.InvokePipeline != nil {
-		*checked++
-		switch pl := cand.InvokePipeline; {
-		case pl == nil:
-			fmt.Printf("FAIL %-24s missing from candidate\n", "pipelined-vs-serial")
-			failures++
-		case pl.SerializedMs <= 0 || pl.PipelinedMs <= 0:
-			fmt.Printf("FAIL %-24s degenerate timings: pipelined %.1fms, serialized %.1fms\n",
-				"pipelined-vs-serial", pl.PipelinedMs, pl.SerializedMs)
-			failures++
-		case pl.PipelinedMs >= pl.SerializedMs:
-			fmt.Printf("FAIL %-24s pipelined %.0fms not faster than serialized %.0fms\n",
-				"pipelined-vs-serial", pl.PipelinedMs, pl.SerializedMs)
-			failures++
-		default:
-			fmt.Printf("ok   %-24s pipelined %.0fms vs serialized %.0fms (%.1fx)\n",
-				"pipelined-vs-serial", pl.PipelinedMs, pl.SerializedMs, pl.SerializedMs/pl.PipelinedMs)
-		}
-	}
-	return failures
-}
-
-// diffRecv gates the PR 7 compiled receive path: the SOAP decode must
-// hold the 2x floor, every compiled row must beat its reflective
-// counterpart outright, and the end-to-end allocation budget must not
-// grow past the committed baseline.
-func diffRecv(base, cand doc, checked *int) int {
-	failures := 0
-	got := make(map[string]recvRow, len(cand.RecvRows))
-	for _, r := range cand.RecvRows {
-		got[r.Name] = r
-	}
-	for _, want := range base.RecvRows {
-		*checked++
-		have, ok := got[want.Name]
-		floor := 1.0
-		if want.Name == "soap-decode" {
-			floor = recvSOAPFloor
-		}
-		ratio := 0.0
-		if ok && have.CompiledNs > 0 {
-			ratio = have.ReflectiveNs / have.CompiledNs
-		}
-		switch {
-		case !ok:
-			fmt.Printf("FAIL %-24s missing from candidate\n", want.Name)
-			failures++
-		case have.CompiledNs <= 0 || have.ReflectiveNs <= 0:
-			fmt.Printf("FAIL %-24s degenerate timings: compiled %.0fns, reflective %.0fns\n",
-				want.Name, have.CompiledNs, have.ReflectiveNs)
-			failures++
-		case ratio < floor:
-			fmt.Printf("FAIL %-24s compiled only %.2fx reflective (floor %.1fx)\n",
-				want.Name, ratio, floor)
-			failures++
-		case want.AllocsPerOp > 0 && have.AllocsPerOp > want.AllocsPerOp:
-			fmt.Printf("FAIL %-24s allocates %.1f/op, baseline budget %.1f/op\n",
-				want.Name, have.AllocsPerOp, want.AllocsPerOp)
-			failures++
-		default:
-			fmt.Printf("ok   %-24s compiled %.2fx reflective (floor %.1fx, allocs %.1f/op)\n",
-				want.Name, ratio, floor, have.AllocsPerOp)
-		}
-	}
-	known := make(map[string]bool, len(base.RecvRows))
-	for _, r := range base.RecvRows {
-		known[r.Name] = true
-	}
-	for _, r := range cand.RecvRows {
-		if !known[r.Name] {
-			fmt.Printf("FAIL %-24s not in baseline — regenerate and commit the baseline\n", r.Name)
-			failures++
-		}
-	}
-	return failures
-}
-
-// diffChurn gates the PR 8 lifecycle artifact: lineage coverage must
-// be exactly 1.0, every churned link must resume its session with no
-// abandoned frames, and the redial count and virtual elapsed time
-// must stay inside the baseline's committed budgets.
-func diffChurn(base, cand doc, checked *int) int {
-	failures := 0
-	got := make(map[string]churnRow, len(cand.ChurnRows))
-	for _, r := range cand.ChurnRows {
-		got[r.Name] = r
-	}
-	for _, want := range base.ChurnRows {
-		*checked++
-		have, ok := got[want.Name]
-		switch {
-		case !ok:
-			fmt.Printf("FAIL %-24s missing from candidate\n", want.Name)
-			failures++
-		case have.MatchRate != 1.0:
-			fmt.Printf("FAIL %-24s match %.4f, churn lineages must converge to exactly 1.0\n",
-				want.Name, have.MatchRate)
-			failures++
-		case have.SessionsResumed+have.SessionsFresh < uint64(have.Churned):
-			fmt.Printf("FAIL %-24s %d resumed + %d fresh sessions for %d churned links (resets snuck in)\n",
-				want.Name, have.SessionsResumed, have.SessionsFresh, have.Churned)
-			failures++
-		case have.QueueAbandoned != 0:
-			fmt.Printf("FAIL %-24s abandoned %d queued frames, want 0\n",
-				want.Name, have.QueueAbandoned)
-			failures++
-		case want.RedialBudget > 0 && have.Redials > want.RedialBudget:
-			fmt.Printf("FAIL %-24s %d redials exceed the budget of %d (backoff regression?)\n",
-				want.Name, have.Redials, want.RedialBudget)
-			failures++
-		case want.StallBudgetMs > 0 && have.ElapsedVirtualMs > want.StallBudgetMs:
-			fmt.Printf("FAIL %-24s elapsed %.0fms exceeds the %.0fms stall budget (publisher stalled?)\n",
-				want.Name, have.ElapsedVirtualMs, want.StallBudgetMs)
-			failures++
-		default:
-			fmt.Printf("ok   %-24s match %.4f, resumed+fresh %d+%d/%d, redials %d (budget %d), elapsed %.0fms\n",
-				want.Name, have.MatchRate, have.SessionsResumed, have.SessionsFresh,
-				have.Churned, have.Redials, want.RedialBudget, have.ElapsedVirtualMs)
-		}
-	}
-	known := make(map[string]bool, len(base.ChurnRows))
-	for _, r := range base.ChurnRows {
-		known[r.Name] = true
-	}
-	for _, r := range cand.ChurnRows {
-		if !known[r.Name] {
-			fmt.Printf("FAIL %-24s not in baseline — regenerate and commit the baseline\n", r.Name)
-			failures++
-		}
-	}
-	return failures
-}
-
-// diffRegistry gates the PR 9 durable-store artifact: the warm
-// restart must fetch nothing over the wire, preload from disk, beat
-// the cold path's time-to-first-delivery and drop no messages. The
-// invariants are internal to the candidate — TTFD magnitudes track
-// the machine, so cold-vs-warm is the comparison, never run-vs-run.
-func diffRegistry(base, cand doc, checked *int) int {
-	failures := 0
-	got := make(map[string]registryRow, len(cand.RegistryRows))
-	for _, r := range cand.RegistryRows {
-		got[r.Name] = r
-	}
-	for _, want := range base.RegistryRows {
-		*checked++
-		have, ok := got[want.Name]
-		switch {
-		case !ok:
-			fmt.Printf("FAIL %-24s missing from candidate\n", want.Name)
-			failures++
-			continue
-		case have.Delivered != have.Messages:
-			fmt.Printf("FAIL %-24s delivered %d/%d messages\n",
-				want.Name, have.Delivered, have.Messages)
-			failures++
-			continue
-		}
-		fmt.Printf("ok   %-24s delivered %d/%d, desc fetches %d, warm-loaded %d, ttfd %.3fms\n",
-			want.Name, have.Delivered, have.Messages, have.DescFetches,
-			have.DescWarmLoaded, have.TTFDMs)
-	}
-	known := make(map[string]bool, len(base.RegistryRows))
-	for _, r := range base.RegistryRows {
-		known[r.Name] = true
-	}
-	for _, r := range cand.RegistryRows {
-		if !known[r.Name] {
-			fmt.Printf("FAIL %-24s not in baseline — regenerate and commit the baseline\n", r.Name)
-			failures++
-		}
-	}
-	if len(base.RegistryRows) == 0 {
-		return failures
-	}
-	cold, okCold := got["registry-cold"]
-	warm, okWarm := got["registry-warm"]
-	if !okCold || !okWarm {
-		// Presence failures were already counted above.
-		return failures
-	}
-	*checked++
-	switch {
-	case warm.DescFetches != 0:
-		fmt.Printf("FAIL %-24s %d description fetches after a warm restart, want 0\n",
-			warm.Name, warm.DescFetches)
-		failures++
-	case warm.DescWarmLoaded == 0:
-		fmt.Printf("FAIL %-24s warm restart preloaded no descriptions from the store\n", warm.Name)
-		failures++
-	case cold.DescFetches == 0:
-		fmt.Printf("FAIL %-24s cold start fetched nothing — the cold row is not cold\n", cold.Name)
-		failures++
-	case warm.TTFDMs >= cold.TTFDMs:
-		fmt.Printf("FAIL %-24s warm ttfd %.3fms does not beat cold %.3fms\n",
-			warm.Name, warm.TTFDMs, cold.TTFDMs)
-		failures++
-	default:
-		fmt.Printf("ok   %-24s warm ttfd %.3fms beats cold %.3fms with 0 fetches\n",
-			"registry-warm-vs-cold", warm.TTFDMs, cold.TTFDMs)
-	}
-	return failures
-}
-
-// diffScale gates the PR 10 scalability artifact: exactly-once
-// delivery at every fleet size, wall clock inside the committed
-// CI-viability budget, scheduler cost pinned at ~2 heap ops per
-// frame, and peak goroutines sublinear in peers. Wall times and
-// goroutine counts track the machine, so the budget and the
-// cross-fleet sublinearity ratio are the gates — never run-vs-run
-// magnitude comparisons.
-func diffScale(base, cand doc, checked *int) int {
-	failures := 0
-	got := make(map[string]scaleRow, len(cand.ScaleRows))
-	for _, r := range cand.ScaleRows {
-		got[r.Name] = r
-	}
-	for _, want := range base.ScaleRows {
-		*checked++
-		have, ok := got[want.Name]
-		switch {
-		case !ok:
-			fmt.Printf("FAIL %-24s missing from candidate\n", want.Name)
-			failures++
-		case have.MatchRate != 1.0:
-			fmt.Printf("FAIL %-24s match %.4f, scale rows must deliver exactly 1.0\n",
-				want.Name, have.MatchRate)
-			failures++
-		case have.Duplicates != 0:
-			fmt.Printf("FAIL %-24s %d duplicate deliveries, want 0\n",
-				want.Name, have.Duplicates)
-			failures++
-		case want.WallBudgetMs > 0 && have.ElapsedWallMs > want.WallBudgetMs:
-			fmt.Printf("FAIL %-24s wall %.0fms exceeds the %.0fms CI budget (complexity regression?)\n",
-				want.Name, have.ElapsedWallMs, want.WallBudgetMs)
-			failures++
-		case have.SchedOpsPerFrame < 1.0 || have.SchedOpsPerFrame > scaleOpsCeiling:
-			fmt.Printf("FAIL %-24s %.2f scheduler ops/frame outside [1.00, %.2f] (heap thrash?)\n",
-				want.Name, have.SchedOpsPerFrame, scaleOpsCeiling)
-			failures++
-		case have.Peers <= 0 || have.PeakGoroutines <= 0:
-			fmt.Printf("FAIL %-24s degenerate row: %d peers, %d peak goroutines\n",
-				want.Name, have.Peers, have.PeakGoroutines)
-			failures++
-		default:
-			fmt.Printf("ok   %-24s match %.4f, %d peers, peak %d goroutines (%.1f/peer), %.2f ops/frame, wall %.0fms (budget %.0fms)\n",
-				want.Name, have.MatchRate, have.Peers, have.PeakGoroutines,
-				float64(have.PeakGoroutines)/float64(have.Peers),
-				have.SchedOpsPerFrame, have.ElapsedWallMs, want.WallBudgetMs)
-		}
-	}
-	known := make(map[string]bool, len(base.ScaleRows))
-	for _, r := range base.ScaleRows {
-		known[r.Name] = true
-	}
-	for _, r := range cand.ScaleRows {
-		if !known[r.Name] {
-			fmt.Printf("FAIL %-24s not in baseline — regenerate and commit the baseline\n", r.Name)
-			failures++
-		}
-	}
-	// Sublinearity: between every adjacent pair of fleet sizes in the
-	// candidate, the per-peer goroutine cost at the larger fleet must
-	// not exceed the smaller fleet's by more than the slack factor.
-	// Both sides come from the candidate, so the check gates the
-	// scaling shape, not absolute counts.
-	rows := make([]scaleRow, 0, len(cand.ScaleRows))
-	for _, r := range cand.ScaleRows {
-		if r.Peers > 0 && r.PeakGoroutines > 0 {
-			rows = append(rows, r)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Peers < rows[j].Peers })
-	for i := 1; i < len(rows); i++ {
-		small, big := rows[i-1], rows[i]
-		if small.Peers == big.Peers {
-			continue
-		}
-		*checked++
-		perSmall := float64(small.PeakGoroutines) / float64(small.Peers)
-		perBig := float64(big.PeakGoroutines) / float64(big.Peers)
-		pair := fmt.Sprintf("%s-vs-%s", small.Name, big.Name)
-		if perBig > perSmall*scaleGoroutineSlack {
-			fmt.Printf("FAIL %-24s %.1f goroutines/peer at %d peers vs %.1f at %d — superlinear growth (parked goroutines back?)\n",
-				pair, perBig, big.Peers, perSmall, small.Peers)
-			failures++
-		} else {
-			fmt.Printf("ok   %-24s goroutines/peer %.1f at %d peers vs %.1f at %d (slack %.1fx)\n",
-				pair, perBig, big.Peers, perSmall, small.Peers, scaleGoroutineSlack)
-		}
-	}
-	return failures
+	return failed
 }

@@ -1,346 +1,293 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"pti/internal/benchfmt"
 )
 
-// The diff functions are the CI bench gate — each one is exercised
-// here on a healthy candidate (zero failures) and on the specific
-// regressions it exists to catch, so a gate that silently stops
+// The gates are the CI bench gate. Each experiment's fixture below
+// carries the same gates ptibench declares for it; every case
+// evaluates the fixture as baseline against one mutated candidate and
+// names the one check that must fail, so a gate that silently stops
 // failing shows up as a unit-test break rather than a green pipeline.
 
-func scenarioDoc() doc {
-	return doc{
-		Seed: 42,
-		Scenarios: []scenario{
-			{Profile: "lan", Reliable: true, MatchRate: 1.0},
-			{Profile: "chaos", Reliable: false, MatchRate: 0.8},
-		},
+type gateCase struct {
+	name   string
+	mutate func(d *benchfmt.Doc)
+	fails  string // the one failing check; "" for a healthy candidate
+}
+
+func runCases(t *testing.T, fixture func() benchfmt.Doc, cases []gateCase) {
+	t.Helper()
+	base := fixture()
+	for _, c := range cases {
+		cand := fixture()
+		if c.mutate != nil {
+			c.mutate(&cand)
+		}
+		results := benchfmt.Evaluate(base, cand)
+		var failed []string
+		for _, r := range results {
+			if !r.OK {
+				failed = append(failed, r.Name)
+			}
+		}
+		var want []string
+		if c.fails != "" {
+			want = []string{c.fails}
+		}
+		if !reflect.DeepEqual(failed, want) {
+			t.Errorf("%s: failed %v, want %v", c.name, failed, want)
+		}
+		if n := report(results); n != len(failed) {
+			t.Errorf("%s: report counted %d failures, want %d", c.name, n, len(failed))
+		}
 	}
+}
+
+func doc(rows []benchfmt.Row, gates ...benchfmt.Gate) benchfmt.Doc {
+	return benchfmt.Doc{Seed: 42, Rows: rows, Gates: gates}
+}
+
+func row(exp, name string, metrics map[string]float64) benchfmt.Row {
+	return benchfmt.Row{Experiment: exp, Name: name, Metrics: metrics}
+}
+
+// set returns a mutation that sets one metric of the row with key.
+func set(key, metric string, v float64) func(d *benchfmt.Doc) {
+	return func(d *benchfmt.Doc) {
+		for _, r := range d.Rows {
+			if r.Key() == key {
+				r.Metrics[metric] = v
+			}
+		}
+	}
+}
+
+func scenarioDoc() benchfmt.Doc {
+	return doc([]benchfmt.Row{
+		row("scenario", "lan+rel", map[string]float64{"match_rate": 1}),
+		row("scenario", "chaos", map[string]float64{"match_rate": 0.8}),
+	},
+		benchfmt.NewGate("scenario/lan+rel", "exactly once", benchfmt.Exact, "match_rate", 1),
+		benchfmt.NewGate("scenario/chaos", "match drift", benchfmt.Drift, "match_rate", 0.10))
 }
 
 func TestDiffScenariosPassAndFail(t *testing.T) {
-	base := scenarioDoc()
-	checked := 0
-	if got := diffScenarios(base, scenarioDoc(), 0.10, &checked); got != 0 {
-		t.Fatalf("healthy candidate: %d failures, want 0", got)
-	}
-	if checked == 0 {
-		t.Fatal("healthy candidate: no checks ran")
-	}
-
-	cand := scenarioDoc()
-	cand.Scenarios[0].MatchRate = 0.999 // reliable must be exactly 1.0
-	if got := diffScenarios(base, cand, 0.10, &checked); got != 1 {
-		t.Fatalf("reliable drift: %d failures, want 1", got)
-	}
-
-	cand = scenarioDoc()
-	cand.Scenarios[1].MatchRate = 0.5 // outside tolerance
-	if got := diffScenarios(base, cand, 0.10, &checked); got != 1 {
-		t.Fatalf("unreliable drift: %d failures, want 1", got)
-	}
-
-	cand = scenarioDoc()
-	cand.Scenarios = append(cand.Scenarios, scenario{Profile: "wan", Reliable: true, MatchRate: 1.0})
-	if got := diffScenarios(base, cand, 0.10, &checked); got != 1 {
-		t.Fatalf("candidate-only row: %d failures, want 1", got)
-	}
-
-	if got := diffScenarios(base, doc{Seed: 42}, 0.10, &checked); got != len(base.Scenarios) {
-		t.Fatalf("empty candidate: %d failures, want %d", got, len(base.Scenarios))
-	}
+	runCases(t, scenarioDoc, []gateCase{
+		{"healthy", nil, ""},
+		{"reliable drift", set("scenario/lan+rel", "match_rate", 0.999), "scenario/lan+rel exactly once"},
+		{"unreliable drift", set("scenario/chaos", "match_rate", 0.5), "scenario/chaos match drift"},
+		{"unreliable within tolerance", set("scenario/chaos", "match_rate", 0.85), ""},
+		{"candidate-only row", func(d *benchfmt.Doc) {
+			d.Rows = append(d.Rows, row("scenario", "wan+rel", map[string]float64{"match_rate": 1}))
+		}, "rows"},
+		{"empty candidate", func(d *benchfmt.Doc) { d.Rows = nil }, "rows"},
+	})
 }
 
-func fanoutDoc() doc {
-	return doc{
-		Seed: 42,
-		Rows: []fanoutRow{
-			{Name: "fanout-rel", Reliable: true, MatchRate: 1.0, ElapsedVirtualMs: 100, StallBudgetMs: 500},
-		},
-		SingleLoss: &singleLoss{NackMs: 30, BackoffMs: 200},
-	}
+func fanoutDoc() benchfmt.Doc {
+	const bh, sl = "fanout/fanout-blackhole", "fanout/single-loss-recovery"
+	return doc([]benchfmt.Row{
+		row("fanout", "fanout-blackhole", map[string]float64{"match_rate": 1, "elapsed_virtual_ms": 100}),
+		row("fanout", "single-loss-recovery", map[string]float64{"nack_recovery_ms": 30, "backoff_recovery_ms": 200}),
+	},
+		benchfmt.NewGate(bh, "exactly once", benchfmt.Exact, "match_rate", 1),
+		benchfmt.NewGate(bh, "stall budget", benchfmt.Max, "elapsed_virtual_ms", 500),
+		benchfmt.NewRatio(sl, "nack beats backoff", "nack_recovery_ms", "<", 1, sl, "backoff_recovery_ms"))
 }
 
 func TestDiffFanoutPassAndFail(t *testing.T) {
-	base := fanoutDoc()
-	checked := 0
-	if got := diffFanout(base, fanoutDoc(), &checked); got != 0 {
-		t.Fatalf("healthy candidate: %d failures, want 0", got)
-	}
-
-	cand := fanoutDoc()
-	cand.Rows[0].ElapsedVirtualMs = 9000 // stall budget blown
-	if got := diffFanout(base, cand, &checked); got != 1 {
-		t.Fatalf("stall budget: %d failures, want 1", got)
-	}
-
-	cand = fanoutDoc()
-	cand.SingleLoss = &singleLoss{NackMs: 300, BackoffMs: 200} // NACK lost
-	if got := diffFanout(base, cand, &checked); got != 1 {
-		t.Fatalf("nack regression: %d failures, want 1", got)
-	}
+	runCases(t, fanoutDoc, []gateCase{
+		{"healthy", nil, ""},
+		{"stall budget", set("fanout/fanout-blackhole", "elapsed_virtual_ms", 9000), "fanout/fanout-blackhole stall budget"},
+		{"nack regression", set("fanout/single-loss-recovery", "nack_recovery_ms", 300), "fanout/single-loss-recovery nack beats backoff"},
+		{"degenerate backoff", set("fanout/single-loss-recovery", "backoff_recovery_ms", 0), "fanout/single-loss-recovery nack beats backoff"},
+	})
 }
 
-func invokeDoc() doc {
-	return doc{
-		Seed: 42,
-		InvokeRows: []invokeRow{
-			{Profile: "slow", Load: "capacity", Completed: 100, Goodput: 50, P99Ms: 10},
-			{Profile: "slow", Load: "overload2x", Completed: 100, Goodput: 40, P99Ms: 20},
-		},
-		InvokePipeline: &invokePipeline{SerializedMs: 100, PipelinedMs: 20},
-	}
+func invokeDoc() benchfmt.Doc {
+	const capRow, overRow, pl = "invoke/slow/capacity", "invoke/slow/overload2x", "invoke/pipelined-vs-serial"
+	return doc([]benchfmt.Row{
+		row("invoke", "slow/capacity", map[string]float64{"failures": 0, "goodput_per_sec": 50}),
+		row("invoke", "slow/overload2x", map[string]float64{"failures": 0, "goodput_per_sec": 40}),
+		row("invoke", "pipelined-vs-serial", map[string]float64{"serialized_ms": 100, "pipelined_ms": 20}),
+	},
+		benchfmt.NewGate(capRow, "non-shed failures", benchfmt.Exact, "failures", 0),
+		benchfmt.NewGate(overRow, "non-shed failures", benchfmt.Exact, "failures", 0),
+		benchfmt.NewRatio(overRow, "no collapse", "goodput_per_sec", ">=", 0.5, capRow, "goodput_per_sec"),
+		benchfmt.NewRatio(pl, "pipelining wins", "pipelined_ms", "<", 1, pl, "serialized_ms"))
 }
 
 func TestDiffInvokePassAndFail(t *testing.T) {
-	base := invokeDoc()
-	checked := 0
-	if got := diffInvoke(base, invokeDoc(), &checked); got != 0 {
-		t.Fatalf("healthy candidate: %d failures, want 0", got)
-	}
-
-	cand := invokeDoc()
-	cand.InvokeRows[1].Goodput = 10 // collapsed under overload
-	if got := diffInvoke(base, cand, &checked); got != 1 {
-		t.Fatalf("goodput collapse: %d failures, want 1", got)
-	}
-
-	cand = invokeDoc()
-	cand.InvokeRows[0].Failures = 3 // non-shed failures
-	if got := diffInvoke(base, cand, &checked); got != 1 {
-		t.Fatalf("non-shed failures: %d failures, want 1", got)
-	}
-
-	cand = invokeDoc()
-	cand.InvokePipeline = &invokePipeline{SerializedMs: 100, PipelinedMs: 150}
-	if got := diffInvoke(base, cand, &checked); got != 1 {
-		t.Fatalf("pipelining regression: %d failures, want 1", got)
-	}
+	runCases(t, invokeDoc, []gateCase{
+		{"healthy", nil, ""},
+		{"goodput collapse", set("invoke/slow/overload2x", "goodput_per_sec", 10), "invoke/slow/overload2x no collapse"},
+		{"non-shed failures", set("invoke/slow/capacity", "failures", 3), "invoke/slow/capacity non-shed failures"},
+		{"pipelining regression", set("invoke/pipelined-vs-serial", "pipelined_ms", 150), "invoke/pipelined-vs-serial pipelining wins"},
+	})
 }
 
-func recvDoc() doc {
-	return doc{
-		Seed: 42,
-		RecvRows: []recvRow{
-			{Name: "soap-decode", CompiledNs: 100, ReflectiveNs: 300, AllocsPerOp: 10},
-			{Name: "binary-decode", CompiledNs: 100, ReflectiveNs: 150, AllocsPerOp: 5},
-		},
-	}
+func recvDoc() benchfmt.Doc {
+	const soap, bin = "recv/soap-decode", "recv/binary-decode"
+	allocs := benchfmt.NewRatio(bin, "allocs within baseline", "allocs_per_op", "<=", 1, bin, "allocs_per_op")
+	allocs.Of.Baseline = true
+	return doc([]benchfmt.Row{
+		row("recv", "soap-decode", map[string]float64{"compiled_ns": 100, "reflective_ns": 300}),
+		row("recv", "binary-decode", map[string]float64{"compiled_ns": 100, "reflective_ns": 150, "allocs_per_op": 5}),
+	},
+		benchfmt.NewRatio(soap, "compiled floor", "reflective_ns", ">=", 2, soap, "compiled_ns"),
+		benchfmt.NewRatio(bin, "compiled wins", "reflective_ns", ">=", 1, bin, "compiled_ns"),
+		allocs)
 }
 
 func TestDiffRecvPassAndFail(t *testing.T) {
-	base := recvDoc()
-	checked := 0
-	if got := diffRecv(base, recvDoc(), &checked); got != 0 {
-		t.Fatalf("healthy candidate: %d failures, want 0", got)
-	}
-
-	cand := recvDoc()
-	cand.RecvRows[0].CompiledNs = 200 // 1.5x < the 2x SOAP floor
-	if got := diffRecv(base, cand, &checked); got != 1 {
-		t.Fatalf("soap floor: %d failures, want 1", got)
-	}
-
-	cand = recvDoc()
-	cand.RecvRows[1].AllocsPerOp = 50 // alloc budget blown
-	if got := diffRecv(base, cand, &checked); got != 1 {
-		t.Fatalf("alloc budget: %d failures, want 1", got)
-	}
+	runCases(t, recvDoc, []gateCase{
+		{"healthy", nil, ""},
+		{"soap floor", set("recv/soap-decode", "compiled_ns", 200), "recv/soap-decode compiled floor"},
+		{"alloc budget", set("recv/binary-decode", "allocs_per_op", 50), "recv/binary-decode allocs within baseline"},
+		{"fewer allocs", set("recv/binary-decode", "allocs_per_op", 0), ""},
+	})
 }
 
-func churnDoc() doc {
-	return doc{
-		Seed: 42,
-		ChurnRows: []churnRow{
-			{Name: "churn-3waves", Churned: 30, MatchRate: 1.0, SessionsResumed: 28,
-				SessionsFresh: 2, Redials: 50, RedialBudget: 400, ElapsedVirtualMs: 1000, StallBudgetMs: 30000},
-		},
-	}
+func churnDoc() benchfmt.Doc {
+	const c = "churn/churn-waves"
+	return doc([]benchfmt.Row{
+		row("churn", "churn-waves", map[string]float64{"churned": 30, "match_rate": 1, "sessions_recovered": 30,
+			"redials": 50, "queue_abandoned": 0, "elapsed_virtual_ms": 1000}),
+	},
+		benchfmt.NewGate(c, "lineage match", benchfmt.Exact, "match_rate", 1),
+		benchfmt.NewRatio(c, "sessions cover churned links", "sessions_recovered", ">=", 1, c, "churned"),
+		benchfmt.NewGate(c, "abandoned frames", benchfmt.Exact, "queue_abandoned", 0),
+		benchfmt.NewGate(c, "redial budget", benchfmt.Max, "redials", 400),
+		benchfmt.NewGate(c, "stall budget", benchfmt.Max, "elapsed_virtual_ms", 30000))
 }
 
 func TestDiffChurnPassAndFail(t *testing.T) {
-	base := churnDoc()
-	checked := 0
-	if got := diffChurn(base, churnDoc(), &checked); got != 0 {
-		t.Fatalf("healthy candidate: %d failures, want 0", got)
-	}
-
-	cand := churnDoc()
-	cand.ChurnRows[0].MatchRate = 0.97
-	if got := diffChurn(base, cand, &checked); got != 1 {
-		t.Fatalf("lineage match: %d failures, want 1", got)
-	}
-
-	cand = churnDoc()
-	cand.ChurnRows[0].Redials = 500 // redial storm
-	if got := diffChurn(base, cand, &checked); got != 1 {
-		t.Fatalf("redial budget: %d failures, want 1", got)
-	}
-
-	cand = churnDoc()
-	cand.ChurnRows[0].QueueAbandoned = 4
-	if got := diffChurn(base, cand, &checked); got != 1 {
-		t.Fatalf("abandoned frames: %d failures, want 1", got)
-	}
+	runCases(t, churnDoc, []gateCase{
+		{"healthy", nil, ""},
+		{"lineage match", set("churn/churn-waves", "match_rate", 0.97), "churn/churn-waves lineage match"},
+		{"redial budget", set("churn/churn-waves", "redials", 500), "churn/churn-waves redial budget"},
+		{"abandoned frames", set("churn/churn-waves", "queue_abandoned", 4), "churn/churn-waves abandoned frames"},
+		{"sessions reset", set("churn/churn-waves", "sessions_recovered", 20), "churn/churn-waves sessions cover churned links"},
+	})
 }
 
-func registryDoc() doc {
-	return doc{
-		Seed: 42,
-		RegistryRows: []registryRow{
-			{Name: "registry-cold", Messages: 10, Delivered: 10, DescFetches: 3, TTFDMs: 50},
-			{Name: "registry-warm", Messages: 10, Delivered: 10, DescFetches: 0, DescWarmLoaded: 3, TTFDMs: 5},
-		},
-	}
+func registryDoc() benchfmt.Doc {
+	const cold, warm = "registry/registry-cold", "registry/registry-warm"
+	return doc([]benchfmt.Row{
+		row("registry", "registry-cold", map[string]float64{"messages": 10, "delivered": 10, "desc_fetches": 3, "ttfd_ms": 50}),
+		row("registry", "registry-warm", map[string]float64{"messages": 10, "delivered": 10, "desc_fetches": 0,
+			"desc_warm_loaded": 3, "ttfd_ms": 5}),
+	},
+		benchfmt.NewRatio(cold, "delivers every message", "delivered", "==", 1, cold, "messages"),
+		benchfmt.NewRatio(warm, "delivers every message", "delivered", "==", 1, warm, "messages"),
+		benchfmt.NewGate(warm, "zero description fetches", benchfmt.Exact, "desc_fetches", 0),
+		benchfmt.NewRatio(warm, "preloads what cold fetched", "desc_warm_loaded", ">=", 1, cold, "desc_fetches"),
+		benchfmt.NewRatio(warm, "ttfd beats cold", "ttfd_ms", "<", 1, cold, "ttfd_ms"))
 }
 
 func TestDiffRegistryPassAndFail(t *testing.T) {
-	base := registryDoc()
-	checked := 0
-	if got := diffRegistry(base, registryDoc(), &checked); got != 0 {
-		t.Fatalf("healthy candidate: %d failures, want 0", got)
-	}
-
-	cand := registryDoc()
-	cand.RegistryRows[1].DescFetches = 2 // warm restart hit the wire
-	if got := diffRegistry(base, cand, &checked); got != 1 {
-		t.Fatalf("warm fetches: %d failures, want 1", got)
-	}
-
-	cand = registryDoc()
-	cand.RegistryRows[1].TTFDMs = 80 // warm slower than cold
-	if got := diffRegistry(base, cand, &checked); got != 1 {
-		t.Fatalf("warm ttfd: %d failures, want 1", got)
-	}
-
-	cand = registryDoc()
-	cand.RegistryRows[0].Delivered = 9
-	if got := diffRegistry(base, cand, &checked); got != 1 {
-		t.Fatalf("dropped delivery: %d failures, want 1", got)
-	}
+	runCases(t, registryDoc, []gateCase{
+		{"healthy", nil, ""},
+		{"warm fetches", set("registry/registry-warm", "desc_fetches", 2), "registry/registry-warm zero description fetches"},
+		{"warm ttfd", set("registry/registry-warm", "ttfd_ms", 80), "registry/registry-warm ttfd beats cold"},
+		{"dropped delivery", set("registry/registry-cold", "delivered", 9), "registry/registry-cold delivers every message"},
+		{"cold not cold", set("registry/registry-cold", "desc_fetches", 0), "registry/registry-warm preloads what cold fetched"},
+	})
 }
 
-func scaleDocFixture() doc {
-	return doc{
-		Seed: 42,
-		ScaleRows: []scaleRow{
-			{Name: "scale-150", Peers: 152, MatchRate: 1.0, PeakGoroutines: 950,
-				SchedOpsPerFrame: 2.0, ElapsedWallMs: 200, WallBudgetMs: 120000},
-			{Name: "scale-600", Peers: 605, MatchRate: 1.0, PeakGoroutines: 3300,
-				SchedOpsPerFrame: 2.0, ElapsedWallMs: 700, WallBudgetMs: 120000},
-		},
+func scaleDoc() benchfmt.Doc {
+	var gates []benchfmt.Gate
+	for _, r := range []string{"scale/scale-150", "scale/scale-600"} {
+		ops := benchfmt.NewGate(r, "sched ops per frame", benchfmt.Range, "sched_ops_per_frame", 1)
+		ops.Hi = 2.25
+		gates = append(gates,
+			benchfmt.NewGate(r, "exactly once", benchfmt.Exact, "match_rate", 1),
+			benchfmt.NewGate(r, "duplicates", benchfmt.Exact, "duplicates", 0),
+			benchfmt.NewGate(r, "wall budget", benchfmt.Max, "elapsed_wall_ms", 120000),
+			ops)
 	}
+	gates = append(gates, benchfmt.NewRatio("scale/scale-600", "goroutines per peer sublinear", "goroutines_per_peer", "<=",
+		1.3, "scale/scale-150", "goroutines_per_peer"))
+	return doc([]benchfmt.Row{
+		row("scale", "scale-150", map[string]float64{"match_rate": 1, "duplicates": 0, "elapsed_wall_ms": 200,
+			"sched_ops_per_frame": 2, "goroutines_per_peer": 950.0 / 152}),
+		row("scale", "scale-600", map[string]float64{"match_rate": 1, "duplicates": 0, "elapsed_wall_ms": 700,
+			"sched_ops_per_frame": 2, "goroutines_per_peer": 3300.0 / 605}),
+	}, gates...)
 }
 
 func TestDiffScalePassAndFail(t *testing.T) {
-	base := scaleDocFixture()
-	checked := 0
-	if got := diffScale(base, scaleDocFixture(), &checked); got != 0 {
-		t.Fatalf("healthy candidate: %d failures, want 0", got)
-	}
-	// Two rows plus the sublinearity pair.
-	if checked != 3 {
-		t.Fatalf("healthy candidate: %d checks, want 3", checked)
-	}
-
-	cand := scaleDocFixture()
-	cand.ScaleRows[0].MatchRate = 0.999 // scale must not cost delivery
-	if got := diffScale(base, cand, &checked); got != 1 {
-		t.Fatalf("match rate: %d failures, want 1", got)
-	}
-
-	cand = scaleDocFixture()
-	cand.ScaleRows[1].Duplicates = 2
-	if got := diffScale(base, cand, &checked); got != 1 {
-		t.Fatalf("duplicates: %d failures, want 1", got)
-	}
-
-	cand = scaleDocFixture()
-	cand.ScaleRows[1].ElapsedWallMs = 130000 // CI budget blown
-	if got := diffScale(base, cand, &checked); got != 1 {
-		t.Fatalf("wall budget: %d failures, want 1", got)
-	}
-
-	cand = scaleDocFixture()
-	cand.ScaleRows[0].SchedOpsPerFrame = 3.5 // heap thrash
-	if got := diffScale(base, cand, &checked); got != 1 {
-		t.Fatalf("ops/frame: %d failures, want 1", got)
-	}
-
-	// Superlinear goroutine growth: per-peer cost at the larger fleet
-	// beyond the smaller fleet's cost times the slack factor.
-	cand = scaleDocFixture()
-	cand.ScaleRows[1].PeakGoroutines = cand.ScaleRows[1].Peers * 20
-	if got := diffScale(base, cand, &checked); got != 1 {
-		t.Fatalf("sublinearity: %d failures, want 1", got)
-	}
-
-	// Flat growth inside the slack passes even when the absolute
-	// count rises.
-	cand = scaleDocFixture()
-	cand.ScaleRows[1].PeakGoroutines = 4200 // 6.9/peer vs 6.25/peer, < 1.3x
-	if got := diffScale(base, cand, &checked); got != 0 {
-		t.Fatalf("within slack: %d failures, want 0", got)
-	}
-
-	cand = scaleDocFixture()
-	cand.ScaleRows = cand.ScaleRows[:1] // missing fleet size
-	if got := diffScale(base, cand, &checked); got != 1 {
-		t.Fatalf("missing row: %d failures, want 1", got)
-	}
-
-	cand = scaleDocFixture()
-	cand.ScaleRows = append(cand.ScaleRows, scaleRow{Name: "scale-900", Peers: 910,
-		MatchRate: 1.0, PeakGoroutines: 5000, SchedOpsPerFrame: 2.0, WallBudgetMs: 120000})
-	if got := diffScale(base, cand, &checked); got != 1 {
-		t.Fatalf("candidate-only row: %d failures, want 1", got)
-	}
+	runCases(t, scaleDoc, []gateCase{
+		{"healthy", nil, ""},
+		{"match rate", set("scale/scale-150", "match_rate", 0.999), "scale/scale-150 exactly once"},
+		{"duplicates", set("scale/scale-600", "duplicates", 2), "scale/scale-600 duplicates"},
+		{"wall budget", set("scale/scale-600", "elapsed_wall_ms", 130000), "scale/scale-600 wall budget"},
+		{"ops per frame", set("scale/scale-150", "sched_ops_per_frame", 3.5), "scale/scale-150 sched ops per frame"},
+		{"ops per frame floor", set("scale/scale-600", "sched_ops_per_frame", 0.5), "scale/scale-600 sched ops per frame"},
+		// Per-peer cost at the larger fleet beyond the smaller
+		// fleet's times the slack factor is superlinear growth.
+		{"sublinearity", set("scale/scale-600", "goroutines_per_peer", 20), "scale/scale-600 goroutines per peer sublinear"},
+		// Flat growth inside the slack passes even when the per-peer
+		// cost rises: 6.9/peer vs 6.25/peer is < 1.3x.
+		{"within slack", set("scale/scale-600", "goroutines_per_peer", 4200.0/605), ""},
+		{"missing row", func(d *benchfmt.Doc) { d.Rows = d.Rows[:1] }, "rows"},
+		{"candidate-only row", func(d *benchfmt.Doc) {
+			d.Rows = append(d.Rows, row("scale", "scale-900", map[string]float64{"match_rate": 1}))
+		}, "rows"},
+	})
 }
 
-func writeDoc(t *testing.T, d doc) string {
-	t.Helper()
-	data, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
+func TestDiffSeedAndGateSet(t *testing.T) {
+	runCases(t, scaleDoc, []gateCase{
+		{"seed mismatch", func(d *benchfmt.Doc) { d.Seed = 7 }, "seed"},
+		{"gate dropped", func(d *benchfmt.Doc) { d.Gates = d.Gates[1:] }, "gate set"},
+		{"gate loosened", func(d *benchfmt.Doc) { d.Gates[2].Value = 1e9 }, "gate set"},
+	})
+	// A gate whose metric the candidate lacks fails by name.
+	runCases(t, scaleDoc, []gateCase{
+		{"metric missing", func(d *benchfmt.Doc) { delete(d.Rows[0].Metrics, "duplicates") }, "scale/scale-150 duplicates"},
+	})
+	// So does a gate on a row neither file has: it would otherwise
+	// never be evaluated.
+	typo := func() benchfmt.Doc {
+		d := scaleDoc()
+		d.Gates = append(d.Gates, benchfmt.NewGate("scale/scale-60", "duplicates", benchfmt.Exact, "duplicates", 0))
+		return d
 	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	runCases(t, typo, []gateCase{{"unknown row", nil, "scale/scale-60 duplicates"}})
 }
 
 func TestLoad(t *testing.T) {
-	d, err := load(writeDoc(t, scaleDocFixture()))
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := scaleDoc().Write(path); err != nil {
+		t.Fatal(err)
+	}
+	d, err := benchfmt.Load(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if len(d.ScaleRows) != 2 || d.Seed != 42 {
-		t.Fatalf("load: got %d scale rows, seed %d", len(d.ScaleRows), d.Seed)
+	if len(d.Rows) != 2 || len(d.Gates) != 9 || d.Seed != 42 {
+		t.Fatalf("load: got %d rows, %d gates, seed %d", len(d.Rows), len(d.Gates), d.Seed)
+	}
+	if diff := benchfmt.DiffGates(d.Gates, scaleDoc().Gates); diff != nil {
+		t.Fatalf("gates changed in the round trip: %v", diff)
 	}
 
-	// A doc with no recognized sections is an authoring error, not an
-	// empty-but-valid artifact.
-	if _, err := load(writeDoc(t, doc{Seed: 42})); err == nil {
-		t.Fatal("load accepted a doc with no sections")
+	// A doc without gates would pass any candidate: an authoring
+	// error, not an empty-but-valid artifact.
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	if err := doc(scaleDoc().Rows).Write(empty); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := benchfmt.Load(empty); err == nil {
+		t.Fatal("load accepted a doc without gates")
+	}
+	if _, err := benchfmt.Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("load accepted a missing file")
-	}
-}
-
-func TestKeyHelpers(t *testing.T) {
-	if got := key(scenario{Profile: "lan", Reliable: true}); got != "lan+rel" {
-		t.Fatalf("key reliable: %q", got)
-	}
-	if got := key(scenario{Profile: "lan"}); got != "lan" {
-		t.Fatalf("key unreliable: %q", got)
-	}
-	if got := invokeKey(invokeRow{Profile: "slow", Load: "capacity"}); got != "slow/capacity" {
-		t.Fatalf("invokeKey: %q", got)
 	}
 }

@@ -1,58 +1,37 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
+	"pti/internal/benchfmt"
 	"pti/internal/fixtures"
 	"pti/internal/registry"
 	"pti/internal/transport"
 )
 
-// The churn experiment measures the PR 8 connection-lifecycle
-// subsystem: publishers on managed links keep broadcasting through
-// send queues while waves of subscribers crash and restart. Results
-// are committed as BENCH_PR8.json and gated by cmd/benchdiff:
-//
-//   - every subscriber lineage (the union of its incarnations) must
-//     reach a 1.0 match rate — the reliable session resumed across
-//     the restart instead of resetting;
-//   - every churned link must come back with a session — same-epoch
-//     resume or fresh-epoch replay (sessions_resumed + sessions_fresh
-//     >= churned) — with zero abandoned queue frames;
-//   - the redial loop must stay inside its committed budget — a
-//     regression in backoff or the failure detector shows up as a
-//     redial storm long before it breaks delivery;
-//   - the whole run must finish inside its virtual-time stall budget.
+// The churn experiment measures the connection-lifecycle subsystem:
+// publishers on managed links keep broadcasting through send queues
+// while waves of subscribers crash and restart.
 
-// churnRow is the measured churn cell committed as BENCH_PR8.json.
+// churnRow is the measured churn cell.
 type churnRow struct {
-	Name             string  `json:"name"`
-	Subscribers      int     `json:"subscribers"`
-	Churned          int     `json:"churned"`
-	Rounds           int     `json:"rounds"`
-	Messages         int     `json:"messages"`
-	MatchRate        float64 `json:"match_rate"`
-	Duplicates       int     `json:"duplicates"`
-	SessionsResumed  uint64  `json:"sessions_resumed"`
-	SessionsFresh    uint64  `json:"sessions_fresh"`
-	FramesReplayed   uint64  `json:"frames_replayed"`
-	Redials          uint64  `json:"redials"`
-	RedialBudget     uint64  `json:"redial_budget"`
-	Suspects         uint64  `json:"suspects"`
-	Recoveries       uint64  `json:"recoveries"`
-	QueueAbandoned   uint64  `json:"queue_abandoned"`
-	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
-	StallBudgetMs    float64 `json:"stall_budget_ms,omitempty"`
-}
-
-// churnDoc is the committed BENCH_PR8.json layout.
-type churnDoc struct {
-	Seed      int64      `json:"seed"`
-	ChurnRows []churnRow `json:"churn_rows"`
+	Subscribers       int     `json:"subscribers"`
+	Churned           int     `json:"churned"`
+	Rounds            int     `json:"rounds"`
+	Messages          int     `json:"messages"`
+	MatchRate         float64 `json:"match_rate"`
+	Duplicates        int     `json:"duplicates"`
+	SessionsResumed   uint64  `json:"sessions_resumed"`
+	SessionsFresh     uint64  `json:"sessions_fresh"`
+	SessionsRecovered uint64  `json:"sessions_recovered"`
+	FramesReplayed    uint64  `json:"frames_replayed"`
+	Redials           uint64  `json:"redials"`
+	Suspects          uint64  `json:"suspects"`
+	Recoveries        uint64  `json:"recoveries"`
+	QueueAbandoned    uint64  `json:"queue_abandoned"`
+	ElapsedVirtualMs  float64 `json:"elapsed_virtual_ms"`
 }
 
 // churnStallBudgetMs bounds the run's virtual elapsed time: with the
@@ -67,9 +46,26 @@ const churnStallBudgetMs = 30000
 // dozens per outage means the backoff schedule regressed.
 const churnRedialBudget = 400
 
+// churnGates: every subscriber lineage (the union of its
+// incarnations) must reach a 1.0 match rate; every churned link must
+// come back with a session — same-epoch resume or fresh-epoch replay
+// — with no abandoned queue frames; a backoff or failure-detector
+// regression shows up as a redial storm long before it breaks
+// delivery.
+func churnGates() []benchfmt.Gate {
+	const c = "churn/churn-waves"
+	return []benchfmt.Gate{
+		benchfmt.NewGate(c, "lineage match", benchfmt.Exact, "match_rate", 1),
+		benchfmt.NewRatio(c, "sessions cover churned links", "sessions_recovered", ">=", 1, c, "churned"),
+		benchfmt.NewGate(c, "abandoned frames", benchfmt.Exact, "queue_abandoned", 0),
+		benchfmt.NewGate(c, "redial budget", benchfmt.Max, "redials", churnRedialBudget),
+		benchfmt.NewGate(c, "stall budget", benchfmt.Max, "elapsed_virtual_ms", churnStallBudgetMs),
+	}
+}
+
 // expChurn runs the crash/restart waves on the virtual clock and
 // reports lineage coverage plus the lifecycle counters.
-func expChurn(reps int) error {
+func expChurn(reps int) ([]benchfmt.Row, error) {
 	subs := 10 * reps
 	churned := subs / 3
 	rounds, perRound := 4, 5*reps
@@ -77,24 +73,12 @@ func expChurn(reps int) error {
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
 	row, err := runChurn(subs, churned, rounds, perRound)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("  %-24s match %.0f%%  dups %d  resumed+fresh %d+%d/%d  redials %d (budget %d)  elapsed %.0fms (budget %.0fms)\n",
-		row.Name, row.MatchRate*100, row.Duplicates, row.SessionsResumed, row.SessionsFresh,
-		row.Churned, row.Redials, row.RedialBudget, row.ElapsedVirtualMs, row.StallBudgetMs)
-
-	if *jsonOut != "" {
-		doc := churnDoc{Seed: *seed, ChurnRows: []churnRow{row}}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
-	return nil
+		"churn-waves", row.MatchRate*100, row.Duplicates, row.SessionsResumed, row.SessionsFresh,
+		row.Churned, row.Redials, churnRedialBudget, row.ElapsedVirtualMs, float64(churnStallBudgetMs))
+	return []benchfmt.Row{benchRow("churn", "churn-waves", row)}, nil
 }
 
 // runChurn is one full churn run: subs subscribers on managed links,
@@ -240,22 +224,20 @@ func runChurn(subs, churned, rounds, perRound int) (churnRow, error) {
 	}
 	st := pub.Peer().Stats().Snapshot()
 	return churnRow{
-		Name:             "churn-waves",
-		Subscribers:      subs,
-		Churned:          churned,
-		Rounds:           rounds,
-		Messages:         total,
-		MatchRate:        float64(covered) / float64(total*subs),
-		Duplicates:       dups,
-		SessionsResumed:  st.RelSessionsResumed,
-		SessionsFresh:    st.RelSessionsFresh,
-		FramesReplayed:   st.RelFramesReplayed,
-		Redials:          st.PeerRedials,
-		RedialBudget:     churnRedialBudget,
-		Suspects:         st.PeerSuspects,
-		Recoveries:       st.PeerRecoveries,
-		QueueAbandoned:   st.RelQueueAbandoned,
-		ElapsedVirtualMs: float64(elapsedVirtual.Nanoseconds()) / 1e6,
-		StallBudgetMs:    churnStallBudgetMs,
+		Subscribers:       subs,
+		Churned:           churned,
+		Rounds:            rounds,
+		Messages:          total,
+		MatchRate:         float64(covered) / float64(total*subs),
+		Duplicates:        dups,
+		SessionsResumed:   st.RelSessionsResumed,
+		SessionsFresh:     st.RelSessionsFresh,
+		SessionsRecovered: st.RelSessionsResumed + st.RelSessionsFresh,
+		FramesReplayed:    st.RelFramesReplayed,
+		Redials:           st.PeerRedials,
+		Suspects:          st.PeerSuspects,
+		Recoveries:        st.PeerRecoveries,
+		QueueAbandoned:    st.RelQueueAbandoned,
+		ElapsedVirtualMs:  float64(elapsedVirtual.Nanoseconds()) / 1e6,
 	}, nil
 }

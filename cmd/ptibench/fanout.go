@@ -1,37 +1,25 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
+	"pti/internal/benchfmt"
 	"pti/internal/fixtures"
 	"pti/internal/registry"
 	"pti/internal/transport"
 )
 
-// The fan-out experiment measures the PR 5 async send pipeline: a
+// The fan-out experiment measures the async send pipeline: a
 // publisher broadcasting to N subscribers through per-connection send
 // queues, with one subscriber blackholed mid-run, plus the
-// NACK-vs-pure-backoff single-loss recovery comparison. Results are
-// committed as BENCH_PR5.json and gated by cmd/benchdiff:
-//
-//   - the blackhole row must hold a 100% match rate across the
-//     healthy subscribers and finish inside its virtual-time stall
-//     budget (a stalled pipeline blows the budget by an order of
-//     magnitude);
-//   - NACK fast-retransmit recovery must beat the pure-backoff
-//     baseline outright.
+// NACK-vs-pure-backoff single-loss recovery comparison.
 
 // fanoutRow is one measured fan-out cell.
 type fanoutRow struct {
-	Name             string  `json:"name"`
-	Reliable         bool    `json:"reliable"`
 	MatchRate        float64 `json:"match_rate"`
 	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
-	StallBudgetMs    float64 `json:"stall_budget_ms,omitempty"`
 	QueuePeak        int     `json:"queue_peak"`
 	RTOMs            float64 `json:"rto_ms"`
 	Retransmits      uint64  `json:"retransmits"`
@@ -40,8 +28,7 @@ type fanoutRow struct {
 	QueueAbandoned   uint64  `json:"queue_abandoned"`
 }
 
-// singleLossResult is the NACK-vs-backoff recovery comparison; the
-// gate requires NackMs < BackoffMs.
+// singleLossResult is the NACK-vs-backoff recovery comparison.
 type singleLossResult struct {
 	NackMs          float64 `json:"nack_recovery_ms"`
 	BackoffMs       float64 `json:"backoff_recovery_ms"`
@@ -50,58 +37,49 @@ type singleLossResult struct {
 	BackoffRetrans  uint64  `json:"backoff_mode_retransmits"`
 }
 
-// fanoutDoc is the committed BENCH_PR5.json layout.
-type fanoutDoc struct {
-	Seed       int64             `json:"seed"`
-	Subs       int               `json:"subscribers"`
-	Objects    int               `json:"objects"`
-	Rows       []fanoutRow       `json:"rows"`
-	SingleLoss *singleLossResult `json:"single_loss,omitempty"`
-}
-
 // fanoutStallBudgetMs bounds the blackhole row's virtual elapsed
 // time: the async pipeline converges the healthy subscribers in tens
 // of virtual milliseconds, while a synchronous broadcast serialized
 // behind the blackholed window sits out whole backoff intervals.
 const fanoutStallBudgetMs = 2000
 
+// fanoutGates: a dead sibling must neither cost the healthy
+// subscribers a delivery nor stall the pipeline, and a receiver's gap
+// report must recover a loss faster than the sender's backoff timer.
+func fanoutGates() []benchfmt.Gate {
+	const bh, sl = "fanout/fanout-blackhole", "fanout/single-loss-recovery"
+	return []benchfmt.Gate{
+		benchfmt.NewGate(bh, "exactly once", benchfmt.Exact, "match_rate", 1),
+		benchfmt.NewGate(bh, "stall budget", benchfmt.Max, "elapsed_virtual_ms", fanoutStallBudgetMs),
+		benchfmt.NewRatio(sl, "nack beats backoff", "nack_recovery_ms", "<", 1, sl, "backoff_recovery_ms"),
+	}
+}
+
 // expFanout runs the broadcast fan-out rows and the single-loss
 // recovery comparison on the virtual clock.
-func expFanout(reps int) error {
+func expFanout(reps int) ([]benchfmt.Row, error) {
 	objects := 20 * reps
 	const subs = 4 // 3 healthy + 1 blackholed
 
-	doc := fanoutDoc{Seed: *seed, Subs: subs, Objects: objects}
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
 
 	row, err := runFanoutBlackhole(objects, subs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	doc.Rows = append(doc.Rows, row)
 	fmt.Printf("  %-24s match %.0f%%  elapsed %.0fms (budget %.0fms)  queue-peak %d  rto %.1fms  retrans %d  fast %d  nacks %d\n",
-		row.Name, row.MatchRate*100, row.ElapsedVirtualMs, row.StallBudgetMs,
+		"fanout-blackhole", row.MatchRate*100, row.ElapsedVirtualMs, float64(fanoutStallBudgetMs),
 		row.QueuePeak, row.RTOMs, row.Retransmits, row.FastRetransmits, row.NacksSent)
 
 	sl, err := runSingleLossComparison(objects)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	doc.SingleLoss = sl
 	fmt.Printf("  %-24s nack %.0fms vs pure backoff %.0fms (%.1fx faster; fast-retransmits %d)\n",
 		"single-loss-recovery", sl.NackMs, sl.BackoffMs, sl.BackoffMs/sl.NackMs, sl.FastRetransmits)
 
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
-	return nil
+	return []benchfmt.Row{benchRow("fanout", "fanout-blackhole", row),
+		benchRow("fanout", "single-loss-recovery", sl)}, nil
 }
 
 // runFanoutBlackhole broadcasts to subs subscribers with one
@@ -200,11 +178,8 @@ func runFanoutBlackhole(objects, subs int) (fanoutRow, error) {
 		delivered += nodes[name].Peer().Stats().Snapshot().ObjectsDelivered
 	}
 	row := fanoutRow{
-		Name:             "fanout-blackhole",
-		Reliable:         true,
 		MatchRate:        float64(delivered) / float64(objects*len(healthy)),
 		ElapsedVirtualMs: float64(elapsedVirtual.Nanoseconds()) / 1e6,
-		StallBudgetMs:    fanoutStallBudgetMs,
 	}
 	pubStats := pub.Peer().Stats().Snapshot()
 	row.Retransmits = pubStats.RelRetransmits

@@ -1,32 +1,23 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
+	"pti/internal/benchfmt"
 	"pti/internal/registry"
 	"pti/internal/transport"
 )
 
-// The invoke experiment measures the PR 6 pipelined invoke path: N
+// The invoke experiment measures the pipelined invoke path: N
 // closed-loop invokers calling a remote method with a fixed virtual
 // service time, through the reliable link, at capacity and at 2x
 // overload. Rows report invoke-latency percentiles, goodput and shed
 // counts; a separate comparison pits a pipelined client window against
-// strictly serialized calls on a clean high-latency link. Results are
-// committed as BENCH_PR6.json and gated by cmd/benchdiff:
-//
-//   - every row must finish with zero non-shed failures — a shed is a
-//     contract (typed, retryable), a timeout or decode error is a bug;
-//   - goodput at 2x overload must hold at least half the goodput at
-//     capacity per profile (no congestion collapse under load shed);
-//   - the pipelined window must beat serialized calls outright on the
-//     high-latency link, or the pipelining isn't real.
+// strictly serialized calls on a clean high-latency link.
 
 // invokeWorkers/invokeQueue bound the server: 4 concurrent method
 // executions plus 2 queued invokes; arrival depth beyond 6 is shed.
@@ -36,10 +27,24 @@ const (
 	invokeServiceTime = 10 * time.Millisecond
 )
 
+// invokeNoCollapseFraction is the congestion-collapse floor: goodput
+// at 2x overload must be at least this fraction of goodput at
+// capacity on the same profile.
+const invokeNoCollapseFraction = 0.5
+
+var (
+	invokeProfiles = []string{"slow", "chaos"}
+	invokeLoads    = []struct {
+		name     string
+		invokers int
+	}{
+		{"capacity", invokeWorkers},
+		{"overload2x", 2 * invokeWorkers},
+	}
+)
+
 // invokeRow is one measured (profile, load) cell.
 type invokeRow struct {
-	Profile          string  `json:"profile"`
-	Load             string  `json:"load"`
 	Invokers         int     `json:"invokers"`
 	Attempts         int     `json:"attempts"`
 	Completed        int     `json:"completed"`
@@ -51,8 +56,7 @@ type invokeRow struct {
 	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
 }
 
-// invokePipeline is the pipelined-vs-serialized comparison; the gate
-// requires PipelinedMs < SerializedMs.
+// invokePipeline is the pipelined-vs-serialized comparison.
 type invokePipeline struct {
 	Calls        int     `json:"calls"`
 	Depth        int     `json:"depth"`
@@ -61,13 +65,22 @@ type invokePipeline struct {
 	PipelinedMs  float64 `json:"pipelined_ms"`
 }
 
-// invokeDoc is the committed BENCH_PR6.json layout.
-type invokeDoc struct {
-	Seed     int64           `json:"seed"`
-	Workers  int             `json:"workers"`
-	Queue    int             `json:"queue_depth"`
-	Rows     []invokeRow     `json:"invoke_rows"`
-	Pipeline *invokePipeline `json:"invoke_pipeline,omitempty"`
+// invokeGates: a shed is the typed, retryable backpressure contract,
+// so any other failure (timeout, decode error) is a bug; load
+// shedding must prevent congestion collapse, not merely rename it;
+// and the pipelined window must beat serialized calls outright, or
+// the pipelining isn't real.
+func invokeGates() []benchfmt.Gate {
+	var gates []benchfmt.Gate
+	for _, p := range invokeProfiles {
+		for _, l := range invokeLoads {
+			gates = append(gates, benchfmt.NewGate("invoke/"+p+"/"+l.name, "non-shed failures", benchfmt.Exact, "failures", 0))
+		}
+		gates = append(gates, benchfmt.NewRatio("invoke/"+p+"/overload2x", "no collapse", "goodput_per_sec", ">=",
+			invokeNoCollapseFraction, "invoke/"+p+"/capacity", "goodput_per_sec"))
+	}
+	const pl = "invoke/pipelined-vs-serial"
+	return append(gates, benchfmt.NewRatio(pl, "pipelining wins", "pipelined_ms", "<", 1, pl, "serialized_ms"))
 }
 
 // invokeBenchSvc is the exported service. The service-time knob is an
@@ -89,53 +102,34 @@ func (s *invokeBenchSvc) Work(n int) int {
 
 // expInvoke runs the invoke-load rows and the pipelined-vs-serialized
 // comparison on the virtual clock.
-func expInvoke(reps int) error {
+func expInvoke(reps int) ([]benchfmt.Row, error) {
 	attempts := 15 * reps // per invoker
-	doc := invokeDoc{Seed: *seed, Workers: invokeWorkers, Queue: invokeQueue}
+	var rows []benchfmt.Row
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
 	fmt.Printf("  server budget: %d workers + %d queued, %s service time per call\n",
 		invokeWorkers, invokeQueue, invokeServiceTime)
 
-	loads := []struct {
-		name     string
-		invokers int
-	}{
-		{"capacity", invokeWorkers},
-		{"overload2x", 2 * invokeWorkers},
-	}
-	for _, profile := range []string{"slow", "chaos"} {
-		for _, load := range loads {
-			row, err := runInvokeLoad(profile, load.name, load.invokers, attempts)
+	for _, profile := range invokeProfiles {
+		for _, load := range invokeLoads {
+			row, err := runInvokeLoad(profile, load.invokers, attempts)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			doc.Rows = append(doc.Rows, row)
 			fmt.Printf("  %-7s %-10s  %d invokers  p50 %.1fms  p99 %.1fms  goodput %.0f/s  shed %d  failures %d  elapsed %.0fms\n",
-				row.Profile, row.Load, row.Invokers, row.P50Ms, row.P99Ms,
+				profile, load.name, row.Invokers, row.P50Ms, row.P99Ms,
 				row.GoodputPerSec, row.Shed, row.Failures, row.ElapsedVirtualMs)
+			rows = append(rows, benchRow("invoke", profile+"/"+load.name, row))
 		}
 	}
 
 	pl, err := runInvokePipelineCompare(8*reps, 8)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	doc.Pipeline = &pl
 	fmt.Printf("  %-18s %d calls at %.0fms latency: pipelined(depth %d) %.0fms vs serialized %.0fms (%.1fx faster)\n",
 		"pipelined-vs-serial", pl.Calls, pl.LatencyMs, pl.Depth,
 		pl.PipelinedMs, pl.SerializedMs, pl.SerializedMs/pl.PipelinedMs)
-
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
-	return nil
+	return append(rows, benchRow("invoke", "pipelined-vs-serial", pl)), nil
 }
 
 // invokeRelOpts is the reliable-link shape both sides run: adaptive
@@ -158,7 +152,7 @@ func invokeRelOpts() []transport.ReliableOption {
 // goodput and shed counts. Shed calls are not retried: each invoker
 // spends its attempt budget, and the row records how the budget split
 // between completions and sheds.
-func runInvokeLoad(profile, load string, invokers, attempts int) (invokeRow, error) {
+func runInvokeLoad(profile string, invokers, attempts int) (invokeRow, error) {
 	prof, ok := transport.NamedProfile(profile)
 	if !ok {
 		return invokeRow{}, fmt.Errorf("unknown profile %q", profile)
@@ -232,8 +226,6 @@ func runInvokeLoad(profile, load string, invokers, attempts int) (invokeRow, err
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	row := invokeRow{
-		Profile:          profile,
-		Load:             load,
 		Invokers:         invokers,
 		Attempts:         invokers * attempts,
 		Completed:        len(lats),

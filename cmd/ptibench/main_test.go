@@ -1,8 +1,14 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
+
+	"pti/internal/benchfmt"
 )
 
 // TestMeasure verifies the timing helper's basic arithmetic.
@@ -82,5 +88,56 @@ func TestRunAllExperiments(t *testing.T) {
 	}
 	if err := run("all", 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBaselineMatchesDeclaredGates fails when a gate is edited here
+// without regenerating the committed baseline with `make bench-json`,
+// and when the baseline does not pass its own gates.
+func TestBaselineMatchesDeclaredGates(t *testing.T) {
+	base, err := benchfmt.Load("../../BENCH.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []benchfmt.Gate
+	names := make(map[string]bool)
+	for _, e := range experiments {
+		for _, g := range e.gates {
+			if names[g.Name] {
+				t.Errorf("gate %q declared twice", g.Name)
+			}
+			names[g.Name] = true
+		}
+		declared = append(declared, e.gates...)
+	}
+	if diff := benchfmt.DiffGates(declared, base.Gates); diff != nil {
+		t.Errorf("gates declared in ptibench differ from BENCH.json: %v (regenerate with make bench-json)", diff)
+	}
+	for _, r := range benchfmt.Evaluate(base, base) {
+		if !r.OK {
+			t.Errorf("BENCH.json fails its own check %s: %s", r.Name, r.Detail)
+		}
+	}
+}
+
+// TestWatchdogReportsHang runs a hung experiment in a child process
+// and expects the watchdog to name it, print the stacks and exit 3.
+func TestWatchdogReportsHang(t *testing.T) {
+	if os.Getenv("PTIBENCH_WATCHDOG_CHILD") == "1" {
+		watchdog("hung", 10*time.Millisecond)
+		time.Sleep(time.Minute)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestWatchdogReportsHang$")
+	cmd.Env = append(os.Environ(), "PTIBENCH_WATCHDOG_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 3 {
+		t.Fatalf("child exited with %v, want status 3; output:\n%s", err, out)
+	}
+	for _, want := range []string{"experiment hung (seed 1)", "goroutine stacks", "TestWatchdogReportsHang"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("watchdog output lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -1,14 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"pti"
+	"pti/internal/benchfmt"
 	"pti/internal/conform"
 	"pti/internal/proxy"
 	"pti/internal/registry"
@@ -50,19 +49,32 @@ func recvSample() recvSubject {
 	}
 }
 
-// recvRow is one compiled-vs-reflective receive measurement — the
-// machine-readable record benchdiff gates (BENCH_PR7.json).
+// recvRow is one compiled-vs-reflective receive measurement.
 type recvRow struct {
-	Name         string  `json:"name"`
 	CompiledNs   float64 `json:"compiled_ns"`
 	ReflectiveNs float64 `json:"reflective_ns"`
 	Speedup      float64 `json:"speedup"`
 	AllocsPerOp  float64 `json:"allocs_per_op,omitempty"`
 }
 
-type recvDoc struct {
-	Seed     int64     `json:"seed"`
-	RecvRows []recvRow `json:"recv_rows"`
+// recvSOAPFloor is the acceptance bar for the compiled SOAP decode:
+// it must beat the reflective pipeline by at least this factor. The
+// other receive rows must merely win outright (>= 1x) — timing noise
+// headroom without letting the compiled path silently lose.
+const recvSOAPFloor = 2.0
+
+// recvGates: every compiled row must beat its reflective counterpart
+// (SOAP by the floor), and the end-to-end allocation count must not
+// grow past the committed baseline's.
+func recvGates() []benchfmt.Gate {
+	gates := []benchfmt.Gate{
+		benchfmt.NewRatio("recv/soap-decode", "compiled floor", "reflective_ns", ">=", recvSOAPFloor, "recv/soap-decode", "compiled_ns"),
+		benchfmt.NewRatio("recv/binary-decode", "compiled wins", "reflective_ns", ">=", 1, "recv/binary-decode", "compiled_ns"),
+		benchfmt.NewRatio("recv/unmarshal-e2e", "compiled wins", "reflective_ns", ">=", 1, "recv/unmarshal-e2e", "compiled_ns"),
+	}
+	allocs := benchfmt.NewRatio("recv/unmarshal-e2e", "allocs within baseline", "allocs_per_op", "<=", 1, "recv/unmarshal-e2e", "allocs_per_op")
+	allocs.Of.Baseline = true
+	return append(gates, allocs)
 }
 
 // expRecv measures the PR 7 receive path: per-codec compiled decode
@@ -72,32 +84,32 @@ type recvDoc struct {
 // conformance mapping and decode — warm, where the learned envelope
 // shape and the compiled decoder leave only the destination object's
 // allocations standing.
-func expRecv(reps int) error {
+func expRecv(reps int) ([]benchfmt.Row, error) {
 	iters := 2000 * reps
 	sample := recvSample()
 	typ := reflect.TypeOf(&recvSubject{})
 	prog, err := wire.CompileProgram(reflect.TypeOf(recvSubject{}))
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	var rows []recvRow
+	var rows []benchfmt.Row
 	fmt.Printf("  %-18s %12s %12s %9s %8s\n",
 		"row", "compiled", "reflective", "speedup", "allocs")
 
 	for _, codec := range []wire.Codec{wire.SOAP{}, wire.Binary{}} {
 		data, err := codec.Encode(sample)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// One checked round: the fast path must engage and agree with
 		// the reflective decode before its timing means anything.
 		out, ok := codec.DecodeObjectFast(prog, data, typ, nil, "bench", "recvSubject")
 		if !ok {
-			return fmt.Errorf("%s: compiled decode did not engage", codec.Name())
+			return nil, fmt.Errorf("%s: compiled decode did not engage", codec.Name())
 		}
 		if got := out.(*recvSubject); !reflect.DeepEqual(*got, sample) {
-			return fmt.Errorf("%s: compiled decode diverged: %+v", codec.Name(), got)
+			return nil, fmt.Errorf("%s: compiled decode diverged: %+v", codec.Name(), got)
 		}
 		compiled := measure(reps, iters, func() {
 			codec.DecodeObjectFast(prog, data, typ, nil, "bench", "recvSubject")
@@ -118,16 +130,16 @@ func expRecv(reps int) error {
 	// vs the reflective pipeline it falls back to.
 	rt := pti.New()
 	if err := rt.Register(recvSubject{}); err != nil {
-		return err
+		return nil, err
 	}
 	envData, err := rt.Marshal(sample)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var expected interface{} = recvSubject{}
 	for i := 0; i < 4; i++ { // warm the envelope shape + compiled caches
 		if _, _, err := rt.Unmarshal(envData, expected); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	compiled := measure(reps, iters, func() {
@@ -144,7 +156,7 @@ func expRecv(reps int) error {
 	reg := registry.New()
 	entry, err := reg.Register(recvSubject{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	binder := proxy.NewBinder(reg, conform.New(reg, conform.WithPolicy(conform.Relaxed(1))))
 	reflective := measure(reps, iters, func() {
@@ -164,25 +176,11 @@ func expRecv(reps int) error {
 			panic(err)
 		}
 	})
-	rows = append(rows, recvRowOf("unmarshal-e2e", compiled, reflective, allocs))
-
-	if *jsonOut != "" {
-		doc := recvDoc{Seed: *seed, RecvRows: rows}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
-	return nil
+	return append(rows, recvRowOf("unmarshal-e2e", compiled, reflective, allocs)), nil
 }
 
-func recvRowOf(name string, compiled, reflective time.Duration, allocs float64) recvRow {
+func recvRowOf(name string, compiled, reflective time.Duration, allocs float64) benchfmt.Row {
 	r := recvRow{
-		Name:         name,
 		CompiledNs:   float64(compiled.Nanoseconds()),
 		ReflectiveNs: float64(reflective.Nanoseconds()),
 		AllocsPerOp:  allocs,
@@ -196,5 +194,5 @@ func recvRowOf(name string, compiled, reflective time.Duration, allocs float64) 
 	}
 	fmt.Printf("  %-18s %12s %12s %8.1fx %s\n",
 		name, fmtDur(compiled), fmtDur(reflective), r.Speedup, note)
-	return r
+	return benchRow("recv", name, r)
 }

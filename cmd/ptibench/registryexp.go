@@ -1,31 +1,22 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
 
+	"pti/internal/benchfmt"
 	"pti/internal/fixtures"
 	"pti/internal/registry"
 	"pti/internal/transport"
 )
 
-// The registry experiment measures the PR 9 durable type registry: a
+// The registry experiment measures the durable type registry: a
 // subscriber backed by a file store takes its first delivery cold
 // (one wire description fetch), then crash/restarts and takes the
-// same stream warm — every description preloaded from disk. Results
-// are committed as BENCH_PR9.json and gated by cmd/benchdiff:
-//
-//   - the warm row must report ZERO description fetches — the whole
-//     point of the durable store is that a restart does not re-ask
-//     the network what it already learned;
-//   - the warm row must preload at least one description and beat
-//     the cold row's time-to-first-delivery outright (the cold path
-//     pays the description round-trip, the warm path does not);
-//   - both rows must deliver every message.
+// same stream warm — every description preloaded from disk.
 
-// registryRow is one measured cell (cold or warm) of BENCH_PR9.json.
+// registryRow is one measured cell (cold or warm).
 type registryRow struct {
 	Name           string  `json:"name"`
 	Messages       int     `json:"messages"`
@@ -36,37 +27,38 @@ type registryRow struct {
 	TTFDMs         float64 `json:"ttfd_ms"`
 }
 
-// registryDoc is the committed BENCH_PR9.json layout.
-type registryDoc struct {
-	Seed         int64         `json:"seed"`
-	RegistryRows []registryRow `json:"registry_rows"`
+// registryGates: a restart over the durable store must not re-ask
+// the network what it already learned — zero warm fetches, every
+// description the cold run fetched preloaded from disk, and a time to
+// first delivery that beats the cold path, which pays the description
+// round trip. Both rows must deliver every message.
+func registryGates() []benchfmt.Gate {
+	const cold, warm = "registry/registry-cold", "registry/registry-warm"
+	return []benchfmt.Gate{
+		benchfmt.NewRatio(cold, "delivers every message", "delivered", "==", 1, cold, "messages"),
+		benchfmt.NewRatio(warm, "delivers every message", "delivered", "==", 1, warm, "messages"),
+		benchfmt.NewGate(warm, "zero description fetches", benchfmt.Exact, "desc_fetches", 0),
+		benchfmt.NewRatio(warm, "preloads what cold fetched", "desc_warm_loaded", ">=", 1, cold, "desc_fetches"),
+		benchfmt.NewRatio(warm, "ttfd beats cold", "ttfd_ms", "<", 1, cold, "ttfd_ms"),
+	}
 }
 
 // expRegistry runs the cold-vs-warm restart comparison on the virtual
 // clock and reports the description-fetch counters and TTFD per row.
-func expRegistry(reps int) error {
+func expRegistry(reps int) ([]benchfmt.Row, error) {
 	msgs := 10 * reps
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
 	rows, err := runRegistry(msgs)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var out []benchfmt.Row
 	for _, row := range rows {
 		fmt.Printf("  %-16s delivered %d/%d  desc fetches %d  warm-loaded %d  ttfd %.3fms\n",
 			row.Name, row.Delivered, row.Messages, row.DescFetches, row.DescWarmLoaded, row.TTFDMs)
+		out = append(out, benchRow("registry", row.Name, row))
 	}
-	if *jsonOut != "" {
-		doc := registryDoc{Seed: *seed, RegistryRows: rows}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
-	return nil
+	return out, nil
 }
 
 // runRegistry is one full cold/warm run: a publisher streams msgs
@@ -113,14 +105,13 @@ func runRegistry(msgs int) ([]registryRow, error) {
 	// runPhase streams msgs objects and measures delivery count and
 	// virtual time to first delivery on the current sub incarnation.
 	runPhase := func(name string, node *transport.Node) (registryRow, error) {
-		delivered := make(chan struct{}, msgs)
+		// Handlers run concurrently, so each reports its own delivery
+		// time and the earliest one is the first delivery.
+		delivered := make(chan time.Time, msgs)
 		var first time.Time
 		start := f.Clock().Now()
 		if err := node.Peer().OnReceive(fixtures.PersonA{}, func(d transport.Delivery) {
-			if first.IsZero() {
-				first = f.Clock().Now()
-			}
-			delivered <- struct{}{}
+			delivered <- f.Clock().Now()
 		}); err != nil {
 			return registryRow{}, err
 		}
@@ -133,7 +124,10 @@ func runRegistry(msgs int) ([]registryRow, error) {
 		deadline := time.Now().Add(60 * time.Second)
 		for got < msgs && time.Now().Before(deadline) {
 			select {
-			case <-delivered:
+			case t := <-delivered:
+				if first.IsZero() || t.Before(first) {
+					first = t
+				}
 				got++
 			case <-time.After(10 * time.Millisecond):
 			}

@@ -1,58 +1,40 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
 
+	"pti/internal/benchfmt"
 	"pti/internal/fixtures"
 	"pti/internal/registry"
 	"pti/internal/transport"
 )
 
-// The scale experiment measures the PR 10 fabric scalability work:
-// the sharded frame scheduler, the O(1) busy probe and the lazily
-// spawned reliable loops, exercised by broadcast fan-out plus a crash
-// wave at two fleet sizes. Results are committed as BENCH_PR10.json
-// and gated by cmd/benchdiff:
-//
-//   - match rate must be exactly 1.0 at every fleet size — scale must
-//     not cost delivery;
-//   - the per-peer goroutine cost must stay flat as the fleet grows
-//     (sublinear total growth): the scheduler pool is fixed and idle
-//     reliable links hold no goroutines, so only the per-connection
-//     read loops scale with peers;
-//   - scheduler ops per frame must stay at ~2 (one heap push + one
-//     pop per frame) — a scheduler that re-sorts or thrashes shows up
-//     here;
-//   - each run must finish inside its committed wall-clock budget,
-//     the CI-viability bar.
+// The scale experiment measures the fabric's scalability: the
+// sharded frame scheduler, the O(1) busy probe and the lazily spawned
+// reliable loops, exercised by broadcast fan-out plus a crash wave at
+// two fleet sizes.
 
-// scaleRow is one measured fleet size committed in BENCH_PR10.json.
+// scaleRow is one measured fleet size.
 type scaleRow struct {
-	Name             string  `json:"name"`
-	Peers            int     `json:"peers"`
-	Messages         int     `json:"messages"`
-	MatchRate        float64 `json:"match_rate"`
-	Duplicates       int     `json:"duplicates"`
-	PeakGoroutines   int     `json:"peak_goroutines"`
-	SchedFrames      uint64  `json:"sched_frames"`
-	SchedOpsPerFrame float64 `json:"sched_ops_per_frame"`
-	SchedShards      int     `json:"sched_shards"`
-	PeersPerVirtualS float64 `json:"peers_per_virtual_sec"`
-	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
-	ElapsedWallMs    float64 `json:"elapsed_wall_ms"`
-	WallBudgetMs     float64 `json:"wall_budget_ms"`
+	Peers             int     `json:"peers"`
+	Messages          int     `json:"messages"`
+	MatchRate         float64 `json:"match_rate"`
+	Duplicates        int     `json:"duplicates"`
+	PeakGoroutines    int     `json:"peak_goroutines"`
+	GoroutinesPerPeer float64 `json:"goroutines_per_peer"`
+	SchedFrames       uint64  `json:"sched_frames"`
+	SchedOpsPerFrame  float64 `json:"sched_ops_per_frame"`
+	SchedShards       int     `json:"sched_shards"`
+	PeersPerVirtualS  float64 `json:"peers_per_virtual_sec"`
+	ElapsedVirtualMs  float64 `json:"elapsed_virtual_ms"`
+	ElapsedWallMs     float64 `json:"elapsed_wall_ms"`
 }
 
-// scaleDoc is the committed BENCH_PR10.json layout.
-type scaleDoc struct {
-	Seed      int64      `json:"seed"`
-	ScaleRows []scaleRow `json:"scale_rows"`
-}
+// scaleFleets are the subscriber counts, smallest first.
+var scaleFleets = []int{150, 600}
 
 // scaleWallBudgetMs is the committed CI-viability budget per run:
 // generous against machine variance, tight against complexity
@@ -60,36 +42,61 @@ type scaleDoc struct {
 // again blows it by an order of magnitude.
 const scaleWallBudgetMs = 120000
 
-// expScale runs the broadcast fan-out + crash wave soak at two fleet
-// sizes on the virtual clock and reports delivery, goroutine and
-// scheduler-cost metrics.
-func expScale(reps int) error {
-	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
-	rows := make([]scaleRow, 0, 2)
-	for _, peers := range []int{150, 600} {
-		r, err := runScale(peers)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-12s match %.0f%%  dups %d  peakGoroutines %d (%.1f/peer)  schedOps/frame %.2f  shards %d  virtual %.0fms  wall %.0fms (budget %.0fms)\n",
-			r.Name, r.MatchRate*100, r.Duplicates, r.PeakGoroutines,
-			float64(r.PeakGoroutines)/float64(r.Peers), r.SchedOpsPerFrame,
-			r.SchedShards, r.ElapsedVirtualMs, r.ElapsedWallMs, r.WallBudgetMs)
-		rows = append(rows, r)
-	}
+// scaleOpsCeiling bounds scheduler heap ops per delivered frame. The
+// steady state is exactly 2 (one push, one pop); modest headroom
+// covers frames abandoned in the heap at teardown, while a scheduler
+// that re-sorts or thrashes overshoots immediately.
+const scaleOpsCeiling = 2.25
 
-	if *jsonOut != "" {
-		doc := scaleDoc{Seed: *seed, ScaleRows: rows}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
+// scaleGoroutineSlack bounds the per-peer goroutine cost at the
+// larger fleet as a multiple of the smaller fleet's: headroom for
+// runtime background goroutines, while per-link parked goroutines
+// creeping back would roughly double the per-peer cost.
+const scaleGoroutineSlack = 1.3
+
+// scaleGates: scale must not cost the exactly-once contract; each run
+// must finish inside the CI wall-clock budget; the scheduler must stay
+// at ~2 heap ops per frame; and peak goroutines must grow sublinearly
+// in peers, because the scheduler pool is fixed and idle reliable
+// links hold no goroutines.
+func scaleGates() []benchfmt.Gate {
+	var gates []benchfmt.Gate
+	for i, n := range scaleFleets {
+		r := fmt.Sprintf("scale/scale-%d", n)
+		ops := benchfmt.NewGate(r, "sched ops per frame", benchfmt.Range, "sched_ops_per_frame", 1)
+		ops.Hi = scaleOpsCeiling
+		gates = append(gates,
+			benchfmt.NewGate(r, "exactly once", benchfmt.Exact, "match_rate", 1),
+			benchfmt.NewGate(r, "duplicates", benchfmt.Exact, "duplicates", 0),
+			benchfmt.NewGate(r, "wall budget", benchfmt.Max, "elapsed_wall_ms", scaleWallBudgetMs),
+			ops)
+		if i > 0 {
+			gates = append(gates, benchfmt.NewRatio(r, "goroutines per peer sublinear", "goroutines_per_peer", "<=",
+				scaleGoroutineSlack, fmt.Sprintf("scale/scale-%d", scaleFleets[i-1]), "goroutines_per_peer"))
 		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
 	}
-	return nil
+	return gates
+}
+
+// expScale runs the broadcast fan-out + crash wave soak at each fleet
+// size on the virtual clock and reports delivery, goroutine and
+// scheduler-cost metrics.
+func expScale(reps int) ([]benchfmt.Row, error) {
+	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
+	var rows []benchfmt.Row
+	for _, subs := range scaleFleets {
+		r, err := runScale(subs)
+		if err != nil {
+			return nil, err
+		}
+		name := fmt.Sprintf("scale-%d", subs)
+		fmt.Printf("  %-12s match %.0f%%  dups %d  peakGoroutines %d (%.1f/peer)  schedOps/frame %.2f  shards %d  virtual %.0fms  wall %.0fms (budget %.0fms)\n",
+			name, r.MatchRate*100, r.Duplicates, r.PeakGoroutines,
+			r.GoroutinesPerPeer, r.SchedOpsPerFrame,
+			r.SchedShards, r.ElapsedVirtualMs, r.ElapsedWallMs, float64(scaleWallBudgetMs))
+		rows = append(rows, benchRow("scale", name, r))
+	}
+	return rows, nil
 }
 
 // runScale is one full scale run: nSubs subscribers split across
@@ -265,18 +272,17 @@ func runScale(nSubs int) (scaleRow, error) {
 		perVirtualS = float64(nSubs+nPubs) / elapsedVirtual.Seconds()
 	}
 	return scaleRow{
-		Name:             fmt.Sprintf("scale-%d", nSubs),
-		Peers:            nSubs + nPubs,
-		Messages:         total,
-		MatchRate:        float64(covered) / float64(total*nSubs),
-		Duplicates:       dups,
-		PeakGoroutines:   peak,
-		SchedFrames:      frames,
-		SchedOpsPerFrame: opsPerFrame,
-		SchedShards:      shards,
-		PeersPerVirtualS: perVirtualS,
-		ElapsedVirtualMs: float64(elapsedVirtual.Nanoseconds()) / 1e6,
-		ElapsedWallMs:    float64(elapsedWall.Nanoseconds()) / 1e6,
-		WallBudgetMs:     scaleWallBudgetMs,
+		Peers:             nSubs + nPubs,
+		Messages:          total,
+		MatchRate:         float64(covered) / float64(total*nSubs),
+		Duplicates:        dups,
+		PeakGoroutines:    peak,
+		GoroutinesPerPeer: float64(peak) / float64(nSubs+nPubs),
+		SchedFrames:       frames,
+		SchedOpsPerFrame:  opsPerFrame,
+		SchedShards:       shards,
+		PeersPerVirtualS:  perVirtualS,
+		ElapsedVirtualMs:  float64(elapsedVirtual.Nanoseconds()) / 1e6,
+		ElapsedWallMs:     float64(elapsedWall.Nanoseconds()) / 1e6,
 	}, nil
 }

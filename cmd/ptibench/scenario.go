@@ -1,19 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
+	"pti/internal/benchfmt"
 	"pti/internal/fixtures"
 	"pti/internal/registry"
 	"pti/internal/transport"
 )
 
 // scenarioResult is one (profile, mode) row of the scenario
-// experiment — the machine-readable perf-trajectory record benchdiff
-// gates CI on.
+// experiment.
 type scenarioResult struct {
 	Profile      string  `json:"profile"`
 	Reliable     bool    `json:"reliable"`
@@ -31,68 +29,63 @@ type scenarioResult struct {
 	ElapsedMs    float64 `json:"elapsed_ms"`
 }
 
-// benchDoc is the committed bench-json artifact layout (BENCH_PR4.json).
-type benchDoc struct {
-	Seed      int64            `json:"seed"`
-	Objects   int              `json:"objects_per_profile"`
-	Scenarios []scenarioResult `json:"scenarios"`
+var scenarioProfiles = []struct {
+	name string
+	prof transport.FaultProfile
+	note string
+}{
+	{"perfect", transport.FaultProfile{},
+		"baseline: every object must land"},
+	{"latency-2ms", transport.FaultProfile{
+		Latency: 2 * time.Millisecond, Jitter: time.Millisecond},
+		"pure delay: at-most-once regime, zero loss"},
+	{"lossy-10pct", transport.FaultProfile{
+		Latency: 200 * time.Microsecond, DropRate: 0.10},
+		"drops hit objects and protocol round trips alike"},
+	{"lossy-30pct", transport.FaultProfile{
+		Latency: 200 * time.Microsecond, DropRate: 0.30},
+		"heavy loss: match rate collapses without retry"},
+	{"dup-reorder", transport.FaultProfile{
+		Latency: 200 * time.Microsecond, DupRate: 0.10, ReorderRate: 0.25},
+		"duplicates re-check against the cache; reorder delays only"},
+	{"bandwidth-256KBps", transport.FaultProfile{
+		Bandwidth: 256 * 1024},
+		"shaped link: delivery spread over transmission time"},
+}
+
+// scenarioGates: with the reliable layer on, every profile must
+// deliver exactly once — the guarantee is binary, so any drift from
+// 1.0 is a dedup or retransmit bug. Without it, the match rate
+// follows the seeded fault schedule, and protocol-retry timing moves
+// it a little.
+func scenarioGates() []benchfmt.Gate {
+	var gates []benchfmt.Gate
+	for _, p := range scenarioProfiles {
+		gates = append(gates,
+			benchfmt.NewGate("scenario/"+p.name, "match drift", benchfmt.Drift, "match_rate", 0.10),
+			benchfmt.NewGate("scenario/"+p.name+"+rel", "exactly once", benchfmt.Exact, "match_rate", 1))
+	}
+	return gates
 }
 
 // expScenario drives the optimistic protocol across the simulation
-// fabric's fault profiles and reports delivery counts and match rate
-// (delivered/published) under each — with -reliable, each profile
-// additionally runs with the reliable delivery layer on, which must
-// converge every profile to a 100% match rate (exactly-once). All
-// randomness derives from -seed; a surprising result replays exactly
-// by re-running with the printed seed. With -json the metrics are
-// written as the machine-readable perf-trajectory artifact `make
-// bench-json` commits (BENCH_PR4.json), and -vclock runs the whole
-// experiment on the virtual clock.
-func expScenario(reps int) error {
+// fabric's fault profiles on the virtual clock and reports delivery
+// counts and match rate (delivered/published) under each, with the
+// reliable delivery layer off and then on. All randomness derives
+// from -seed; a surprising result replays exactly by re-running with
+// the printed seed.
+func expScenario(reps int) ([]benchfmt.Row, error) {
 	objects := 50 * reps
-	profiles := []struct {
-		name string
-		prof transport.FaultProfile
-		note string
-	}{
-		{"perfect", transport.FaultProfile{},
-			"baseline: every object must land"},
-		{"latency-2ms", transport.FaultProfile{
-			Latency: 2 * time.Millisecond, Jitter: time.Millisecond},
-			"pure delay: at-most-once regime, zero loss"},
-		{"lossy-10pct", transport.FaultProfile{
-			Latency: 200 * time.Microsecond, DropRate: 0.10},
-			"drops hit objects and protocol round trips alike"},
-		{"lossy-30pct", transport.FaultProfile{
-			Latency: 200 * time.Microsecond, DropRate: 0.30},
-			"heavy loss: match rate collapses without retry"},
-		{"dup-reorder", transport.FaultProfile{
-			Latency: 200 * time.Microsecond, DupRate: 0.10, ReorderRate: 0.25},
-			"duplicates re-check against the cache; reorder delays only"},
-		{"bandwidth-256KBps", transport.FaultProfile{
-			Bandwidth: 256 * 1024},
-			"shaped link: delivery spread over transmission time"},
-	}
-	modes := []bool{false}
-	if *reliable {
-		modes = append(modes, true)
-	}
-
-	results := make([]scenarioResult, 0, len(profiles)*len(modes))
-	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)", *seed, *seed)
-	if *vclock {
-		fmt.Printf("  [virtual clock]")
-	}
-	fmt.Println()
+	var rows []benchfmt.Row
+	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
 	fmt.Printf("  %-24s %8s %9s %10s %8s %8s %8s %8s\n",
 		"profile", "sent", "received", "delivered", "match", "retrans", "deduped", "elapsed")
-	for _, pr := range profiles {
-		for _, rel := range modes {
+	for _, pr := range scenarioProfiles {
+		for _, rel := range []bool{false, true} {
 			res, err := runScenario(pr.name, pr.prof, rel, objects)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			results = append(results, res)
 			name := pr.name
 			if rel {
 				name += "+rel"
@@ -101,32 +94,17 @@ func expScenario(reps int) error {
 				name, res.Sent, res.Received, res.Delivered, res.MatchRate*100,
 				res.Retransmits, res.Deduped,
 				fmtDur(time.Duration(res.ElapsedMs*1e6)), pr.note)
+			rows = append(rows, benchRow("scenario", name, res))
 		}
 	}
-
-	if *jsonOut != "" {
-		doc := benchDoc{Seed: *seed, Objects: objects, Scenarios: results}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
-	return nil
+	return rows, nil
 }
 
 // runScenario runs one (profile, reliability) cell: a publisher and a
 // subscriber with divergent registries, `objects` publications, then
 // quiesce and account.
 func runScenario(name string, prof transport.FaultProfile, rel bool, objects int) (scenarioResult, error) {
-	var fabOpts []transport.FabricOption
-	if *vclock {
-		fabOpts = append(fabOpts, transport.WithVirtualClock())
-	}
-	f := transport.NewFabric(*seed, fabOpts...)
+	f := transport.NewFabric(*seed, transport.WithVirtualClock())
 	defer func() { _ = f.Close() }()
 
 	peerOpts := []transport.PeerOption{transport.WithRequestTimeout(250 * time.Millisecond)}

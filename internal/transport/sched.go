@@ -114,11 +114,22 @@ func (fs *frameSched) stop() {
 // already fired and consumed itself, so without this check the clock
 // could jump a timeout deadline in the window between a shard's timer
 // wake and the buffer push that hands coverage to fabricBusy.frames.
+//
+// A due head also gets its worker kicked. The worker arms its timer
+// for a wait it computed before unlocking, and the clock can
+// fast-forward in between, so the timer may sit later than the head's
+// deadline. Once the clock passes the deadline, this probe holds it
+// still, the timer can never fire, and only the kick lets the worker
+// deliver.
 func (fs *frameSched) busy(now time.Time) bool {
 	for _, s := range fs.shards {
 		s.mu.Lock()
-		b := s.delivering > 0 || (s.heap.Len() > 0 && !s.heap[0].due.After(now))
+		due := s.heap.Len() > 0 && !s.heap[0].due.After(now)
+		b := s.delivering > 0 || due
 		s.mu.Unlock()
+		if due {
+			s.wake()
+		}
 		if b {
 			return true
 		}
@@ -156,10 +167,15 @@ func (s *schedShard) enqueue(d *linkDir, data []byte, due time.Time) {
 	if isHead {
 		// Only a new earliest deadline changes what the worker should
 		// be waiting for; anything else rides the already-armed timer.
-		select {
-		case s.kick <- struct{}{}:
-		default:
-		}
+		s.wake()
+	}
+}
+
+// wake makes the worker recompute its wait, without blocking.
+func (s *schedShard) wake() {
+	select {
+	case s.kick <- struct{}{}:
+	default:
 	}
 }
 
