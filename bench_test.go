@@ -491,39 +491,6 @@ func benchName(prefix string, n int) string {
 	return prefix + "-" + string(rune('0'+n))
 }
 
-// BenchmarkTransportCompressed measures the compression extension
-// over the optimistic protocol (wire bytes + latency trade-off).
-func BenchmarkTransportCompressed(b *testing.B) {
-	regA := registry.New()
-	if _, err := regA.Register(fixtures.PersonB{}); err != nil {
-		b.Fatal(err)
-	}
-	a := transport.NewPeer(regA, transport.WithName("a"), transport.WithCompression())
-	regB := registry.New()
-	if _, err := regB.Register(fixtures.PersonA{}); err != nil {
-		b.Fatal(err)
-	}
-	bb := transport.NewPeer(regB, transport.WithName("b"))
-	ch := make(chan transport.Delivery, 1)
-	if err := bb.OnReceive(fixtures.PersonA{}, func(d transport.Delivery) { ch <- d }); err != nil {
-		b.Fatal(err)
-	}
-	ca, _ := transport.Connect(a, bb)
-	defer a.Close()
-	defer bb.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.SendObject(ca, fixtures.PersonB{PersonName: "x", PersonAge: i}); err != nil {
-			b.Fatal(err)
-		}
-		<-ch
-	}
-	b.StopTimer()
-	total := a.Stats().Snapshot().BytesSent + bb.Stats().Snapshot().BytesSent
-	b.ReportMetric(float64(total)/float64(b.N), "wire-B/op")
-}
-
 // BenchmarkIDLParse and BenchmarkIDLFormat measure the lingua-franca
 // definition route (the paper's Section 2.6 comparison point).
 func BenchmarkIDLParse(b *testing.B) {

@@ -38,9 +38,9 @@ type singleLossResult struct {
 }
 
 // fanoutStallBudgetMs bounds the blackhole row's virtual elapsed
-// time: the async pipeline converges the healthy subscribers in tens
-// of virtual milliseconds, while a synchronous broadcast serialized
-// behind the blackholed window sits out whole backoff intervals.
+// time: the send queues converge the healthy subscribers in tens of
+// virtual milliseconds, while a broadcast serialized behind the
+// blackholed window would sit out whole backoff intervals.
 const fanoutStallBudgetMs = 2000
 
 // fanoutGates: a dead sibling must neither cost the healthy
@@ -99,7 +99,6 @@ func runFanoutBlackhole(objects, subs int) (fanoutRow, error) {
 		transport.WithReliableLinks(
 			transport.WithSendQueue(4*objects),
 			transport.WithWindow(8),
-			transport.WithAdaptiveRTO(),
 			transport.WithRetransmitTimeout(10*time.Millisecond),
 			transport.WithMaxBackoff(80*time.Millisecond),
 			transport.WithMaxAttempts(8)))
@@ -209,10 +208,15 @@ func runFanoutBlackhole(objects, subs int) (fanoutRow, error) {
 // exposes — rather than a tail loss only the timer could ever see.
 func runSingleLossComparison(objects int) (*singleLossResult, error) {
 	run := func(fastRetransmit bool) (time.Duration, uint64, uint64, error) {
+		// MinRTO pins every frame's timer at the 250ms pre-sample value:
+		// the link measures a ~4ms round trip, and a timer estimated
+		// from it would recover a loss almost as fast as a NACK, so the
+		// comparison would stop isolating the repair path.
 		relOpts := []transport.ReliableOption{
 			transport.WithSendQueue(4 * objects),
 			transport.WithWindow(64),
 			transport.WithRetransmitTimeout(250 * time.Millisecond),
+			transport.WithMinRTO(250 * time.Millisecond),
 			transport.WithMaxBackoff(500 * time.Millisecond),
 		}
 		if !fastRetransmit {
@@ -259,29 +263,31 @@ func runSingleLossComparison(objects int) (*singleLossResult, error) {
 				return 0, 0, 0, err
 			}
 		}
-		// The async queue means SendObject returns before frames hit
-		// the wire: wait for the sender goroutine to put the whole
-		// burst on the (still lossy) link before healing it.
-		drainDeadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(drainDeadline) {
-			if snap, ok := conn.ReliableSnapshot(); ok && snap.QueueDepth == 0 {
-				break
+		// Heal on the virtual timeline, not the wall clock. A send
+		// queue with an admittable head holds the virtual clock, so
+		// the burst leaves at virtualStart; the earliest gap report
+		// reaches the sender one round trip (2×2ms) later. A virtual
+		// timer 1ms in heals the data direction between the two and
+		// chases the burst with one clean frame, so every repair
+		// travels the healed link and even a loss at the burst's tail
+		// shows up as a gap the receiver can report.
+		healTimer := f.Clock().NewTimer(virtualStart.Add(time.Millisecond).Sub(f.Clock().Now()))
+		defer healTimer.Stop()
+		healed := make(chan error, 1)
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			select {
+			case <-healTimer.C():
+			case <-stop:
+				return
 			}
-			time.Sleep(time.Millisecond)
-		}
-		// Heal the link and chase the burst with one clean frame: the
-		// stream continues, so even a loss at the burst's tail shows
-		// up as a gap the receiver can report.
-		if err := f.SetProfile("pub", "sub", transport.FaultProfile{
-			Latency: 2 * time.Millisecond,
-		}); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := pub.Peer().SendObject(conn, fixtures.PersonB{
-			PersonName: "tail", PersonAge: objects,
-		}); err != nil {
-			return 0, 0, 0, err
-		}
+			err := f.SetProfile("pub", "sub", transport.FaultProfile{Latency: 2 * time.Millisecond})
+			if err == nil {
+				err = pub.Peer().SendObject(conn, fixtures.PersonB{PersonName: "tail", PersonAge: objects})
+			}
+			healed <- err
+		}()
 		want := uint64(objects) + 1
 		deadline := time.Now().Add(60 * time.Second)
 		for time.Now().Before(deadline) {
@@ -296,6 +302,9 @@ func runSingleLossComparison(objects int) (*singleLossResult, error) {
 		if got := st.ObjectsDelivered; got != want {
 			return 0, 0, 0, fmt.Errorf("single-loss run delivered %d/%d (fastRetransmit=%v)",
 				got, want, fastRetransmit)
+		}
+		if err := <-healed; err != nil {
+			return 0, 0, 0, err
 		}
 		ps := pub.Peer().Stats().Snapshot()
 		return elapsed, ps.RelRetransmits, ps.RelFastRetransmits, nil

@@ -132,15 +132,14 @@ func expInvoke(reps int) ([]benchfmt.Row, error) {
 	return append(rows, benchRow("invoke", "pipelined-vs-serial", pl)), nil
 }
 
-// invokeRelOpts is the reliable-link shape both sides run: adaptive
-// RTO (the SRTT estimate also feeds the client's pacing window), NACK
-// fast-retransmit by default, bounded backoff so chaos-profile rows
-// converge in bounded virtual time.
+// invokeRelOpts is the reliable-link shape both sides run: a deep
+// send queue, a fast pre-sample timer (the link's SRTT estimate also
+// feeds the client's pacing window), bounded backoff so chaos-profile
+// rows converge in bounded virtual time.
 func invokeRelOpts() []transport.ReliableOption {
 	return []transport.ReliableOption{
 		transport.WithSendQueue(1024),
 		transport.WithWindow(32),
-		transport.WithAdaptiveRTO(),
 		transport.WithRetransmitTimeout(10 * time.Millisecond),
 		transport.WithMaxBackoff(160 * time.Millisecond),
 	}

@@ -89,7 +89,7 @@ func ExampleWithReliableLinks() {
 
 	f := rt.NewFabric(7, pti.WithVirtualClock())
 	defer func() { _ = f.Close() }()
-	a, _ := f.AddPeer("a", pti.WithReliableLinks(pti.WithWindow(8), pti.WithAdaptiveRTO()))
+	a, _ := f.AddPeer("a", pti.WithReliableLinks(pti.WithWindow(8)))
 	b, _ := f.AddPeer("b", pti.WithReliableLinks())
 	_, _, _ = f.Connect("a", "b", pti.FaultProfile{DropRate: 0.3})
 

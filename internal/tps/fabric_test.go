@@ -227,7 +227,6 @@ func TestAttachNodeBroadcastSurvivesBlackholedSubscriber(t *testing.T) {
 		transport.WithReliableLinks(
 			transport.WithSendQueue(128),
 			transport.WithWindow(8),
-			transport.WithAdaptiveRTO(),
 			transport.WithRetransmitTimeout(10*time.Millisecond),
 			transport.WithMaxBackoff(80*time.Millisecond),
 			transport.WithMaxAttempts(8)))
@@ -345,9 +344,7 @@ func TestAttachNodeSurvivesSubscriberChurn(t *testing.T) {
 	}
 	if _, err := f.AddPeerWithRegistry("pub", regPub,
 		transport.WithReliableLinks(
-			transport.WithAdaptiveRTO(),
 			transport.WithWindow(window),
-			transport.WithSendQueue(256),
 			transport.WithOverflowPolicy(transport.OverflowError)),
 		transport.WithHeartbeat(50*time.Millisecond),
 		transport.WithSuspectAfter(200*time.Millisecond),

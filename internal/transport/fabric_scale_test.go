@@ -91,7 +91,7 @@ func TestFabricScaleConvergence(t *testing.T) {
 		pubs[i] = fmt.Sprintf("pub%02d", i)
 		if _, err := f.AddPeerWithRegistry(pubs[i],
 			newReg(fixtures.PersonB{}, "NewPersonB", fixtures.NewPersonB),
-			WithReliableLinks(WithAdaptiveRTO(), WithSendQueue(4*total), WithOverflowPolicy(OverflowError)),
+			WithReliableLinks(WithSendQueue(4*total), WithOverflowPolicy(OverflowError)),
 			WithHeartbeat(50*time.Millisecond),
 			WithSuspectAfter(250*time.Millisecond),
 			WithRedialBackoff(10*time.Millisecond, 100*time.Millisecond),

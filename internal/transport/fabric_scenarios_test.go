@@ -669,16 +669,13 @@ func TestFabricSoak(t *testing.T) {
 	for _, p := range pubs {
 		// Publishers send reliably (unless the matrix turned it off):
 		// the mixed regime — reliable sender, plain receivers — the
-		// layer is designed for. The async pipeline and adaptive RTO
-		// soak here too: the fallback RTO sits above the worst
-		// profile's round trip so early retransmits mean loss, not
-		// impatience, and the estimator takes over from there.
+		// layer is designed for. The pre-sample RTO sits above the
+		// worst profile's round trip so early retransmits mean loss,
+		// not impatience, and the estimator takes over from there.
 		pubOpts := []PeerOption{WithRequestTimeout(time.Second)}
 		if reliableOn {
 			pubOpts = append(pubOpts, WithReliableLinks(
-				WithRetransmitTimeout(400*time.Millisecond),
-				WithAdaptiveRTO(),
-				WithSendQueue(256)))
+				WithRetransmitTimeout(400*time.Millisecond)))
 		}
 		if _, err := f.AddPeerWithRegistry(p, newReg(fixtures.PersonB{}, "NewPersonB", fixtures.NewPersonB),
 			pubOpts...); err != nil {
@@ -875,10 +872,10 @@ func TestScenarioReliableChaosExactlyOnceInOrder(t *testing.T) {
 }
 
 // TestScenarioReliableWindowBoundsRetransmitStorm pins the window
-// invariant under a blackhole: with the data direction cut, Send
-// backpressures at the window bound, no more than Window object
-// frames are ever in flight, and the heal delivers everything exactly
-// once.
+// invariant under a blackhole: with the data direction cut, the send
+// queue holds every frame beyond the window back, no more than Window
+// object frames are ever in flight, and the heal delivers everything
+// exactly once.
 func TestScenarioReliableWindowBoundsRetransmitStorm(t *testing.T) {
 	seed := scenarioSeed(t, 8008)
 	const window = 4
@@ -911,15 +908,11 @@ func TestScenarioReliableWindowBoundsRetransmitStorm(t *testing.T) {
 	}
 
 	const n = 20
-	var sendsStarted atomic.Uint64
-	go func() {
-		for i := 0; i < n; i++ {
-			sendsStarted.Add(1)
-			if err := na.Peer().SendObject(ca, fixtures.PersonB{PersonName: "storm", PersonAge: i}); err != nil {
-				return
-			}
+	for i := 0; i < n; i++ {
+		if err := na.Peer().SendObject(ca, fixtures.PersonB{PersonName: "storm", PersonAge: i}); err != nil {
+			t.Fatal(err)
 		}
-	}()
+	}
 
 	// Let the storm rage: retransmits fire into the cut direction for
 	// a while. The window bound must hold throughout.
@@ -931,13 +924,13 @@ func TestScenarioReliableWindowBoundsRetransmitStorm(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if got := na.Peer().Stats().Snapshot().RelDataSent; got > window {
-		t.Errorf("first-transmissions during blackout = %d, want <= window %d (Send backpressure)", got, window)
+		t.Errorf("first-transmissions during blackout = %d, want <= window %d (window backpressure)", got, window)
 	}
 	if got := rel.Snapshot().Retransmits; got == 0 {
 		t.Error("no retransmissions into the blackhole")
 	}
-	if got := sendsStarted.Load(); got > window+1 {
-		t.Errorf("sender started %d sends during blackout, want <= window+1 (blocked)", got)
+	if got := rel.Snapshot().QueueDepth; got != n-window {
+		t.Errorf("queued during blackout = %d, want %d (held back by the window)", got, n-window)
 	}
 
 	if err := f.PartitionOneWay("a", "b", false); err != nil {
@@ -1139,12 +1132,12 @@ func TestScenarioVirtualClockCompressesLatency(t *testing.T) {
 	}
 }
 
-// --- async send pipeline scenarios (PR 5) -----------------------------
+// --- send queue scenarios ---------------------------------------------
 
-// TestScenarioBlackholedPeerDoesNotStallBroadcast is the PR's
-// acceptance scenario: with the async send pipeline on, a peer that
-// is partitioned-but-alive (frames vanish both ways, connection stays
-// up) fills only its own queue. The broadcast loop never blocks, the
+// TestScenarioBlackholedPeerDoesNotStallBroadcast pins the send
+// queue's isolation property: a peer that is partitioned-but-alive
+// (frames vanish both ways, connection stays up) fills only its own
+// queue. The broadcast loop never blocks, the
 // healthy subscribers converge to a 100% match rate, the blackholed
 // link eventually fails with a typed ErrPeerUnreachable that
 // Broadcast aggregates instead of hiding, and the sender goroutines
@@ -1169,7 +1162,6 @@ func TestScenarioBlackholedPeerDoesNotStallBroadcast(t *testing.T) {
 		WithReliableLinks(
 			WithSendQueue(128),
 			WithWindow(8),
-			WithAdaptiveRTO(),
 			WithRetransmitTimeout(10*time.Millisecond),
 			WithMaxBackoff(80*time.Millisecond),
 			WithMaxAttempts(8)),
@@ -1218,8 +1210,8 @@ func TestScenarioBlackholedPeerDoesNotStallBroadcast(t *testing.T) {
 
 	// The broadcast loop must complete promptly in *real* time: every
 	// send is an enqueue, so the blackholed window can never hold the
-	// loop hostage (the synchronous path would stall at the 9th frame
-	// toward sub3 and sit out retransmit backoff).
+	// loop hostage (a sender waiting on the window would stall at the
+	// 9th frame toward sub3 and sit out retransmit backoff).
 	const n = 60
 	loopStart := time.Now()
 	for i := 0; i < n; i++ {
@@ -1325,7 +1317,6 @@ func TestScenarioAsymmetricLatencyAdaptiveRTO(t *testing.T) {
 		WithReliableLinks(
 			WithSendQueue(64),
 			WithWindow(16),
-			WithAdaptiveRTO(),
 			WithMinRTO(80*time.Millisecond),
 			WithRetransmitTimeout(500*time.Millisecond)))
 	if err != nil {
@@ -1397,89 +1388,5 @@ func TestScenarioAsymmetricLatencyAdaptiveRTO(t *testing.T) {
 	// suffer an adapted-timer retransmit storm.
 	if snap.Retransmits > 2 {
 		t.Errorf("retransmits = %d on a loss-free link: RTO adapted too low", snap.Retransmits)
-	}
-}
-
-// TestScenarioSlowConsumerDropOldest drives the slow-consumer
-// overflow policy end to end: a publisher bursts far more objects
-// than a bandwidth-shaped link drains, the queue sheds the oldest
-// object frames (counted, never silent), everything still queued
-// flushes cleanly, and the receiver sees exactly the surviving set —
-// each exactly once.
-func TestScenarioSlowConsumerDropOldest(t *testing.T) {
-	seed := scenarioSeed(t, 7117)
-	defer func() {
-		if t.Failed() {
-			t.Logf("replay with PTI_SEED=%d", seed)
-		}
-	}()
-	slow, _ := NamedProfile("slow")
-	_, na, nb := fabricPairOpts(t, seed, slow,
-		[]FabricOption{WithVirtualClock()},
-		[]PeerOption{
-			WithRequestTimeout(5 * time.Second),
-			WithReliableLinks(
-				WithSendQueue(16),
-				WithOverflowPolicy(OverflowDropOldest),
-				WithWindow(4),
-				WithAdaptiveRTO(),
-				WithRetransmitTimeout(200*time.Millisecond)),
-		},
-		[]PeerOption{WithRequestTimeout(5 * time.Second)})
-
-	var mu sync.Mutex
-	seen := make(map[int]int)
-	if err := nb.Peer().OnReceive(fixtures.PersonA{}, func(d Delivery) {
-		mu.Lock()
-		seen[d.Bound.(*fixtures.PersonA).Age]++
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ca, _ := na.ConnTo("b")
-	const n = 200
-	burstStart := time.Now()
-	for i := 0; i < n; i++ {
-		if err := na.Peer().SendObject(ca, fixtures.PersonB{PersonName: "burst", PersonAge: i}); err != nil {
-			t.Fatalf("burst send %d: %v", i, err)
-		}
-	}
-	if elapsed := time.Since(burstStart); elapsed > 5*time.Second {
-		t.Fatalf("burst took %s of real time: drop-oldest must never block", elapsed)
-	}
-	// Drain what survived the shedding.
-	rel := ca.rel.Load()
-	if rel == nil {
-		t.Fatal("publisher conn has no reliable link")
-	}
-	if err := rel.Flush(time.Minute); err != nil {
-		t.Fatalf("flush after burst: %v", err)
-	}
-	snap := rel.Snapshot()
-	if snap.QueueDropped == 0 {
-		t.Fatalf("burst of %d through a 16-deep queue shed nothing", n)
-	}
-	want := n - int(snap.QueueDropped)
-	if !waitUntil(30*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(seen) == want
-	}) {
-		mu.Lock()
-		defer mu.Unlock()
-		t.Fatalf("delivered %d, want %d (= %d sent - %d shed) (seed=%d)",
-			len(seen), want, n, snap.QueueDropped, seed)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for age, count := range seen {
-		if count != 1 {
-			t.Errorf("object %d delivered %d times", age, count)
-		}
-	}
-	// The survivors are biased toward fresh objects: the newest
-	// published object always survives shedding.
-	if _, ok := seen[n-1]; !ok {
-		t.Error("drop-oldest shed the newest object")
 	}
 }

@@ -233,15 +233,15 @@ func TestFabricPartitionOneWay(t *testing.T) {
 // TestFabricBandwidthShapesDelivery: a narrow link spreads frame
 // arrival over the transmission time.
 func TestFabricBandwidthShapesDelivery(t *testing.T) {
-	_, na, nb := fabricPair(t, 13, FaultProfile{Bandwidth: 64 * 1024},
-		[]PeerOption{Eager(), WithCodePadding(16 * 1024)}, nil)
+	_, na, nb := fabricPair(t, 13, FaultProfile{Bandwidth: 16 * 1024},
+		[]PeerOption{Eager()}, nil)
 	var delivered atomic.Uint64
 	if err := nb.Peer().OnReceive(fixtures.PersonA{}, func(Delivery) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	ca, _ := na.ConnTo("b")
 	start := time.Now()
-	const n = 4 // 4 eager frames ≥ 16KiB each over a 64KiB/s link ≥ 1s
+	const n = 4 // 4 eager frames ≥ 4KiB (the code blob) each over a 16KiB/s link ≥ 1s
 	for i := 0; i < n; i++ {
 		if err := na.Peer().SendObject(ca, fixtures.PersonB{PersonName: "bulk"}); err != nil {
 			t.Fatal(err)

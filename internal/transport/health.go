@@ -36,9 +36,9 @@ import (
 // A circuit breaker (WithMaxRedials) quarantines a remote whose
 // redials keep failing: the carried reliable link is killed — its
 // queue abandoned and counted — so publishers fail fast instead of
-// buffering into a void, and redialing stops (or drops to the slow
-// WithQuarantineProbe cadence) so a flapping peer cannot burn CPU on
-// redial storms. Retry re-arms a terminally quarantined remote.
+// buffering into a void, and redialing stops so a flapping peer
+// cannot burn CPU on redial storms. Quarantine is terminal until Retry
+// re-arms the remote.
 
 // HealthState is a managed remote's position in the failure
 // detector's state machine: healthy → suspect → quarantined, with
@@ -91,9 +91,6 @@ type LifecycleConfig struct {
 	// dial failures (0 = never, the partition-heals-eventually
 	// configuration).
 	MaxRedials int
-	// QuarantineProbe keeps a quarantined remote half-open: one probe
-	// dial per interval. Zero makes quarantine terminal until Retry.
-	QuarantineProbe time.Duration
 }
 
 func defaultLifecycleConfig() LifecycleConfig {
@@ -143,16 +140,6 @@ func WithMaxRedials(n int) PeerOption {
 	return func(p *Peer) {
 		if n >= 0 {
 			p.lifeCfg.MaxRedials = n
-		}
-	}
-}
-
-// WithQuarantineProbe keeps quarantined remotes half-open, probing
-// once per interval (default 0 = quarantine is terminal until Retry).
-func WithQuarantineProbe(d time.Duration) PeerOption {
-	return func(p *Peer) {
-		if d > 0 {
-			p.lifeCfg.QuarantineProbe = d
 		}
 	}
 }
@@ -450,18 +437,7 @@ func (rm *Remote) redialLoop() {
 		rm.mu.Unlock()
 		if rm.cfg.MaxRedials > 0 && failures >= rm.cfg.MaxRedials {
 			rm.quarantine()
-			if rm.cfg.QuarantineProbe <= 0 {
-				return // terminal: Retry re-arms
-			}
-			// Half-open: one probe per interval.
-			if !rm.sleep(rm.cfg.QuarantineProbe) {
-				return
-			}
-			rm.mu.Lock()
-			rm.failures = rm.cfg.MaxRedials - 1
-			rm.mu.Unlock()
-			backoff = rm.cfg.RedialBackoff
-			continue
+			return // terminal: Retry re-arms
 		}
 		if !rm.sleep(backoff + rm.nextJitter(backoff/2)) {
 			return

@@ -110,7 +110,7 @@ func TestManagedResumeAfterPartition(t *testing.T) {
 	regPub, regSub := personRegs(t)
 
 	if _, err := f.AddPeerWithRegistry("pub", regPub,
-		WithReliableLinks(WithAdaptiveRTO(), WithSendQueue(128)),
+		WithReliableLinks(WithSendQueue(128)),
 		WithHeartbeat(20*time.Millisecond),
 		WithSuspectAfter(60*time.Millisecond),
 		WithRedialBackoff(10*time.Millisecond, 80*time.Millisecond)); err != nil {
@@ -212,7 +212,7 @@ func TestManagedResumeAcrossRestart(t *testing.T) {
 	regPub, regSub := personRegs(t)
 
 	if _, err := f.AddPeerWithRegistry("pub", regPub,
-		WithReliableLinks(WithAdaptiveRTO(), WithSendQueue(128)),
+		WithReliableLinks(WithSendQueue(128)),
 		WithHeartbeat(20*time.Millisecond),
 		WithRedialBackoff(10*time.Millisecond, 40*time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestManagedQuarantineAndRetry(t *testing.T) {
 	var events []EventKind
 	var evMu sync.Mutex
 	if _, err := f.AddPeerWithRegistry("pub", regPub,
-		WithReliableLinks(WithAdaptiveRTO(), WithWindow(4), WithSendQueue(64)),
+		WithReliableLinks(WithWindow(4), WithSendQueue(64)),
 		WithHeartbeat(20*time.Millisecond),
 		WithRedialBackoff(5*time.Millisecond, 20*time.Millisecond),
 		WithMaxRedials(2),

@@ -73,12 +73,12 @@ func TestInvokeErrorIdentityAcrossFabric(t *testing.T) {
 	defer func() { _ = f.Close() }()
 
 	srv, err := f.AddPeerWithRegistry("srv", registry.New(),
-		WithReliableLinks(WithAdaptiveRTO()))
+		WithReliableLinks())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli, err := f.AddPeerWithRegistry("cli", registry.New(),
-		WithReliableLinks(WithAdaptiveRTO()))
+		WithReliableLinks())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,15 +63,12 @@ type Peer struct {
 	binder         *proxy.Binder
 	codec          wire.Codec
 	eager          bool
-	compress       bool
-	codePadding    int
 	requestTimeout time.Duration
 	observer       Observer
 	clock          Clock
 	relCfg         *ReliableConfig
 	invCfg         InvokeConfig
 	lifeCfg        LifecycleConfig
-	drainOnClose   time.Duration
 	stats          Stats
 
 	// store, when set (WithStore), is the peer's durable description
@@ -195,29 +192,9 @@ func Eager() PeerOption {
 	return func(p *Peer) { p.eager = true }
 }
 
-// WithCodePadding sets the simulated assembly size appended to code
-// blobs (default 4096 bytes), standing in for real CIL/bytecode.
-func WithCodePadding(n int) PeerOption {
-	return func(p *Peer) { p.codePadding = n }
-}
-
 // WithRequestTimeout bounds each request/reply exchange.
 func WithRequestTimeout(d time.Duration) PeerOption {
 	return func(p *Peer) { p.requestTimeout = d }
-}
-
-// WithDrainOnClose makes Peer.Close flush each connection's reliable
-// send pipeline — queued and in-flight frames acknowledged — for up
-// to d before tearing the connections down (default: no wait).
-// Whatever cannot drain in time is abandoned and counted in
-// Stats.RelQueueAbandoned, so a close always either flushes or
-// reports.
-func WithDrainOnClose(d time.Duration) PeerOption {
-	return func(p *Peer) {
-		if d > 0 {
-			p.drainOnClose = d
-		}
-	}
 }
 
 // WithClock sets the clock the peer's timers run on (default: the
@@ -271,7 +248,6 @@ func NewPeer(reg *registry.Registry, opts ...PeerOption) *Peer {
 		remote:         typedesc.NewRepository(),
 		cache:          conform.NewCache(),
 		codec:          wire.Binary{},
-		codePadding:    4096,
 		requestTimeout: 5 * time.Second,
 		clock:          realClock{},
 		invCfg: InvokeConfig{
@@ -515,25 +491,6 @@ func (p *Peer) Close() error {
 	}
 	if ln != nil {
 		_ = ln.Close()
-	}
-	if p.drainOnClose > 0 {
-		// Graceful drain: give each connection's send pipeline a
-		// bounded chance to land queued frames before teardown. The
-		// flushes run concurrently so the drain costs one timeout,
-		// not one per connection; links that cannot drain report
-		// their abandoned frames through Stats.RelQueueAbandoned
-		// when the close below stops them.
-		var wg sync.WaitGroup
-		for _, c := range conns {
-			if r := c.rel.Load(); r != nil {
-				wg.Add(1)
-				go func(r *ReliableLink) {
-					defer wg.Done()
-					_ = r.Flush(p.drainOnClose)
-				}(r)
-			}
-		}
-		wg.Wait()
 	}
 	// Remotes first: their shutdown stops monitor and redial loops
 	// (a dial in flight finds the peer closed and discards its conn),
@@ -813,17 +770,6 @@ func (p *Peer) SendObject(l Link, v interface{}) error {
 		body = append(body, flagOptimistic)
 		body = tpl.Append(body, payload)
 	}
-	if p.compress {
-		compressed, err := deflateBytes(body[1:])
-		if err != nil {
-			return err
-		}
-		flag := flagOptimisticCompressed
-		if body[0] == flagEager {
-			flag = flagEagerCompressed
-		}
-		body = append([]byte{flag}, compressed...)
-	}
 	p.stats.objectsSent.Add(1)
 	p.emit(EventObjectSent, entry.Description.Ref(), "")
 	return l.Send(&Message{Type: MsgObject, Body: body})
@@ -835,8 +781,8 @@ func (p *Peer) SendObject(l Link, v interface{}) error {
 // failure (errors.Join — inspect with errors.Is/As; a reliable link
 // that gave up on its peer contributes an *UnreachableError matching
 // ErrPeerUnreachable). One failing connection never hides another's
-// error, and with WithSendQueue on the reliable layer a stalled
-// connection never delays the others: each send only enqueues.
+// error, and on reliable links a stalled connection never delays the
+// others: each send only enqueues on that link's send queue.
 func (p *Peer) Broadcast(v interface{}) (int, error) {
 	p.mu.Lock()
 	conns := make([]*Conn, 0, len(p.conns))
@@ -908,17 +854,17 @@ func (p *Peer) ConnCount() int {
 	return len(p.conns)
 }
 
-// Object-message body flags. Compression is a per-message property,
-// so peers need no negotiation: the receiver dispatches on the flag.
+// Object-message body flags: the first body byte says whether the
+// description and code ride inline (eager) or are fetched on demand
+// (optimistic). Any other value is dropped as an unknown body flag.
 const (
-	flagOptimistic           byte = 0
-	flagEager                byte = 1
-	flagOptimisticCompressed byte = 2
-	flagEagerCompressed      byte = 3
+	flagOptimistic byte = 0
+	flagEager      byte = 1
 )
 
-func isEagerFlag(f byte) bool      { return f == flagEager || f == flagEagerCompressed }
-func isCompressedFlag(f byte) bool { return f == flagOptimisticCompressed || f == flagEagerCompressed }
+// codePadding is the simulated assembly size appended to code blobs,
+// standing in for real CIL/bytecode.
+const codePadding = 4096
 
 func packEager(desc, code, env []byte) []byte {
 	body := make([]byte, 0, 1+12+len(desc)+len(code)+len(env))
@@ -954,7 +900,7 @@ func (p *Peer) codeBlob(d *typedesc.TypeDescription) []byte {
 	if err != nil {
 		xmlBytes = []byte(d.Name)
 	}
-	return append(xmlBytes, make([]byte, p.codePadding)...)
+	return append(xmlBytes, make([]byte, codePadding)...)
 }
 
 // codeBlobCache is one cached code blob together with the entry it
@@ -982,9 +928,9 @@ func (p *Peer) codeBlobFor(entry *registry.Entry) []byte {
 	if err != nil {
 		xmlBytes = []byte(entry.Description.Name)
 	}
-	blob := make([]byte, 0, len(xmlBytes)+p.codePadding)
+	blob := make([]byte, 0, len(xmlBytes)+codePadding)
 	blob = append(blob, xmlBytes...)
-	blob = append(blob, make([]byte, p.codePadding)...)
+	blob = append(blob, make([]byte, codePadding)...)
 	p.mu.Lock()
 	p.codeBlobs[key] = codeBlobCache{entry: entry, blob: blob}
 	p.mu.Unlock()
@@ -993,13 +939,13 @@ func (p *Peer) codeBlobFor(entry *registry.Entry) []byte {
 
 // --- receiver side (Figure 1 steps 2-5) ------------------------------
 
-// recvScratch carries the receive path's reusable buffers across the
-// stages of one handleObject call. Handlers run concurrently, so the
-// scratch is pooled per call rather than held per connection. Both
-// buffers are dead by the time the call returns: every decoder
-// downstream (compiled and generic alike) copies what it keeps.
+// recvScratch carries the receive path's reusable payload buffer
+// across the stages of one handleObject call. Handlers run
+// concurrently, so the scratch is pooled per call rather than held per
+// connection. The buffer is dead by the time the call returns: every
+// decoder downstream (compiled and generic alike) copies what it
+// keeps.
 type recvScratch struct {
-	inflate []byte
 	payload []byte
 }
 
@@ -1020,22 +966,19 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 		p.emit(EventDropped, typedesc.TypeRef{}, "empty body")
 		return
 	}
+	flag := m.Body[0]
+	if flag != flagOptimistic && flag != flagEager {
+		// Outside input: a flag this peer never writes is not parsed
+		// as an envelope.
+		p.stats.objectsDropped.Add(1)
+		p.emit(EventDropped, typedesc.TypeRef{}, "unknown body flag")
+		return
+	}
 	sc := recvScratchPool.Get().(*recvScratch)
 	defer recvScratchPool.Put(sc)
 	body := m.Body[1:]
-	eagerDelivery := isEagerFlag(m.Body[0])
-	if isCompressedFlag(m.Body[0]) {
-		inflated, err := inflateInto(sc.inflate, body)
-		sc.inflate = inflated
-		if err != nil {
-			p.stats.objectsDropped.Add(1)
-			p.emit(EventDropped, typedesc.TypeRef{}, "bad compressed body")
-			return
-		}
-		body = inflated
-	}
 	var inlineDesc *typedesc.TypeDescription
-	if eagerDelivery {
+	if flag == flagEager {
 		descXML, rest, err := readChunk(body)
 		if err != nil {
 			p.stats.objectsDropped.Add(1)
@@ -1119,7 +1062,7 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 	// code-manifest exchange. An eager delivery carried its code
 	// inline, so nothing is requested. Concurrent first receptions
 	// of the same type collapse into one download.
-	if !eagerDelivery {
+	if flag != flagEager {
 		p.downloadCodeOnce(c, env.Type, desc)
 	}
 

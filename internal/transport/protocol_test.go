@@ -484,87 +484,16 @@ func TestRequestTimeoutAgainstSilentServer(t *testing.T) {
 	}
 }
 
-func TestCompressedObjectDelivery(t *testing.T) {
-	a := senderPeer(t, WithCompression())
-	b := receiverPeer(t) // receiver has no compression configured
-	defer a.Close()
-	defer b.Close()
-
-	deliveries := make(chan Delivery, 1)
-	if err := b.OnReceive(fixtures.PersonA{}, func(d Delivery) { deliveries <- d }); err != nil {
-		t.Fatal(err)
-	}
-	ca, _ := Connect(a, b)
-	if err := a.SendObject(ca, fixtures.PersonB{PersonName: "Zipped", PersonAge: 9}); err != nil {
-		t.Fatal(err)
-	}
-	d := awaitDelivery(t, deliveries)
-	if d.Bound.(*fixtures.PersonA).Name != "Zipped" {
-		t.Errorf("bound = %+v", d.Bound)
-	}
-}
-
-func TestCompressedEagerDelivery(t *testing.T) {
-	a := senderPeer(t, Eager(), WithCompression())
-	b := receiverPeer(t)
-	defer a.Close()
-	defer b.Close()
-
-	deliveries := make(chan Delivery, 1)
-	if err := b.OnReceive(fixtures.PersonA{}, func(d Delivery) { deliveries <- d }); err != nil {
-		t.Fatal(err)
-	}
-	ca, _ := Connect(a, b)
-	if err := a.SendObject(ca, fixtures.PersonB{PersonName: "ZipEager", PersonAge: 9}); err != nil {
-		t.Fatal(err)
-	}
-	d := awaitDelivery(t, deliveries)
-	if d.Bound.(*fixtures.PersonA).Name != "ZipEager" {
-		t.Errorf("bound = %+v", d.Bound)
-	}
-	bs := b.Stats().Snapshot()
-	if bs.TypeInfoRequests != 0 || bs.CodeRequests != 0 {
-		t.Errorf("compressed eager should need no round trips: %+v", bs)
-	}
-}
-
-func TestCompressionShrinksEagerTraffic(t *testing.T) {
-	run := func(compress bool) uint64 {
-		opts := []PeerOption{Eager()}
-		if compress {
-			opts = append(opts, WithCompression())
-		}
-		a := senderPeer(t, opts...)
-		b := receiverPeer(t)
-		defer a.Close()
-		defer b.Close()
-		ch := make(chan Delivery, 8)
-		if err := b.OnReceive(fixtures.PersonA{}, func(d Delivery) { ch <- d }); err != nil {
-			t.Fatal(err)
-		}
-		ca, _ := Connect(a, b)
-		for i := 0; i < 5; i++ {
-			if err := a.SendObject(ca, fixtures.PersonB{PersonName: "N", PersonAge: i}); err != nil {
-				t.Fatal(err)
-			}
-			awaitDelivery(t, ch)
-		}
-		return a.Stats().Snapshot().BytesSent
-	}
-	plain := run(false)
-	zipped := run(true)
-	if zipped >= plain {
-		t.Errorf("compression should shrink eager traffic: %d vs %d bytes", zipped, plain)
-	}
-}
-
+// TestCorruptCompressedBodyDropped: a body carrying the retired
+// compressed flag (2) over a live connection is dropped, not parsed
+// as an envelope.
 func TestCorruptCompressedBodyDropped(t *testing.T) {
 	a := senderPeer(t)
 	b := receiverPeer(t)
 	defer a.Close()
 	defer b.Close()
 	ca, _ := Connect(a, b)
-	if err := ca.send(&Message{Type: MsgObject, Body: []byte{flagOptimisticCompressed, 0xFF, 0x00}}); err != nil {
+	if err := ca.send(&Message{Type: MsgObject, Body: []byte{2, 0xFF, 0x00}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -574,5 +503,5 @@ func TestCorruptCompressedBodyDropped(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("corrupt compressed body not dropped")
+	t.Fatal("body with the retired compressed flag not dropped")
 }

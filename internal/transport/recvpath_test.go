@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -33,7 +32,12 @@ func TestHandleObjectDropReasons(t *testing.T) {
 		reason string
 	}{
 		{"empty body", nil, "empty body"},
-		{"compressed garbage", []byte{flagOptimisticCompressed, 0xff, 0xff, 0xff}, "bad compressed body"},
+		// Flags 2 and 3 marked DEFLATE bodies in an earlier wire
+		// revision; like any other unknown flag they are dropped, never
+		// parsed as an envelope.
+		{"compressed garbage", []byte{2, 0xff, 0xff, 0xff}, "unknown body flag"},
+		{"eager compressed flag", []byte{3, 0x00, 0x00, 0x00, 0x01, 'x'}, "unknown body flag"},
+		{"unknown flag 0xff", []byte{0xff, '<', 'x', '>'}, "unknown body flag"},
 		{"eager short chunk header", []byte{flagEager, 0x00}, "bad eager chunk"},
 		{"eager truncated code chunk",
 			append(appendChunk([]byte{flagEager}, []byte("not-a-description")), 0x00, 0x00),
@@ -101,9 +105,10 @@ func TestCompiledDeliveryEngagement(t *testing.T) {
 	}
 }
 
-// TestCompressedEagerMatrix runs every compression × eager flag combo
-// through a live fabric: the flags are per-message properties, so any
-// sender configuration must interoperate with a plain receiver.
+// TestCompressedEagerMatrix runs both body flags — optimistic and
+// eager — through a live fabric: the flag is a per-message property,
+// so either sender configuration must interoperate with a plain
+// receiver. (The name predates the removal of body compression.)
 func TestCompressedEagerMatrix(t *testing.T) {
 	combos := []struct {
 		name string
@@ -111,8 +116,6 @@ func TestCompressedEagerMatrix(t *testing.T) {
 	}{
 		{"optimistic", nil},
 		{"eager", []PeerOption{Eager()}},
-		{"compressed", []PeerOption{WithCompression()}},
-		{"eager+compressed", []PeerOption{Eager(), WithCompression()}},
 	}
 	for ci, combo := range combos {
 		t.Run(combo.name, func(t *testing.T) {
@@ -140,60 +143,6 @@ func TestCompressedEagerMatrix(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestInflateIntoSteadyStateAllocs pins the pooled decompressor: with
-// a warmed scratch buffer, inflating a compressed body allocates
-// nothing.
-func TestInflateIntoSteadyStateAllocs(t *testing.T) {
-	plain := make([]byte, 4096)
-	for i := range plain {
-		plain[i] = byte(i % 251)
-	}
-	compressed, err := deflateBytes(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var scratch []byte
-	for i := 0; i < 3; i++ { // warm the scratch and the reader pool
-		scratch, err = inflateInto(scratch, compressed)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if string(scratch) != string(plain) {
-		t.Fatal("inflateInto round-trip mismatch")
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		out, err := inflateInto(scratch, compressed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch = out
-	})
-	if allocs > 0 && !raceEnabled {
-		t.Errorf("warmed inflateInto allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestInflateIntoRejectsExpansionBomb asserts the decompression bound
-// survived the pooled rewrite: a tiny frame that inflates past
-// maxDecompressedBody is rejected with ErrFrameTooLarge.
-func TestInflateIntoRejectsExpansionBomb(t *testing.T) {
-	bomb, err := deflateBytes(make([]byte, maxDecompressedBody+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bomb) >= maxDecompressedBody {
-		t.Fatalf("bomb did not compress: %d bytes", len(bomb))
-	}
-	out, err := inflateInto(nil, bomb)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-	if len(out) != 0 {
-		t.Errorf("errored inflate returned %d bytes, want emptied buffer", len(out))
 	}
 }
 

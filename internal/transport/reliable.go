@@ -20,30 +20,26 @@ import (
 // MsgReliableData carrying a (epoch, seq) header; unacked frames live
 // in an in-flight set and are retransmitted on a timer with
 // exponential backoff until a cumulative MsgReliableAck covers them.
-// Object frames additionally pass a bounded window — Send blocks
-// (backpressure) while Window object frames are unacked, so a
-// retransmit storm can never hold more than Window object frames in
-// flight.
 //
-// With WithSendQueue the sender becomes an asynchronous pipeline:
-// Send appends to a bounded per-link outbound queue and returns, and
-// a dedicated sender goroutine drains the queue through the window.
-// A stalled peer then fills its own queue instead of the caller's
-// goroutine — the property that keeps a reliable Broadcast from
-// serializing behind its worst connection. The overflow policy
-// decides what a full queue does: block the enqueuer (default), shed
-// the oldest queued object frame with a counter, or fail fast.
+// Object frames take one path: Send appends them to a bounded
+// per-link queue (256 frames unless WithSendQueue resizes it) and
+// returns, and a sender goroutine drains the queue through a bounded
+// window of Window unacked object frames. A stalled peer therefore
+// fills its own queue instead of the caller's goroutine — the
+// property that keeps a reliable Broadcast from serializing behind
+// its worst connection. The overflow policy decides what a full queue
+// does: block the enqueuer (default) or fail fast. Control frames
+// (requests, replies) skip the queue and the window.
 //
-// Two optional upgrades sharpen the retransmit machinery. Adaptive
-// RTO (WithAdaptiveRTO) replaces the fixed initial timer with a
-// Jacobson/Karels estimate from measured per-link RTT — SRTT/RTTVAR
-// updated only from frames transmitted exactly once (Karn's rule),
-// clamped to [MinRTO, MaxBackoff]. NACK fast-retransmit closes the
-// other half of the loop from the receive side: a receiver that
-// observes a sequence gap reports the missing seqs in a
-// MsgReliableNack, and the sender repairs them immediately instead of
-// waiting out a full backoff interval; the timer remains the backstop
-// for lost NACKs.
+// The retransmit timer starts from a Jacobson/Karels estimate of the
+// link's RTT (RFC 6298): SRTT/RTTVAR are updated only from frames
+// transmitted exactly once (Karn's rule), the timeout is clamped to
+// [MinRTO, MaxBackoff], and RetransmitTimeout applies until the first
+// sample. NACK fast-retransmit closes the other half of the loop from
+// the receive side: a receiver that observes a sequence gap reports
+// the missing seqs in a MsgReliableNack, and the sender repairs them
+// immediately instead of waiting out a full backoff interval; the
+// timer remains the backstop for lost NACKs.
 //
 // Receiver side (relReceiver, armed on every Conn unconditionally so
 // only the sender has to opt in): frames are deduplicated by (epoch,
@@ -74,10 +70,6 @@ var ErrPeerUnreachable = errors.New("transport: peer unreachable")
 // ErrQueueFull fails an enqueue on a full send queue under
 // OverflowError.
 var ErrQueueFull = errors.New("transport: reliable send queue full")
-
-// ErrFlushTimeout reports that Flush gave up before the queue and
-// in-flight set drained.
-var ErrFlushTimeout = errors.New("transport: reliable flush timed out")
 
 // UnreachableError is the typed give-up failure of a reliable link:
 // a frame exhausted MaxAttempts without an ack, or the unacked
@@ -122,46 +114,35 @@ const (
 	// OverflowBlock applies backpressure: the enqueuing goroutine
 	// waits for the sender to drain a slot. The default.
 	OverflowBlock OverflowPolicy = iota
-	// OverflowDropOldest sheds the oldest queued *object* frame and
-	// admits the new one, counting the shed frame in
-	// Stats.RelQueueDropped — the slow-consumer policy for publishers
-	// that value freshness over completeness. Control frames are
-	// never shed (a dropped request would strand its round trip);
-	// when only control frames are queued the enqueue blocks.
-	OverflowDropOldest
 	// OverflowError fails the enqueue immediately with ErrQueueFull.
 	OverflowError
 )
 
 // ReliableConfig tunes a ReliableLink.
 type ReliableConfig struct {
-	// Window bounds unacked object frames in flight; Send blocks when
-	// the window is full. Control frames (requests, replies) bypass
-	// the window so flow control can never deadlock a protocol round
-	// trip, but they are still sequenced, retransmitted and deduped.
+	// Window bounds unacked object frames in flight; the sender
+	// goroutine holds queued frames back while the window is full.
+	// Control frames (requests, replies) bypass the window so flow
+	// control can never deadlock a protocol round trip, but they are
+	// still sequenced, retransmitted and deduped.
 	Window int
-	// RetransmitTimeout is the initial retransmit timer; each
-	// retransmission doubles it up to MaxBackoff. With AdaptiveRTO it
-	// is only the pre-measurement fallback.
+	// RetransmitTimeout is the retransmit timer new frames start from
+	// until the link has its first RTT sample; each retransmission
+	// doubles a frame's timer up to MaxBackoff.
 	RetransmitTimeout time.Duration
-	// MaxBackoff caps the per-frame retransmit interval (and the
-	// adaptive RTO).
+	// MaxBackoff caps the per-frame retransmit interval and the
+	// estimated RTO.
 	MaxBackoff time.Duration
 	// MaxAttempts fails the link when a frame has been transmitted
 	// this many times without an ack (0 = keep trying until the link
 	// closes — the partition-heals-eventually configuration).
 	MaxAttempts int
-	// SendQueue > 0 enables the asynchronous pipeline: Send enqueues
-	// up to this many frames and returns; a dedicated goroutine
-	// drains them through the window.
+	// SendQueue bounds the object frames Send may queue ahead of the
+	// window (default 256).
 	SendQueue int
 	// Overflow picks the full-queue policy (default OverflowBlock).
 	Overflow OverflowPolicy
-	// AdaptiveRTO derives the retransmit timeout from measured RTT
-	// (SRTT + 4·RTTVAR, Jacobson/Karels) instead of the fixed
-	// RetransmitTimeout.
-	AdaptiveRTO bool
-	// MinRTO floors the adaptive RTO so a fast LAN measurement can
+	// MinRTO floors the estimated RTO so a fast LAN measurement can
 	// never spin the retransmit timer (default 2ms).
 	MinRTO time.Duration
 	// FastRetransmit reacts to receiver gap reports (MsgReliableNack)
@@ -176,6 +157,7 @@ func defaultReliableConfig() ReliableConfig {
 		Window:            32,
 		RetransmitTimeout: 20 * time.Millisecond,
 		MaxBackoff:        640 * time.Millisecond,
+		SendQueue:         256,
 		MinRTO:            2 * time.Millisecond,
 		FastRetransmit:    true,
 	}
@@ -193,8 +175,8 @@ func WithWindow(n int) ReliableOption {
 	}
 }
 
-// WithRetransmitTimeout sets the initial retransmit timer
-// (default 20ms); backoff doubles it per attempt.
+// WithRetransmitTimeout sets the retransmit timer used before the
+// first RTT sample (default 20ms); backoff doubles it per attempt.
 func WithRetransmitTimeout(d time.Duration) ReliableOption {
 	return func(c *ReliableConfig) {
 		if d > 0 {
@@ -218,11 +200,8 @@ func WithMaxAttempts(n int) ReliableOption {
 	return func(c *ReliableConfig) { c.MaxAttempts = n }
 }
 
-// WithSendQueue enables the asynchronous send pipeline: Send appends
-// to a bounded queue of n frames and returns immediately, a dedicated
-// sender goroutine drains the queue through the in-flight window, and
-// a stalled peer fills only its own queue. Pair with
-// WithOverflowPolicy to pick what a full queue does.
+// WithSendQueue resizes the per-link send queue to n object frames
+// (default 256). WithOverflowPolicy picks what a full queue does.
 func WithSendQueue(n int) ReliableOption {
 	return func(c *ReliableConfig) {
 		if n > 0 {
@@ -232,27 +211,17 @@ func WithSendQueue(n int) ReliableOption {
 }
 
 // WithOverflowPolicy selects the full-queue behaviour of the send
-// pipeline (default OverflowBlock). Only meaningful with
-// WithSendQueue.
+// queue (default OverflowBlock).
 func WithOverflowPolicy(p OverflowPolicy) ReliableOption {
 	return func(c *ReliableConfig) {
 		switch p {
-		case OverflowBlock, OverflowDropOldest, OverflowError:
+		case OverflowBlock, OverflowError:
 			c.Overflow = p
 		}
 	}
 }
 
-// WithAdaptiveRTO switches the retransmit timer to the measured-RTT
-// estimate: SRTT + 4·RTTVAR (Jacobson/Karels), sampled only from
-// frames transmitted exactly once (Karn's rule), clamped to
-// [MinRTO, MaxBackoff]. Until the first sample the configured
-// RetransmitTimeout applies.
-func WithAdaptiveRTO() ReliableOption {
-	return func(c *ReliableConfig) { c.AdaptiveRTO = true }
-}
-
-// WithMinRTO floors the adaptive RTO (default 2ms).
+// WithMinRTO floors the estimated RTO (default 2ms).
 func WithMinRTO(d time.Duration) ReliableOption {
 	return func(c *ReliableConfig) {
 		if d > 0 {
@@ -422,11 +391,11 @@ type relEntry struct {
 
 // ReliableLink decorates any Link with exactly-once in-order
 // delivery: sequence framing, positive cumulative acks, retransmit
-// with exponential backoff (fixed or RTT-adaptive), NACK-driven fast
-// retransmit, a bounded in-flight window, and optionally an
-// asynchronous bounded send queue. Peers built with WithReliableLinks
-// attach one to every connection automatically; NewReliableLink
-// builds a standalone decorator.
+// with exponential backoff from an RTT-estimated timeout, NACK-driven
+// fast retransmit, a bounded in-flight window, and a bounded send
+// queue. Peers built with WithReliableLinks attach one to every
+// connection automatically; NewReliableLink builds a standalone
+// decorator.
 type ReliableLink struct {
 	raw   Link
 	clock Clock
@@ -440,9 +409,8 @@ type ReliableLink struct {
 	inflight       map[uint64]*relEntry
 	inflightData   int
 	acked          uint64
-	queue          []*Message // pipeline mode: pending outbound frames
+	queue          []*Message // object frames waiting for the window
 	queuePeak      int
-	queueDropped   uint64
 	queueAbandoned uint64
 	est            rttEstimator
 	lastSendErr    error
@@ -546,28 +514,26 @@ func (l connRaw) Request(t MsgType, b []byte) (*Message, error) { return l.c.req
 func (l connRaw) Close() error                                  { return l.c.Close() }
 
 // Send frames m with the next sequence number and transmits it,
-// retransmitting until acked. In the default synchronous mode object
-// frames block while the window is full and control frames bypass the
-// window (see ReliableConfig.Window); in pipeline mode
-// (WithSendQueue) Send enqueues and returns, with the overflow policy
-// deciding what a full queue does.
+// retransmitting until acked. Object frames are queued for the sender
+// goroutine and Send returns, with the overflow policy deciding what
+// a full queue does; control frames are sent directly, bypassing the
+// queue and the window (see ReliableConfig.Window).
 func (r *ReliableLink) Send(m *Message) error {
-	isData := m.Type == MsgObject
-	if r.cfg.SendQueue > 0 && isData {
+	if m.Type == MsgObject {
 		return r.enqueue(m)
 	}
-	// Control frames — correlated replies among them — skip the
-	// pipeline queue and admit directly, mirroring the receive side's
-	// reply bypass. A reply parked behind head-of-line-blocked data
-	// would deadlock the link: the peer's in-order dispatch may be
-	// waiting on that very reply, and no ack advances the window
-	// until the dispatch returns.
+	// Control frames — correlated replies among them — skip the queue
+	// and admit directly, mirroring the receive side's reply bypass. A
+	// reply parked behind head-of-line-blocked data would deadlock the
+	// link: the peer's in-order dispatch may be waiting on that very
+	// reply, and no ack advances the window until the dispatch
+	// returns.
 	r.mu.Lock()
-	if err := r.admitLocked(isData); err != nil {
+	if err := r.admitControlLocked(); err != nil {
 		r.mu.Unlock()
 		return err
 	}
-	frame := r.registerLocked(m, isData)
+	frame := r.registerLocked(m, false)
 	r.ensureRetransLocked()
 	r.updateRunnableLocked()
 	raw := r.raw
@@ -589,14 +555,12 @@ func (r *ReliableLink) Send(m *Message) error {
 }
 
 // admitStepLocked performs one admission check for a frame of the
-// given kind — the single statement of the rules both the synchronous
-// Send path and the pipeline's sender goroutine obey: the window must
+// given kind — the single statement of the rules both Send's
+// control-frame path and the sender goroutine obey: the window must
 // have room for data, the epoch rolls once the exhausted sequence
 // space has drained, and the total in-flight backlog failing its cap
 // kills the link with a typed *UnreachableError. wait=true asks the
-// caller to cond.Wait and re-evaluate (the pipeline re-reads its
-// queue head first, since the head can change while waiting). Caller
-// holds r.mu.
+// caller to cond.Wait and re-evaluate. Caller holds r.mu.
 func (r *ReliableLink) admitStepLocked(isData bool) (wait bool, err error) {
 	if r.closed {
 		if r.err != nil {
@@ -638,12 +602,12 @@ func (r *ReliableLink) admitStepLocked(isData bool) (wait bool, err error) {
 	return false, nil
 }
 
-// admitLocked blocks on the condition variable until admitStepLocked
-// admits a frame of the given kind or fails the link. Caller holds
-// r.mu.
-func (r *ReliableLink) admitLocked(isData bool) error {
+// admitControlLocked blocks on the condition variable until
+// admitStepLocked admits a control frame or fails the link. Caller
+// holds r.mu.
+func (r *ReliableLink) admitControlLocked() error {
 	for {
-		wait, err := r.admitStepLocked(isData)
+		wait, err := r.admitStepLocked(false)
 		if err != nil {
 			return err
 		}
@@ -656,7 +620,7 @@ func (r *ReliableLink) admitLocked(isData bool) error {
 
 // registerLocked assigns the next sequence number to m, places the
 // frame in the in-flight set and returns the encoded wire frame.
-// Caller holds r.mu and has passed admitLocked.
+// Caller holds r.mu and has passed admitStepLocked.
 func (r *ReliableLink) registerLocked(m *Message, isData bool) []byte {
 	seq := r.nextSeq
 	r.nextSeq++ // wraps to 0 at the end of the space: the admit sentinel
@@ -680,10 +644,10 @@ func (r *ReliableLink) registerLocked(m *Message, isData bool) []byte {
 }
 
 // currentRTOLocked returns the retransmit timeout new frames start
-// from: the Jacobson estimate once AdaptiveRTO has a sample, the
-// configured fixed timer otherwise. Caller holds r.mu.
+// from: the Jacobson estimate once the link has an RTT sample,
+// RetransmitTimeout before that. Caller holds r.mu.
 func (r *ReliableLink) currentRTOLocked() time.Duration {
-	if !r.cfg.AdaptiveRTO || r.est.samples == 0 {
+	if r.est.samples == 0 {
 		return r.cfg.RetransmitTimeout
 	}
 	rto := r.est.rto()
@@ -696,8 +660,8 @@ func (r *ReliableLink) currentRTOLocked() time.Duration {
 	return rto
 }
 
-// enqueue appends m to the pipeline's bounded queue, applying the
-// overflow policy when it is full.
+// enqueue appends object frame m to the bounded send queue, applying
+// the overflow policy when it is full.
 func (r *ReliableLink) enqueue(m *Message) error {
 	r.mu.Lock()
 	for {
@@ -712,27 +676,12 @@ func (r *ReliableLink) enqueue(m *Message) error {
 		if len(r.queue) < r.cfg.SendQueue {
 			break
 		}
-		switch r.cfg.Overflow {
-		case OverflowDropOldest:
-			if i := r.oldestQueuedDataLocked(); i >= 0 {
-				copy(r.queue[i:], r.queue[i+1:])
-				r.queue[len(r.queue)-1] = nil
-				r.queue = r.queue[:len(r.queue)-1]
-				r.queueDropped++
-				if r.stats != nil {
-					r.stats.relQueueDropped.Add(1)
-				}
-				continue
-			}
-			// Only control frames queued: nothing sheddable, block.
-			r.cond.Wait()
-		case OverflowError:
+		if r.cfg.Overflow == OverflowError {
 			n := len(r.queue)
 			r.mu.Unlock()
 			return fmt.Errorf("%w: %d frames queued", ErrQueueFull, n)
-		default: // OverflowBlock
-			r.cond.Wait()
 		}
+		r.cond.Wait() // OverflowBlock
 	}
 	r.queue = append(r.queue, m)
 	if len(r.queue) > r.queuePeak {
@@ -745,27 +694,13 @@ func (r *ReliableLink) enqueue(m *Message) error {
 	return nil
 }
 
-// oldestQueuedDataLocked returns the index of the oldest queued
-// object frame, or -1 when only control frames are queued.
-func (r *ReliableLink) oldestQueuedDataLocked() int {
-	for i, m := range r.queue {
-		if m.Type == MsgObject {
-			return i
-		}
-	}
-	return -1
-}
-
-// senderLoop is the pipeline's drain goroutine, spawned lazily by
-// ensureSenderLocked: it moves frames from the bounded queue into the
-// sequence space as window room appears, so enqueuers never wait on
-// the network. The head is re-read after every wait — an
-// OverflowDropOldest enqueue may have shed it, and the admission rule
-// (window for data, none for control) must follow the frame actually
-// at the head. The loop exits — instead of parking — when the queue
-// drains, the link closes, or it detaches; the flag clears in the
-// same critical section as the exit decision so the next enqueue (or
-// resume) respawns without racing a stale flag.
+// senderLoop is the queue's drain goroutine, spawned lazily by
+// ensureSenderLocked: it moves object frames from the bounded queue
+// into the sequence space as window room appears, so enqueuers never
+// wait on the network. The loop exits — instead of parking — when the
+// queue drains, the link closes, or it detaches; the flag clears in
+// the same critical section as the exit decision so the next enqueue
+// (or resume) respawns without racing a stale flag.
 func (r *ReliableLink) senderLoop() {
 	r.mu.Lock()
 	for {
@@ -774,9 +709,7 @@ func (r *ReliableLink) senderLoop() {
 			r.mu.Unlock()
 			return
 		}
-		m := r.queue[0]
-		isData := m.Type == MsgObject
-		wait, err := r.admitStepLocked(isData)
+		wait, err := r.admitStepLocked(true)
 		if err != nil {
 			r.senderActive = false
 			r.mu.Unlock()
@@ -792,9 +725,10 @@ func (r *ReliableLink) senderLoop() {
 			r.cond.Wait()
 			continue
 		}
+		m := r.queue[0]
 		r.queue[0] = nil
 		r.queue = r.queue[1:]
-		frame := r.registerLocked(m, isData)
+		frame := r.registerLocked(m, true)
 		r.ensureRetransLocked()
 		r.updateRunnableLocked()
 		raw := r.raw
@@ -818,49 +752,7 @@ func (r *ReliableLink) senderLoop() {
 	}
 }
 
-// Flush blocks until every queued and in-flight frame has been
-// acknowledged, the link dies, or the timeout elapses (ErrFlushTimeout).
-// It is the graceful-drain companion of the async pipeline: call it
-// before Close when queued frames must reach the peer.
-func (r *ReliableLink) Flush(timeout time.Duration) error {
-	t := r.clock.NewTimer(timeout)
-	defer t.Stop()
-	var timedOut atomic.Bool
-	watcherDone := make(chan struct{})
-	defer close(watcherDone)
-	go func() {
-		select {
-		case <-t.C():
-			timedOut.Store(true)
-			r.mu.Lock()
-			r.cond.Broadcast()
-			r.mu.Unlock()
-		case <-watcherDone:
-		case <-r.done:
-		}
-	}()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		if len(r.queue) == 0 && len(r.inflight) == 0 {
-			return nil
-		}
-		if r.closed {
-			if r.err != nil {
-				return r.err
-			}
-			return ErrClosed
-		}
-		if timedOut.Load() {
-			return fmt.Errorf("%w: %d queued, %d in flight",
-				ErrFlushTimeout, len(r.queue), len(r.inflight))
-		}
-		r.cond.Wait()
-	}
-}
-
-// runnableLocked reports whether the pipeline's sender has work it
+// runnableLocked reports whether the sender goroutine has work it
 // could perform right now: a queued head frame that the window (or
 // epoch roll) would admit. It is the link's contribution to the
 // virtual clock's busy probe — time must not advance past a request
@@ -876,10 +768,7 @@ func (r *ReliableLink) runnableLocked() bool {
 	if r.nextSeq == 0 && len(r.inflight) > 0 {
 		return false
 	}
-	if m := r.queue[0]; m.Type == MsgObject && r.inflightData >= r.cfg.Window {
-		return false
-	}
-	return true
+	return r.inflightData < r.cfg.Window
 }
 
 // updateRunnableLocked reconciles the link's contribution to the
@@ -904,11 +793,10 @@ func (r *ReliableLink) updateRunnableLocked() {
 	}
 }
 
-// ensureSenderLocked spawns the pipeline's sender goroutine when
-// there is queued work and no loop alive to drain it. Caller holds
-// r.mu.
+// ensureSenderLocked spawns the sender goroutine when there is queued
+// work and no loop alive to drain it. Caller holds r.mu.
 func (r *ReliableLink) ensureSenderLocked() {
-	if r.cfg.SendQueue <= 0 || r.senderActive || r.closed || r.detached || len(r.queue) == 0 {
+	if r.senderActive || r.closed || r.detached || len(r.queue) == 0 {
 		return
 	}
 	r.senderActive = true
@@ -959,7 +847,7 @@ func (r *ReliableLink) Ack(body []byte) {
 			if e.data {
 				r.inflightData--
 			}
-			if r.cfg.AdaptiveRTO && e.attempts == 1 {
+			if e.attempts == 1 {
 				r.est.observe(now.Sub(e.sentAt))
 			}
 		}
@@ -1359,9 +1247,8 @@ type ReliableLinkStats struct {
 	Acked           uint64
 	InFlight        int // all unacked frames
 	InFlightData    int // unacked object frames (window occupancy)
-	QueueDepth      int // frames waiting in the send pipeline
+	QueueDepth      int // object frames waiting in the send queue
 	QueuePeak       int // high-water mark of the send queue
-	QueueDropped    uint64
 	QueueAbandoned  uint64
 	SRTT            time.Duration // smoothed RTT (zero until sampled)
 	RTTVar          time.Duration
@@ -1386,7 +1273,6 @@ func (r *ReliableLink) Snapshot() ReliableLinkStats {
 		InFlightData:   r.inflightData,
 		QueueDepth:     len(r.queue),
 		QueuePeak:      r.queuePeak,
-		QueueDropped:   r.queueDropped,
 		QueueAbandoned: r.queueAbandoned,
 		SRTT:           r.est.srtt,
 		RTTVar:         r.est.rttvar,

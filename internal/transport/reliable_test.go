@@ -230,37 +230,57 @@ func TestRelReceiverTable(t *testing.T) {
 	}
 }
 
-// TestReliableWindowBackpressure pins the satellite requirement: Send
-// blocks while Window object frames are unacked, control frames
-// bypass the window, and an ack (or link failure) unblocks the
-// waiter.
+// TestReliableWindowBackpressure pins the window contract on the
+// queued path: the sender goroutine never puts more than Window object
+// frames in flight while the queue holds the rest, control frames
+// bypass a full window, an ack admits exactly the frames it frees
+// room for, and an enqueue blocked on a full queue returns ErrClosed
+// when the link stops.
 func TestReliableWindowBackpressure(t *testing.T) {
+	const queue = 4
 	for _, window := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
 			link := &scriptLink{}
 			clock := NewManualClock()
-			r := NewReliableLink(link, clock, WithWindow(window),
+			r := NewReliableLink(link, clock, WithWindow(window), WithSendQueue(queue),
 				WithRetransmitTimeout(time.Hour)) // timers out of the way
 			defer r.Close()
 
-			for i := 0; i < window; i++ {
+			full := func() bool {
+				s := r.Snapshot()
+				return s.InFlightData == window && s.QueueDepth == queue
+			}
+			for i := 0; i < window+queue; i++ {
 				if err := r.Send(obj(uint64(i))); err != nil {
 					t.Fatal(err)
 				}
+				if got := r.Snapshot().InFlightData; got > window {
+					t.Fatalf("InFlightData = %d, exceeds window %d", got, window)
+				}
 			}
+			if !waitUntil(2*time.Second, full) {
+				t.Fatalf("pipeline = %+v, want %d in flight and %d queued", r.Snapshot(), window, queue)
+			}
+			if got := link.count(); got != window {
+				t.Fatalf("frames on wire = %d, want %d (window)", got, window)
+			}
+
 			blocked := make(chan error, 1)
 			go func() { blocked <- r.Send(obj(999)) }()
 			select {
 			case err := <-blocked:
-				t.Fatalf("Send beyond window returned early: %v", err)
+				t.Fatalf("Send on a full queue returned early: %v", err)
 			case <-time.After(50 * time.Millisecond):
 			}
-			// Control frames bypass the window even while data is
-			// blocked.
+			// Control frames bypass the full window and queue.
 			if err := r.Send(&Message{Type: MsgTypeInfoRequest, Seq: 7}); err != nil {
 				t.Fatalf("control send blocked by full window: %v", err)
 			}
-			// Ack the first object: exactly one slot frees.
+			if got := link.count(); got != window+1 {
+				t.Fatalf("frames on wire = %d after control send, want %d", got, window+1)
+			}
+			// Ack the first object: exactly one slot frees, one queued
+			// frame takes it, and the blocked enqueue gets the queue slot.
 			r.Ack(encodeRelAck(r.Snapshot().Epoch, 1))
 			select {
 			case err := <-blocked:
@@ -270,11 +290,15 @@ func TestReliableWindowBackpressure(t *testing.T) {
 			case <-time.After(2 * time.Second):
 				t.Fatal("Send still blocked after ack freed the window")
 			}
-			if got := r.Snapshot().InFlightData; got != window {
-				t.Errorf("InFlightData = %d, want %d", got, window)
+			if !waitUntil(2*time.Second, full) {
+				t.Fatalf("pipeline after ack = %+v, want %d in flight and %d queued", r.Snapshot(), window, queue)
+			}
+			if got := link.count(); got != window+2 {
+				t.Errorf("frames on wire = %d after ack, want %d", got, window+2)
 			}
 
-			// A blocked Send must also fail fast when the link dies.
+			// An enqueue blocked on the full queue fails fast when the
+			// link stops.
 			go func() { blocked <- r.Send(obj(1000)) }()
 			time.Sleep(20 * time.Millisecond)
 			r.stop()
@@ -303,7 +327,7 @@ func TestReliableRetransmitBackoff(t *testing.T) {
 	if err := r.Send(obj(1)); err != nil {
 		t.Fatal(err)
 	}
-	if link.count() != 1 {
+	if !waitUntil(2*time.Second, func() bool { return link.count() == 1 }) {
 		t.Fatalf("initial sends = %d, want 1", link.count())
 	}
 	advanceAndAwait := func(d time.Duration, wantFrames int) {
@@ -388,22 +412,23 @@ func TestReliableSeqWrapRollsEpoch(t *testing.T) {
 	oldEpoch := r.epoch
 	r.mu.Unlock()
 
-	if err := r.Send(obj(1)); err != nil { // seq MaxUint64-1
-		t.Fatal(err)
+	// Seqs MaxUint64-1 and MaxUint64 exhaust the space; the third
+	// frame must stay queued until the old epoch drains.
+	for i := uint64(1); i <= 3; i++ {
+		if err := r.Send(obj(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := r.Send(obj(2)); err != nil { // seq MaxUint64: space exhausted
-		t.Fatal(err)
+	if !waitUntil(2*time.Second, func() bool { return link.count() == 2 }) {
+		t.Fatalf("frames = %d, want 2 before the wrap", link.count())
 	}
-	done := make(chan error, 1)
-	go func() { done <- r.Send(obj(3)) }() // must wait for the drain
-	select {
-	case err := <-done:
-		t.Fatalf("Send across wrap returned before drain: %v", err)
-	case <-time.After(50 * time.Millisecond):
+	time.Sleep(50 * time.Millisecond)
+	if got := link.count(); got != 2 {
+		t.Fatalf("frames = %d: a frame crossed the wrap before the drain", got)
 	}
 	r.Ack(encodeRelAck(oldEpoch, math.MaxUint64))
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if !waitUntil(2*time.Second, func() bool { return link.count() == 3 }) {
+		t.Fatalf("frames = %d, want 3 after the drain", link.count())
 	}
 
 	epochs, seqs := link.dataFrames(t)
@@ -443,17 +468,24 @@ func TestReliableSeqWrapRollsEpoch(t *testing.T) {
 	}
 }
 
-// TestReliableSendFailsWhenLinkDies: a raw-send error marks the link
-// dead and surfaces the error.
+// TestReliableSendFailsWhenLinkDies: a raw-send error on the sender
+// goroutine fails the link, and the next Send returns that error.
 func TestReliableSendFailsWhenLinkDies(t *testing.T) {
-	link := &scriptLink{sendErr: errors.New("wire cut")}
+	cut := errors.New("wire cut")
+	link := &scriptLink{sendErr: cut}
 	r := NewReliableLink(link, NewManualClock())
 	defer r.Close()
-	if err := r.Send(obj(1)); err == nil {
-		t.Fatal("Send over a dead link succeeded")
+	if err := r.Send(obj(1)); err != nil {
+		t.Fatalf("enqueue on a live link: %v", err)
 	}
-	if err := r.Send(obj(2)); err == nil {
-		t.Fatal("Send after link failure succeeded")
+	if !waitUntil(2*time.Second, r.isClosed) {
+		t.Fatal("raw-send failure did not fail the link")
+	}
+	if err := r.Send(obj(2)); !errors.Is(err, cut) {
+		t.Errorf("Send after link failure = %v, want the raw-send error", err)
+	}
+	if err := r.Send(&Message{Type: MsgTypeInfoRequest}); !errors.Is(err, cut) {
+		t.Errorf("control Send after link failure = %v, want the raw-send error", err)
 	}
 }
 
@@ -484,7 +516,7 @@ func TestReliableControlBacklogFailsLink(t *testing.T) {
 	}
 }
 
-// --- async pipeline, adaptive RTO, NACK (PR 5) ------------------------
+// --- send queue, RTT-estimated RTO, NACK --------------------------------
 
 // TestReliableSendQueueAsync pins the pipeline's core property: Send
 // returns after enqueueing even when the window is full, the sender
@@ -534,8 +566,7 @@ func TestReliableSendQueueAsync(t *testing.T) {
 }
 
 // TestReliableQueueOverflowPolicies drives each full-queue policy:
-// block applies backpressure, drop-oldest sheds the stalest object
-// frame with a counter, error fails fast.
+// block applies backpressure, error fails fast.
 func TestReliableQueueOverflowPolicies(t *testing.T) {
 	// Window 1 and no acks: one frame on the wire, the rest queued.
 	setup := func(p OverflowPolicy) *ReliableLink {
@@ -570,38 +601,6 @@ func TestReliableQueueOverflowPolicies(t *testing.T) {
 			}
 		case <-time.After(2 * time.Second):
 			t.Fatal("Send still blocked after the queue drained")
-		}
-	})
-
-	t.Run("drop-oldest", func(t *testing.T) {
-		r := setup(OverflowDropOldest)
-		defer r.Close()
-		// Reach a quiescent full-pipeline state step by step (an
-		// enqueue racing the sender goroutine could otherwise fill
-		// the queue early and shed a frame during setup).
-		if err := r.Send(obj(0)); err != nil {
-			t.Fatal(err)
-		}
-		if !waitUntil(2*time.Second, func() bool { return r.Snapshot().InFlightData == 1 }) {
-			t.Fatalf("first frame never reached the window: %+v", r.Snapshot())
-		}
-		for i := 1; i < 3; i++ {
-			if err := r.Send(obj(uint64(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !waitUntil(2*time.Second, func() bool { return r.Snapshot().QueueDepth == 2 }) {
-			t.Fatalf("queue = %+v, want depth 2", r.Snapshot())
-		}
-		if err := r.Send(obj(99)); err != nil { // sheds the oldest queued object
-			t.Fatalf("drop-oldest Send: %v", err)
-		}
-		snap := r.Snapshot()
-		if snap.QueueDropped != 1 {
-			t.Errorf("QueueDropped = %d, want 1", snap.QueueDropped)
-		}
-		if snap.QueueDepth != 2 {
-			t.Errorf("QueueDepth = %d, want 2", snap.QueueDepth)
 		}
 	})
 
@@ -644,58 +643,6 @@ func TestReliableQueueAbandonedOnShutdown(t *testing.T) {
 	}
 }
 
-// TestReliableFlush: Flush returns once queue and in-flight drain,
-// and times out with ErrFlushTimeout when the peer never acks.
-func TestReliableFlush(t *testing.T) {
-	link := &scriptLink{}
-	clock := NewManualClock()
-	r := NewReliableLink(link, clock, WithSendQueue(8), WithRetransmitTimeout(time.Hour))
-	defer r.Close()
-	for i := 0; i < 3; i++ {
-		if err := r.Send(obj(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flushed := make(chan error, 1)
-	go func() { flushed <- r.Flush(time.Hour) }()
-	select {
-	case err := <-flushed:
-		t.Fatalf("Flush returned with frames unacked: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	r.Ack(encodeRelAck(r.Snapshot().Epoch, 3))
-	select {
-	case err := <-flushed:
-		if err != nil {
-			t.Fatalf("Flush after full ack: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Flush never returned after the in-flight set drained")
-	}
-
-	// Unacked frames: the flush timer must fire and report. Wait for
-	// BOTH pending timers — the retransmit loop's hour-long deadline
-	// for the unacked frame and the flush watcher's 10ms one — so the
-	// advance below cannot slip in before the flush timer registers.
-	if err := r.Send(obj(9)); err != nil {
-		t.Fatal(err)
-	}
-	timeoutCh := make(chan error, 1)
-	go func() { timeoutCh <- r.Flush(10 * time.Millisecond) }()
-	if !waitUntil(2*time.Second, func() bool { return clock.PendingTimers() >= 2 }) {
-		t.Fatal("flush + retransmit timers never both registered")
-	}
-	clock.Advance(20 * time.Millisecond)
-	select {
-	case err := <-timeoutCh:
-		if !errors.Is(err, ErrFlushTimeout) {
-			t.Fatalf("Flush = %v, want ErrFlushTimeout", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Flush never timed out")
-	}
-}
-
 // TestReliableAdaptiveRTO pins the estimator: the first clean sample
 // seeds SRTT/RTTVAR (RTO = SRTT + 4·RTTVAR), later frames start from
 // the adaptive value, and Karn's rule keeps retransmitted frames out
@@ -703,12 +650,15 @@ func TestReliableFlush(t *testing.T) {
 func TestReliableAdaptiveRTO(t *testing.T) {
 	link := &scriptLink{}
 	clock := NewManualClock()
-	r := NewReliableLink(link, clock, WithAdaptiveRTO(),
+	r := NewReliableLink(link, clock,
 		WithRetransmitTimeout(500*time.Millisecond), WithMaxBackoff(10*time.Second))
 	defer r.Close()
 
 	if err := r.Send(obj(1)); err != nil {
 		t.Fatal(err)
+	}
+	if !waitUntil(2*time.Second, func() bool { return link.count() == 1 }) {
+		t.Fatal("first frame never left the queue")
 	}
 	if got := r.Snapshot().RTO; got != 500*time.Millisecond {
 		t.Fatalf("pre-sample RTO = %v, want the fixed fallback", got)
@@ -730,6 +680,9 @@ func TestReliableAdaptiveRTO(t *testing.T) {
 	if err := r.Send(obj(2)); err != nil {
 		t.Fatal(err)
 	}
+	if !waitUntil(2*time.Second, func() bool { return link.count() == 2 }) {
+		t.Fatal("second frame never left the queue")
+	}
 	if !waitUntil(2*time.Second, func() bool { return clock.PendingTimers() >= 1 }) {
 		t.Fatal("retransmit timer never armed")
 	}
@@ -748,10 +701,13 @@ func TestReliableAdaptiveRTO(t *testing.T) {
 func TestReliableMinRTOClampsEstimate(t *testing.T) {
 	link := &scriptLink{}
 	clock := NewManualClock()
-	r := NewReliableLink(link, clock, WithAdaptiveRTO(), WithMinRTO(5*time.Millisecond))
+	r := NewReliableLink(link, clock, WithMinRTO(5*time.Millisecond))
 	defer r.Close()
 	if err := r.Send(obj(1)); err != nil {
 		t.Fatal(err)
+	}
+	if !waitUntil(2*time.Second, func() bool { return link.count() == 1 }) {
+		t.Fatal("frame never left the queue")
 	}
 	clock.Advance(100 * time.Microsecond)
 	r.Ack(encodeRelAck(r.Snapshot().Epoch, 1))
@@ -773,6 +729,9 @@ func TestReliableNackFastRetransmit(t *testing.T) {
 		if err := r.Send(obj(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if !waitUntil(2*time.Second, func() bool { return link.count() == 3 }) {
+		t.Fatalf("frames = %d, want 3 before the NACK", link.count())
 	}
 	epoch := r.Snapshot().Epoch
 
@@ -802,6 +761,9 @@ func TestReliableNackFastRetransmit(t *testing.T) {
 	defer r2.Close()
 	if err := r2.Send(obj(1)); err != nil {
 		t.Fatal(err)
+	}
+	if !waitUntil(2*time.Second, func() bool { return link2.count() == 1 }) {
+		t.Fatal("frame never left the queue")
 	}
 	r2.Nack(encodeRelNack(r2.Snapshot().Epoch, []uint64{1}))
 	if got := link2.count(); got != 1 {
@@ -901,8 +863,8 @@ func reliableLoopGoroutines() int {
 }
 
 // TestReliableCloseReleasesGoroutines: every Close/stop path releases
-// both loop goroutines — across plain links, pipeline links, and
-// links killed mid-backpressure.
+// both loop goroutines, on links killed with frames queued and in
+// flight.
 func TestReliableCloseReleasesGoroutines(t *testing.T) {
 	base := reliableLoopGoroutines()
 	var links []*ReliableLink

@@ -30,7 +30,6 @@ type Stats struct {
 	relDeduped         atomic.Uint64
 	relNacksSent       atomic.Uint64
 	relFastRetransmits atomic.Uint64
-	relQueueDropped    atomic.Uint64
 	relQueueAbandoned  atomic.Uint64
 	relStaleEpoch      atomic.Uint64
 	relResumeDeduped   atomic.Uint64
@@ -76,11 +75,10 @@ type StatsSnapshot struct {
 	RelRetransmits  uint64 // frames resent by the retransmit timer
 	RelAcksReceived uint64 // cumulative acks that advanced the window
 	RelDeduped      uint64 // received frames suppressed as duplicates/ghosts
-	// Async pipeline + fast-retransmit counters (zero unless the
-	// sender enabled WithSendQueue / the receiver detected gaps).
+	// Gap-repair and send-queue counters (zero until a receiver
+	// detects a gap or a link dies with frames still queued).
 	RelNacksSent       uint64 // gap reports emitted by the receive side
 	RelFastRetransmits uint64 // frames resent on NACK, ahead of their timer
-	RelQueueDropped    uint64 // queued frames shed by OverflowDropOldest
 	RelQueueAbandoned  uint64 // queued frames discarded by link shutdown
 	// Connection-lifecycle counters (zero unless the peer runs managed
 	// remotes; see health.go and docs/health.md).
@@ -121,7 +119,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		RelDeduped:         s.relDeduped.Load(),
 		RelNacksSent:       s.relNacksSent.Load(),
 		RelFastRetransmits: s.relFastRetransmits.Load(),
-		RelQueueDropped:    s.relQueueDropped.Load(),
 		RelQueueAbandoned:  s.relQueueAbandoned.Load(),
 		RelStaleEpoch:      s.relStaleEpoch.Load(),
 		RelResumeDeduped:   s.relResumeDeduped.Load(),
@@ -160,7 +157,6 @@ func (s *Stats) Reset() {
 	s.relDeduped.Store(0)
 	s.relNacksSent.Store(0)
 	s.relFastRetransmits.Store(0)
-	s.relQueueDropped.Store(0)
 	s.relQueueAbandoned.Store(0)
 	s.relStaleEpoch.Store(0)
 	s.relResumeDeduped.Store(0)

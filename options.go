@@ -5,8 +5,8 @@ package pti
 // invoke and fabric — so the configuration surface reads as a menu
 // rather than a heap. The durable-store options (WithStore,
 // WithStoreDir, NewWithStore) live in store.go next to the Store API
-// they configure. Every option here predates this file; names and
-// semantics are unchanged.
+// they configure. TestFacadeOptionSurface pins the list of option
+// functions, so a new knob shows up as a test change.
 
 import (
 	"time"
@@ -93,7 +93,10 @@ func WithTypeName(name string) RegisterOption {
 // tracing (WithObserver), the non-optimistic baseline (Eager), and
 // the reliable delivery layer (WithReliableLinks plus the
 // ReliableOption family) that builds exactly-once in-order delivery
-// above an unreliable link — see docs/reliable.md.
+// above an unreliable link — see docs/reliable.md. A reliable link
+// always queues object frames (256 by default), estimates its
+// retransmit timeout from measured RTT and repairs gaps on receiver
+// NACKs; the options only size and bound that one sender.
 type PeerOption = transport.PeerOption
 
 // ProtocolEvent is one protocol trace record (Figure 1 steps made
@@ -110,20 +113,18 @@ func WithObserver(obs func(ProtocolEvent)) PeerOption {
 func Eager() PeerOption { return transport.Eager() }
 
 // ReliableOption tunes the reliable delivery layer (window size,
-// retransmit timers, backoff, send pipeline); pass them to
+// retransmit timers, backoff, send queue); pass them to
 // WithReliableLinks.
 type ReliableOption = transport.ReliableOption
 
 // OverflowPolicy selects what a full reliable send queue does with
-// the next enqueue: block the caller, shed the oldest queued object
-// frame, or fail fast.
+// the next enqueue: block the caller or fail fast.
 type OverflowPolicy = transport.OverflowPolicy
 
-// Overflow policies for WithSendQueue.
+// Overflow policies for WithOverflowPolicy.
 const (
-	OverflowBlock      = transport.OverflowBlock
-	OverflowDropOldest = transport.OverflowDropOldest
-	OverflowError      = transport.OverflowError
+	OverflowBlock = transport.OverflowBlock
+	OverflowError = transport.OverflowError
 )
 
 // ErrPeerUnreachable classifies a reliable link's give-up: the remote
@@ -133,9 +134,10 @@ var ErrPeerUnreachable = transport.ErrPeerUnreachable
 
 // WithReliableLinks upgrades every connection the peer owns to
 // exactly-once in-order delivery: sequence framing, cumulative acks,
-// retransmit with exponential backoff and a bounded in-flight window
-// — reliability built above the unreliable link rather than assumed
-// from TCP (see docs/reliable.md).
+// a bounded send queue drained through a bounded in-flight window,
+// retransmit with exponential backoff from an RTT-estimated timeout,
+// and NACK-driven repair — reliability built above the unreliable
+// link rather than assumed from TCP (see docs/reliable.md).
 func WithReliableLinks(opts ...ReliableOption) PeerOption {
 	return transport.WithReliableLinks(opts...)
 }
@@ -144,14 +146,14 @@ func WithReliableLinks(opts ...ReliableOption) PeerOption {
 // (default 32).
 func WithWindow(n int) ReliableOption { return transport.WithWindow(n) }
 
-// WithRetransmitTimeout sets the initial per-frame retransmit timer
-// (default 20ms; the pre-measurement fallback under WithAdaptiveRTO).
+// WithRetransmitTimeout sets the per-frame retransmit timer used
+// until the link has measured its first round trip (default 20ms).
 func WithRetransmitTimeout(d time.Duration) ReliableOption {
 	return transport.WithRetransmitTimeout(d)
 }
 
 // WithMaxBackoff caps the doubled retransmit interval and the
-// adaptive RTO (default 640ms).
+// estimated RTO (default 640ms).
 func WithMaxBackoff(d time.Duration) ReliableOption { return transport.WithMaxBackoff(d) }
 
 // WithMaxAttempts bounds transmissions per frame before the link
@@ -159,11 +161,10 @@ func WithMaxBackoff(d time.Duration) ReliableOption { return transport.WithMaxBa
 // (default 0 = unlimited).
 func WithMaxAttempts(n int) ReliableOption { return transport.WithMaxAttempts(n) }
 
-// WithSendQueue enables the asynchronous per-connection send
-// pipeline: Send/Broadcast enqueue into a bounded queue of n frames
-// and return immediately, a dedicated sender goroutine drains each
-// connection, and a stalled peer fills only its own queue — a
-// reliable Broadcast can no longer be held hostage by its worst
+// WithSendQueue resizes each connection's send queue to n object
+// frames (default 256). Send/Broadcast enqueue and return, a sender
+// goroutine drains each connection, and a stalled peer fills only its
+// own queue — a reliable Broadcast is never held hostage by its worst
 // connection.
 func WithSendQueue(n int) ReliableOption { return transport.WithSendQueue(n) }
 
@@ -173,38 +174,27 @@ func WithOverflowPolicy(p OverflowPolicy) ReliableOption {
 	return transport.WithOverflowPolicy(p)
 }
 
-// WithAdaptiveRTO derives each link's retransmit timeout from its
-// measured round-trip time (SRTT + 4·RTTVAR, Jacobson/Karels, Karn
-// sampling) instead of a fixed timer.
-func WithAdaptiveRTO() ReliableOption { return transport.WithAdaptiveRTO() }
+// WithAdaptiveRTO is a no-op kept for source compatibility.
+//
+// Deprecated: every reliable link estimates its retransmit timeout
+// from measured RTT (SRTT + 4·RTTVAR, Jacobson/Karels, Karn sampling).
+func WithAdaptiveRTO() ReliableOption { return func(*transport.ReliableConfig) {} }
 
-// WithMinRTO floors the adaptive RTO (default 2ms); set it above the
+// WithMinRTO floors the estimated RTO (default 2ms); set it above the
 // path's worst round trip to rule out spurious retransmits on steady
 // links.
 func WithMinRTO(d time.Duration) ReliableOption { return transport.WithMinRTO(d) }
 
-// WithoutFastRetransmit disables NACK-driven resends, leaving the
-// backoff timer as the only loss-recovery path (the ablation
-// baseline).
-func WithoutFastRetransmit() ReliableOption { return transport.WithoutFastRetransmit() }
-
-// WithDrainOnClose makes Peer.Close flush queued reliable frames for
-// up to d before tearing connections down; whatever cannot drain is
-// counted in the peer's RelQueueAbandoned stat.
+// Managed-remote health states: healthy → suspect → quarantined (see
+// docs/health.md).
 //
 // # Peer lifecycle options
 //
 // Lifecycle options govern a peer's managed remotes from first dial
-// to quarantine: liveness probing (WithHeartbeat, WithSuspectAfter),
-// reconnect shaping (WithRedialBackoff, WithMaxRedials), half-open
-// probing of quarantined links (WithQuarantineProbe) and graceful
-// shutdown (WithDrainOnClose) — see docs/health.md.
-func WithDrainOnClose(d time.Duration) PeerOption {
-	return transport.WithDrainOnClose(d)
-}
-
-// Managed-remote health states: healthy → suspect → quarantined (see
-// docs/health.md).
+// to quarantine: liveness probing (WithHeartbeat, WithSuspectAfter)
+// and reconnect shaping (WithRedialBackoff, WithMaxRedials).
+// Quarantine is terminal until ManagedRemote.Retry — see
+// docs/health.md.
 const (
 	HealthHealthy     = transport.HealthHealthy
 	HealthSuspect     = transport.HealthSuspect
@@ -229,14 +219,9 @@ func WithRedialBackoff(initial, max time.Duration) PeerOption {
 
 // WithMaxRedials quarantines a managed remote after n consecutive
 // failed redials — the circuit breaker against redial storms (default
-// 0 = never give up).
+// 0 = never give up). Quarantine is terminal until
+// ManagedRemote.Retry.
 func WithMaxRedials(n int) PeerOption { return transport.WithMaxRedials(n) }
-
-// WithQuarantineProbe keeps quarantined remotes half-open, probing
-// once per interval (default 0 = terminal until ManagedRemote.Retry).
-func WithQuarantineProbe(d time.Duration) PeerOption {
-	return transport.WithQuarantineProbe(d)
-}
 
 // WithInvokeConcurrency bounds the server side of the pipelined
 // invoke path per connection: workers concurrent executions,
