@@ -1,7 +1,7 @@
 package pti
 
 // One testing.B benchmark per evaluation row of the paper (Section 7)
-// plus the ablations indexed in DESIGN.md. `go test -bench=. -benchmem`
+// plus the design ablations. `go test -bench=. -benchmem`
 // regenerates the full table; cmd/ptibench prints the same data with
 // paper-reported values alongside.
 

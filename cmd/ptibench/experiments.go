@@ -260,7 +260,9 @@ func transportBytes(eager bool, objects int) uint64 {
 	return total
 }
 
-// expAblations measures the design choices DESIGN.md calls out.
+// expAblations measures the reproduction's own design choices: the
+// argument-permutation search, the full conformance rule against the
+// unsound name-only one, and flat against recursive descriptors.
 func expAblations(reps int) error {
 	// Permutation search cost by arity.
 	fmt.Println("  argument-permutation search (method match per arity):")

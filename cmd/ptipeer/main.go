@@ -99,9 +99,7 @@ func runReceiver(listen string, count int, opts ...transport.PeerOption) error {
 	case <-time.After(2 * time.Minute):
 		return fmt.Errorf("timed out after %d/%d objects", seen, count)
 	}
-	st := peer.Stats().Snapshot()
-	fmt.Printf("done: %d objects, %d bytes received, %d type-info round trip(s), %d code round trip(s)\n",
-		st.ObjectsDelivered, st.BytesReceived, st.TypeInfoRequests, st.CodeRequests)
+	printCounters(peer.Stats())
 	return nil
 }
 
@@ -134,7 +132,17 @@ func runSender(connect string, count int, eager bool, extra ...transport.PeerOpt
 	}
 	// Give in-flight protocol exchanges a moment before closing.
 	time.Sleep(200 * time.Millisecond)
-	st := peer.Stats().Snapshot()
-	fmt.Printf("done: %d objects, %d bytes sent\n", st.ObjectsSent, st.BytesSent)
+	printCounters(peer.Stats())
 	return nil
+}
+
+// printCounters prints every nonzero protocol counter by name, drop
+// reasons included.
+func printCounters(st *transport.Stats) {
+	fmt.Println("done:")
+	st.Each(func(name string, v uint64) {
+		if v != 0 {
+			fmt.Printf("  %-18s %d\n", name, v)
+		}
+	})
 }

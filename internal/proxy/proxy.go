@@ -8,10 +8,10 @@
 // whose overhead the paper measures in Section 7.1.
 //
 // Go cannot synthesize interface implementations at runtime, so the
-// proxy exposes an explicit Call/Get/Set surface (see DESIGN.md's
-// substitution table); Bind additionally materializes a received
-// generic object into a locally registered conformant type, the
-// analogue of deserializing after the assembly download.
+// proxy exposes an explicit Call/Get/Set surface; Bind additionally
+// materializes a received generic object into a locally registered
+// conformant type, the analogue of deserializing after the assembly
+// download.
 package proxy
 
 import (

@@ -4,8 +4,8 @@
 // plays the role of the paper's local assembly cache — the thing the
 // receiver consults to decide whether "the corresponding classes or
 // interfaces implementing the types are locally available"
-// (Section 6.2) — and, per DESIGN.md, "downloading the code" becomes
-// binding to an entry registered here.
+// (Section 6.2) — and, since Go cannot load code at run time,
+// "downloading the code" becomes binding to an entry registered here.
 package registry
 
 import (

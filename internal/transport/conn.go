@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -84,14 +85,8 @@ func newConnWith(p *Peer, rw net.Conn, rel *ReliableLink, owner *Remote) *Conn {
 		},
 		func(epoch uint64, seqs []uint64) {
 			_ = c.send(&Message{Type: MsgReliableNack, Body: encodeRelNack(epoch, seqs)})
-		})
-	// Reliable-layer discards (stale epoch, resume-replay duplicates)
-	// surface as typed drop events but stay out of objectsDropped:
-	// the frame never counted as received, and the dedicated buckets
-	// (relStaleEpoch, relResumeDeduped) carry the accounting.
-	c.rrecv.drop = func(reason string) {
-		p.emit(EventDropped, typedesc.TypeRef{}, reason)
-	}
+		},
+		func(r DropReason) { p.drop(r, typedesc.TypeRef{}, nil) })
 	var created *ReliableLink
 	switch {
 	case rel != nil:
@@ -193,7 +188,7 @@ func (c *Conn) readLoop() {
 			c.peer.untrack(c)
 			return
 		}
-		c.peer.stats.bytesReceived.Add(uint64(n))
+		c.peer.stats.add(cBytesReceived, uint64(n))
 		c.lastHeard.Store(c.peer.clock.Now().UnixNano())
 		switch m.Type {
 		case MsgTypeInfoReply, MsgCodeReply, MsgInvokeReply, MsgLookupReply, MsgError, MsgResumeReply:
@@ -291,13 +286,23 @@ func (c *Conn) failPending() {
 	c.pacer.close()
 }
 
-// send writes a one-way message.
+// send writes a one-way message. A write that fails because the
+// stream is closed, by either side, reports ErrClosed.
 func (c *Conn) send(m *Message) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	n, err := WriteMessage(c.rw, m)
-	c.peer.stats.bytesSent.Add(uint64(n))
+	c.peer.stats.add(cBytesSent, uint64(n))
+	if err != nil && (errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) || c.isClosed()) {
+		return fmt.Errorf("%w: %w", ErrClosed, err)
+	}
 	return err
+}
+
+func (c *Conn) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
 }
 
 // reply answers a request, echoing its sequence number. Replies ride

@@ -299,7 +299,7 @@ func TestFabricChurnConvergence(t *testing.T) {
 				continue
 			}
 			st := p.Stats().Snapshot()
-			if st.ObjectsReceived != st.ObjectsDelivered+st.ObjectsDropped {
+			if !receptionsSettled(st) {
 				return false
 			}
 		}

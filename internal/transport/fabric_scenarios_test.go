@@ -494,9 +494,8 @@ func TestScenarioLossyLinkEventualDelivery(t *testing.T) {
 		sends, bs.ObjectsReceived, bs.ObjectsDelivered, bs.ObjectsDropped, bs.TypeInfoRequests)
 	// Every reception was either delivered or accounted as dropped —
 	// loss never wedges an object in between.
-	if bs.ObjectsReceived != bs.ObjectsDelivered+bs.ObjectsDropped {
-		t.Errorf("reception accounting leaked: received=%d != delivered=%d + dropped=%d",
-			bs.ObjectsReceived, bs.ObjectsDelivered, bs.ObjectsDropped)
+	if !receptionsSettled(bs) {
+		t.Errorf("reception accounting leaked: %+v", bs)
 	}
 }
 
@@ -746,7 +745,7 @@ func TestFabricSoak(t *testing.T) {
 				continue
 			}
 			st := p.Stats().Snapshot()
-			if st.ObjectsReceived != st.ObjectsDelivered+st.ObjectsDropped {
+			if !receptionsSettled(st) {
 				return false
 			}
 		}

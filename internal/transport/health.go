@@ -445,7 +445,7 @@ func (rm *Remote) redialLoop() {
 		if backoff *= 2; backoff > rm.cfg.RedialMaxBackoff {
 			backoff = rm.cfg.RedialMaxBackoff
 		}
-		p.stats.peerRedials.Add(1)
+		p.stats.add(cPeerRedials, 1)
 		rw, err := rm.dial()
 		if err != nil {
 			rm.recordFailure(err)
@@ -479,8 +479,7 @@ func (rm *Remote) quarantine() {
 	rel := rm.rel
 	lastErr := rm.lastErr
 	rm.mu.Unlock()
-	rm.peer.stats.peerQuarantines.Add(1)
-	rm.peer.emit(EventPeerQuarantined, typedesc.TypeRef{}, rm.name)
+	rm.peer.step(cPeerQuarantines, EventPeerQuarantined, typedesc.TypeRef{}, rm.name)
 	if rel != nil {
 		rel.shutdown(&UnreachableError{Attempts: rm.cfg.MaxRedials, LastErr: lastErr})
 	}
@@ -516,10 +515,10 @@ func (rm *Remote) adopt(rw net.Conn) bool {
 		same := found && repEpoch == epoch
 		replayed := rel.resume(connRaw{c}, same, cum)
 		if same {
-			p.stats.relSessionsResumed.Add(1)
+			p.stats.add(cRelSessionsResumed, 1)
 			detail = fmt.Sprintf("session resumed at seq %d, %d frames replayed", cum, replayed)
 		} else {
-			p.stats.relSessionsFresh.Add(1)
+			p.stats.add(cRelSessionsFresh, 1)
 			detail = fmt.Sprintf("fresh epoch, %d frames replayed", replayed)
 		}
 	} else if fresh := c.rel.Load(); fresh != nil {
@@ -549,8 +548,7 @@ func (rm *Remote) toSuspect() {
 	}
 	rm.state = HealthSuspect
 	rm.mu.Unlock()
-	rm.peer.stats.peerSuspects.Add(1)
-	rm.peer.emit(EventPeerSuspect, typedesc.TypeRef{}, rm.name)
+	rm.peer.step(cPeerSuspects, EventPeerSuspect, typedesc.TypeRef{}, rm.name)
 }
 
 // toHealthy transitions suspect/quarantined → healthy, surfacing the
@@ -563,8 +561,7 @@ func (rm *Remote) toHealthy(detail string) {
 	}
 	rm.state = HealthHealthy
 	rm.mu.Unlock()
-	rm.peer.stats.peerRecoveries.Add(1)
-	rm.peer.emit(EventPeerRecovered, typedesc.TypeRef{}, rm.name+": "+detail)
+	rm.peer.step(cPeerRecoveries, EventPeerRecovered, typedesc.TypeRef{}, rm.name, ": ", detail)
 }
 
 // recordFailure counts one failed dial attempt.

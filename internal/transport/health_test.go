@@ -11,6 +11,7 @@ import (
 
 	"pti/internal/fixtures"
 	"pti/internal/registry"
+	"pti/internal/typedesc"
 )
 
 // The connection-lifecycle suite: failure detection, reconnect with
@@ -513,17 +514,20 @@ func TestPeerCloseDuringRedialReleasesGoroutines(t *testing.T) {
 
 // TestReliableDropBuckets: the receiver's churn drop reasons land in
 // distinct buckets — stale-epoch ghosts and resume-replay duplicates
-// — each surfaced through the typed drop callback.
+// — each surfaced through the peer's typed drop call, and neither
+// counts as a dropped object.
 func TestReliableDropBuckets(t *testing.T) {
-	var stats Stats
+	rec := &recorder{}
+	p := NewPeer(registry.New(), WithObserver(rec.observe))
+	defer p.Close()
+	stats := p.Stats()
 	var delivered []string
-	var reasons []string
-	rr := newRelReceiver(&stats,
+	rr := newRelReceiver(stats,
 		func(m *Message) { delivered = append(delivered, string(m.Body)) },
 		func(m *Message) {},
 		func(epoch, cum uint64) {},
-		nil)
-	rr.drop = func(reason string) { reasons = append(reasons, reason) }
+		nil,
+		func(r DropReason) { p.drop(r, typedesc.TypeRef{}, nil) })
 
 	feed := func(epoch, seq uint64, body string) {
 		t.Helper()
@@ -538,7 +542,7 @@ func TestReliableDropBuckets(t *testing.T) {
 	if st.RelStaleEpoch != 1 {
 		t.Fatalf("RelStaleEpoch = %d, want 1", st.RelStaleEpoch)
 	}
-	if len(reasons) != 1 || reasons[0] != "stale epoch frame" {
+	if reasons := rec.drops(); len(reasons) != 1 || reasons[0].Reason != DropStaleEpoch || reasons[0].Detail != "stale epoch frame" {
 		t.Fatalf("drop reasons = %v, want [stale epoch frame]", reasons)
 	}
 
@@ -551,14 +555,14 @@ func TestReliableDropBuckets(t *testing.T) {
 	if st.RelResumeDeduped != 1 {
 		t.Fatalf("RelResumeDeduped = %d, want 1", st.RelResumeDeduped)
 	}
-	if len(reasons) != 2 || reasons[1] != "resume replay duplicate" {
+	if reasons := rec.drops(); len(reasons) != 2 || reasons[1].Reason != DropResumeDuplicate || reasons[1].Detail != "resume replay duplicate" {
 		t.Fatalf("drop reasons = %v, want resume replay duplicate second", reasons)
 	}
 	feed(7, 4, "fresh")
 	if len(delivered) != 2 || delivered[1] != "fresh" {
 		t.Fatalf("delivered = %v, want [alive fresh]", delivered)
 	}
-	if st := stats.Snapshot(); st.RelStaleEpoch != 1 || st.RelResumeDeduped != 1 {
+	if st := stats.Snapshot(); st.RelStaleEpoch != 1 || st.RelResumeDeduped != 1 || st.ObjectsDropped != 0 {
 		t.Fatalf("buckets moved on a clean delivery: %+v", st)
 	}
 
@@ -589,7 +593,8 @@ func TestSealBoundedWaitTimesOut(t *testing.T) {
 		},
 		func(m *Message) {},
 		func(epoch, cum uint64) {},
-		nil)
+		nil,
+		func(DropReason) {})
 
 	feed := func(seq uint64, body string) {
 		if err := rr.handleData(encodeRelData(3, seq, &Message{Type: MsgObject, Body: []byte(body)})); err != nil {

@@ -180,15 +180,12 @@ func TestMalformedFrameInjectionPlainLink(t *testing.T) {
 	t.Logf("injected %d frames, %d drops, reasons: %v", injected, dropped.Load(), names)
 
 	// Frames that referenced unknown types are still on their doomed
-	// type-info round trips; the received = delivered + dropped
-	// identity holds only once those settle.
+	// type-info round trips; the received = delivered + Σ dropped by
+	// reason identity holds only once those settle.
 	if !waitUntil(20*time.Second, func() bool {
-		st := nb.Peer().Stats().Snapshot()
-		return st.ObjectsReceived == st.ObjectsDelivered+st.ObjectsDropped
+		return receptionsSettled(nb.Peer().Stats().Snapshot())
 	}) {
-		st := nb.Peer().Stats().Snapshot()
-		t.Fatalf("accounting broke under injection: received=%d delivered=%d dropped=%d",
-			st.ObjectsReceived, st.ObjectsDelivered, st.ObjectsDropped)
+		t.Fatalf("accounting broke under injection: %+v", nb.Peer().Stats().Snapshot())
 	}
 }
 

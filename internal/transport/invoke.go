@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -162,8 +163,8 @@ func (p *Peer) dispatchInvoke(c *Conn, m *Message) {
 	limit := int64(cap(c.invokeSem) + p.invCfg.queueDepth())
 	if depth := c.invokeQueued.Add(1); depth > limit {
 		c.invokeQueued.Add(-1)
-		p.stats.invokesShed.Add(1)
-		p.emit(EventInvokeShed, typedesc.TypeRef{}, fmt.Sprintf("depth %d over %d", depth, limit))
+		p.step(cInvokesShed, EventInvokeShed, typedesc.TypeRef{},
+			"depth ", strconv.FormatInt(depth, 10), " over ", strconv.FormatInt(limit, 10))
 		_ = c.replyError(m, fmt.Errorf("%w: %d invokes pending on %s",
 			ErrInvokeQueueFull, depth-1, p.name))
 		return

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 
 	"pti/internal/typedesc"
 )
@@ -72,6 +73,42 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("event(%d)", int(k))
 }
 
+// DropReason says why the transport discarded an inbound frame. Each
+// reason is its own counter: the object-drop reasons are the Dropped*
+// fields of StatsSnapshot, whose sum is ObjectsDropped; the reliable
+// layer's two reasons count into RelStaleEpoch and RelResumeDeduped.
+type DropReason int
+
+// Drop reasons; String returns the text EventDropped carries as Detail.
+const (
+	DropEmptyBody         = DropReason(cDroppedEmptyBody)
+	DropUnknownFlag       = DropReason(cDroppedUnknownFlag)
+	DropBadEagerChunk     = DropReason(cDroppedBadEagerChunk)
+	DropMalformedEnvelope = DropReason(cDroppedMalformedEnvelope)
+	DropNoDescription     = DropReason(cDroppedNoDescription)
+	DropNoConformantType  = DropReason(cDroppedNoConformantType)
+	// DropBindFailed: the payload could not be bound to the matched
+	// type of interest; the event's Err holds the cause.
+	DropBindFailed      = DropReason(cDroppedBindFailed)
+	DropStaleEpoch      = DropReason(cRelStaleEpoch)
+	DropResumeDuplicate = DropReason(cRelResumeDeduped)
+)
+
+var dropNames = map[DropReason]string{
+	DropEmptyBody:         "empty body",
+	DropUnknownFlag:       "unknown body flag",
+	DropBadEagerChunk:     "bad eager chunk",
+	DropMalformedEnvelope: "malformed envelope",
+	DropNoDescription:     "no type description",
+	DropNoConformantType:  "no conformant type of interest",
+	DropBindFailed:        "bind failed",
+	DropStaleEpoch:        "stale epoch frame",
+	DropResumeDuplicate:   "resume replay duplicate",
+}
+
+// String returns the reason's text ("" for the zero DropReason).
+func (r DropReason) String() string { return dropNames[r] }
+
 // Event is one protocol trace record.
 type Event struct {
 	Kind EventKind
@@ -80,6 +117,10 @@ type Event struct {
 	// Detail carries kind-specific context (conformance outcome,
 	// drop reason, invoked method).
 	Detail string
+	// Reason is set on EventDropped.
+	Reason DropReason
+	// Err is the cause of a DropBindFailed drop; Detail is its text.
+	Err error
 }
 
 // String renders "kind type (detail)".
@@ -104,10 +145,32 @@ func WithObserver(obs Observer) PeerOption {
 	return func(p *Peer) { p.observer = obs }
 }
 
-// emit publishes an event to the observer, if any.
-func (p *Peer) emit(kind EventKind, ref typedesc.TypeRef, detail string) {
+// emit publishes an event to the observer, if any. The detail parts
+// are concatenated only when an observer is attached, so an untraced
+// peer formats nothing.
+func (p *Peer) emit(kind EventKind, ref typedesc.TypeRef, detail ...string) {
 	if p.observer == nil {
 		return
 	}
-	p.observer(Event{Kind: kind, Type: ref, Detail: detail})
+	p.observer(Event{Kind: kind, Type: ref, Detail: strings.Join(detail, "")})
+}
+
+// step counts one protocol step and publishes its event.
+func (p *Peer) step(c counter, kind EventKind, ref typedesc.TypeRef, detail ...string) {
+	p.stats.add(c, 1)
+	p.emit(kind, ref, detail...)
+}
+
+// drop counts one discarded frame under its reason and publishes an
+// EventDropped. err, when set, is the cause and becomes the Detail.
+func (p *Peer) drop(r DropReason, ref typedesc.TypeRef, err error) {
+	p.stats.add(counter(r), 1)
+	if p.observer == nil {
+		return
+	}
+	detail := r.String()
+	if err != nil {
+		detail = err.Error()
+	}
+	p.observer(Event{Kind: EventDropped, Type: ref, Detail: detail, Reason: r, Err: err})
 }

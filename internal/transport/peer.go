@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,7 +293,7 @@ func (p *Peer) initStore() {
 				continue
 			}
 			if p.remote.Add(d) == nil {
-				p.stats.descWarmLoaded.Add(1)
+				p.stats.add(cDescWarmLoaded, 1)
 			}
 		}
 	}
@@ -321,7 +322,7 @@ func (p *Peer) applyStoreEvents(events <-chan registry.StoreEvent) {
 			continue
 		}
 		if p.remote.Add(d) == nil {
-			p.stats.descFeedApplied.Add(1)
+			p.stats.add(cDescFeedApplied, 1)
 		}
 	}
 }
@@ -770,8 +771,7 @@ func (p *Peer) SendObject(l Link, v interface{}) error {
 		body = append(body, flagOptimistic)
 		body = tpl.Append(body, payload)
 	}
-	p.stats.objectsSent.Add(1)
-	p.emit(EventObjectSent, entry.Description.Ref(), "")
+	p.step(cObjectsSent, EventObjectSent, entry.Description.Ref())
 	return l.Send(&Message{Type: MsgObject, Body: body})
 }
 
@@ -960,18 +960,16 @@ var recvScratchPool = sync.Pool{
 var recvFPSeq atomic.Uint64
 
 func (p *Peer) handleObject(c *Conn, m *Message) {
-	p.stats.objectsReceived.Add(1)
+	p.stats.add(cObjectsReceived, 1)
 	if len(m.Body) == 0 {
-		p.stats.objectsDropped.Add(1)
-		p.emit(EventDropped, typedesc.TypeRef{}, "empty body")
+		p.drop(DropEmptyBody, typedesc.TypeRef{}, nil)
 		return
 	}
 	flag := m.Body[0]
 	if flag != flagOptimistic && flag != flagEager {
 		// Outside input: a flag this peer never writes is not parsed
 		// as an envelope.
-		p.stats.objectsDropped.Add(1)
-		p.emit(EventDropped, typedesc.TypeRef{}, "unknown body flag")
+		p.drop(DropUnknownFlag, typedesc.TypeRef{}, nil)
 		return
 	}
 	sc := recvScratchPool.Get().(*recvScratch)
@@ -981,8 +979,7 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 	if flag == flagEager {
 		descXML, rest, err := readChunk(body)
 		if err != nil {
-			p.stats.objectsDropped.Add(1)
-			p.emit(EventDropped, typedesc.TypeRef{}, "bad eager chunk")
+			p.drop(DropBadEagerChunk, typedesc.TypeRef{}, nil)
 			return
 		}
 		if d, err := xmlenc.UnmarshalDescription(descXML); err == nil {
@@ -991,15 +988,14 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 				// Not fatal — the inline copy still drives this
 				// delivery — but a refused description (an identity
 				// clash, typically) must not vanish silently.
-				p.stats.descRejected.Add(1)
+				p.stats.add(cDescRejected, 1)
 			}
 		}
 		// The inline code blob: consumed (and ignored — code is the
 		// local implementation in this reproduction).
 		_, rest, err = readChunk(rest)
 		if err != nil {
-			p.stats.objectsDropped.Add(1)
-			p.emit(EventDropped, typedesc.TypeRef{}, "bad eager chunk")
+			p.drop(DropBadEagerChunk, typedesc.TypeRef{}, nil)
 			return
 		}
 		body = rest
@@ -1008,11 +1004,10 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 	env, payloadBuf, err := p.envReader.Unmarshal(body, sc.payload)
 	sc.payload = payloadBuf
 	if err != nil {
-		p.stats.objectsDropped.Add(1)
-		p.emit(EventDropped, typedesc.TypeRef{}, "malformed envelope")
+		p.drop(DropMalformedEnvelope, typedesc.TypeRef{}, nil)
 		return
 	}
-	p.emit(EventObjectReceived, env.Type, "")
+	p.emit(EventObjectReceived, env.Type)
 
 	// Step 2+3: obtain the type description (cache first —
 	// optimistic fast path; then the sending peer; then the
@@ -1023,8 +1018,7 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 		if err != nil {
 			desc, err = p.fetchFromDownloadPaths(env)
 			if err != nil {
-				p.stats.objectsDropped.Add(1)
-				p.emit(EventDropped, env.Type, "no type description")
+				p.drop(DropNoDescription, env.Type, nil)
 				return
 			}
 		}
@@ -1045,15 +1039,14 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 			continue
 		}
 		p.emit(EventConformanceChecked, desc.Ref(),
-			fmt.Sprintf("vs %s: %v", in.desc.Name, r.Conformant))
+			"vs ", in.desc.Name, ": ", strconv.FormatBool(r.Conformant))
 		if r.Conformant {
 			matched, result = in, r
 			break
 		}
 	}
 	if matched == nil {
-		p.stats.objectsDropped.Add(1)
-		p.emit(EventDropped, desc.Ref(), "no conformant type of interest")
+		p.drop(DropNoConformantType, desc.Ref(), nil)
 		return
 	}
 
@@ -1068,12 +1061,10 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 
 	delivery, err := p.buildDelivery(c, env, desc, matched, result)
 	if err != nil {
-		p.stats.objectsDropped.Add(1)
-		p.emit(EventDropped, desc.Ref(), err.Error())
+		p.drop(DropBindFailed, desc.Ref(), err)
 		return
 	}
-	p.stats.objectsDelivered.Add(1)
-	p.emit(EventDelivered, desc.Ref(), "as "+matched.desc.Name)
+	p.step(cObjectsDelivered, EventDelivered, desc.Ref(), "as ", matched.desc.Name)
 	matched.handler(delivery)
 }
 
@@ -1157,7 +1148,7 @@ func (p *Peer) bindPayload(e *registry.Entry, codec wire.Codec, env *xmlenc.Enve
 				reflect.PtrTo(e.Type), p.binder.FieldResolverFor(env.Type),
 				p.recvFPFor(env.Type), env.Type.Name)
 			if ok {
-				p.stats.compiledDeliveries.Add(1)
+				p.stats.add(cCompiledDeliveries, 1)
 				return out, m, nil
 			}
 		}
@@ -1199,15 +1190,15 @@ func (p *Peer) recvFPFor(src typedesc.TypeRef) string {
 func (p *Peer) ensureDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
 	for attempt := 0; attempt < 3; attempt++ {
 		if d, err := p.reg.Resolve(ref); err == nil {
-			p.stats.descriptorHits.Add(1)
+			p.stats.add(cDescriptorHits, 1)
 			return d, nil
 		}
 		if d, err := p.remote.Resolve(ref); err == nil {
-			p.stats.descriptorHits.Add(1)
+			p.stats.add(cDescriptorHits, 1)
 			return d, nil
 		}
 		if d := p.storeDescription(ref); d != nil {
-			p.stats.descStoreHits.Add(1)
+			p.stats.add(cDescStoreHits, 1)
 			return d, nil
 		}
 		leader, wait := p.claim("desc|" + ref.String())
@@ -1253,8 +1244,7 @@ func (p *Peer) storeLearnedDescription(d *typedesc.TypeDescription) {
 }
 
 func (p *Peer) fetchDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
-	p.stats.typeInfoRequests.Add(1)
-	p.emit(EventTypeInfoRequested, ref, "")
+	p.step(cTypeInfoRequests, EventTypeInfoRequested, ref)
 	p.park() // handler context: the reply or its timeout resolves this
 	reply, err := l.Request(MsgTypeInfoRequest, encodeRef(ref))
 	p.unpark()
@@ -1287,7 +1277,7 @@ func (p *Peer) fetchFromDownloadPaths(env *xmlenc.Envelope) (*typedesc.TypeDescr
 	if err != nil {
 		return nil, err
 	}
-	p.stats.typeInfoRequests.Add(1)
+	p.stats.add(cTypeInfoRequests, 1)
 	if err := p.remote.Add(d); err != nil {
 		return nil, err
 	}
@@ -1335,8 +1325,7 @@ func (p *Peer) downloadCodeOnce(l Link, ref typedesc.TypeRef, d *typedesc.TypeDe
 			wait()
 			continue
 		}
-		p.stats.codeRequests.Add(1)
-		p.emit(EventCodeRequested, ref, "")
+		p.step(cCodeRequests, EventCodeRequested, ref)
 		p.park() // handler context, as in fetchDescription
 		_, err := l.Request(MsgCodeRequest, encodeRef(ref))
 		p.unpark()
@@ -1383,7 +1372,7 @@ func (p *Peer) handleTypeInfo(c *Conn, m *Message) {
 			_ = c.replyError(m, err)
 			return
 		}
-		p.emit(EventTypeInfoServed, entry.Description.Ref(), "")
+		p.emit(EventTypeInfoServed, entry.Description.Ref())
 		_ = c.reply(m, MsgTypeInfoReply, xmlBytes)
 		return
 	}
@@ -1401,7 +1390,7 @@ func (p *Peer) handleTypeInfo(c *Conn, m *Message) {
 		_ = c.replyError(m, err)
 		return
 	}
-	p.emit(EventTypeInfoServed, d.Ref(), "")
+	p.emit(EventTypeInfoServed, d.Ref())
 	_ = c.reply(m, MsgTypeInfoReply, xmlBytes)
 }
 
@@ -1412,7 +1401,7 @@ func (p *Peer) handleCode(c *Conn, m *Message) {
 		return
 	}
 	if entry, ok := p.reg.Lookup(ref); ok {
-		p.emit(EventCodeServed, entry.Description.Ref(), "")
+		p.emit(EventCodeServed, entry.Description.Ref())
 		_ = c.reply(m, MsgCodeReply, p.codeBlobFor(entry))
 		return
 	}
@@ -1421,6 +1410,6 @@ func (p *Peer) handleCode(c *Conn, m *Message) {
 		_ = c.replyError(m, fmt.Errorf("no code for %s", ref))
 		return
 	}
-	p.emit(EventCodeServed, d.Ref(), "")
+	p.emit(EventCodeServed, d.Ref())
 	_ = c.reply(m, MsgCodeReply, p.codeBlob(d))
 }

@@ -376,10 +376,31 @@ func TestCorruptObjectBodyDropped(t *testing.T) {
 	t.Fatalf("corrupt bodies not dropped: %+v", b.Stats().Snapshot())
 }
 
+// TestSendOnClosedConnIsErrClosed: a write that loses the race with
+// teardown reports the typed ErrClosed, whether the stream was closed
+// under a live conn or the conn itself was closed first.
+func TestSendOnClosedConnIsErrClosed(t *testing.T) {
+	a, b := senderPeer(t), receiverPeer(t)
+	defer a.Close()
+	defer b.Close()
+	closers := map[string]func(c *Conn){
+		"stream": func(c *Conn) { _ = c.rw.Close() },
+		"conn":   func(c *Conn) { _ = c.Close() },
+	}
+	for name, closeIt := range closers {
+		c, _ := Connect(a, b)
+		closeIt(c)
+		err := c.send(&Message{Type: MsgObject, Body: []byte{flagOptimistic}})
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("%s closed: send error = %v, want ErrClosed", name, err)
+		}
+	}
+}
+
 func TestStatsReset(t *testing.T) {
 	var s Stats
-	s.bytesSent.Add(10)
-	s.objectsSent.Add(2)
+	s.add(cBytesSent, 10)
+	s.add(cObjectsSent, 2)
 	s.Reset()
 	snap := s.Snapshot()
 	if snap.BytesSent != 0 || snap.ObjectsSent != 0 {

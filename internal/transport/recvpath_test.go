@@ -1,67 +1,176 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"pti/internal/fixtures"
 	"pti/internal/registry"
 )
 
-// drops extracts the Detail of every EventDropped the recorder saw.
-func (r *recorder) drops() []string {
+// drops returns every EventDropped the recorder saw.
+func (r *recorder) drops() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []string
+	var out []Event
 	for _, e := range r.events {
 		if e.Kind == EventDropped {
-			out = append(out, e.Detail)
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// TestHandleObjectDropReasons drives handleObject directly with the
-// malformed bodies a hostile or corrupt sender can produce and
-// asserts every drop path announces itself through the observer with
-// a distinct reason — no silent discards left on the receive path.
+// objectDropsByReason sums the per-reason object-drop counters.
+func objectDropsByReason(s StatsSnapshot) uint64 {
+	return s.DroppedEmptyBody + s.DroppedUnknownFlag + s.DroppedBadEagerChunk +
+		s.DroppedMalformedEnvelope + s.DroppedNoDescription +
+		s.DroppedNoConformantType + s.DroppedBindFailed
+}
+
+// receptionsSettled reports whether every received object was either
+// delivered or dropped under exactly one reason.
+func receptionsSettled(s StatsSnapshot) bool {
+	return s.ObjectsDropped == objectDropsByReason(s) &&
+		s.ObjectsReceived == s.ObjectsDelivered+objectDropsByReason(s)
+}
+
+// TestHandleObjectDropReasons drives every object-drop path — the
+// malformed bodies a hostile or corrupt sender can produce straight
+// into handleObject, and the protocol failures over a connected pair —
+// and asserts each announces itself through the observer with its
+// typed reason and moves its own counter, and only that one, by 1.
 func TestHandleObjectDropReasons(t *testing.T) {
 	cases := []struct {
 		name   string
-		body   []byte
-		reason string
+		body   []byte // fed straight to handleObject
+		reason DropReason
+		detail string // "" for a bind failure: Detail is the cause's text
+		// Live rows instead send one captured PersonB frame (no
+		// download paths) over a connected pair. The receiver's
+		// interest is PersonA unless interest says otherwise.
+		live       bool
+		senderOwns bool // the sending peer can describe PersonB
+		interest   interface{}
+		corrupt    func(frame []byte)
 	}{
-		{"empty body", nil, "empty body"},
+		{name: "empty body", reason: DropEmptyBody, detail: "empty body"},
 		// Flags 2 and 3 marked DEFLATE bodies in an earlier wire
 		// revision; like any other unknown flag they are dropped, never
 		// parsed as an envelope.
-		{"compressed garbage", []byte{2, 0xff, 0xff, 0xff}, "unknown body flag"},
-		{"eager compressed flag", []byte{3, 0x00, 0x00, 0x00, 0x01, 'x'}, "unknown body flag"},
-		{"unknown flag 0xff", []byte{0xff, '<', 'x', '>'}, "unknown body flag"},
-		{"eager short chunk header", []byte{flagEager, 0x00}, "bad eager chunk"},
-		{"eager truncated code chunk",
-			append(appendChunk([]byte{flagEager}, []byte("not-a-description")), 0x00, 0x00),
-			"bad eager chunk"},
-		{"garbage envelope", []byte{flagOptimistic, '<', 'x', '>'}, "malformed envelope"},
+		{name: "compressed garbage", body: []byte{2, 0xff, 0xff, 0xff},
+			reason: DropUnknownFlag, detail: "unknown body flag"},
+		{name: "eager compressed flag", body: []byte{3, 0x00, 0x00, 0x00, 0x01, 'x'},
+			reason: DropUnknownFlag, detail: "unknown body flag"},
+		{name: "unknown flag 0xff", body: []byte{0xff, '<', 'x', '>'},
+			reason: DropUnknownFlag, detail: "unknown body flag"},
+		{name: "eager short chunk header", body: []byte{flagEager, 0x00},
+			reason: DropBadEagerChunk, detail: "bad eager chunk"},
+		{name: "eager truncated code chunk",
+			body:   append(appendChunk([]byte{flagEager}, []byte("not-a-description")), 0x00, 0x00),
+			reason: DropBadEagerChunk, detail: "bad eager chunk"},
+		{name: "garbage envelope", body: []byte{flagOptimistic, '<', 'x', '>'},
+			reason: DropMalformedEnvelope, detail: "malformed envelope"},
+		{name: "no type description", live: true,
+			reason: DropNoDescription, detail: "no type description"},
+		{name: "no conformant type of interest", live: true, senderOwns: true,
+			interest: fixtures.StockQuoteA{},
+			reason:   DropNoConformantType, detail: "no conformant type of interest"},
+		{name: "bind failure", live: true, senderOwns: true,
+			// A well-formed envelope whose payload decodes to nothing.
+			corrupt: func(frame []byte) {
+				payload := frame[bytes.Index(frame, []byte("<Payload")):]
+				for b := payload[bytes.IndexByte(payload, '>')+1:]; len(b) > 0 && b[0] != '<'; b = b[1:] {
+					b[0] = 'A'
+				}
+			},
+			reason: DropBindFailed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &recorder{}
-			p := NewPeer(registry.New(), WithObserver(rec.observe))
-			defer p.Close()
-			before := p.Stats().Snapshot()
-			// These bodies all fail before the connection is consulted,
-			// so no live conn is needed.
-			p.handleObject(nil, &Message{Type: MsgObject, Body: tc.body})
-			after := p.Stats().Snapshot()
-			if got := after.ObjectsDropped - before.ObjectsDropped; got != 1 {
-				t.Errorf("ObjectsDropped delta = %d, want 1", got)
+			receiver := NewPeer(registry.New(), WithObserver(rec.observe))
+			defer receiver.Close()
+			if !tc.live {
+				// These bodies all fail before the connection is
+				// consulted, so no live conn is needed.
+				receiver.handleObject(nil, &Message{Type: MsgObject, Body: tc.body})
+			} else {
+				sendLiveFrame(t, receiver, tc.senderOwns, tc.interest, tc.corrupt)
+			}
+			if !waitUntil(10*time.Second, func() bool {
+				return receiver.Stats().Snapshot().ObjectsDropped > 0
+			}) {
+				t.Fatalf("no drop counted: %+v", receiver.Stats().Snapshot())
+			}
+			snap := receiver.Stats().Snapshot()
+			if snap.ObjectsDropped != 1 {
+				t.Errorf("ObjectsDropped = %d, want 1", snap.ObjectsDropped)
+			}
+			fields := reflect.ValueOf(snap)
+			for c := cDroppedEmptyBody; c <= cDroppedBindFailed; c++ {
+				want := uint64(0)
+				if c == counter(tc.reason) {
+					want = 1
+				}
+				if got := fields.Field(int(c)).Uint(); got != want {
+					t.Errorf("%s = %d, want %d", counterNames[c], got, want)
+				}
 			}
 			ds := rec.drops()
-			if len(ds) != 1 || ds[0] != tc.reason {
-				t.Errorf("drop reasons = %q, want [%q]", ds, tc.reason)
+			if len(ds) != 1 || ds[0].Reason != tc.reason {
+				t.Fatalf("drops = %v, want one %q", ds, tc.reason)
+			}
+			if tc.reason == DropBindFailed {
+				if ds[0].Err == nil || ds[0].Detail != ds[0].Err.Error() {
+					t.Errorf("bind-failure drop: Detail %q, Err %v; want the cause in both", ds[0].Detail, ds[0].Err)
+				}
+			} else if ds[0].Detail != tc.detail || tc.reason.String() != tc.detail {
+				t.Errorf("Detail = %q, String() = %q, want %q", ds[0].Detail, tc.reason, tc.detail)
 			}
 		})
+	}
+}
+
+// sendLiveFrame captures the frame a PersonB owner (with no download
+// paths) sends for one object, lets corrupt edit it, and sends it to
+// receiver over a fresh connection from a peer that owns PersonB only
+// when senderOwns is set. receiver listens for interest (PersonA when
+// nil).
+func sendLiveFrame(t *testing.T, receiver *Peer, senderOwns bool, interest interface{}, corrupt func([]byte)) {
+	t.Helper()
+	owner := registry.New()
+	if _, err := owner.Register(fixtures.PersonB{}); err != nil {
+		t.Fatal(err)
+	}
+	capture := NewPeer(owner)
+	defer capture.Close()
+	cl := &captureLink{Link: &scriptLink{}}
+	if err := capture.SendObject(cl, fixtures.PersonB{PersonName: "Q", PersonAge: 7}); err != nil {
+		t.Fatal(err)
+	}
+	frame := cl.sent()[0]
+	if corrupt != nil {
+		corrupt(frame)
+	}
+	senderReg := registry.New()
+	if senderOwns {
+		senderReg = owner
+	}
+	sender := NewPeer(senderReg)
+	t.Cleanup(func() { _ = sender.Close() })
+	if interest == nil {
+		interest = fixtures.PersonA{}
+	}
+	if err := receiver.OnReceive(interest, func(Delivery) {}); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := Connect(sender, receiver)
+	if err := c.send(&Message{Type: MsgObject, Body: frame}); err != nil {
+		t.Fatal(err)
 	}
 }
 

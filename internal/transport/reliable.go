@@ -399,7 +399,7 @@ type relEntry struct {
 type ReliableLink struct {
 	raw   Link
 	clock Clock
-	stats *Stats // optional peer counters, nil for standalone links
+	stats *Stats // the peer's counters, or the link's own when standalone
 	cfg   ReliableConfig
 
 	mu             sync.Mutex
@@ -462,7 +462,7 @@ func NewReliableLink(l Link, clock Clock, opts ...ReliableOption) *ReliableLink 
 		clock = realClock{}
 	}
 	raw := l
-	var stats *Stats
+	stats := new(Stats)
 	var conn *Conn
 	var fb *fabricBusy
 	if c, ok := l.(*Conn); ok {
@@ -539,9 +539,7 @@ func (r *ReliableLink) Send(m *Message) error {
 	raw := r.raw
 	r.mu.Unlock()
 
-	if r.stats != nil {
-		r.stats.relDataSent.Add(1)
-	}
+	r.stats.add(cRelDataSent, 1)
 	if err := raw.Send(&Message{Type: MsgReliableData, Body: frame}); err != nil {
 		if r.failSend(err) {
 			// Detached, not dead: the frame is registered and the
@@ -735,9 +733,7 @@ func (r *ReliableLink) senderLoop() {
 		r.cond.Broadcast() // queue shrank: unblock full-queue enqueuers
 		r.mu.Unlock()
 
-		if r.stats != nil {
-			r.stats.relDataSent.Add(1)
-		}
+		r.stats.add(cRelDataSent, 1)
 		if err := raw.Send(&Message{Type: MsgReliableData, Body: frame}); err != nil {
 			if !r.failSend(err) {
 				r.mu.Lock()
@@ -857,9 +853,7 @@ func (r *ReliableLink) Ack(body []byte) {
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	r.acksReceived.Add(1)
-	if r.stats != nil {
-		r.stats.relAcksReceived.Add(1)
-	}
+	r.stats.add(cRelAcksReceived, 1)
 	r.kickLoop()
 }
 
@@ -906,9 +900,7 @@ func (r *ReliableLink) Nack(body []byte) {
 			return
 		}
 		r.fastRetransmits.Add(1)
-		if r.stats != nil {
-			r.stats.relFastRetransmits.Add(1)
-		}
+		r.stats.add(cRelFastRetransmits, 1)
 	}
 	r.kickLoop()
 }
@@ -1010,9 +1002,7 @@ func (r *ReliableLink) retransmitLoop() {
 				return
 			}
 			r.retransmits.Add(1)
-			if r.stats != nil {
-				r.stats.relRetransmits.Add(1)
-			}
+			r.stats.add(cRelRetransmits, 1)
 		}
 	}
 }
@@ -1044,9 +1034,7 @@ func (r *ReliableLink) closeLocked(err error) {
 	r.err = err
 	if n := len(r.queue); n > 0 {
 		r.queueAbandoned += uint64(n)
-		if r.stats != nil {
-			r.stats.relQueueAbandoned.Add(uint64(n))
-		}
+		r.stats.add(cRelQueueAbandoned, uint64(n))
 		r.queue = nil
 	}
 	r.updateRunnableLocked()
@@ -1209,9 +1197,7 @@ func (r *ReliableLink) resume(raw Link, sameEpoch bool, cum uint64) int {
 			break
 		}
 		replayed++
-		if r.stats != nil {
-			r.stats.relFramesReplayed.Add(1)
-		}
+		r.stats.add(cRelFramesReplayed, 1)
 	}
 	return replayed
 }
@@ -1317,7 +1303,7 @@ type relPending struct {
 // has therefore never acknowledged it, so the sender's resume replay
 // redelivers instead of losing it.
 type relReceiver struct {
-	stats *Stats // optional peer counters
+	stats *Stats
 
 	mu          sync.Mutex
 	epoch       uint64
@@ -1335,10 +1321,10 @@ type relReceiver struct {
 	reply    func(*Message)                    // immediate correlated-reply routing
 	ack      func(epoch, cum uint64)           // ack transmission
 	nack     func(epoch uint64, seqs []uint64) // gap-report transmission (nil: disabled)
-	drop     func(reason string)               // typed drop-reason reporting (nil: disabled)
+	drop     func(DropReason)                  // counts and reports a discarded frame
 }
 
-func newRelReceiver(stats *Stats, dispatch, reply func(*Message), ack func(epoch, cum uint64), nack func(epoch uint64, seqs []uint64)) *relReceiver {
+func newRelReceiver(stats *Stats, dispatch, reply func(*Message), ack func(epoch, cum uint64), nack func(epoch uint64, seqs []uint64), drop func(DropReason)) *relReceiver {
 	rr := &relReceiver{
 		stats:    stats,
 		next:     1,
@@ -1348,6 +1334,7 @@ func newRelReceiver(stats *Stats, dispatch, reply func(*Message), ack func(epoch
 		reply:    reply,
 		ack:      ack,
 		nack:     nack,
+		drop:     drop,
 	}
 	rr.idle = sync.NewCond(&rr.mu)
 	return rr
@@ -1373,7 +1360,7 @@ func (rr *relReceiver) handleData(body []byte) error {
 	}
 	var replyNow *Message
 	var missing []uint64
-	var dropReason string
+	var dropReason DropReason
 	rr.mu.Lock()
 	if rr.closed {
 		// Sealed at teardown: the frame is neither accepted nor
@@ -1386,13 +1373,8 @@ func (rr *relReceiver) handleData(body []byte) error {
 		// Ghost of a pre-restart sender: never redelivered, never
 		// acked (the old sender is gone; acking would be noise).
 		rr.mu.Unlock()
-		rr.countDeduped()
-		if rr.stats != nil {
-			rr.stats.relStaleEpoch.Add(1)
-		}
-		if rr.drop != nil {
-			rr.drop("stale epoch frame")
-		}
+		rr.stats.add(cRelDeduped, 1)
+		rr.drop(DropStaleEpoch)
 		return nil
 	}
 	if epoch > rr.epoch {
@@ -1410,15 +1392,12 @@ func (rr *relReceiver) handleData(body []byte) error {
 	_, buffered := rr.buf[seq]
 	switch {
 	case seq < rr.next || buffered:
-		rr.countDeduped() // duplicate: suppressed, but re-acked below
+		rr.stats.add(cRelDeduped, 1) // duplicate: suppressed, but re-acked below
 		if seq <= rr.resumeCum {
 			// A resume replay re-offering what the pre-outage session
 			// already committed: its own accounting bucket, so churn
 			// tests can tell replay dedup from wire-level duplicates.
-			if rr.stats != nil {
-				rr.stats.relResumeDeduped.Add(1)
-			}
-			dropReason = "resume replay duplicate"
+			dropReason = DropResumeDuplicate
 		}
 	case seq-rr.next >= relRecvBuffer: // subtraction: safe near seq wrap
 		// Too far ahead to hold; the ack below still reports where
@@ -1471,15 +1450,13 @@ func (rr *relReceiver) handleData(body []byte) error {
 	if replyNow != nil {
 		rr.reply(replyNow)
 	}
-	if dropReason != "" && rr.drop != nil {
+	if dropReason != 0 {
 		rr.drop(dropReason) // outside rr.mu: drop callbacks reach the observer
 	}
 	rr.ack(ackEpoch, cum)
 	if len(missing) > 0 {
 		rr.nack(ackEpoch, missing)
-		if rr.stats != nil {
-			rr.stats.relNacksSent.Add(1)
-		}
+		rr.stats.add(cRelNacksSent, 1)
 	}
 	if runDispatch {
 		rr.drain()
@@ -1523,12 +1500,6 @@ func (rr *relReceiver) drain() {
 		if ackNow {
 			rr.ack(e.epoch, cum)
 		}
-	}
-}
-
-func (rr *relReceiver) countDeduped() {
-	if rr.stats != nil {
-		rr.stats.relDeduped.Add(1)
 	}
 }
 

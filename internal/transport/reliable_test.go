@@ -88,7 +88,8 @@ func newRecvHarness() *recvHarness {
 			h.mu.Lock()
 			h.nacks = append(h.nacks, append([]uint64{epoch}, seqs...))
 			h.mu.Unlock()
-		})
+		},
+		func(DropReason) {})
 	return h
 }
 
@@ -223,7 +224,7 @@ func TestRelReceiverTable(t *testing.T) {
 			if got := h.lastAck(t); got != tc.wantFinalAck {
 				t.Errorf("final ack = %v, want %v", got, tc.wantFinalAck)
 			}
-			if got := h.stats.relDeduped.Load(); got != tc.wantDeduped {
+			if got := h.stats.Snapshot().RelDeduped; got != tc.wantDeduped {
 				t.Errorf("deduped = %d, want %d", got, tc.wantDeduped)
 			}
 		})

@@ -310,7 +310,7 @@ func (p *Peer) nativizeResult(gv wire.Value) interface{} {
 // the target method's parameter types, call through the identity
 // invoker, serialize the results.
 func (p *Peer) handleInvoke(c *Conn, m *Message) {
-	p.stats.invokes.Add(1)
+	p.stats.add(cInvokes, 1)
 	out, err := p.codec.DecodeCompiled(invokePayloadProg, m.Body, invokePayloadType, nil, "")
 	if err != nil {
 		_ = c.replyError(m, fmt.Errorf("bad invoke payload: %v", err))
@@ -379,7 +379,7 @@ func (p *Peer) handleInvoke(c *Conn, m *Message) {
 func (p *Peer) callExport(exp *export, method string, args []interface{}) (results []interface{}, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.stats.invokePanics.Add(1)
+			p.stats.add(cInvokePanics, 1)
 			err = fmt.Errorf("%w: %s: %v", ErrRemotePanic, method, r)
 		}
 	}()

@@ -1,55 +1,98 @@
 package transport
 
-import "sync/atomic"
+import (
+	"reflect"
+	"sync/atomic"
+)
 
-// Stats counts protocol activity. All fields are updated atomically;
-// read them through Snapshot. The benchmark harness reports these to
-// quantify the paper's "saves network resources" claim for the
-// optimistic protocol.
+// counter indexes one protocol counter. The constants follow
+// StatsSnapshot's fields one for one and in order, each named "c" plus
+// its field (TestStatsTableMatchesSnapshot pins this), so the snapshot
+// struct is the one names table.
+type counter int
+
+const (
+	cBytesSent counter = iota
+	cBytesReceived
+	cObjectsSent
+	cObjectsReceived
+	cObjectsDelivered
+	cObjectsDropped // never bumped: reads as the sum of the cDropped* counters
+	cDroppedEmptyBody
+	cDroppedUnknownFlag
+	cDroppedBadEagerChunk
+	cDroppedMalformedEnvelope
+	cDroppedNoDescription
+	cDroppedNoConformantType
+	cDroppedBindFailed
+	cCompiledDeliveries
+	cDescRejected
+	cTypeInfoRequests
+	cCodeRequests
+	cInvokes
+	cInvokesShed
+	cInvokePanics
+	cDescriptorHits
+	cDescStoreHits
+	cDescWarmLoaded
+	cDescFeedApplied
+	cRelDataSent
+	cRelRetransmits
+	cRelAcksReceived
+	cRelDeduped
+	cRelNacksSent
+	cRelFastRetransmits
+	cRelQueueAbandoned
+	cRelStaleEpoch
+	cRelResumeDeduped
+	cRelSessionsResumed
+	cRelSessionsFresh
+	cRelFramesReplayed
+	cPeerSuspects
+	cPeerQuarantines
+	cPeerRecoveries
+	cPeerRedials
+	numCounters
+)
+
+// counterNames is StatsSnapshot's field names, indexed by counter.
+var counterNames = func() (names [numCounters]string) {
+	t := reflect.TypeOf(StatsSnapshot{})
+	for c := range names {
+		names[c] = t.Field(c).Name
+	}
+	return names
+}()
+
+// Stats counts protocol activity. Every counter is updated atomically;
+// read them through Snapshot or Each. The benchmark harness reports
+// these to quantify the paper's "saves network resources" claim for
+// the optimistic protocol.
 type Stats struct {
-	bytesSent          atomic.Uint64
-	bytesReceived      atomic.Uint64
-	objectsSent        atomic.Uint64
-	objectsReceived    atomic.Uint64
-	objectsDelivered   atomic.Uint64
-	objectsDropped     atomic.Uint64
-	compiledDeliveries atomic.Uint64
-	descRejected       atomic.Uint64
-	typeInfoRequests   atomic.Uint64
-	codeRequests       atomic.Uint64
-	invokes            atomic.Uint64
-	invokesShed        atomic.Uint64
-	invokePanics       atomic.Uint64
-	descriptorHits     atomic.Uint64
-	descStoreHits      atomic.Uint64
-	descWarmLoaded     atomic.Uint64
-	descFeedApplied    atomic.Uint64
-	relDataSent        atomic.Uint64
-	relRetransmits     atomic.Uint64
-	relAcksReceived    atomic.Uint64
-	relDeduped         atomic.Uint64
-	relNacksSent       atomic.Uint64
-	relFastRetransmits atomic.Uint64
-	relQueueAbandoned  atomic.Uint64
-	relStaleEpoch      atomic.Uint64
-	relResumeDeduped   atomic.Uint64
-	relSessionsResumed atomic.Uint64
-	relSessionsFresh   atomic.Uint64
-	relFramesReplayed  atomic.Uint64
-	peerSuspects       atomic.Uint64
-	peerQuarantines    atomic.Uint64
-	peerRecoveries     atomic.Uint64
-	peerRedials        atomic.Uint64
+	c [numCounters]atomic.Uint64
 }
 
-// StatsSnapshot is an immutable copy of the counters.
+// StatsSnapshot is an immutable copy of the counters. Every field is a
+// uint64 counter; the fields and the transport's counter table are one
+// list, in the same order.
 type StatsSnapshot struct {
 	BytesSent        uint64
 	BytesReceived    uint64
 	ObjectsSent      uint64
 	ObjectsReceived  uint64
 	ObjectsDelivered uint64
-	ObjectsDropped   uint64
+	// ObjectsDropped is the sum of the per-reason object drops below,
+	// so ObjectsReceived = ObjectsDelivered + ObjectsDropped once every
+	// received object has settled.
+	ObjectsDropped uint64
+	// Object drops by reason; each field counts one DropReason.
+	DroppedEmptyBody         uint64 // DropEmptyBody
+	DroppedUnknownFlag       uint64 // DropUnknownFlag
+	DroppedBadEagerChunk     uint64 // DropBadEagerChunk
+	DroppedMalformedEnvelope uint64 // DropMalformedEnvelope
+	DroppedNoDescription     uint64 // DropNoDescription
+	DroppedNoConformantType  uint64 // DropNoConformantType
+	DroppedBindFailed        uint64 // DropBindFailed
 	// CompiledDeliveries counts deliveries whose payload was decoded
 	// straight into the registered Go type by the compiled receive
 	// path (no generic tree, no rebind).
@@ -81,7 +124,10 @@ type StatsSnapshot struct {
 	RelFastRetransmits uint64 // frames resent on NACK, ahead of their timer
 	RelQueueAbandoned  uint64 // queued frames discarded by link shutdown
 	// Connection-lifecycle counters (zero unless the peer runs managed
-	// remotes; see health.go and docs/health.md).
+	// remotes; see health.go and docs/health.md). The first two are
+	// the reliable layer's drop reasons, DropStaleEpoch and
+	// DropResumeDuplicate; they stay out of ObjectsDropped because
+	// those frames never counted as received objects.
 	RelStaleEpoch      uint64 // frames from an older epoch, dropped as ghosts
 	RelResumeDeduped   uint64 // resume-replay frames the receiver had already committed
 	RelSessionsResumed uint64 // redials that continued an existing reliable session
@@ -93,78 +139,43 @@ type StatsSnapshot struct {
 	PeerRedials        uint64 // dial attempts made by the reconnect loop
 }
 
+// add bumps one counter.
+func (s *Stats) add(c counter, n uint64) { s.c[c].Add(n) }
+
+// load reads one counter, summing the per-reason drops for
+// cObjectsDropped.
+func (s *Stats) load(c counter) uint64 {
+	if c != cObjectsDropped {
+		return s.c[c].Load()
+	}
+	var n uint64
+	for d := cDroppedEmptyBody; d <= cDroppedBindFailed; d++ {
+		n += s.c[d].Load()
+	}
+	return n
+}
+
+// Each calls fn with every counter's StatsSnapshot field name and
+// current value, in field order.
+func (s *Stats) Each(fn func(name string, v uint64)) {
+	for c := counter(0); c < numCounters; c++ {
+		fn(counterNames[c], s.load(c))
+	}
+}
+
 // Snapshot returns the current counter values.
 func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		BytesSent:          s.bytesSent.Load(),
-		BytesReceived:      s.bytesReceived.Load(),
-		ObjectsSent:        s.objectsSent.Load(),
-		ObjectsReceived:    s.objectsReceived.Load(),
-		ObjectsDelivered:   s.objectsDelivered.Load(),
-		ObjectsDropped:     s.objectsDropped.Load(),
-		CompiledDeliveries: s.compiledDeliveries.Load(),
-		DescRejected:       s.descRejected.Load(),
-		TypeInfoRequests:   s.typeInfoRequests.Load(),
-		CodeRequests:       s.codeRequests.Load(),
-		Invokes:            s.invokes.Load(),
-		InvokesShed:        s.invokesShed.Load(),
-		InvokePanics:       s.invokePanics.Load(),
-		DescriptorHits:     s.descriptorHits.Load(),
-		DescStoreHits:      s.descStoreHits.Load(),
-		DescWarmLoaded:     s.descWarmLoaded.Load(),
-		DescFeedApplied:    s.descFeedApplied.Load(),
-		RelDataSent:        s.relDataSent.Load(),
-		RelRetransmits:     s.relRetransmits.Load(),
-		RelAcksReceived:    s.relAcksReceived.Load(),
-		RelDeduped:         s.relDeduped.Load(),
-		RelNacksSent:       s.relNacksSent.Load(),
-		RelFastRetransmits: s.relFastRetransmits.Load(),
-		RelQueueAbandoned:  s.relQueueAbandoned.Load(),
-		RelStaleEpoch:      s.relStaleEpoch.Load(),
-		RelResumeDeduped:   s.relResumeDeduped.Load(),
-		RelSessionsResumed: s.relSessionsResumed.Load(),
-		RelSessionsFresh:   s.relSessionsFresh.Load(),
-		RelFramesReplayed:  s.relFramesReplayed.Load(),
-		PeerSuspects:       s.peerSuspects.Load(),
-		PeerQuarantines:    s.peerQuarantines.Load(),
-		PeerRecoveries:     s.peerRecoveries.Load(),
-		PeerRedials:        s.peerRedials.Load(),
+	var out StatsSnapshot
+	v := reflect.ValueOf(&out).Elem()
+	for c := counter(0); c < numCounters; c++ {
+		v.Field(int(c)).SetUint(s.load(c))
 	}
+	return out
 }
 
 // Reset zeroes every counter.
 func (s *Stats) Reset() {
-	s.bytesSent.Store(0)
-	s.bytesReceived.Store(0)
-	s.objectsSent.Store(0)
-	s.objectsReceived.Store(0)
-	s.objectsDelivered.Store(0)
-	s.objectsDropped.Store(0)
-	s.compiledDeliveries.Store(0)
-	s.descRejected.Store(0)
-	s.typeInfoRequests.Store(0)
-	s.codeRequests.Store(0)
-	s.invokes.Store(0)
-	s.invokesShed.Store(0)
-	s.invokePanics.Store(0)
-	s.descriptorHits.Store(0)
-	s.descStoreHits.Store(0)
-	s.descWarmLoaded.Store(0)
-	s.descFeedApplied.Store(0)
-	s.relDataSent.Store(0)
-	s.relRetransmits.Store(0)
-	s.relAcksReceived.Store(0)
-	s.relDeduped.Store(0)
-	s.relNacksSent.Store(0)
-	s.relFastRetransmits.Store(0)
-	s.relQueueAbandoned.Store(0)
-	s.relStaleEpoch.Store(0)
-	s.relResumeDeduped.Store(0)
-	s.relSessionsResumed.Store(0)
-	s.relSessionsFresh.Store(0)
-	s.relFramesReplayed.Store(0)
-	s.peerSuspects.Store(0)
-	s.peerQuarantines.Store(0)
-	s.peerRecoveries.Store(0)
-	s.peerRedials.Store(0)
+	for c := range s.c {
+		s.c[c].Store(0)
+	}
 }

@@ -5,7 +5,7 @@
 // in SOAP Section 5) or as a compact binary stream. Both encodings
 // carry type and field names, so a receiver can deserialize an object
 // of a type it has never seen into a generic Object — the substitute
-// for the paper's runtime assembly loading (see DESIGN.md) — and
+// for the paper's runtime assembly loading — and
 // later bind it to a conformant local type.
 package wire
 
