@@ -1,6 +1,7 @@
 # CI gate and developer conveniences. `make check` is the gate:
 # vet plus staticcheck plus the full test suite under the race
-# detector. `make soak` runs the fabric churn scenario long-form on
+# detector, plus the reliable-over-TCP repair test across scheduler
+# parallelism. `make soak` runs the fabric churn scenario long-form on
 # the virtual clock, and `make bench-json` emits the committed bench
 # baseline BENCH.json (whose gates `make bench-check` applies to a
 # fresh run). `make help` lists everything.
@@ -26,16 +27,19 @@ COVER_MIN ?= 82.0
 # Pinned staticcheck build, fetched on demand by `go run`.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: help check vet lint test test-race cover bench bench-plan bench-wire bench-json bench-check soak churn scale build
+.PHONY: help check vet lint test test-race test-tcp-repair cover bench bench-plan bench-wire bench-json bench-check soak churn scale build
 
 help:
 	@echo "Targets:"
 	@echo "  check       CI gate: vet + lint + full test suite under -race"
+	@echo "              + test-tcp-repair"
 	@echo "  build       go build ./..."
 	@echo "  vet         go vet ./..."
 	@echo "  lint        staticcheck ./... (pinned via go run; skipped when offline)"
 	@echo "  test        go test ./..."
 	@echo "  test-race   go test -race ./..."
+	@echo "  test-tcp-repair  reliable stream over loopback TCP must never"
+	@echo "              NACK or fast-retransmit, at -cpu 1,2,4 -count 5"
 	@echo "  cover       go test -coverprofile across packages, enforce the"
 	@echo "              COVER_MIN=$(COVER_MIN) ratchet via cmd/covercheck"
 	@echo "  soak        long-form fabric soak under -race on the virtual clock"
@@ -57,7 +61,7 @@ help:
 	@echo "              clock (PTI_SCALE_PEERS=n overrides the fleet size;"
 	@echo "              PTI_SEED=n replays a failure)"
 
-check: vet lint test-race
+check: vet lint test-race test-tcp-repair
 
 build:
 	$(GO) build ./...
@@ -81,6 +85,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# TCP cannot reorder, so a reliable stream over it must never repair a
+# frame. A receiver that mistakes goroutine scheduling for loss shows
+# up more or less often depending on scheduler parallelism, so the
+# test runs at several GOMAXPROCS settings and repeats.
+test-tcp-repair:
+	$(GO) test -race -run '^TestReliableTCPNoSpuriousRepair$$' -cpu 1,2,4 -count 5 ./internal/transport
 
 # Cross-package statement coverage with the ratcheting floor. The
 # profile is also the artifact the CI coverage job uploads.

@@ -24,7 +24,9 @@ type scenarioResult struct {
 	CodeReqs     uint64  `json:"code_requests"`
 	FramesLost   uint64  `json:"frames_lost"`
 	FramesDuped  uint64  `json:"frames_duplicated"`
-	Retransmits  uint64  `json:"retransmits"`
+	Retransmits  uint64  `json:"retransmits"`      // timer resends
+	FastRetrans  uint64  `json:"fast_retransmits"` // resends on NACK
+	Nacks        uint64  `json:"nacks"`
 	Deduped      uint64  `json:"deduped"`
 	ElapsedMs    float64 `json:"elapsed_ms"`
 }
@@ -78,8 +80,8 @@ func expScenario(reps int) ([]benchfmt.Row, error) {
 	objects := 50 * reps
 	var rows []benchfmt.Row
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
-	fmt.Printf("  %-24s %8s %9s %10s %8s %8s %8s %8s\n",
-		"profile", "sent", "received", "delivered", "match", "retrans", "deduped", "elapsed")
+	fmt.Printf("  %-24s %8s %9s %10s %8s %8s %8s %8s %8s %8s\n",
+		"profile", "sent", "received", "delivered", "match", "retrans", "fast", "nacks", "deduped", "elapsed")
 	for _, pr := range scenarioProfiles {
 		for _, rel := range []bool{false, true} {
 			res, err := runScenario(pr.name, pr.prof, rel, objects)
@@ -90,9 +92,9 @@ func expScenario(reps int) ([]benchfmt.Row, error) {
 			if rel {
 				name += "+rel"
 			}
-			fmt.Printf("  %-24s %8d %9d %10d %7.0f%% %8d %8d %8s  %s\n",
+			fmt.Printf("  %-24s %8d %9d %10d %7.0f%% %8d %8d %8d %8d %8s  %s\n",
 				name, res.Sent, res.Received, res.Delivered, res.MatchRate*100,
-				res.Retransmits, res.Deduped,
+				res.Retransmits, res.FastRetrans, res.Nacks, res.Deduped,
 				fmtDur(time.Duration(res.ElapsedMs*1e6)), pr.note)
 			rows = append(rows, benchRow("scenario", name, res))
 		}
@@ -191,6 +193,8 @@ func runScenario(name string, prof transport.FaultProfile, rel bool, objects int
 		FramesLost:   fs.FramesDropped,
 		FramesDuped:  fs.FramesDuplicated,
 		Retransmits:  pubSt.RelRetransmits + st.RelRetransmits,
+		FastRetrans:  pubSt.RelFastRetransmits + st.RelFastRetransmits,
+		Nacks:        pubSt.RelNacksSent + st.RelNacksSent,
 		Deduped:      st.RelDeduped + pubSt.RelDeduped,
 		ElapsedMs:    float64(elapsed.Nanoseconds()) / 1e6,
 	}, nil

@@ -28,7 +28,10 @@ type Conn struct {
 	peer *Peer
 	rw   net.Conn
 
+	// writeMu serializes frames onto rw; wbuf, guarded by it, is the
+	// frame buffer send reuses (kept only up to maxKeptWriteBuffer).
 	writeMu sync.Mutex
+	wbuf    []byte
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -79,6 +82,7 @@ func newConnWith(p *Peer, rw net.Conn, rel *ReliableLink, owner *Remote) *Conn {
 	c.pacer.init(c)
 	c.rrecv = newRelReceiver(&p.stats,
 		func(m *Message) { p.handleRequest(c, m) },
+		p.goHandler,
 		func(m *Message) { c.routeReply(m) },
 		func(epoch, cum uint64) {
 			_ = c.send(&Message{Type: MsgReliableAck, Body: encodeRelAck(epoch, cum)})
@@ -219,6 +223,12 @@ func (c *Conn) readLoop() {
 			if r := c.rel.Load(); r != nil {
 				r.Nack(m.Body)
 			}
+		case MsgReliableData:
+			// Accepted here, in arrival order, so the receiver sees the
+			// stream's own order and never mistakes scheduling for
+			// loss. Accepting never blocks on a handler: the in-order
+			// drain runs on a handler goroutine of its own.
+			_ = c.rrecv.handleData(m.Body)
 		default:
 			// Requests may themselves wait for replies on this
 			// connection (the receiver asks the sender for type
@@ -286,12 +296,24 @@ func (c *Conn) failPending() {
 	c.pacer.close()
 }
 
+// maxKeptWriteBuffer caps the frame buffer a conn keeps between
+// sends, so one large code reply does not pin its size for the
+// conn's lifetime.
+const maxKeptWriteBuffer = 64 << 10
+
 // send writes a one-way message. A write that fails because the
 // stream is closed, by either side, reports ErrClosed.
 func (c *Conn) send(m *Message) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	n, err := WriteMessage(c.rw, m)
+	frame, err := appendFrame(c.wbuf[:0], m)
+	if err != nil {
+		return err
+	}
+	if cap(frame) <= maxKeptWriteBuffer {
+		c.wbuf = frame
+	}
+	n, err := writeFrame(c.rw, frame)
 	c.peer.stats.add(cBytesSent, uint64(n))
 	if err != nil && (errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) || c.isClosed()) {
 		return fmt.Errorf("%w: %w", ErrClosed, err)

@@ -797,7 +797,7 @@ func (l *fabricLink) closeAll() {
 
 // linkDir carries frames one way across a link, applying the fault
 // schedule. Each Write call on a fabric endpoint is exactly one
-// protocol frame (WriteMessage emits a frame in a single Write), so
+// protocol frame (writeFrame emits a frame in a single Write), so
 // faults operate on whole frames and never corrupt the framing.
 // In-flight frames live in the fabric's sharded scheduler (see
 // sched.go) rather than a per-direction queue, so a direction costs

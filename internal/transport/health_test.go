@@ -524,6 +524,7 @@ func TestReliableDropBuckets(t *testing.T) {
 	var delivered []string
 	rr := newRelReceiver(stats,
 		func(m *Message) { delivered = append(delivered, string(m.Body)) },
+		func(drain func()) { drain() },
 		func(m *Message) {},
 		func(epoch, cum uint64) {},
 		nil,
@@ -581,35 +582,34 @@ func TestReliableDropBuckets(t *testing.T) {
 // session keeps delivering, and the handshake answers found=false.
 func TestSealBoundedWaitTimesOut(t *testing.T) {
 	var stats Stats
+	entered := make(chan struct{}, 2) // one per fed frame
 	release := make(chan struct{})
 	var mu sync.Mutex
 	var delivered []string
 	rr := newRelReceiver(&stats,
 		func(m *Message) {
+			entered <- struct{}{}
 			<-release
 			mu.Lock()
 			delivered = append(delivered, string(m.Body))
 			mu.Unlock()
 		},
+		func(drain func()) { go drain() }, // as in production: off the accepting goroutine
 		func(m *Message) {},
 		func(epoch, cum uint64) {},
 		nil,
 		func(DropReason) {})
 
 	feed := func(seq uint64, body string) {
+		t.Helper()
 		if err := rr.handleData(encodeRelData(3, seq, &Message{Type: MsgObject, Body: []byte(body)})); err != nil {
-			t.Errorf("handleData(3,%d): %v", seq, err)
+			t.Fatalf("handleData(3,%d): %v", seq, err)
 		}
 	}
-	// handleData drains on the caller (the read loop, in production),
-	// so the wedged first dispatch must run on its own goroutine.
-	fed := make(chan struct{})
-	go func() { defer close(fed); feed(1, "a") }()
-	if !waitUntil(10*time.Second, func() bool {
-		rr.mu.Lock()
-		defer rr.mu.Unlock()
-		return rr.dispatching
-	}) {
+	feed(1, "a")
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
 		t.Fatal("dispatch never entered the wedged handler")
 	}
 
@@ -624,7 +624,6 @@ func TestSealBoundedWaitTimesOut(t *testing.T) {
 	// still accepted, and both deliver once the handler unwedges.
 	feed(2, "b")
 	close(release)
-	<-fed
 	if !waitUntil(10*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()

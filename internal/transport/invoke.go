@@ -169,14 +169,10 @@ func (p *Peer) dispatchInvoke(c *Conn, m *Message) {
 			ErrInvokeQueueFull, depth-1, p.name))
 		return
 	}
-	// Counter discipline mirrors handleAsync: activeHandlers rises
-	// before the goroutine exists so the virtual clock cannot advance
-	// through the gap, and the semaphore wait is parked because a
-	// queued invoke makes no progress of its own.
-	p.handlerWG.Add(1)
+	// A handler like any other (handlerEnter), whose semaphore wait is
+	// parked because a queued invoke makes no progress of its own.
 	p.handlerEnter()
 	go func() {
-		defer p.handlerWG.Done()
 		defer p.handlerExit()
 		defer c.invokeQueued.Add(-1)
 		p.park()

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MsgType identifies a protocol message.
@@ -147,15 +148,31 @@ const frameHeaderSize = 4 + 1 + 8 // length + type + seq
 // WriteMessage writes one length-prefixed frame and returns the
 // number of bytes put on the wire.
 func WriteMessage(w io.Writer, m *Message) (int, error) {
-	if len(m.Body) > MaxFrameSize-frameHeaderSize {
-		return 0, fmt.Errorf("%w: body %d bytes", ErrFrameTooLarge, len(m.Body))
+	frame, err := appendFrame(nil, m)
+	if err != nil {
+		return 0, err
 	}
-	buf := make([]byte, frameHeaderSize+len(m.Body))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(1+8+len(m.Body)))
-	buf[4] = byte(m.Type)
-	binary.BigEndian.PutUint64(buf[5:13], m.Seq)
-	copy(buf[13:], m.Body)
-	n, err := w.Write(buf)
+	return writeFrame(w, frame)
+}
+
+// appendFrame appends m's length-prefixed frame to buf, growing it at
+// most once.
+func appendFrame(buf []byte, m *Message) ([]byte, error) {
+	if len(m.Body) > MaxFrameSize-frameHeaderSize {
+		return buf, fmt.Errorf("%w: body %d bytes", ErrFrameTooLarge, len(m.Body))
+	}
+	buf = slices.Grow(buf, frameHeaderSize+len(m.Body))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(1+8+len(m.Body)))
+	buf = append(buf, byte(m.Type))
+	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
+	return append(buf, m.Body...), nil
+}
+
+// writeFrame puts one whole frame on the wire in a single Write, so a
+// frame-oriented transport (the simulation fabric) sees exactly one
+// protocol frame per call.
+func writeFrame(w io.Writer, frame []byte) (int, error) {
+	n, err := w.Write(frame)
 	if err != nil {
 		return n, fmt.Errorf("transport: write frame: %w", err)
 	}

@@ -633,19 +633,29 @@ func (p *Peer) deregisterRemote(rm *Remote) {
 
 // handleAsync processes an incoming request off the read loop.
 func (p *Peer) handleAsync(c *Conn, m *Message) {
-	p.handlerWG.Add(1)
 	p.handlerEnter()
 	go func() {
-		defer p.handlerWG.Done()
 		defer p.handlerExit()
 		p.handleRequest(c, m)
 	}()
 }
 
-// handlerEnter/handlerExit bracket a handler's lifetime on the
-// counters: the peer's own active count, and — on a fabric peer — the
-// shared busy aggregate the virtual clock probes.
+// goHandler runs f on a new handler goroutine.
+func (p *Peer) goHandler(f func()) {
+	p.handlerEnter()
+	go func() {
+		defer p.handlerExit()
+		f()
+	}()
+}
+
+// handlerEnter/handlerExit bracket a handler goroutine's lifetime:
+// the wait group Close drains, the peer's own active count, and — on
+// a fabric peer — the shared busy aggregate the virtual clock probes.
+// handlerEnter runs before the goroutine exists, so the virtual clock
+// cannot advance through the gap.
 func (p *Peer) handlerEnter() {
+	p.handlerWG.Add(1)
 	p.activeHandlers.Add(1)
 	if p.busyRef != nil {
 		p.busyRef.handlers.Add(1)
@@ -657,6 +667,7 @@ func (p *Peer) handlerExit() {
 	if p.busyRef != nil {
 		p.busyRef.handlers.Add(-1)
 	}
+	p.handlerWG.Done()
 }
 
 // park/unpark bracket a clock-backed wait on a handler's code path
@@ -682,10 +693,6 @@ func (p *Peer) unpark() {
 
 func (p *Peer) handleRequest(c *Conn, m *Message) {
 	switch m.Type {
-	case MsgReliableData:
-		// Dedup + in-order buffering; accepted inner messages come
-		// back through this switch via the receiver's dispatcher.
-		_ = c.rrecv.handleData(m.Body)
 	case MsgObject:
 		p.handleObject(c, m)
 	case MsgTypeInfoRequest:

@@ -323,3 +323,62 @@ func TestMidStreamReRegistrationFallsBack(t *testing.T) {
 		t.Errorf("ObjectsDelivered = %d, want 6", s.ObjectsDelivered)
 	}
 }
+
+// TestRelReceiverAckPolicy pins which frames the receiver acks and
+// when. A fresh in-order frame is acked once, by the drain after its
+// handler returns; a duplicate and a frame too far ahead are re-acked
+// on receipt; a frame beyond a gap is acked and the gap NACKed.
+func TestRelReceiverAckPolicy(t *testing.T) {
+	type frame struct {
+		seq   uint64
+		inner *Message
+	}
+	cases := []struct {
+		name   string
+		frames []frame
+		want   []string // the harness's callback trace
+	}{
+		{
+			name:   "fresh in-order frame: one ack, after its handler",
+			frames: []frame{{1, obj(10)}, {2, obj(11)}},
+			want:   []string{"dispatch 10", "ack 1/1", "dispatch 11", "ack 1/2"},
+		},
+		{
+			name:   "in-order reply: one ack, after routing",
+			frames: []frame{{1, reply(99)}},
+			want:   []string{"reply 99", "ack 1/1"},
+		},
+		{
+			name:   "duplicate is re-acked",
+			frames: []frame{{1, obj(10)}, {1, obj(10)}},
+			want:   []string{"dispatch 10", "ack 1/1", "ack 1/1"},
+		},
+		{
+			name:   "frame too far ahead is re-acked",
+			frames: []frame{{1, obj(10)}, {2 + relRecvBuffer, obj(66)}},
+			want:   []string{"dispatch 10", "ack 1/1", "ack 1/1"},
+		},
+		{
+			name:   "gap: ack and NACK; frames landing in order ack on delivery only",
+			frames: []frame{{3, obj(12)}, {1, obj(10)}, {2, obj(11)}},
+			want: []string{
+				"ack 1/0", "nack 1/[1 2]",
+				"dispatch 10", "ack 1/1",
+				"dispatch 11", "ack 1/2", "dispatch 12", "ack 1/3",
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newRecvHarness()
+			for _, f := range tc.frames {
+				h.feed(t, 1, f.seq, f.inner)
+			}
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			if fmt.Sprint(h.trace) != fmt.Sprint(tc.want) {
+				t.Errorf("trace = %q\nwant    %q", h.trace, tc.want)
+			}
+		})
+	}
+}

@@ -1318,19 +1318,21 @@ type relReceiver struct {
 	idle        *sync.Cond // signalled when dispatching goes false
 
 	dispatch func(*Message)                    // in-order request dispatch
+	spawn    func(drain func())                // runs a drain off the accepting goroutine
 	reply    func(*Message)                    // immediate correlated-reply routing
 	ack      func(epoch, cum uint64)           // ack transmission
 	nack     func(epoch uint64, seqs []uint64) // gap-report transmission (nil: disabled)
 	drop     func(DropReason)                  // counts and reports a discarded frame
 }
 
-func newRelReceiver(stats *Stats, dispatch, reply func(*Message), ack func(epoch, cum uint64), nack func(epoch uint64, seqs []uint64), drop func(DropReason)) *relReceiver {
+func newRelReceiver(stats *Stats, dispatch func(*Message), spawn func(drain func()), reply func(*Message), ack func(epoch, cum uint64), nack func(epoch uint64, seqs []uint64), drop func(DropReason)) *relReceiver {
 	rr := &relReceiver{
 		stats:    stats,
 		next:     1,
 		buf:      make(map[uint64]*Message),
 		nacked:   make(map[uint64]struct{}),
 		dispatch: dispatch,
+		spawn:    spawn,
 		reply:    reply,
 		ack:      ack,
 		nack:     nack,
@@ -1351,8 +1353,18 @@ func isRelReply(t MsgType) bool {
 	return false
 }
 
-// handleData processes one MsgReliableData body: dedup, buffer,
-// cumulative ack, gap detection, in-order dispatch.
+// handleData accepts one MsgReliableData body: dedup, buffer,
+// contiguity, gap detection and reply routing. The conn's read loop
+// calls it in arrival order, so over an ordered stream a gap is real
+// loss, never local reordering. It never runs a handler: when frames
+// become deliverable and no drain is running, it hands one to spawn.
+//
+// Ack policy: a fresh frame that lands in order is acked by the drain
+// once its handler returns, and not on receipt — a receipt ack would
+// carry the stale delivered watermark, which the sender ignores. A
+// duplicate, a frame too far ahead and a frame beyond a gap are acked
+// on receipt (the re-ack repairs a lost drain ack), and a gap is also
+// NACKed.
 func (rr *relReceiver) handleData(body []byte) error {
 	epoch, seq, inner, err := decodeRelData(body)
 	if err != nil {
@@ -1361,6 +1373,7 @@ func (rr *relReceiver) handleData(body []byte) error {
 	var replyNow *Message
 	var missing []uint64
 	var dropReason DropReason
+	inOrder := false
 	rr.mu.Lock()
 	if rr.closed {
 		// Sealed at teardown: the frame is neither accepted nor
@@ -1421,11 +1434,12 @@ func (rr *relReceiver) handleData(body []byte) error {
 			rr.pending = append(rr.pending, relPending{epoch: rr.epoch, seq: rr.next, m: m})
 			rr.next++
 		}
+		inOrder = seq < rr.next
 		// Gap report: every seq below the newly buffered frame that
-		// is still missing after the drain is NACKed, once per
-		// epoch — the sender repairs immediately and its backoff
-		// timer stays armed as the backstop for a lost report.
-		if rr.nack != nil && seq > rr.next {
+		// is still missing is NACKed, once per epoch — the sender
+		// repairs immediately and its backoff timer stays armed as
+		// the backstop for a lost report.
+		if rr.nack != nil && !inOrder {
 			for s := rr.next; s < seq && len(missing) < maxNackSeqs; s++ {
 				if _, held := rr.buf[s]; held {
 					continue
@@ -1453,21 +1467,22 @@ func (rr *relReceiver) handleData(body []byte) error {
 	if dropReason != 0 {
 		rr.drop(dropReason) // outside rr.mu: drop callbacks reach the observer
 	}
-	rr.ack(ackEpoch, cum)
+	if !inOrder {
+		rr.ack(ackEpoch, cum)
+	}
 	if len(missing) > 0 {
 		rr.nack(ackEpoch, missing)
 		rr.stats.add(cRelNacksSent, 1)
 	}
 	if runDispatch {
-		rr.drain()
+		rr.spawn(rr.drain)
 	}
 	return nil
 }
 
 // drain dispatches pending in-order messages until none remain. Only
-// one goroutine drains at a time; concurrent receptions append under
-// the lock, so dispatch order is exactly sequence order even though
-// frames arrive on racing handler goroutines. After each handler
+// one drain runs at a time; receptions append under the lock while it
+// runs, so dispatch order is exactly sequence order. After each handler
 // returns, the delivered watermark advances and an ack carries it to
 // the sender — so an ack never certifies a frame whose handler has
 // not run. A seal mid-drain stops the loop after the in-flight

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pti/internal/fixtures"
+	"pti/internal/registry"
 )
 
 // The reliable layer's unit tests drive the sender and receiver
@@ -67,26 +70,48 @@ func (l *scriptLink) dataFrames(t *testing.T) (epochs, seqs []uint64) {
 	return epochs, seqs
 }
 
-// recvHarness captures a relReceiver's four callbacks.
+// recvHarness captures a relReceiver's callbacks. Drains run inline
+// on the feeding goroutine, so every feed settles before it returns.
 type recvHarness struct {
 	mu         sync.Mutex
 	dispatched []uint64 // inner Seq, used as a payload marker
 	replies    []uint64
 	acks       [][2]uint64 // (epoch, cum)
 	nacks      [][]uint64  // per report: [epoch, seqs...]
+	trace      []string    // every callback in call order
 	stats      Stats
 	rr         *relReceiver
 }
 
 func newRecvHarness() *recvHarness {
 	h := &recvHarness{}
+	record := func(format string, args ...interface{}) {
+		h.trace = append(h.trace, fmt.Sprintf(format, args...))
+	}
 	h.rr = newRelReceiver(&h.stats,
-		func(m *Message) { h.mu.Lock(); h.dispatched = append(h.dispatched, m.Seq); h.mu.Unlock() },
-		func(m *Message) { h.mu.Lock(); h.replies = append(h.replies, m.Seq); h.mu.Unlock() },
-		func(epoch, cum uint64) { h.mu.Lock(); h.acks = append(h.acks, [2]uint64{epoch, cum}); h.mu.Unlock() },
+		func(m *Message) {
+			h.mu.Lock()
+			h.dispatched = append(h.dispatched, m.Seq)
+			record("dispatch %d", m.Seq)
+			h.mu.Unlock()
+		},
+		func(drain func()) { drain() },
+		func(m *Message) {
+			h.mu.Lock()
+			h.replies = append(h.replies, m.Seq)
+			record("reply %d", m.Seq)
+			h.mu.Unlock()
+		},
+		func(epoch, cum uint64) {
+			h.mu.Lock()
+			h.acks = append(h.acks, [2]uint64{epoch, cum})
+			record("ack %d/%d", epoch, cum)
+			h.mu.Unlock()
+		},
 		func(epoch uint64, seqs []uint64) {
 			h.mu.Lock()
 			h.nacks = append(h.nacks, append([]uint64{epoch}, seqs...))
+			record("nack %d/%v", epoch, seqs)
 			h.mu.Unlock()
 		},
 		func(DropReason) {})
@@ -897,5 +922,100 @@ func TestReliableCloseReleasesGoroutines(t *testing.T) {
 	}
 	if !waitUntil(5*time.Second, func() bool { return reliableLoopGoroutines() <= base }) {
 		t.Fatalf("loop goroutines = %d after close, want <= %d (leak)", reliableLoopGoroutines(), base)
+	}
+}
+
+// TestReliableTCPNoSpuriousRepair streams objects over a loopback TCP
+// pair with reliable links and several objects in flight. TCP neither
+// loses nor reorders, and the receiver accepts each conn's frames in
+// arrival order, so once the stream is warm no frame may be NACKed or
+// fast-retransmitted: these counts are invariants, not tuned bounds.
+// The warm-up object is excluded from the counts because its
+// description fetch sends a reply, a control frame that can overtake
+// queued object frames on the sender side.
+func TestReliableTCPNoSpuriousRepair(t *testing.T) {
+	const (
+		objects  = 2000
+		inFlight = 4
+	)
+	sendReg := registry.New()
+	if _, err := sendReg.Register(fixtures.PersonB{}); err != nil {
+		t.Fatal(err)
+	}
+	recvReg := registry.New()
+	if _, err := recvReg.Register(fixtures.PersonA{}); err != nil {
+		t.Fatal(err)
+	}
+	sender := NewPeer(sendReg, WithName("sender"), WithReliableLinks())
+	defer sender.Close()
+	receiver := NewPeer(recvReg, WithName("receiver"), WithReliableLinks())
+	defer receiver.Close()
+
+	slots := make(chan struct{}, inFlight)
+	var mu sync.Mutex
+	var ages []int
+	if err := receiver.OnReceive(fixtures.PersonA{}, func(d Delivery) {
+		mu.Lock()
+		ages = append(ages, d.Bound.(*fixtures.PersonA).Age)
+		mu.Unlock()
+		<-slots
+	}); err != nil {
+		t.Fatal(err)
+	}
+	delivered := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(ages)
+	}
+	if err := receiver.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := sender.Dial(receiver.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(age int) {
+		t.Helper()
+		slots <- struct{}{}
+		if err := sender.SendObject(conn, fixtures.PersonB{PersonName: "tcp", PersonAge: age}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	send(0)
+	if !waitUntil(10*time.Second, func() bool { return delivered() == 1 }) {
+		t.Fatal("warm-up object never delivered")
+	}
+	repairs := func() (nacks, fast uint64) {
+		s, r := sender.Stats().Snapshot(), receiver.Stats().Snapshot()
+		return s.RelNacksSent + r.RelNacksSent, s.RelFastRetransmits + r.RelFastRetransmits
+	}
+	nacks0, fast0 := repairs()
+	for i := 1; i <= objects; i++ {
+		send(i)
+	}
+	if !waitUntil(30*time.Second, func() bool {
+		s, ok := conn.ReliableSnapshot()
+		return delivered() == objects+1 && ok && s.InFlightData == 0
+	}) {
+		s, _ := conn.ReliableSnapshot()
+		t.Fatalf("delivered %d of %d, sender %+v", delivered(), objects+1, s)
+	}
+
+	mu.Lock()
+	for i, age := range ages {
+		if age != i {
+			mu.Unlock()
+			t.Fatalf("delivery %d carried object %d: want exactly-once, in-order delivery", i, age)
+		}
+	}
+	mu.Unlock()
+	if got := receiver.Stats().Snapshot().ObjectsDelivered; got != objects+1 {
+		t.Errorf("ObjectsDelivered = %d, want %d", got, objects+1)
+	}
+	nacks, fast := repairs()
+	if nacks != nacks0 || fast != fast0 {
+		t.Errorf("over an ordered stream: %d NACKs sent and %d fast retransmits, want 0 and 0",
+			nacks-nacks0, fast-fast0)
 	}
 }
