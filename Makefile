@@ -39,7 +39,8 @@ help:
 	@echo "  test        go test ./..."
 	@echo "  test-race   go test -race ./..."
 	@echo "  test-tcp-repair  reliable stream over loopback TCP must never"
-	@echo "              NACK or fast-retransmit, at -cpu 1,2,4 -count 5"
+	@echo "              NACK or fast-retransmit, and first sends must reach"
+	@echo "              the wire in seq order, at -cpu 1,2,4 -count 5"
 	@echo "  cover       go test -coverprofile across packages, enforce the"
 	@echo "              COVER_MIN=$(COVER_MIN) ratchet via cmd/covercheck"
 	@echo "  soak        long-form fabric soak under -race on the virtual clock"
@@ -87,11 +88,12 @@ test-race:
 	$(GO) test -race ./...
 
 # TCP cannot reorder, so a reliable stream over it must never repair a
-# frame. A receiver that mistakes goroutine scheduling for loss shows
-# up more or less often depending on scheduler parallelism, so the
-# test runs at several GOMAXPROCS settings and repeats.
+# frame. A sender that puts seqs on the wire out of order, or a
+# receiver that mistakes goroutine scheduling for loss, shows up more
+# or less often depending on scheduler parallelism, so the tests run
+# at several GOMAXPROCS settings and repeat.
 test-tcp-repair:
-	$(GO) test -race -run '^TestReliableTCPNoSpuriousRepair$$' -cpu 1,2,4 -count 5 ./internal/transport
+	$(GO) test -race -run '^(TestReliableTCPNoSpuriousRepair|TestReliableFirstSendsInSeqOrder)$$' -cpu 1,2,4 -count 5 ./internal/transport
 
 # Cross-package statement coverage with the ratcheting floor. The
 # profile is also the artifact the CI coverage job uploads.

@@ -59,7 +59,9 @@ var scenarioProfiles = []struct {
 // deliver exactly once — the guarantee is binary, so any drift from
 // 1.0 is a dedup or retransmit bug. Without it, the match rate
 // follows the seeded fault schedule, and protocol-retry timing moves
-// it a little.
+// it a little. A lossless link never loses a frame and the sender
+// writes first transmissions in seq order, so perfect+rel must never
+// report a gap or repair one.
 func scenarioGates() []benchfmt.Gate {
 	var gates []benchfmt.Gate
 	for _, p := range scenarioProfiles {
@@ -67,7 +69,9 @@ func scenarioGates() []benchfmt.Gate {
 			benchfmt.NewGate("scenario/"+p.name, "match drift", benchfmt.Drift, "match_rate", 0.10),
 			benchfmt.NewGate("scenario/"+p.name+"+rel", "exactly once", benchfmt.Exact, "match_rate", 1))
 	}
-	return gates
+	return append(gates,
+		benchfmt.NewGate("scenario/perfect+rel", "no gap reports", benchfmt.Exact, "nacks", 0),
+		benchfmt.NewGate("scenario/perfect+rel", "no fast retransmits", benchfmt.Exact, "fast_retransmits", 0))
 }
 
 // expScenario drives the optimistic protocol across the simulation

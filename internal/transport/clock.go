@@ -32,9 +32,9 @@ type Timer interface {
 	// was still pending. Both implementations consume a
 	// fired-but-undrained tick themselves, so Reset is safe from any
 	// state; a tick that lands concurrently with Reset may still
-	// cause one spurious early wake, which the retransmit and sender
-	// loops tolerate by re-checking deadlines. Each link re-arms one
-	// timer instead of allocating per wake.
+	// cause one spurious early wake, which the reliable sender loop
+	// tolerates by re-checking deadlines. Each link re-arms one timer
+	// instead of allocating per wake.
 	Reset(d time.Duration) bool
 }
 

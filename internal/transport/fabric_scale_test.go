@@ -226,9 +226,9 @@ func TestFabricScaleConvergence(t *testing.T) {
 					if rm := f.Node(pub).Peer().ManagedRemote(name); rm != nil {
 						if rel := rm.Reliable(); rel != nil {
 							rel.mu.Lock()
-							t.Logf("  pub rm state=%v rel epoch=%d nextSeq=%d acked=%d queue=%d inflight=%d detached=%v closed=%v senderActive=%v retransActive=%v runnable=%v err=%v",
-								rm.State(), rel.epoch, rel.nextSeq, rel.acked, len(rel.queue), len(rel.inflight),
-								rel.detached, rel.closed, rel.senderActive, rel.retransActive, rel.runnableLocked(), rel.err)
+							t.Logf("  pub rm state=%v rel epoch=%d nextSeq=%d acked=%d queue=%d inflight=%d unsent=%d due=%d detached=%v closed=%v active=%v writing=%v runnable=%v err=%v",
+								rm.State(), rel.epoch, rel.nextSeq, rel.acked, len(rel.queue), len(rel.inflight), len(rel.unsent), len(rel.due),
+								rel.detached, rel.closed, rel.active, rel.writing, rel.runnableLocked(), rel.err)
 							rel.mu.Unlock()
 						}
 					}

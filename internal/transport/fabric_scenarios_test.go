@@ -1139,8 +1139,8 @@ func TestScenarioVirtualClockCompressesLatency(t *testing.T) {
 // queue. The broadcast loop never blocks, the
 // healthy subscribers converge to a 100% match rate, the blackholed
 // link eventually fails with a typed ErrPeerUnreachable that
-// Broadcast aggregates instead of hiding, and the sender goroutines
-// are all released on fabric teardown.
+// Broadcast aggregates instead of hiding, and the sender loops are
+// all released on fabric teardown.
 func TestScenarioBlackholedPeerDoesNotStallBroadcast(t *testing.T) {
 	seed := scenarioSeed(t, 5005)
 	defer func() {

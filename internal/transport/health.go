@@ -513,6 +513,8 @@ func (rm *Remote) adopt(rw net.Conn) bool {
 			return false
 		}
 		same := found && repEpoch == epoch
+		// Frames handed to the link's sender loop for replay; the
+		// loop writes them (RelFramesReplayed counts those writes).
 		replayed := rel.resume(connRaw{c}, same, cum)
 		if same {
 			p.stats.add(cRelSessionsResumed, 1)

@@ -21,15 +21,20 @@ import (
 // in an in-flight set and are retransmitted on a timer with
 // exponential backoff until a cumulative MsgReliableAck covers them.
 //
-// Object frames take one path: Send appends them to a bounded
-// per-link queue (256 frames unless WithSendQueue resizes it) and
-// returns, and a sender goroutine drains the queue through a bounded
-// window of Window unacked object frames. A stalled peer therefore
-// fills its own queue instead of the caller's goroutine — the
-// property that keeps a reliable Broadcast from serializing behind
-// its worst connection. The overflow policy decides what a full queue
-// does: block the enqueuer (default) or fail fast. Control frames
-// (requests, replies) skip the queue and the window.
+// One sender loop per link is the only writer of its frames. Object
+// frames take one path: Send appends them to a bounded per-link queue
+// (256 frames unless WithSendQueue resizes it) and returns, and the
+// loop drains the queue through a bounded window of Window unacked
+// object frames. A stalled peer therefore fills its own queue instead
+// of the caller's goroutine — the property that keeps a reliable
+// Broadcast from serializing behind its worst connection. The
+// overflow policy decides what a full queue does: block the enqueuer
+// (default) or fail fast. Control frames (requests, replies) skip the
+// queue and the window: Send sequences them and the loop writes them
+// ahead of queued data. Every first transmission joins one FIFO in
+// the critical section that assigns its seq, so frames reach the wire
+// in seq order; repairs and the resume replay go through the same
+// loop.
 //
 // The retransmit timer starts from a Jacobson/Karels estimate of the
 // link's RTT (RFC 6298): SRTT/RTTVAR are updated only from frames
@@ -121,7 +126,7 @@ const (
 // ReliableConfig tunes a ReliableLink.
 type ReliableConfig struct {
 	// Window bounds unacked object frames in flight; the sender
-	// goroutine holds queued frames back while the window is full.
+	// loop holds queued frames back while the window is full.
 	// Control frames (requests, replies) bypass the window so flow
 	// control can never deadlock a protocol round trip, but they are
 	// still sequenced, retransmitted and deduped.
@@ -378,15 +383,44 @@ func (e *rttEstimator) rto() time.Duration { return e.srtt + 4*e.rttvar }
 
 // --- sender -----------------------------------------------------------
 
+// relWrite names the write the sender loop owes an in-flight frame.
+// Each kind feeds its own counter once the frame is on the wire.
+type relWrite uint8
+
+const (
+	relWritten relWrite = iota // on the wire, timed by its deadline
+	relFirst                   // sequenced, never written
+	relReplay                  // rebuilt by resume, not yet rewritten
+	relTimeout                 // deadline passed: a timer resend is owed
+	relNacked                  // named by a NACK: a fast retransmit is owed
+)
+
 // relEntry is one unacked frame.
 type relEntry struct {
 	seq      uint64
 	data     bool // counts against the window
 	frame    []byte
+	owed     relWrite
 	sentAt   time.Time // first transmission, for RTT sampling
 	deadline time.Time
 	backoff  time.Duration
-	attempts int
+	attempts int // transmissions so far
+}
+
+func sortBySeq(es []*relEntry) {
+	sort.Slice(es, func(i, j int) bool { return es[i].seq < es[j].seq })
+}
+
+// popFront removes the head of a FIFO, shifting the rest down so the
+// backing array is reused rather than regrown per frame.
+func popFront[T any](fifo *[]T) T {
+	s := *fifo
+	head := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	*fifo = s[:n]
+	return head
 }
 
 // ReliableLink decorates any Link with exactly-once in-order
@@ -412,16 +446,24 @@ type ReliableLink struct {
 	queue          []*Message // object frames waiting for the window
 	queuePeak      int
 	queueAbandoned uint64
-	est            rttEstimator
-	lastSendErr    error
-	closed         bool
-	err            error
+	// unsent holds sequenced frames awaiting their first write, in seq
+	// order; due holds frames owed a repair, lowest seq first. Only the
+	// sender loop drains them, skipping entries acked or rebuilt since.
+	unsent      []*relEntry
+	due         []*relEntry
+	est         rttEstimator
+	lastSendErr error
+	closed      bool
+	err         error
 	// managed marks a link owned by a Remote (see health.go): a send
 	// failure or conn teardown detaches it — parks the machinery with
 	// the window intact — instead of killing it, so a redial can
 	// resume the session and replay the unacked frames.
 	managed  bool
 	detached bool
+	// rawGen counts resumes, so a write that fails on a raw link the
+	// session has already left cannot detach the resumed session.
+	rawGen uint64
 
 	// busyRef, when set, is the owning fabric's shared busy counter:
 	// wasRunnable mirrors this link's contribution to its pipelines
@@ -430,18 +472,14 @@ type ReliableLink struct {
 	busyRef     *fabricBusy
 	wasRunnable bool
 
-	// senderActive/retransActive track the lazily spawned loops. An
-	// idle link — nothing queued, nothing in flight — holds no
-	// goroutines at all; enqueue, registration and resume respawn the
-	// loop they need, and each loop exits (clearing its flag inside the
-	// same critical section as the exit decision, so a concurrent
-	// respawn can never observe a stale flag) when its work drains.
-	senderActive  bool
-	retransActive bool
-
-	kick     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	// active marks the lazily spawned sender loop; writing marks it
+	// inside a raw write. An idle link — nothing queued, nothing in
+	// flight — holds no goroutine at all. The loop clears active in the
+	// same critical section as its exit decision, so a concurrent
+	// wakeLocked never sees a stale flag and skips the respawn.
+	active  bool
+	writing bool
+	kick    chan struct{}
 
 	retransmits     atomic.Uint64
 	fastRetransmits atomic.Uint64
@@ -474,8 +512,8 @@ func NewReliableLink(l Link, clock Clock, opts ...ReliableOption) *ReliableLink 
 	r := newReliableLink(raw, clock, stats, fb, cfg)
 	if conn != nil {
 		// Replacing an attached sender must stop the old one, or its
-		// retransmit loop would resend old-epoch frames (which the
-		// receiver ghosts without acking) until the conn dies.
+		// loop would resend old-epoch frames (which the receiver
+		// ghosts without acking) until the conn dies.
 		if old := conn.rel.Swap(r); old != nil {
 			old.stop()
 		}
@@ -494,14 +532,12 @@ func newReliableLink(raw Link, clock Clock, stats *Stats, fb *fabricBusy, cfg Re
 		nextSeq:  1,
 		inflight: make(map[uint64]*relEntry),
 		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
-	// No goroutines yet: the sender and retransmit loops spawn lazily
-	// on the first queued or registered frame (ensureSenderLocked /
-	// ensureRetransLocked) and exit when their work drains. A fabric of
-	// 1000 mostly idle managed links therefore parks zero goroutines
-	// here instead of two per connection.
+	// No goroutine yet: the sender loop spawns on the first queued or
+	// registered frame (wakeLocked) and exits when its work drains. A
+	// fabric of 1000 mostly idle managed links therefore parks no
+	// goroutines here.
 	return r
 }
 
@@ -513,11 +549,12 @@ func (l connRaw) Send(m *Message) error                         { return l.c.sen
 func (l connRaw) Request(t MsgType, b []byte) (*Message, error) { return l.c.request(t, b) }
 func (l connRaw) Close() error                                  { return l.c.Close() }
 
-// Send frames m with the next sequence number and transmits it,
-// retransmitting until acked. Object frames are queued for the sender
-// goroutine and Send returns, with the overflow policy deciding what
-// a full queue does; control frames are sent directly, bypassing the
-// queue and the window (see ReliableConfig.Window).
+// Send frames m with the next sequence number and hands it to the
+// link's sender loop, which retransmits it until acked. Object frames
+// join the send queue, with the overflow policy deciding what a full
+// queue does; control frames are sequenced here, bypassing the queue
+// and the window (see ReliableConfig.Window). Either way Send returns
+// before the write: a write failure surfaces as the link's error.
 func (r *ReliableLink) Send(m *Message) error {
 	if m.Type == MsgObject {
 		return r.enqueue(m)
@@ -529,36 +566,22 @@ func (r *ReliableLink) Send(m *Message) error {
 	// reply, and no ack advances the window until the dispatch
 	// returns.
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if err := r.admitControlLocked(); err != nil {
-		r.mu.Unlock()
 		return err
 	}
-	frame := r.registerLocked(m, false)
-	r.ensureRetransLocked()
-	r.updateRunnableLocked()
-	raw := r.raw
-	r.mu.Unlock()
-
-	r.stats.add(cRelDataSent, 1)
-	if err := raw.Send(&Message{Type: MsgReliableData, Body: frame}); err != nil {
-		if r.failSend(err) {
-			// Detached, not dead: the frame is registered and the
-			// resume replay owns its delivery.
-			return nil
-		}
-		return err
-	}
-	r.kickLoop()
+	r.registerLocked(m, false)
+	r.wakeLocked()
 	return nil
 }
 
 // admitStepLocked performs one admission check for a frame of the
 // given kind — the single statement of the rules both Send's
-// control-frame path and the sender goroutine obey: the window must
+// control-frame path and the sender loop obey: the window must
 // have room for data, the epoch rolls once the exhausted sequence
 // space has drained, and the total in-flight backlog failing its cap
 // kills the link with a typed *UnreachableError. wait=true asks the
-// caller to cond.Wait and re-evaluate. Caller holds r.mu.
+// caller to wait and re-evaluate. Caller holds r.mu.
 func (r *ReliableLink) admitStepLocked(isData bool) (wait bool, err error) {
 	if r.closed {
 		if r.err != nil {
@@ -617,28 +640,19 @@ func (r *ReliableLink) admitControlLocked() error {
 }
 
 // registerLocked assigns the next sequence number to m, places the
-// frame in the in-flight set and returns the encoded wire frame.
-// Caller holds r.mu and has passed admitStepLocked.
-func (r *ReliableLink) registerLocked(m *Message, isData bool) []byte {
+// frame in the in-flight set and appends it to the unsent FIFO — in
+// the same critical section, so the FIFO is in seq order and the
+// sender loop writes first transmissions in that order. Caller holds
+// r.mu and has passed admitStepLocked.
+func (r *ReliableLink) registerLocked(m *Message, isData bool) {
 	seq := r.nextSeq
 	r.nextSeq++ // wraps to 0 at the end of the space: the admit sentinel
-	frame := encodeRelData(r.epoch, seq, m)
-	now := r.clock.Now()
-	rto := r.currentRTOLocked()
-	e := &relEntry{
-		seq:      seq,
-		data:     isData,
-		frame:    frame,
-		sentAt:   now,
-		backoff:  rto,
-		deadline: now.Add(rto),
-		attempts: 1,
-	}
+	e := &relEntry{seq: seq, data: isData, frame: encodeRelData(r.epoch, seq, m), owed: relFirst}
 	r.inflight[seq] = e
+	r.unsent = append(r.unsent, e)
 	if isData {
 		r.inflightData++
 	}
-	return frame
 }
 
 // currentRTOLocked returns the retransmit timeout new frames start
@@ -662,22 +676,19 @@ func (r *ReliableLink) currentRTOLocked() time.Duration {
 // the overflow policy when it is full.
 func (r *ReliableLink) enqueue(m *Message) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for {
 		if r.closed {
-			err := r.err
-			r.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
+			if r.err != nil {
+				return r.err
 			}
-			return err
+			return ErrClosed
 		}
 		if len(r.queue) < r.cfg.SendQueue {
 			break
 		}
 		if r.cfg.Overflow == OverflowError {
-			n := len(r.queue)
-			r.mu.Unlock()
-			return fmt.Errorf("%w: %d frames queued", ErrQueueFull, n)
+			return fmt.Errorf("%w: %d frames queued", ErrQueueFull, len(r.queue))
 		}
 		r.cond.Wait() // OverflowBlock
 	}
@@ -685,83 +696,190 @@ func (r *ReliableLink) enqueue(m *Message) error {
 	if len(r.queue) > r.queuePeak {
 		r.queuePeak = len(r.queue)
 	}
-	r.ensureSenderLocked()
-	r.updateRunnableLocked()
-	r.cond.Broadcast() // wake an already-running sender goroutine
-	r.mu.Unlock()
+	r.wakeLocked()
 	return nil
 }
 
-// senderLoop is the queue's drain goroutine, spawned lazily by
-// ensureSenderLocked: it moves object frames from the bounded queue
-// into the sequence space as window room appears, so enqueuers never
-// wait on the network. The loop exits — instead of parking — when the
-// queue drains, the link closes, or it detaches; the flag clears in
-// the same critical section as the exit decision so the next enqueue
-// (or resume) respawns without racing a stale flag.
-func (r *ReliableLink) senderLoop() {
+// sendLoop is the link's only writer. First transmissions, NACK
+// repairs, timer resends and the resume replay all reach raw.Send
+// from here, so first transmissions hit the wire in the order their
+// seqs were assigned. Spawned by wakeLocked, the loop exits once
+// nothing is queued or in flight, or the link detaches (the resume
+// replay respawns it) or closes; it clears active in the same
+// critical section as the exit decision. One timer is re-armed across
+// waits, so waking costs no allocation.
+func (r *ReliableLink) sendLoop() {
+	var timer Timer
 	r.mu.Lock()
-	for {
-		if r.closed || r.detached || len(r.queue) == 0 {
-			r.senderActive = false
-			r.mu.Unlock()
-			return
-		}
-		wait, err := r.admitStepLocked(true)
-		if err != nil {
-			r.senderActive = false
-			r.mu.Unlock()
-			return
-		}
-		if wait {
-			// The head is not admittable (window full, or the old epoch
-			// is still draining): the pipeline is stalled on an ack, not
-			// runnable, so its busy contribution must drop before the
-			// wait or the virtual clock could never advance to the
-			// retransmit deadline that produces that ack.
-			r.updateRunnableLocked()
-			r.cond.Wait()
+	for !r.closed && !r.detached {
+		if e := r.nextWriteLocked(); e != nil {
+			r.writeLocked(e)
 			continue
 		}
-		m := r.queue[0]
-		r.queue[0] = nil
-		r.queue = r.queue[1:]
-		frame := r.registerLocked(m, true)
-		r.ensureRetransLocked()
+		if len(r.inflight) == 0 {
+			break // idle: an empty window admits any queued head, so the queue is empty too
+		}
+		now := r.clock.Now()
+		next, gaveUp := r.expireLocked(now)
+		if gaveUp != nil {
+			r.closeLocked(gaveUp)
+			break
+		}
+		if next.IsZero() {
+			continue // a resend came due
+		}
+		// Waiting on a timer or an ack only: not runnable, or the
+		// virtual clock could never reach the deadline that ends the
+		// wait.
 		r.updateRunnableLocked()
-		raw := r.raw
-		r.cond.Broadcast() // queue shrank: unblock full-queue enqueuers
 		r.mu.Unlock()
-
-		r.stats.add(cRelDataSent, 1)
-		if err := raw.Send(&Message{Type: MsgReliableData, Body: frame}); err != nil {
-			if !r.failSend(err) {
-				r.mu.Lock()
-				r.senderActive = false
-				r.mu.Unlock()
-				return
-			}
+		if timer == nil {
+			timer = r.clock.NewTimer(next.Sub(now))
 		} else {
-			r.kickLoop()
+			timer.Reset(next.Sub(now))
+		}
+		select {
+		case <-timer.C():
+		case <-r.kick: // new work, an ack, a detach or a close
+			timer.Stop()
 		}
 		r.mu.Lock()
 	}
+	r.active = false
+	r.updateRunnableLocked() // skipping stale entries may have ended the work
+	r.mu.Unlock()
 }
 
-// runnableLocked reports whether the sender goroutine has work it
-// could perform right now: a queued head frame that the window (or
-// epoch roll) would admit. It is the link's contribution to the
-// virtual clock's busy probe — time must not advance past a request
-// timeout while queued frames are still being put on the wire. Caller
-// holds r.mu.
+// nextWriteLocked picks the frame the loop writes next: owed repairs
+// first (lowest seq first — the receiver's drain waits on the lowest
+// gap), then the unsent FIFO. When the FIFO is empty it admits the
+// queued head into the sequence space, if the window lets it. Entries
+// acked or rebuilt since they were listed are skipped. Caller holds
+// r.mu.
+func (r *ReliableLink) nextWriteLocked() *relEntry {
+	for len(r.due) > 0 {
+		if e := popFront(&r.due); r.inflight[e.seq] == e {
+			return e
+		}
+	}
+	if len(r.unsent) == 0 && len(r.queue) > 0 {
+		if wait, err := r.admitStepLocked(true); !wait && err == nil {
+			r.registerLocked(popFront(&r.queue), true)
+			r.cond.Broadcast() // queue shrank: unblock full-queue enqueuers
+		}
+	}
+	for len(r.unsent) > 0 {
+		if e := popFront(&r.unsent); r.inflight[e.seq] == e {
+			return e
+		}
+	}
+	return nil
+}
+
+// writeLocked puts e on the wire for the write it is owed, arming its
+// deadline. r.mu is released across the raw write — the read loop's
+// Ack must never wait on the network — and held again on return. A
+// failed write detaches a managed link (the window survives for the
+// resume replay) and kills any other. Caller holds r.mu.
+func (r *ReliableLink) writeLocked(e *relEntry) {
+	kind := e.owed
+	now := r.clock.Now()
+	if kind == relFirst || kind == relReplay {
+		e.sentAt = now
+		e.backoff = r.currentRTOLocked()
+	}
+	e.owed = relWritten
+	e.attempts++
+	e.deadline = now.Add(e.backoff)
+	raw, gen := r.raw, r.rawGen
+	r.writing = true // runnable until the frame is on the wire
+	r.updateRunnableLocked()
+	r.mu.Unlock()
+
+	err := raw.Send(&Message{Type: MsgReliableData, Body: e.frame})
+	if err == nil {
+		switch kind {
+		case relFirst:
+			r.stats.add(cRelDataSent, 1)
+		case relReplay:
+			r.stats.add(cRelFramesReplayed, 1)
+		case relTimeout:
+			r.retransmits.Add(1)
+			r.stats.add(cRelRetransmits, 1)
+		case relNacked:
+			r.fastRetransmits.Add(1)
+			r.stats.add(cRelFastRetransmits, 1)
+		}
+	}
+
+	r.mu.Lock()
+	r.writing = false
+	if err != nil && gen == r.rawGen {
+		if r.lastSendErr == nil {
+			r.lastSendErr = err
+		}
+		if r.managed && !r.closed {
+			r.detachLocked()
+		} else {
+			r.closeLocked(err)
+		}
+	}
+	r.updateRunnableLocked()
+}
+
+// expireLocked marks every written frame whose deadline has passed by
+// now as owed a timer resend, doubling its backoff up to MaxBackoff,
+// and returns the earliest remaining deadline — zero once a resend
+// came due. A frame that has used up MaxAttempts gives the link up
+// instead. Caller holds r.mu.
+func (r *ReliableLink) expireLocked(now time.Time) (time.Time, error) {
+	var earliest time.Time
+	for _, e := range r.inflight {
+		if e.owed != relWritten {
+			continue
+		}
+		if e.deadline.After(now) {
+			if earliest.IsZero() || e.deadline.Before(earliest) {
+				earliest = e.deadline
+			}
+			continue
+		}
+		if r.cfg.MaxAttempts > 0 && e.attempts >= r.cfg.MaxAttempts {
+			return time.Time{}, &UnreachableError{
+				Seq:      e.seq,
+				Attempts: e.attempts,
+				Pending:  len(r.inflight),
+				LastErr:  r.lastSendErr,
+			}
+		}
+		e.backoff = min(2*e.backoff, r.cfg.MaxBackoff)
+		e.owed = relTimeout
+		r.due = append(r.due, e)
+	}
+	if len(r.due) > 0 {
+		sortBySeq(r.due)
+		return time.Time{}, nil
+	}
+	return earliest, nil
+}
+
+// runnableLocked reports whether the sender loop has work it could
+// perform right now: a frame to write (or one being written), or a
+// queued head frame that the window (or epoch roll) would admit. It
+// is the link's contribution to the virtual clock's busy probe — time
+// must not advance past a request timeout while frames are still
+// being put on the wire. A link waiting only on a timer or an ack is
+// not runnable. Caller holds r.mu.
 func (r *ReliableLink) runnableLocked() bool {
-	if r.closed || r.detached || len(r.queue) == 0 {
+	switch {
+	case r.closed || r.detached:
 		// A detached link cannot progress until a redial lands, and
 		// the redial's backoff timers need virtual time to advance —
 		// so a parked pipeline must never report busy.
 		return false
-	}
-	if r.nextSeq == 0 && len(r.inflight) > 0 {
+	case r.writing || len(r.unsent) > 0 || len(r.due) > 0:
+		return true
+	case len(r.queue) == 0, r.nextSeq == 0 && len(r.inflight) > 0:
 		return false
 	}
 	return r.inflightData < r.cfg.Window
@@ -769,10 +887,10 @@ func (r *ReliableLink) runnableLocked() bool {
 
 // updateRunnableLocked reconciles the link's contribution to the
 // fabric's shared pipelines counter after any state change that could
-// flip runnability: enqueue, head admission, ack drain, detach, close,
-// resume. The counter replaces the per-link scan the fabric's busy
-// probe used to do — O(1) loads at probe time, maintained here at the
-// transition edges. Caller holds r.mu.
+// flip runnability: new work, a write, an ack, detach, close, resume.
+// The counter replaces the per-link scan the fabric's busy probe used
+// to do — O(1) loads at probe time, maintained here at the transition
+// edges. Caller holds r.mu.
 func (r *ReliableLink) updateRunnableLocked() {
 	if r.busyRef == nil {
 		return
@@ -789,24 +907,22 @@ func (r *ReliableLink) updateRunnableLocked() {
 	}
 }
 
-// ensureSenderLocked spawns the sender goroutine when there is queued
-// work and no loop alive to drain it. Caller holds r.mu.
-func (r *ReliableLink) ensureSenderLocked() {
-	if r.senderActive || r.closed || r.detached || len(r.queue) == 0 {
-		return
+// wakeLocked tells the sender loop its state changed — new work, an
+// ack, a NACK, a detach or a close: it kicks a running loop to
+// re-evaluate, or spawns one when there is work and none is alive,
+// and reconciles the busy probe. Caller holds r.mu.
+func (r *ReliableLink) wakeLocked() {
+	r.updateRunnableLocked()
+	switch {
+	case r.active:
+		select {
+		case r.kick <- struct{}{}:
+		default: // a kick is already pending
+		}
+	case !r.closed && !r.detached && (len(r.queue) > 0 || len(r.inflight) > 0):
+		r.active = true
+		go r.sendLoop()
 	}
-	r.senderActive = true
-	go r.senderLoop()
-}
-
-// ensureRetransLocked spawns the retransmit loop when frames are in
-// flight and no loop is alive to time them. Caller holds r.mu.
-func (r *ReliableLink) ensureRetransLocked() {
-	if r.retransActive || r.closed || r.detached || len(r.inflight) == 0 {
-		return
-	}
-	r.retransActive = true
-	go r.retransmitLoop()
 }
 
 // Request passes through to the underlying link: correlated
@@ -848,162 +964,54 @@ func (r *ReliableLink) Ack(body []byte) {
 			}
 		}
 	}
-	r.ensureSenderLocked()
-	r.updateRunnableLocked()
 	r.cond.Broadcast()
+	if len(r.queue) > 0 || len(r.inflight) == 0 {
+		// The window may admit the queued head, or the loop may go
+		// idle. Otherwise the loop sleeps on: its timer was armed for
+		// a deadline no later than any that remains, and an early
+		// fire just rescans.
+		r.wakeLocked()
+	}
 	r.mu.Unlock()
 	r.acksReceived.Add(1)
 	r.stats.add(cRelAcksReceived, 1)
-	r.kickLoop()
 }
 
-// Nack processes a receiver gap report: every named seq still in
-// flight is retransmitted immediately — the fast path that spares a
+// Nack processes a receiver gap report: every named seq on the wire
+// and still in flight is owed a fast retransmit, which the sender
+// loop writes ahead of new frames — the fast path that spares a
 // single lost frame the full backoff wait. The frame's backoff is
 // kept (a gap is a loss signal, not a congestion signal worth
-// doubling for) but its deadline is pushed so the timer does not
+// doubling for); the write re-arms its deadline so the timer does not
 // double-fire right behind the repair. Conn-attached links are fed
-// automatically from the connection's read loop.
+// automatically from the connection's read loop, which therefore
+// never writes a sender-side repair itself.
 func (r *ReliableLink) Nack(body []byte) {
 	epoch, seqs, err := decodeRelNack(body)
 	if err != nil {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed || r.detached || epoch != r.epoch || !r.cfg.FastRetransmit {
-		r.mu.Unlock()
 		return
 	}
-	now := r.clock.Now()
-	var due []*relEntry
+	marked := false
 	for _, seq := range seqs {
 		e, ok := r.inflight[seq]
-		if !ok {
-			continue // already acked: a stale report
+		if !ok || e.owed != relWritten {
+			continue // already acked (a stale report), or a write is already owed
 		}
 		if r.cfg.MaxAttempts > 0 && e.attempts >= r.cfg.MaxAttempts {
 			continue // the timer path owns give-up
 		}
-		e.attempts++
-		e.deadline = now.Add(e.backoff)
-		due = append(due, e)
+		e.owed = relNacked
+		r.due = append(r.due, e)
+		marked = true
 	}
-	raw := r.raw
-	r.mu.Unlock()
-	if len(due) == 0 {
-		return
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i].seq < due[j].seq })
-	for _, e := range due {
-		if err := raw.Send(&Message{Type: MsgReliableData, Body: e.frame}); err != nil {
-			r.failSend(err)
-			return
-		}
-		r.fastRetransmits.Add(1)
-		r.stats.add(cRelFastRetransmits, 1)
-	}
-	r.kickLoop()
-}
-
-// retransmitLoop resends unacked frames when their deadlines pass,
-// doubling each frame's backoff per attempt. One timer is re-armed
-// across waits (Timer.Reset) so the loop costs no per-wake
-// allocation. The loop is spawned lazily by ensureRetransLocked and
-// exits — instead of parking — once nothing is in flight, the link
-// detaches (deadlines freeze until the resume replay rearms them and
-// respawns the loop), or it closes; the flag clears in the same
-// critical section as the exit decision so a concurrent registration
-// can never see a stale flag and skip the respawn.
-func (r *ReliableLink) retransmitLoop() {
-	var timer Timer
-	wait := func(d time.Duration) bool { // false: shut down
-		if timer == nil {
-			timer = r.clock.NewTimer(d)
-		} else {
-			timer.Reset(d)
-		}
-		select {
-		case <-timer.C():
-		case <-r.kick: // in-flight set changed; recompute
-			timer.Stop()
-		case <-r.done:
-			timer.Stop()
-			return false
-		}
-		return true
-	}
-	for {
-		r.mu.Lock()
-		if r.closed || r.detached || len(r.inflight) == 0 {
-			r.retransActive = false
-			r.mu.Unlock()
-			return
-		}
-		var earliest time.Time
-		for _, e := range r.inflight {
-			if earliest.IsZero() || e.deadline.Before(earliest) {
-				earliest = e.deadline
-			}
-		}
-		now := r.clock.Now()
-		if d := earliest.Sub(now); d > 0 {
-			r.mu.Unlock()
-			if !wait(d) {
-				r.mu.Lock()
-				r.retransActive = false
-				r.mu.Unlock()
-				return
-			}
-			continue
-		}
-		var due []*relEntry
-		var gaveUp error
-		for _, e := range r.inflight {
-			if e.deadline.After(now) {
-				continue
-			}
-			if r.cfg.MaxAttempts > 0 && e.attempts >= r.cfg.MaxAttempts {
-				gaveUp = &UnreachableError{
-					Seq:      e.seq,
-					Attempts: e.attempts,
-					Pending:  len(r.inflight),
-					LastErr:  r.lastSendErr,
-				}
-				break
-			}
-			e.attempts++
-			e.backoff *= 2
-			if e.backoff > r.cfg.MaxBackoff {
-				e.backoff = r.cfg.MaxBackoff
-			}
-			e.deadline = now.Add(e.backoff)
-			due = append(due, e)
-		}
-		raw := r.raw
-		r.mu.Unlock()
-		if gaveUp != nil {
-			r.fail(gaveUp)
-			r.mu.Lock()
-			r.retransActive = false
-			r.mu.Unlock()
-			return
-		}
-		// Resend in sequence order: deterministic, and the receiver's
-		// contiguity drain benefits from low seqs arriving first.
-		sort.Slice(due, func(i, j int) bool { return due[i].seq < due[j].seq })
-		for _, e := range due {
-			if err := raw.Send(&Message{Type: MsgReliableData, Body: e.frame}); err != nil {
-				if r.failSend(err) {
-					break // detached: exit on the next pass
-				}
-				r.mu.Lock()
-				r.retransActive = false
-				r.mu.Unlock()
-				return
-			}
-			r.retransmits.Add(1)
-			r.stats.add(cRelRetransmits, 1)
-		}
+	if marked {
+		sortBySeq(r.due)
+		r.wakeLocked()
 	}
 }
 
@@ -1014,13 +1022,6 @@ func (r *ReliableLink) maxInflightTotal() int {
 		return n
 	}
 	return 256
-}
-
-func (r *ReliableLink) kickLoop() {
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
 }
 
 // closeLocked marks the link dead, abandoning queued frames (counted
@@ -1037,49 +1038,27 @@ func (r *ReliableLink) closeLocked(err error) {
 		r.stats.add(cRelQueueAbandoned, uint64(n))
 		r.queue = nil
 	}
-	r.updateRunnableLocked()
 	r.cond.Broadcast()
-	r.stopOnce.Do(func() { close(r.done) })
+	r.wakeLocked()
 }
 
-// shutdown marks the link dead, unblocking window waiters, the
-// retransmit loop and the sender goroutine.
+// shutdown marks the link dead, unblocking window waiters and the
+// sender loop.
 func (r *ReliableLink) shutdown(err error) {
 	r.mu.Lock()
 	r.closeLocked(err)
 	r.mu.Unlock()
 }
 
-func (r *ReliableLink) fail(err error) { r.shutdown(err) }
-
-// failSend records a raw send failure (so later give-up errors can
-// carry it) and fails the link — or, on a managed link, detaches it
-// and reports true: the window survives for the resume replay.
-func (r *ReliableLink) failSend(err error) bool {
-	r.mu.Lock()
-	if r.lastSendErr == nil {
-		r.lastSendErr = err
-	}
-	if r.managed && !r.closed {
-		r.detachLocked()
-		r.mu.Unlock()
-		r.kickLoop()
-		return true
-	}
-	r.closeLocked(err)
-	r.mu.Unlock()
-	return false
-}
-
-// detachLocked parks a managed link across an outage: loops idle,
+// detachLocked parks a managed link across an outage: the loop exits,
 // window and queue stay intact. Caller holds r.mu.
 func (r *ReliableLink) detachLocked() {
 	if r.detached {
 		return
 	}
 	r.detached = true
-	r.updateRunnableLocked()
 	r.cond.Broadcast()
+	r.wakeLocked()
 }
 
 // setManaged hands ownership of the link's lifecycle to a Remote:
@@ -1107,99 +1086,70 @@ func (r *ReliableLink) isClosed() bool {
 }
 
 // resume points a detached (or freshly failing) link at a new raw
-// connection and replays the unacked window. With sameEpoch the
-// receiver still holds the session: frames at or below its advertised
-// cumulative ack are released unsent and the rest retransmit under
-// their old numbering. Otherwise the link rolls to a fresh epoch and
-// renumbers the surviving window from seq 1 — the receiver's epoch
-// reset then accepts the replay contiguously, and its saved-session
-// dedup (resumeCum) suppresses anything it had already committed.
-// Returns the number of frames put back on the wire.
+// connection and rebuilds the unacked window as a replay. With
+// sameEpoch the receiver still holds the session: frames at or below
+// its advertised cumulative ack are released unsent and the rest
+// retransmit under their old numbering. Otherwise the link rolls to a
+// fresh epoch and renumbers the surviving window from seq 1 — the
+// receiver's epoch reset then accepts the replay contiguously, and
+// its saved-session dedup (resumeCum) suppresses anything it had
+// already committed. The replay goes to the sender loop ahead of
+// anything registered later; the return value counts the frames
+// handed to it (Stats.RelFramesReplayed counts those written).
 func (r *ReliableLink) resume(raw Link, sameEpoch bool, cum uint64) int {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return 0
 	}
 	r.raw = raw
+	r.rawGen++
 	if sameEpoch && cum > r.acked {
 		r.acked = cum
-		for seq, e := range r.inflight {
-			if seq <= cum {
-				delete(r.inflight, seq)
-				if e.data {
-					r.inflightData--
-				}
-			}
-		}
 	}
-	entries := make([]*relEntry, 0, len(r.inflight))
-	for _, e := range r.inflight {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	now := r.clock.Now()
-	rto := r.currentRTOLocked()
-	// Build fresh entries rather than mutating the old ones: a resend
-	// racing on another goroutine may still be reading the old frames.
-	fresh := make([]*relEntry, 0, len(entries))
 	if !sameEpoch {
 		r.epoch = nextRelEpoch()
 		r.acked = 0
 	}
-	for i, e := range entries {
+	old := make([]*relEntry, 0, len(r.inflight))
+	for _, e := range r.inflight {
+		old = append(old, e)
+	}
+	sortBySeq(old)
+	// Build fresh entries rather than mutating the old ones: the loop
+	// may still be writing an old frame to the previous raw link.
+	replay := make([]*relEntry, 0, len(old))
+	for _, e := range old {
+		if sameEpoch && e.seq <= r.acked {
+			continue
+		}
 		seq, frame := e.seq, e.frame
 		if !sameEpoch {
-			seq = uint64(i + 1)
-			_, _, inner, err := decodeRelData(e.frame)
-			if err != nil {
-				continue // unreachable: this layer encoded the frame
-			}
-			frame = encodeRelData(r.epoch, seq, inner)
+			seq = uint64(len(replay) + 1)
+			frame = append([]byte(nil), e.frame...)
+			binary.BigEndian.PutUint64(frame[0:8], r.epoch)
+			binary.BigEndian.PutUint64(frame[8:16], seq)
 		}
-		fresh = append(fresh, &relEntry{
-			seq:      seq,
-			data:     e.data,
-			frame:    frame,
-			sentAt:   now,
-			deadline: now.Add(rto),
-			backoff:  rto,
-			attempts: 1,
-		})
+		replay = append(replay, &relEntry{seq: seq, data: e.data, frame: frame, owed: relReplay})
 	}
 	if !sameEpoch {
-		r.nextSeq = uint64(len(fresh)) + 1
+		r.nextSeq = uint64(len(replay)) + 1
 	}
-	r.inflight = make(map[uint64]*relEntry, len(fresh))
+	r.inflight = make(map[uint64]*relEntry, len(replay))
 	r.inflightData = 0
-	for _, e := range fresh {
+	for _, e := range replay {
 		r.inflight[e.seq] = e
 		if e.data {
 			r.inflightData++
 		}
 	}
+	r.unsent = replay
+	r.due = nil
 	r.detached = false
 	r.lastSendErr = nil
-	// Reattached with a rebuilt in-flight set and (possibly) queued
-	// frames: respawn whichever loops the work needs and restore the
-	// busy contribution the detach dropped.
-	r.ensureSenderLocked()
-	r.ensureRetransLocked()
-	r.updateRunnableLocked()
 	r.cond.Broadcast()
-	r.mu.Unlock()
-	r.kickLoop()
-
-	replayed := 0
-	for _, e := range fresh {
-		if err := raw.Send(&Message{Type: MsgReliableData, Body: e.frame}); err != nil {
-			r.failSend(err)
-			break
-		}
-		replayed++
-		r.stats.add(cRelFramesReplayed, 1)
-	}
-	return replayed
+	r.wakeLocked()
+	return len(replay)
 }
 
 // stop halts the reliable machinery without closing the underlying
@@ -1207,14 +1157,12 @@ func (r *ReliableLink) resume(raw Link, sameEpoch bool, cum uint64) int {
 // detaches instead: its Remote decides when the session truly dies.
 func (r *ReliableLink) stop() {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.managed && !r.closed {
 		r.detachLocked()
-		r.mu.Unlock()
-		r.kickLoop()
 		return
 	}
 	r.closeLocked(ErrClosed)
-	r.mu.Unlock()
 }
 
 // Close stops the reliable machinery and closes the underlying link.

@@ -26,9 +26,21 @@ type scriptLink struct {
 	mu      sync.Mutex
 	sendErr error
 	frames  []*Message
+	// hold, when set, parks the next Send before it records anything
+	// (and without holding mu) until hold is closed; held is closed
+	// once that Send has parked.
+	hold, held chan struct{}
 }
 
 func (l *scriptLink) Send(m *Message) error {
+	l.mu.Lock()
+	hold, held := l.hold, l.held
+	l.hold, l.held = nil, nil
+	l.mu.Unlock()
+	if hold != nil {
+		close(held)
+		<-hold
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.sendErr != nil {
@@ -43,6 +55,24 @@ func (l *scriptLink) Request(MsgType, []byte) (*Message, error) {
 }
 
 func (l *scriptLink) Close() error { return nil }
+
+// holdNextSend parks the link's next Send: held closes once it has
+// parked, and closing release lets it go on.
+func (l *scriptLink) holdNextSend() (held, release chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.hold, l.held = make(chan struct{}), make(chan struct{})
+	return l.held, l.hold
+}
+
+func awaitHeld(t *testing.T, held chan struct{}) {
+	t.Helper()
+	select {
+	case <-held:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the held write never reached the link")
+	}
+}
 
 func (l *scriptLink) count() int {
 	l.mu.Lock()
@@ -257,7 +287,7 @@ func TestRelReceiverTable(t *testing.T) {
 }
 
 // TestReliableWindowBackpressure pins the window contract on the
-// queued path: the sender goroutine never puts more than Window object
+// queued path: the sender loop never puts more than Window object
 // frames in flight while the queue holds the rest, control frames
 // bypass a full window, an ack admits exactly the frames it frees
 // room for, and an enqueue blocked on a full queue returns ErrClosed
@@ -287,8 +317,8 @@ func TestReliableWindowBackpressure(t *testing.T) {
 			if !waitUntil(2*time.Second, full) {
 				t.Fatalf("pipeline = %+v, want %d in flight and %d queued", r.Snapshot(), window, queue)
 			}
-			if got := link.count(); got != window {
-				t.Fatalf("frames on wire = %d, want %d (window)", got, window)
+			if !waitUntil(2*time.Second, func() bool { return link.count() == window }) {
+				t.Fatalf("frames on wire = %d, want %d (window)", link.count(), window)
 			}
 
 			blocked := make(chan error, 1)
@@ -302,8 +332,8 @@ func TestReliableWindowBackpressure(t *testing.T) {
 			if err := r.Send(&Message{Type: MsgTypeInfoRequest, Seq: 7}); err != nil {
 				t.Fatalf("control send blocked by full window: %v", err)
 			}
-			if got := link.count(); got != window+1 {
-				t.Fatalf("frames on wire = %d after control send, want %d", got, window+1)
+			if !waitUntil(2*time.Second, func() bool { return link.count() == window+1 }) {
+				t.Fatalf("frames on wire = %d after control send, want %d", link.count(), window+1)
 			}
 			// Ack the first object: exactly one slot frees, one queued
 			// frame takes it, and the blocked enqueue gets the queue slot.
@@ -319,8 +349,8 @@ func TestReliableWindowBackpressure(t *testing.T) {
 			if !waitUntil(2*time.Second, full) {
 				t.Fatalf("pipeline after ack = %+v, want %d in flight and %d queued", r.Snapshot(), window, queue)
 			}
-			if got := link.count(); got != window+2 {
-				t.Errorf("frames on wire = %d after ack, want %d", got, window+2)
+			if !waitUntil(2*time.Second, func() bool { return link.count() == window+2 }) {
+				t.Errorf("frames on wire = %d after ack, want %d", link.count(), window+2)
 			}
 
 			// An enqueue blocked on the full queue fails fast when the
@@ -358,9 +388,9 @@ func TestReliableRetransmitBackoff(t *testing.T) {
 	}
 	advanceAndAwait := func(d time.Duration, wantFrames int) {
 		t.Helper()
-		// Let the retransmit loop park on the clock before advancing.
+		// Let the sender loop park on the clock before advancing.
 		if !waitUntil(2*time.Second, func() bool { return clock.PendingTimers() >= 1 }) {
-			t.Fatal("retransmit loop never armed its timer")
+			t.Fatal("sender loop never armed its timer")
 		}
 		clock.Advance(d)
 		if !waitUntil(2*time.Second, func() bool { return link.count() >= wantFrames }) {
@@ -569,7 +599,7 @@ func TestReliableSendQueueAsync(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Send blocked despite the send queue")
 	}
-	// The sender goroutine puts exactly Window frames on the wire.
+	// The sender loop puts exactly Window frames on the wire.
 	if !waitUntil(2*time.Second, func() bool { return link.count() == 2 }) {
 		t.Fatalf("frames on wire = %d, want 2 (window)", link.count())
 	}
@@ -762,6 +792,9 @@ func TestReliableNackFastRetransmit(t *testing.T) {
 	epoch := r.Snapshot().Epoch
 
 	r.Nack(encodeRelNack(epoch, []uint64{2}))
+	if !waitUntil(2*time.Second, func() bool { return r.Snapshot().FastRetransmits == 1 }) {
+		t.Fatalf("frames = %d after NACK, want 4 (one fast retransmit)", link.count())
+	}
 	if got := link.count(); got != 4 {
 		t.Fatalf("frames = %d after NACK, want 4 (one fast retransmit)", got)
 	}
@@ -773,10 +806,14 @@ func TestReliableNackFastRetransmit(t *testing.T) {
 		t.Errorf("FastRetransmits = %d, want 1", got)
 	}
 
-	// Acked, unknown and stale-epoch reports do nothing.
+	// Acked, unknown and stale-epoch reports do nothing: once the loop
+	// is idle again, no frame has appeared.
 	r.Ack(encodeRelAck(epoch, 2))
 	r.Nack(encodeRelNack(epoch, []uint64{1, 2, 99}))
 	r.Nack(encodeRelNack(epoch+1, []uint64{3}))
+	if !waitUntil(2*time.Second, loopIdle(r, clock)) {
+		t.Fatal("sender loop never went idle")
+	}
 	if got := link.count(); got != 4 {
 		t.Errorf("frames = %d after stale NACKs, want 4", got)
 	}
@@ -792,8 +829,23 @@ func TestReliableNackFastRetransmit(t *testing.T) {
 		t.Fatal("frame never left the queue")
 	}
 	r2.Nack(encodeRelNack(r2.Snapshot().Epoch, []uint64{1}))
+	if !waitUntil(2*time.Second, loopIdle(r2, clock)) {
+		t.Fatal("sender loop never went idle")
+	}
 	if got := link2.count(); got != 1 {
 		t.Errorf("frames = %d with fast retransmit disabled, want 1", got)
+	}
+}
+
+// loopIdle reports a sender loop parked on its timer with no kick
+// pending and no write owed or in progress: it has acted on
+// everything it was told.
+func loopIdle(r *ReliableLink, clock *VirtualClock) func() bool {
+	return func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(r.kick) == 0 && !r.writing && len(r.unsent) == 0 && len(r.due) == 0 &&
+			clock.PendingTimers() >= 1
 	}
 }
 
@@ -878,19 +930,17 @@ func TestReliableUnreachableTyped(t *testing.T) {
 	}
 }
 
-// reliableLoopGoroutines counts live sender/retransmit goroutines —
-// the manual-snapshot leak detector (no external goleak dependency).
+// reliableLoopGoroutines counts live sender loops — the
+// manual-snapshot leak detector (no external goleak dependency).
 func reliableLoopGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	s := string(buf[:n])
-	return strings.Count(s, "(*ReliableLink).senderLoop") +
-		strings.Count(s, "(*ReliableLink).retransmitLoop")
+	return strings.Count(string(buf[:n]), "(*ReliableLink).sendLoop")
 }
 
-// TestReliableCloseReleasesGoroutines: every Close/stop path releases
-// both loop goroutines, on links killed with frames queued and in
-// flight.
+// TestReliableCloseReleasesGoroutines: a busy link runs one sender
+// loop, and every Close/stop path releases it, on links killed with
+// frames queued and in flight.
 func TestReliableCloseReleasesGoroutines(t *testing.T) {
 	base := reliableLoopGoroutines()
 	var links []*ReliableLink
@@ -905,8 +955,8 @@ func TestReliableCloseReleasesGoroutines(t *testing.T) {
 		}
 		links = append(links, r)
 	}
-	if !waitUntil(2*time.Second, func() bool { return reliableLoopGoroutines() >= base+16 }) {
-		t.Fatalf("loop goroutines = %d, want >= %d", reliableLoopGoroutines(), base+16)
+	if !waitUntil(2*time.Second, func() bool { return reliableLoopGoroutines() >= base+8 }) {
+		t.Fatalf("loop goroutines = %d, want >= %d", reliableLoopGoroutines(), base+8)
 	}
 	for i, r := range links {
 		if i%2 == 0 {
@@ -925,14 +975,125 @@ func TestReliableCloseReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// TestReliableFirstSendsInSeqOrder pins the one-writer property:
+// first transmissions reach the wire in the order their seqs were
+// assigned. A control frame sequenced while an object frame's write
+// is stalled must not overtake it, and a resume's replay reaches the
+// new link ahead of every frame registered after the resume.
+func TestReliableFirstSendsInSeqOrder(t *testing.T) {
+	wireSeqs := func(t *testing.T, l *scriptLink, want int) string {
+		t.Helper()
+		if !waitUntil(2*time.Second, func() bool { return l.count() == want }) {
+			t.Fatalf("frames on wire = %d, want %d", l.count(), want)
+		}
+		_, seqs := l.dataFrames(t)
+		return fmt.Sprint(seqs)
+	}
+
+	t.Run("control behind stalled object", func(t *testing.T) {
+		link := &scriptLink{}
+		held, release := link.holdNextSend()
+		r := NewReliableLink(link, NewManualClock(), WithRetransmitTimeout(time.Hour))
+		defer r.Close()
+		if err := r.Send(obj(1)); err != nil {
+			t.Fatal(err)
+		}
+		awaitHeld(t, held)
+		if err := r.Send(&Message{Type: MsgTypeInfoReply, Seq: 2}); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		if got := wireSeqs(t, link, 2); got != "[1 2]" {
+			t.Errorf("wire order = %s, want [1 2]", got)
+		}
+	})
+
+	t.Run("resume replay ahead of later frames", func(t *testing.T) {
+		// The old conn dies under a stalled write: its write fails
+		// after the session has already resumed on a new link, and that
+		// stale failure must not detach the resumed session.
+		dead := &scriptLink{sendErr: ErrClosed}
+		held, release := dead.holdNextSend()
+		r := NewReliableLink(dead, NewManualClock(), WithRetransmitTimeout(time.Hour))
+		r.setManaged()
+		defer r.Close()
+		if err := r.Send(obj(1)); err != nil {
+			t.Fatal(err)
+		}
+		awaitHeld(t, held)
+		r.stop() // conn teardown: a managed link detaches
+		fresh := &scriptLink{}
+		if n := r.resume(fresh, true, 0); n != 1 {
+			t.Fatalf("resume handed %d frames to the writer, want 1", n)
+		}
+		if err := r.Send(&Message{Type: MsgTypeInfoReply, Seq: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Send(obj(3)); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		if got := wireSeqs(t, fresh, 3); got != "[1 2 3]" {
+			t.Errorf("wire order after resume = %s, want [1 2 3]", got)
+		}
+		if s := r.Snapshot(); s.Detached {
+			t.Error("a write failure on the abandoned link detached the resumed session")
+		}
+		if got := r.stats.Snapshot().RelFramesReplayed; got != 1 {
+			t.Errorf("RelFramesReplayed = %d, want 1", got)
+		}
+	})
+}
+
+// TestReliableIdleLinkLeavesBusyProbe: a link whose owed writes were
+// all acked before the loop reached them goes idle, and its
+// contribution to the fabric's busy probe goes with it — a stale
+// contribution would freeze the virtual clock for the whole fabric.
+func TestReliableIdleLinkLeavesBusyProbe(t *testing.T) {
+	link := &scriptLink{}
+	busy := &fabricBusy{}
+	r := newReliableLink(link, NewManualClock(), new(Stats), busy, defaultReliableConfig())
+	defer r.Close()
+	if err := r.Send(obj(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(2*time.Second, func() bool { return link.count() == 1 }) {
+		t.Fatal("first frame never reached the link")
+	}
+	held, release := link.holdNextSend()
+	if err := r.Send(obj(2)); err != nil {
+		t.Fatal(err)
+	}
+	awaitHeld(t, held)
+	epoch := r.Snapshot().Epoch
+	r.Nack(encodeRelNack(epoch, []uint64{1})) // a repair is owed...
+	r.Ack(encodeRelAck(epoch, 2))             // ...and made moot before the loop gets to it
+	close(release)
+	if !waitUntil(2*time.Second, func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return !r.active
+	}) {
+		t.Fatal("sender loop never went idle")
+	}
+	if got := busy.pipelines.Load(); got != 0 {
+		t.Errorf("idle link still counts %d busy pipelines", got)
+	}
+	if got := link.count(); got != 2 {
+		t.Errorf("frames on wire = %d, want 2 (no moot repair)", got)
+	}
+}
+
 // TestReliableTCPNoSpuriousRepair streams objects over a loopback TCP
 // pair with reliable links and several objects in flight. TCP neither
-// loses nor reorders, and the receiver accepts each conn's frames in
-// arrival order, so once the stream is warm no frame may be NACKed or
+// loses nor reorders, the sender's one writer puts first
+// transmissions on the wire in seq order, and the receiver accepts
+// each conn's frames in arrival order, so no frame may be NACKed or
 // fast-retransmitted: these counts are invariants, not tuned bounds.
-// The warm-up object is excluded from the counts because its
-// description fetch sends a reply, a control frame that can overtake
-// queued object frames on the sender side.
+// They hold from the first object on: the first inFlight objects go
+// out back to back while the receiver's description fetch is still
+// unanswered, so the sender's reply, a control frame, is sequenced
+// among queued object frames.
 func TestReliableTCPNoSpuriousRepair(t *testing.T) {
 	const (
 		objects  = 2000
@@ -982,24 +1143,15 @@ func TestReliableTCPNoSpuriousRepair(t *testing.T) {
 		}
 	}
 
-	send(0)
-	if !waitUntil(10*time.Second, func() bool { return delivered() == 1 }) {
-		t.Fatal("warm-up object never delivered")
-	}
-	repairs := func() (nacks, fast uint64) {
-		s, r := sender.Stats().Snapshot(), receiver.Stats().Snapshot()
-		return s.RelNacksSent + r.RelNacksSent, s.RelFastRetransmits + r.RelFastRetransmits
-	}
-	nacks0, fast0 := repairs()
-	for i := 1; i <= objects; i++ {
+	for i := 0; i < objects; i++ {
 		send(i)
 	}
 	if !waitUntil(30*time.Second, func() bool {
 		s, ok := conn.ReliableSnapshot()
-		return delivered() == objects+1 && ok && s.InFlightData == 0
+		return delivered() == objects && ok && s.InFlightData == 0
 	}) {
 		s, _ := conn.ReliableSnapshot()
-		t.Fatalf("delivered %d of %d, sender %+v", delivered(), objects+1, s)
+		t.Fatalf("delivered %d of %d, sender %+v", delivered(), objects, s)
 	}
 
 	mu.Lock()
@@ -1010,12 +1162,15 @@ func TestReliableTCPNoSpuriousRepair(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	if got := receiver.Stats().Snapshot().ObjectsDelivered; got != objects+1 {
-		t.Errorf("ObjectsDelivered = %d, want %d", got, objects+1)
+	ss, rs := sender.Stats().Snapshot(), receiver.Stats().Snapshot()
+	if rs.ObjectsDelivered != objects {
+		t.Errorf("ObjectsDelivered = %d, want %d", rs.ObjectsDelivered, objects)
 	}
-	nacks, fast := repairs()
-	if nacks != nacks0 || fast != fast0 {
-		t.Errorf("over an ordered stream: %d NACKs sent and %d fast retransmits, want 0 and 0",
-			nacks-nacks0, fast-fast0)
+	if rs.TypeInfoRequests == 0 {
+		t.Error("no description fetch: the stream never mixed a reply with object frames")
+	}
+	nacks, fast := ss.RelNacksSent+rs.RelNacksSent, ss.RelFastRetransmits+rs.RelFastRetransmits
+	if nacks != 0 || fast != 0 {
+		t.Errorf("over an ordered stream: %d NACKs sent and %d fast retransmits, want 0 and 0", nacks, fast)
 	}
 }
