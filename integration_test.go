@@ -57,13 +57,15 @@ func TestRelayChain(t *testing.T) {
 	// The middle hop re-publishes every received object to all its
 	// connections (minus bookkeeping to avoid echo: it receives from
 	// origin, broadcasts to final; origin's conn also gets a copy,
-	// which origin simply drops for lack of interests).
+	// which origin simply drops for lack of interests). The handler
+	// hands its Broadcast result to the test goroutine, which checks
+	// it before teardown closes the peers under the broadcast.
+	relayErr := make(chan error, 1)
 	if err := pMiddle.OnReceive(fixtures.PersonA{}, func(d pti.Delivery) {
 		pa := d.Bound.(*fixtures.PersonA)
 		pa.Name = pa.Name + "-relayed"
-		if _, err := pMiddle.Broadcast(*pa); err != nil {
-			t.Errorf("relay broadcast: %v", err)
-		}
+		_, err := pMiddle.Broadcast(*pa)
+		relayErr <- err
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +81,14 @@ func TestRelayChain(t *testing.T) {
 	}
 	if d.TypeName != "PersonA" {
 		t.Errorf("final hop received type %q, want PersonA", d.TypeName)
+	}
+	select {
+	case err := <-relayErr:
+		if err != nil {
+			t.Errorf("relay broadcast: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("relay broadcast never returned")
 	}
 }
 

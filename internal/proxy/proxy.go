@@ -18,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
+	"strconv"
 	"sync/atomic"
 
 	"pti/internal/conform"
@@ -280,53 +280,58 @@ func (v *View) Get(field string) (interface{}, error) {
 // Object returns the underlying generic object.
 func (v *View) Object() *wire.Object { return v.obj }
 
-// Binder materializes received generic objects into locally
-// registered conformant Go types — the substitute for "the different
-// classes and interfaces that implement the types can be downloaded
-// and loaded into the memory in order to deserialize cleanly the
-// object" (Section 6.2).
+// Binder materializes received objects into locally registered
+// conformant Go types — the substitute for "the different classes and
+// interfaces that implement the types can be downloaded and loaded
+// into the memory in order to deserialize cleanly the object"
+// (Section 6.2). Conformance mappings live in the checker's
+// conformance cache (which WithCacheCapacity bounds); the binder
+// itself remembers only the pair it bound last.
 type Binder struct {
 	reg     *registry.Registry
 	checker *conform.Checker
 
-	mu       sync.RWMutex
-	mappings map[string]*conform.Mapping // srcName|srcIdentity|targetName -> mapping
+	// fp fingerprints this binder's field resolution for the wire
+	// programs' materializer tables: binders over different
+	// registries can map one source type differently, so their tables
+	// must never be conflated on a shared program.
+	fp string
 
-	// lastMapping is a single-entry memo over mappingForRef keyed by
-	// the exact (source ref, target description pointer) pair: the
-	// steady-state receive path asks for the same mapping on every
-	// message, and the map lookup's concatenated key is the only
-	// allocation left on that path. lastResolver memoizes the pinned
-	// field-resolver closure the same way.
-	lastMapping  atomic.Pointer[mappingMemo]
-	lastResolver atomic.Pointer[resolverMemo]
+	// last memoizes the (source ref, target description) pair bound
+	// most recently: the steady-state receive path binds one pair on
+	// every message and then needs neither a checker lookup nor a
+	// fresh resolver closure.
+	last atomic.Pointer[bindMemo]
 }
 
-// resolverMemo is one memoized FieldResolverFor closure.
-type resolverMemo struct {
-	src typedesc.TypeRef
-	fn  wire.FieldResolver
-}
-
-// mappingMemo is one memoized Mapping result. The target is compared
-// by pointer: re-registration installs a fresh description, which
-// misses the memo and falls through to mappingFor. The source is the
-// full ref — name and identity — so two versions of one logical name
-// never share a memo slot.
-type mappingMemo struct {
+// bindMemo is one memoized binding pair. The target is compared by
+// pointer: re-registration installs a fresh description, which misses
+// the memo. The source is the full ref — name and identity — so two
+// versions of one logical name never share a slot.
+type bindMemo struct {
 	src    typedesc.TypeRef
 	target *typedesc.TypeDescription
 	m      *conform.Mapping
+	// resolve is the field resolver pinned to this pair: the root
+	// object maps through m, nested objects through their own pairs.
+	// fp is its materializer fingerprint ("" when src carries no
+	// identity, so a name-only resolution, which follows the latest
+	// version, is never memoized).
+	resolve wire.FieldResolver
+	fp      string
 }
+
+// binderSeq hands every binder a distinct fingerprint.
+var binderSeq atomic.Uint64
 
 // NewBinder builds a Binder. The checker must resolve both local
 // descriptions (the registry's) and any remote descriptions received
 // so far (typically via typedesc.MultiResolver).
 func NewBinder(reg *registry.Registry, checker *conform.Checker) *Binder {
 	return &Binder{
-		reg:      reg,
-		checker:  checker,
-		mappings: make(map[string]*conform.Mapping),
+		reg:     reg,
+		checker: checker,
+		fp:      "binder-" + strconv.FormatUint(binderSeq.Add(1), 10),
 	}
 }
 
@@ -353,47 +358,87 @@ func (b *Binder) BindRef(obj *wire.Object, src typedesc.TypeRef, expected typede
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: no local implementation registered for %s", ErrNotBindable, expected)
 	}
-	m, err := b.mappingForRef(src, entry.Description)
+	return b.bindEntry(obj, src, entry)
+}
+
+// Deserialize materializes an encoded payload, whose envelope names
+// its source type by the full ref src (name and identity), as entry's
+// Go type. It is the one receive-side bind: the transport's deliveries
+// and the facade's Unmarshal both run through it. The steady state is
+// compiled end to end: entry's wire program decodes the payload
+// straight into a fresh instance, with field names resolved through
+// the mapping of exactly src's version. Anything the compiled decoder
+// cannot reproduce with certainty (including a payload whose root
+// type name differs from src's) falls back to the generic decode and
+// BindRef, which stay the authority for values, errors and
+// conformance. compiled reports whether the compiled decode ran.
+func (b *Binder) Deserialize(codec wire.Codec, entry *registry.Entry, payload []byte, src typedesc.TypeRef) (out interface{}, m *conform.Mapping, compiled bool, err error) {
+	if mm, err := b.memoFor(src, entry); err == nil {
+		if prog, err := entry.Program(); err == nil {
+			if v, ok := codec.DecodeObjectFast(prog, payload, reflect.PtrTo(entry.Type), mm.resolve, mm.fp, src.Name); ok {
+				return v, mm.m, true, nil
+			}
+		}
+	}
+	gv, err := codec.DecodeGeneric(payload)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("proxy: decode payload: %w", err)
+	}
+	obj, ok := gv.(*wire.Object)
+	if !ok {
+		return nil, nil, false, fmt.Errorf("%w: payload is %T, not an object", ErrNotBindable, gv)
+	}
+	out, m, err = b.bindEntry(obj, src, entry)
+	return out, m, false, err
+}
+
+// bindEntry materializes obj, of source type src, as entry's Go type.
+func (b *Binder) bindEntry(obj *wire.Object, src typedesc.TypeRef, entry *registry.Entry) (interface{}, *conform.Mapping, error) {
+	mm, err := b.memoFor(src, entry)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := wire.ToGo(obj, reflect.PtrTo(entry.Type), b.FieldResolverFor(src))
+	out, err := wire.ToGo(obj, reflect.PtrTo(entry.Type), mm.resolve)
 	if err != nil {
-		return nil, nil, fmt.Errorf("proxy: bind %s as %s: %w", obj.TypeName, expected.Name, err)
+		return nil, nil, fmt.Errorf("proxy: bind %s as %s: %w", obj.TypeName, entry.Description.Name, err)
 	}
-	return out, m, nil
+	return out, mm.m, nil
+}
+
+// memoFor returns the mapping, pinned resolver and fingerprint for
+// binding src as entry's type, from the single-entry memo when the
+// pair repeats. A non-conformant pair is an error and is not memoized.
+func (b *Binder) memoFor(src typedesc.TypeRef, entry *registry.Entry) (*bindMemo, error) {
+	if mm := b.last.Load(); mm != nil && mm.src == src && mm.target == entry.Description {
+		return mm, nil
+	}
+	m, err := b.mappingForRef(src, entry.Description)
+	if err != nil {
+		return nil, err
+	}
+	mm := &bindMemo{src: src, target: entry.Description, m: m}
+	mm.resolve = func(t reflect.Type, source *wire.Object, field string) string {
+		// The root object maps through the pair's own mapping, which
+		// also holds when src is another version of entry's name.
+		if t == entry.Type && source != nil && source.TypeName == src.Name {
+			if fm, ok := m.FieldFor(field); ok {
+				return fm.Candidate
+			}
+			return field
+		}
+		return b.resolveFieldRef(src, t, source, field)
+	}
+	if !src.Identity.IsNil() {
+		mm.fp = b.fp + "|" + src.Identity.String()
+	}
+	b.last.Store(mm)
+	return mm, nil
 }
 
 // FieldResolver exposes the binder's mapped field resolution for use
 // with wire codecs directly (the transport layer decodes invocation
 // arguments this way).
 func (b *Binder) FieldResolver() wire.FieldResolver { return b.resolveField }
-
-// Mapping exposes the memoized conformance mapping Bind would apply
-// to objects of the named source type materialized as the target
-// description. The compiled receive path needs it without a generic
-// object in hand; a non-nil error means the source does not conform
-// and Bind would refuse it too. Name-only resolution: the source
-// resolves to the latest version of its name — callers holding a full
-// ref (the envelope's) should use MappingRef.
-func (b *Binder) Mapping(sourceName string, target *typedesc.TypeDescription) (*conform.Mapping, error) {
-	return b.MappingRef(typedesc.TypeRef{Name: sourceName}, target)
-}
-
-// MappingRef is Mapping with the source pinned by full type
-// reference: the identity resolves the exact version of the source
-// description, and the memo is keyed per (source ref, target), so
-// coexisting versions of one logical name get distinct mappings.
-func (b *Binder) MappingRef(src typedesc.TypeRef, target *typedesc.TypeDescription) (*conform.Mapping, error) {
-	if mm := b.lastMapping.Load(); mm != nil && mm.src == src && mm.target == target {
-		return mm.m, nil
-	}
-	m, err := b.mappingForRef(src, target)
-	if err == nil {
-		b.lastMapping.Store(&mappingMemo{src: src, target: target, m: m})
-	}
-	return m, err
-}
 
 // BindValue materializes any generic value (object, list, map or
 // primitive) into the given Go type with mapped field names.
@@ -407,32 +452,16 @@ func (b *Binder) resolveField(target reflect.Type, source *wire.Object, field st
 	return b.resolveFieldRef(typedesc.TypeRef{}, target, source, field)
 }
 
-// FieldResolverFor returns a field resolver with the payload's root
-// type pinned to src: objects carrying src's bare name resolve
-// through src's exact version, while nested objects of other names
-// fall back to name resolution. The resolver is memoized per ref so
-// the compiled receive path allocates nothing in steady state.
-func (b *Binder) FieldResolverFor(src typedesc.TypeRef) wire.FieldResolver {
-	if mm := b.lastResolver.Load(); mm != nil && mm.src == src {
-		return mm.fn
-	}
-	fn := func(target reflect.Type, source *wire.Object, field string) string {
-		return b.resolveFieldRef(src, target, source, field)
-	}
-	b.lastResolver.Store(&resolverMemo{src: src, fn: fn})
-	return fn
-}
-
+// resolveFieldRef maps the target's field name onto the source
+// object's: objects named like src resolve through src's exact
+// version, other (nested) objects through the latest version of
+// their name.
 func (b *Binder) resolveFieldRef(src typedesc.TypeRef, target reflect.Type, source *wire.Object, field string) string {
 	if source == nil || source.TypeName == "" {
 		return field
 	}
-	targetName := typedesc.CanonicalName(target)
-	if source.TypeName == targetName {
-		return field
-	}
-	td, err := b.reg.Resolve(typedesc.TypeRef{Name: targetName})
-	if err != nil {
+	td := b.targetDescription(target)
+	if td == nil || source.TypeName == td.Name {
 		return field
 	}
 	ref := typedesc.TypeRef{Name: source.TypeName}
@@ -449,20 +478,27 @@ func (b *Binder) resolveFieldRef(src typedesc.TypeRef, target reflect.Type, sour
 	return field
 }
 
-// mappingForRef returns (and memoizes) the conformance mapping from
-// the source ref onto the target description. The memo key carries
-// the source identity, so coexisting versions of one name hold
-// separate mappings; a bare name keys (and resolves) as the latest
-// version, the pre-versioning behavior.
-func (b *Binder) mappingForRef(src typedesc.TypeRef, target *typedesc.TypeDescription) (*conform.Mapping, error) {
-	key := src.Name + "|" + src.Identity.String() + "|" + target.Name
-	b.mu.RLock()
-	m, ok := b.mappings[key]
-	b.mu.RUnlock()
-	if ok {
-		return m, nil
+// targetDescription returns the local description of a Go bind
+// target: its registered entry's, whose name WithTypeName may have
+// set apart from the Go spelling, else the description of its Go name
+// (a nested type described alongside a registered one); nil if none.
+func (b *Binder) targetDescription(t reflect.Type) *typedesc.TypeDescription {
+	if e, ok := b.reg.LookupGo(t); ok {
+		return e.Description
 	}
+	td, err := b.reg.Resolve(typedesc.TypeRef{Name: typedesc.CanonicalName(t)})
+	if err != nil {
+		return nil
+	}
+	return td
+}
 
+// mappingForRef returns the conformance mapping from the source ref
+// onto the target description. The checker's conformance cache is its
+// memo, keyed by both identities, so coexisting versions of one name
+// hold separate mappings; a bare name resolves as the latest version,
+// the pre-versioning behavior.
+func (b *Binder) mappingForRef(src typedesc.TypeRef, target *typedesc.TypeDescription) (*conform.Mapping, error) {
 	r, err := b.checker.CheckRefs(src, target.Ref())
 	if err != nil {
 		return nil, fmt.Errorf("proxy: check %s vs %s: %w", src.Name, target.Name, err)
@@ -471,8 +507,5 @@ func (b *Binder) mappingForRef(src typedesc.TypeRef, target *typedesc.TypeDescri
 		return nil, fmt.Errorf("%w: %s does not conform to %s: %s",
 			ErrNotBindable, src.Name, target.Name, r.Reason)
 	}
-	b.mu.Lock()
-	b.mappings[key] = r.Mapping
-	b.mu.Unlock()
 	return r.Mapping, nil
 }

@@ -334,16 +334,19 @@ func TestBinderMappingMemoized(t *testing.T) {
 	_, _, binder := newWorld(t)
 	gv, _ := wire.FromGo(fixtures.PersonB{PersonName: "A"})
 	obj := gv.(*wire.Object)
-	if _, _, err := binder.Bind(obj, typedesc.TypeRef{Name: "PersonA"}); err != nil {
+	_, m1, err := binder.Bind(obj, typedesc.TypeRef{Name: "PersonA"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := binder.Bind(obj, typedesc.TypeRef{Name: "PersonA"}); err != nil {
+	memo := binder.last.Load()
+	_, m2, err := binder.Bind(obj, typedesc.TypeRef{Name: "PersonA"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	binder.mu.Lock()
-	n := len(binder.mappings)
-	binder.mu.Unlock()
-	if n != 1 {
-		t.Errorf("mappings cached = %d, want 1", n)
+	if memo == nil || memo.src != (typedesc.TypeRef{Name: "PersonB"}) || memo.target.Name != "PersonA" {
+		t.Fatalf("memo after first bind = %+v, want PersonB -> PersonA", memo)
+	}
+	if binder.last.Load() != memo || m1 != m2 || m2 != memo.m {
+		t.Error("repeated bind of one pair did not reuse the memoized mapping")
 	}
 }

@@ -24,7 +24,7 @@ func TestDownloadPathFallback(t *testing.T) {
 	if _, err := originReg.Register(fixtures.PersonB{}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewDescriptionServer(originReg, 64))
+	srv := httptest.NewServer(NewDescriptionServer(originReg))
 	defer srv.Close()
 
 	// The relay peer forwards the envelope but knows nothing about

@@ -324,3 +324,41 @@ func TestFabricTwoVersionsCoexist(t *testing.T) {
 		}
 	}
 }
+
+// profileCard is a subscriber's view of "Profile" registered under a
+// logical name ("Profiles") unlike its Go spelling.
+type profileCard struct {
+	Name string
+	Age  int
+}
+
+// TestRenamedInterestBindsRenamedMembers delivers a ProfileV2 to an
+// interest registered under WithTypeName: the binder must find the
+// interest's description by its registered name, not its Go spelling,
+// or FullName never lands in Name.
+func TestRenamedInterestBindsRenamedMembers(t *testing.T) {
+	regPub := registry.New()
+	if _, err := regPub.Register(fixtures.ProfileV2{}, registry.WithTypeName("Profile")); err != nil {
+		t.Fatal(err)
+	}
+	regSub := registry.New()
+	if _, err := regSub.Register(profileCard{}, registry.WithTypeName("Profiles")); err != nil {
+		t.Fatal(err)
+	}
+	pub := NewPeer(regPub, WithName("pub"))
+	sub := NewPeer(regSub, WithName("sub"))
+	defer pub.Close()
+	defer sub.Close()
+	deliveries := make(chan Delivery, 1)
+	if err := sub.OnReceive(profileCard{}, func(d Delivery) { deliveries <- d }); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := Connect(pub, sub)
+	if err := pub.SendObject(c, fixtures.ProfileV2{FullName: "bob", Age: 41, Email: "bob@example.com"}); err != nil {
+		t.Fatal(err)
+	}
+	d := awaitDelivery(t, deliveries)
+	if want := (&profileCard{Name: "bob", Age: 41}); !reflect.DeepEqual(d.Bound, want) {
+		t.Errorf("bound = %+v, want %+v", d.Bound, want)
+	}
+}

@@ -26,17 +26,14 @@ import (
 // Mount it with net/http; the paths above become the download paths
 // advertised at registration time.
 type DescriptionServer struct {
-	reg         *registry.Registry
-	codePadding int
+	reg *registry.Registry
 }
 
-// NewDescriptionServer builds a server over reg. codePadding sets the
-// simulated assembly size (0 uses the 4096-byte default).
-func NewDescriptionServer(reg *registry.Registry, codePadding int) *DescriptionServer {
-	if codePadding <= 0 {
-		codePadding = 4096
-	}
-	return &DescriptionServer{reg: reg, codePadding: codePadding}
+// NewDescriptionServer builds a server over reg. Its code blobs are
+// the ones peers serve over a link: the description XML plus the
+// simulated assembly.
+func NewDescriptionServer(reg *registry.Registry) *DescriptionServer {
+	return &DescriptionServer{reg: reg}
 }
 
 var _ http.Handler = (*DescriptionServer)(nil)
@@ -47,39 +44,31 @@ func (s *DescriptionServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var name string
-	switch {
-	case strings.HasPrefix(r.URL.Path, "/types/"):
-		name = strings.TrimPrefix(r.URL.Path, "/types/")
-		d, err := s.reg.Resolve(typedesc.TypeRef{Name: name})
-		if err != nil {
+	name, isCode := strings.CutPrefix(r.URL.Path, "/code/")
+	if !isCode {
+		var ok bool
+		if name, ok = strings.CutPrefix(r.URL.Path, "/types/"); !ok {
 			http.NotFound(w, r)
 			return
 		}
-		xmlBytes, err := xmlenc.MarshalDescription(d)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/xml")
-		_, _ = w.Write(xmlBytes)
-	case strings.HasPrefix(r.URL.Path, "/code/"):
-		name = strings.TrimPrefix(r.URL.Path, "/code/")
-		d, err := s.reg.Resolve(typedesc.TypeRef{Name: name})
-		if err != nil {
-			http.NotFound(w, r)
-			return
-		}
-		xmlBytes, err := xmlenc.MarshalDescription(d)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(append(xmlBytes, make([]byte, s.codePadding)...))
-	default:
-		http.NotFound(w, r)
 	}
+	d, err := s.reg.Resolve(typedesc.TypeRef{Name: name})
+	if err != nil {
+		http.NotFound(w, r)
+		return
+	}
+	xmlBytes, err := xmlenc.MarshalDescription(d)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if isCode {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(codeBlob(xmlBytes))
+		return
+	}
+	w.Header().Set("Content-Type", "application/xml")
+	_, _ = w.Write(xmlBytes)
 }
 
 // HTTPResolver fetches type descriptions from download paths — the

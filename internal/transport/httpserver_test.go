@@ -19,7 +19,7 @@ func descServer(t *testing.T) (*httptest.Server, *registry.Registry) {
 	if _, err := reg.Register(fixtures.PersonA{}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewDescriptionServer(reg, 128))
+	srv := httptest.NewServer(NewDescriptionServer(reg))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }

@@ -81,17 +81,10 @@ type Peer struct {
 	ownStore         bool
 	storeWatchCancel func()
 
-	// recvFPVersion memoizes the per-source-version materializer
-	// fingerprint (recvFP + source identity) so the steady-state
-	// compiled receive path doesn't re-concatenate it per delivery.
-	recvFPVersion atomic.Pointer[fpMemo]
-
 	// envReader recognizes repeated envelope shapes on the receive
 	// path (the receive-side counterpart of the entry's envelope
-	// template); recvFP fingerprints this peer's binder for the
-	// compiled decoders' materializer-table memoization.
+	// template).
 	envReader xmlenc.EnvelopeReader
-	recvFP    string
 
 	// activeHandlers counts running message handlers and
 	// parkedHandlers the subset blocked on a clock-backed wait (a
@@ -266,7 +259,6 @@ func NewPeer(reg *registry.Registry, opts ...PeerOption) *Peer {
 		relResume: make(map[uint64]uint64),
 		closeCh:   make(chan struct{}),
 	}
-	p.recvFP = fmt.Sprintf("peer-binder-%d", recvFPSeq.Add(1))
 	p.rebuildChecker(conform.Relaxed(1))
 	for _, opt := range opts {
 		opt(p)
@@ -763,7 +755,10 @@ func (p *Peer) SendObject(l Link, v interface{}) error {
 		if err != nil {
 			return err
 		}
-		code := p.codeBlobFor(entry)
+		code, err := p.codeBlobFor(entry)
+		if err != nil {
+			return err
+		}
 		envScratch := wire.GetScratch()
 		envBytes := tpl.Append((*envScratch)[:0], payload)
 		body = packEager(descXML, code, envBytes)
@@ -900,14 +895,13 @@ func readChunk(src []byte) (chunk, rest []byte, err error) {
 }
 
 // codeBlob simulates the assembly bytes for a type: its description
-// XML (the part a real system would need anyway) plus padding
-// standing in for executable code.
-func (p *Peer) codeBlob(d *typedesc.TypeDescription) []byte {
-	xmlBytes, err := xmlenc.MarshalDescription(d)
-	if err != nil {
-		xmlBytes = []byte(d.Name)
-	}
-	return append(xmlBytes, make([]byte, codePadding)...)
+// XML (the part a real system would need anyway) followed by
+// codePadding zero bytes standing in for executable code. Peers and
+// the DescriptionServer serve the same blob.
+func codeBlob(descXML []byte) []byte {
+	blob := make([]byte, len(descXML)+codePadding)
+	copy(blob, descXML)
+	return blob
 }
 
 // codeBlobCache is one cached code blob together with the entry it
@@ -923,25 +917,23 @@ type codeBlobCache struct {
 // once per (peer, entry): re-registration installs a fresh entry,
 // which misses the entry comparison and rebuilds the blob under the
 // same identity key.
-func (p *Peer) codeBlobFor(entry *registry.Entry) []byte {
+func (p *Peer) codeBlobFor(entry *registry.Entry) ([]byte, error) {
 	key := entry.Description.Identity.String()
 	p.mu.Lock()
 	cached, ok := p.codeBlobs[key]
 	p.mu.Unlock()
 	if ok && cached.entry == entry {
-		return cached.blob
+		return cached.blob, nil
 	}
 	xmlBytes, err := entry.DescriptionXML()
 	if err != nil {
-		xmlBytes = []byte(entry.Description.Name)
+		return nil, err
 	}
-	blob := make([]byte, 0, len(xmlBytes)+codePadding)
-	blob = append(blob, xmlBytes...)
-	blob = append(blob, make([]byte, codePadding)...)
+	blob := codeBlob(xmlBytes)
 	p.mu.Lock()
 	p.codeBlobs[key] = codeBlobCache{entry: entry, blob: blob}
 	p.mu.Unlock()
-	return blob
+	return blob, nil
 }
 
 // --- receiver side (Figure 1 steps 2-5) ------------------------------
@@ -959,12 +951,6 @@ type recvScratch struct {
 var recvScratchPool = sync.Pool{
 	New: func() interface{} { return new(recvScratch) },
 }
-
-// recvFPSeq hands every peer a distinct resolver fingerprint: binders
-// of different peers can map the same source type differently, so
-// their materializer tables must never be conflated on a shared
-// compiled program.
-var recvFPSeq atomic.Uint64
 
 func (p *Peer) handleObject(c *Conn, m *Message) {
 	p.stats.add(cObjectsReceived, 1)
@@ -1087,9 +1073,12 @@ func (p *Peer) buildDelivery(c *Conn, env *xmlenc.Envelope, desc *typedesc.TypeD
 		Mapping:  r.Mapping,
 	}
 	if e, ok := p.reg.Lookup(in.desc.Ref()); ok {
-		bound, mapping, err := p.bindPayload(e, codec, env)
+		bound, mapping, compiled, err := p.binder.Deserialize(codec, e, env.Payload, env.Type)
 		if err != nil {
 			return Delivery{}, err
+		}
+		if compiled {
+			p.stats.add(cCompiledDeliveries, 1)
 		}
 		d.Bound = bound
 		d.Mapping = mapping
@@ -1120,8 +1109,8 @@ func (p *Peer) buildDelivery(c *Conn, env *xmlenc.Envelope, desc *typedesc.TypeD
 	return d, nil
 }
 
-// decodeObject runs the generic (reflective) payload decode — the
-// authority the compiled path defers to.
+// decodeObject runs the generic payload decode for a delivery with no
+// local implementation to bind to (a View).
 func (p *Peer) decodeObject(codec wire.Codec, payload []byte) (*wire.Object, error) {
 	gv, err := codec.DecodeGeneric(payload)
 	if err != nil {
@@ -1132,58 +1121,6 @@ func (p *Peer) decodeObject(codec wire.Codec, payload []byte) (*wire.Object, err
 		return nil, fmt.Errorf("transport: payload is %T, not an object", gv)
 	}
 	return obj, nil
-}
-
-// bindPayload materializes the payload as the registered Go type of
-// the matched interest. The steady state runs compiled end to end:
-// the entry's wire program decodes the stream straight into a fresh
-// instance — the only allocation left — with field names resolved
-// through the binder's conformance mapping and memoized per source
-// type. Anything the compiled decoder cannot reproduce with certainty
-// (including a payload whose embedded type name differs from the
-// envelope's declared type) falls back to the generic decode + Bind
-// pipeline, which stays the authority for values, errors and
-// conformance.
-func (p *Peer) bindPayload(e *registry.Entry, codec wire.Codec, env *xmlenc.Envelope) (interface{}, *conform.Mapping, error) {
-	if prog, err := e.Program(); err == nil {
-		// The full envelope ref (name + identity) keys both the
-		// mapping and the materializer tables, so two coexisting
-		// versions of one logical type name compile and cache separate
-		// field translations instead of sharing the latest one.
-		if m, err := p.binder.MappingRef(env.Type, e.Description); err == nil {
-			out, ok := codec.DecodeObjectFast(prog, env.Payload,
-				reflect.PtrTo(e.Type), p.binder.FieldResolverFor(env.Type),
-				p.recvFPFor(env.Type), env.Type.Name)
-			if ok {
-				p.stats.add(cCompiledDeliveries, 1)
-				return out, m, nil
-			}
-		}
-	}
-	obj, err := p.decodeObject(codec, env.Payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.binder.BindRef(obj, env.Type, e.Description.Ref())
-}
-
-// fpMemo is the memoized per-source-version materializer fingerprint.
-type fpMemo struct {
-	id typedesc.TypeRef
-	fp string
-}
-
-// recvFPFor returns the materializer fingerprint for payloads of the
-// given source ref: the peer's binder fingerprint qualified by the
-// source identity, so compiled decode tables are keyed per (version,
-// resolver fingerprint) rather than shared across versions of a name.
-func (p *Peer) recvFPFor(src typedesc.TypeRef) string {
-	if m := p.recvFPVersion.Load(); m != nil && m.id == src {
-		return m.fp
-	}
-	fp := p.recvFP + "|" + src.Identity.String()
-	p.recvFPVersion.Store(&fpMemo{id: src, fp: fp})
-	return fp
 }
 
 // ensureDescription returns the description for ref, asking the
@@ -1408,8 +1345,13 @@ func (p *Peer) handleCode(c *Conn, m *Message) {
 		return
 	}
 	if entry, ok := p.reg.Lookup(ref); ok {
+		blob, err := p.codeBlobFor(entry)
+		if err != nil {
+			_ = c.replyError(m, err)
+			return
+		}
 		p.emit(EventCodeServed, entry.Description.Ref())
-		_ = c.reply(m, MsgCodeReply, p.codeBlobFor(entry))
+		_ = c.reply(m, MsgCodeReply, blob)
 		return
 	}
 	d, err := p.reg.Resolve(ref)
@@ -1417,6 +1359,11 @@ func (p *Peer) handleCode(c *Conn, m *Message) {
 		_ = c.replyError(m, fmt.Errorf("no code for %s", ref))
 		return
 	}
+	xmlBytes, err := xmlenc.MarshalDescription(d)
+	if err != nil {
+		_ = c.replyError(m, err)
+		return
+	}
 	p.emit(EventCodeServed, d.Ref())
-	_ = c.reply(m, MsgCodeReply, p.codeBlob(d))
+	_ = c.reply(m, MsgCodeReply, codeBlob(xmlBytes))
 }

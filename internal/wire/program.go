@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -67,8 +66,9 @@ type progNode struct {
 	nameTab map[string]int // field name -> fields index (decode)
 	// lastTab caches the most recently resolved materializer table for
 	// this node, so the steady-state decode of a mapped source type
-	// avoids both the sync.Map lookup and the source-name string
-	// allocation (the name arrives as raw stream bytes).
+	// neither asks the resolver again nor allocates the source name
+	// (it arrives as raw stream bytes). A node that sees several
+	// source types or versions in turn rebuilds its table per switch.
 	lastTab atomic.Pointer[resolvedTab]
 
 	// opList / opMap / opPtr
@@ -98,9 +98,9 @@ type progField struct {
 }
 
 // Program is a per-type compiled encode/decode program. Programs are
-// immutable after compilation and safe for concurrent use; the
-// materializer tables the decoder builds for mapped source types are
-// memoized internally, keyed by (source type name, resolver
+// immutable after compilation and safe for concurrent use; the one
+// mutable part is each struct node's hot materializer-table entry
+// (progNode.lastTab), memoized per (source type name, resolver
 // fingerprint).
 type Program struct {
 	// Type is the Go type the program encodes (pointers stripped).
@@ -109,16 +109,6 @@ type Program struct {
 	root         *progNode
 	direct       bool
 	decodeDirect bool
-
-	// mats caches decode materializer tables for mapped source types:
-	// matKey -> map[string]int (source field name -> field index).
-	mats sync.Map
-}
-
-type matKey struct {
-	node    *progNode
-	srcName string
-	fp      string
 }
 
 // resolvedTab is one memoized materializer table together with the

@@ -88,7 +88,7 @@ func (p *Program) decodeBinary(data []byte, t reflect.Type, resolve FieldResolve
 		return reflect.Zero(t).Interface(), true
 	}
 	out := reflect.New(p.Type)
-	d := progDecoder{prog: p, resolve: resolve, fp: fp, wantTop: wantTop}
+	d := progDecoder{resolve: resolve, fp: fp, wantTop: wantTop}
 	// The generic materializer registers ids only at pointer positions;
 	// a *T target makes the top level one (ToGo's out.Kind() == Ptr).
 	var selfPtr reflect.Value
@@ -109,7 +109,6 @@ func (p *Program) decodeBinary(data []byte, t reflect.Type, resolve FieldResolve
 }
 
 type progDecoder struct {
-	prog    *Program
 	resolve FieldResolver
 	fp      string
 
@@ -438,7 +437,7 @@ func (d *progDecoder) decodeStruct(r *byteReader, n *progNode, tag byte, selfPtr
 		// fields; bail before any table work.
 		return false
 	}
-	tab, ok := d.tableForBytes(n, srcName)
+	tab, ok := d.tableFor(n, srcName)
 	if !ok {
 		return false
 	}
@@ -464,12 +463,13 @@ func (d *progDecoder) decodeStruct(r *byteReader, n *progNode, tag byte, selfPtr
 	return true
 }
 
-// tableForBytes is tableFor with the source type name still in stream
-// bytes. The identity path never needs the name; the mapped path first
-// consults the node's single-entry hot cache, so the steady state (one
-// source type per node per peer) resolves without allocating a string
-// for the name or touching the sync.Map.
-func (d *progDecoder) tableForBytes(n *progNode, src []byte) (map[string]int, bool) {
+// tableFor returns the materializer table mapping source field
+// names to compiled field indices for objects whose source type name
+// is still in stream bytes. The identity path never needs the name;
+// the mapped path consults the node's single-entry hot cache, so the
+// steady state (one source type per node per binder) resolves without
+// allocating a string for the name or asking the resolver.
+func (d *progDecoder) tableFor(n *progNode, src []byte) (map[string]int, bool) {
 	if d.resolve == nil {
 		return n.nameTab, true
 	}
@@ -478,11 +478,21 @@ func (d *progDecoder) tableForBytes(n *progNode, src []byte) (map[string]int, bo
 			return e.tab, true
 		}
 	}
-	tab, ok := d.tableFor(n, string(src))
-	if ok && d.fp != "" {
-		n.lastTab.Store(&resolvedTab{src: string(src), fp: d.fp, tab: tab})
+	srcObj := &Object{TypeName: string(src)}
+	tab := make(map[string]int, len(n.fields))
+	for i := range n.fields {
+		name := d.resolve(n.typ, srcObj, n.fields[i].name)
+		if _, dup := tab[name]; dup {
+			// Two expected fields mapping to one source field is a
+			// shape only the reflective path reproduces faithfully.
+			return nil, false
+		}
+		tab[name] = i
 	}
-	return tab, ok
+	if d.fp != "" {
+		n.lastTab.Store(&resolvedTab{src: srcObj.TypeName, fp: d.fp, tab: tab})
+	}
+	return tab, true
 }
 
 // unmarshalTextInto feeds text to out's encoding.TextUnmarshaler; the
@@ -494,34 +504,6 @@ func unmarshalTextInto(out reflect.Value, text []byte) bool {
 		return false
 	}
 	return um.UnmarshalText(text) == nil
-}
-
-// tableFor returns the materializer table mapping source field names
-// to compiled field indices for objects of the named source type.
-func (d *progDecoder) tableFor(n *progNode, srcName string) (map[string]int, bool) {
-	if d.resolve == nil {
-		return n.nameTab, true
-	}
-	if d.fp != "" {
-		if cached, ok := d.prog.mats.Load(matKey{node: n, srcName: srcName, fp: d.fp}); ok {
-			return cached.(map[string]int), true
-		}
-	}
-	src := &Object{TypeName: srcName}
-	tab := make(map[string]int, len(n.fields))
-	for i := range n.fields {
-		name := d.resolve(n.typ, src, n.fields[i].name)
-		if _, dup := tab[name]; dup {
-			// Two expected fields mapping to one source field is a
-			// shape only the reflective path reproduces faithfully.
-			return nil, false
-		}
-		tab[name] = i
-	}
-	if d.fp != "" {
-		d.prog.mats.Store(matKey{node: n, srcName: srcName, fp: d.fp}, tab)
-	}
-	return tab, true
 }
 
 func (d *progDecoder) readAsInt64(r *byteReader, tag byte) (int64, bool) {

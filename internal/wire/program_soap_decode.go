@@ -63,7 +63,7 @@ func (p *Program) decodeSOAP(data []byte, t reflect.Type, resolve FieldResolver,
 	if tt != p.Type || ptrDepth > 1 {
 		return nil, false
 	}
-	sd := soapDecoder{progDecoder: progDecoder{prog: p, resolve: resolve, fp: fp, wantTop: wantTop}, data: data}
+	sd := soapDecoder{progDecoder: progDecoder{resolve: resolve, fp: fp, wantTop: wantTop}, data: data}
 	defer sd.release()
 	if bytes.HasPrefix(data, xmlHeaderBytes) {
 		sd.pos = len(xmlHeaderBytes)
@@ -709,7 +709,7 @@ func (sd *soapDecoder) object(t soapTag, n *progNode, selfPtr, out reflect.Value
 	if len(n.fields) > 64 {
 		return false
 	}
-	tab, ok := sd.tableForBytes(n, t.typ)
+	tab, ok := sd.tableFor(n, t.typ)
 	if !ok {
 		return false
 	}

@@ -213,8 +213,8 @@ func TestCompiledDecodeMappedResolver(t *testing.T) {
 			t.Fatalf("mapped decode mismatch\n got %+v\nwant %+v", got, want)
 		}
 	}
-	if _, ok := prog.mats.Load(matKey{node: prog.root, srcName: "renamedPoint", fp: "test-mapping"}); !ok {
-		t.Error("materializer table was not memoized under its fingerprint")
+	if e := prog.root.lastTab.Load(); e == nil || e.src != "renamedPoint" || e.fp != "test-mapping" {
+		t.Error("materializer table was not memoized in the node's hot entry under its fingerprint")
 	}
 	// Unfingerprinted resolvers still decode correctly, uncached.
 	got, err := Binary{}.DecodeCompiled(prog, data, reflect.TypeOf(refPoint{}), resolve, "")
@@ -224,6 +224,52 @@ func TestCompiledDecodeMappedResolver(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("unfingerprinted mapped decode mismatch")
 	}
+
+	// Source types and fingerprints alternating through the node's one
+	// hot entry: every decode resolves its own table, never one left
+	// behind by another source name or fingerprint.
+	shifted, err := Binary{}.Encode(shiftedPoint{AtX: 3, AtY: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := func(target reflect.Type, source *Object, field string) string {
+		if source.TypeName == "shiftedPoint" {
+			return map[string]string{"X": "AtX", "Y": "AtY"}[field]
+		}
+		return resolve(target, source, field)
+	}
+	// swapped maps renamedPoint crosswise: the source name both uses,
+	// under another fingerprint and another table.
+	swapped := func(_ reflect.Type, _ *Object, field string) string {
+		return map[string]string{"X": "PosY", "Y": "PosX"}[field]
+	}
+	cases := []struct {
+		data    []byte
+		resolve FieldResolver
+		fp      string
+		want    refPoint
+	}{
+		{data, both, "both", refPoint{X: 4.5, Y: -1}},
+		{shifted, both, "both", refPoint{X: 3, Y: 4}},
+		{data, swapped, "swapped", refPoint{X: -1, Y: 4.5}},
+	}
+	for round := 0; round < 3; round++ {
+		for i, tc := range cases {
+			got, err := Binary{}.DecodeCompiled(prog, tc.data, reflect.TypeOf(refPoint{}), tc.resolve, tc.fp)
+			if err != nil {
+				t.Fatalf("round %d case %d: %v", round, i, err)
+			}
+			if got != tc.want {
+				t.Fatalf("round %d case %d: got %+v, want %+v", round, i, got, tc.want)
+			}
+		}
+	}
+}
+
+// shiftedPoint is a second renamed source of refPoint.
+type shiftedPoint struct {
+	AtX float64
+	AtY float64
 }
 
 // --- quickcheck differential -----------------------------------------

@@ -91,7 +91,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"pti/internal/borrowlend"
 	"pti/internal/conform"
@@ -213,13 +212,11 @@ type Runtime struct {
 	cacheCap int
 
 	// envReader recognizes repeated envelope shapes so steady-state
-	// Unmarshal skips encoding/xml; recvFP fingerprints this runtime's
-	// binder for compiled materializer-table memoization; recvBufs
-	// pools the payload scratch those fast parses decode into (every
-	// decoder downstream copies what it keeps, so the scratch is dead
-	// by the time Unmarshal returns).
+	// Unmarshal skips encoding/xml; recvBufs pools the payload scratch
+	// those fast parses decode into (every decoder downstream copies
+	// what it keeps, so the scratch is dead by the time Unmarshal
+	// returns).
 	envReader xmlenc.EnvelopeReader
-	recvFP    string
 	recvBufs  sync.Pool
 }
 
@@ -241,13 +238,8 @@ func buildRuntime(reg *registry.Registry, opts ...Option) *Runtime {
 	r.cache = conform.NewCacheWithCapacity(r.cacheCap)
 	r.checker = conform.New(r.reg, conform.WithPolicy(r.policy), conform.WithCache(r.cache))
 	r.binder = proxy.NewBinder(r.reg, r.checker)
-	r.recvFP = fmt.Sprintf("runtime-binder-%d", runtimeSeq.Add(1))
 	return r
 }
-
-// runtimeSeq hands every runtime a distinct resolver fingerprint (see
-// the wire package's materializer-table memoization).
-var runtimeSeq atomic.Uint64
 
 // Register adds a local type (an instance or reflect.Type) to the
 // runtime.
@@ -420,16 +412,17 @@ func (r *Runtime) ProgramFor(v interface{}) (*Program, error) {
 }
 
 // Unmarshal parses an envelope and materializes the object as the
-// expected type, which the object's type must conform to. It returns
-// the bound value and the mapping used.
+// expected type, which the object's type — the exact version the
+// envelope names — must conform to. It returns the bound value and
+// the mapping used.
 //
 // Like Marshal, the steady state runs compiled end to end: the
 // envelope reader recognizes the document's shape from earlier calls
-// and skips encoding/xml, and the registered expected type's compiled
-// wire program decodes the payload straight into a fresh instance —
-// no generic value tree, no rebind. Anything off that path falls back
-// transparently to the reflective pipeline, which stays the authority
-// for values, errors and conformance.
+// and skips encoding/xml, and the binder decodes the payload through
+// the expected type's compiled wire program straight into a fresh
+// instance — the same bind a transport delivery runs. Anything off
+// that path falls back transparently to the reflective pipeline,
+// which stays the authority for values, errors and conformance.
 func (r *Runtime) Unmarshal(data []byte, expected interface{}) (interface{}, *Mapping, error) {
 	sc, _ := r.recvBufs.Get().(*[]byte)
 	if sc == nil {
@@ -445,30 +438,18 @@ func (r *Runtime) Unmarshal(data []byte, expected interface{}) (interface{}, *Ma
 	if err != nil {
 		return nil, nil, err
 	}
-	ed, entry, edErr := r.describeEntry(expected)
-	if edErr == nil && entry != nil {
-		if prog, err := entry.Program(); err == nil {
-			if m, err := r.binder.Mapping(env.Type.Name, entry.Description); err == nil {
-				out, ok := codec.DecodeObjectFast(prog, env.Payload,
-					reflect.PtrTo(entry.Type), r.binder.FieldResolver(), r.recvFP, env.Type.Name)
-				if ok {
-					return out, m, nil
-				}
-			}
-		}
-	}
-	gv, err := codec.DecodeGeneric(env.Payload)
+	ed, entry, err := r.describeEntry(expected)
 	if err != nil {
 		return nil, nil, err
 	}
-	obj, ok := gv.(*wire.Object)
-	if !ok {
-		return nil, nil, fmt.Errorf("pti: payload is %T, not an object", gv)
+	if entry == nil {
+		var ok bool
+		if entry, ok = r.reg.Lookup(ed.Ref()); !ok {
+			return nil, nil, fmt.Errorf("%w: no local implementation registered for %s", proxy.ErrNotBindable, ed.Ref())
+		}
 	}
-	if edErr != nil {
-		return nil, nil, edErr
-	}
-	return r.binder.Bind(obj, ed.Ref())
+	out, m, _, err := r.binder.Deserialize(codec, entry, env.Payload, env.Type)
+	return out, m, err
 }
 
 // PendingCall is one in-flight pipelined invocation started by
