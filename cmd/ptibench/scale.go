@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -17,20 +18,26 @@ import (
 // reliable loops, exercised by broadcast fan-out plus a crash wave at
 // two fleet sizes.
 
-// scaleRow is one measured fleet size.
+// scaleRow is one measured fleet size. ResidentGoroutines is the
+// median over rounds of the goroutines alive once a round's
+// deliveries have settled and been acked, and GoroutinesPerPeer
+// divides it by the fleet; PeakGoroutines, sampled during the broadcast bursts, is
+// reported but not gated, because a burst's transient handler and
+// sender-loop goroutines swing it from run to run.
 type scaleRow struct {
-	Peers             int     `json:"peers"`
-	Messages          int     `json:"messages"`
-	MatchRate         float64 `json:"match_rate"`
-	Duplicates        int     `json:"duplicates"`
-	PeakGoroutines    int     `json:"peak_goroutines"`
-	GoroutinesPerPeer float64 `json:"goroutines_per_peer"`
-	SchedFrames       uint64  `json:"sched_frames"`
-	SchedOpsPerFrame  float64 `json:"sched_ops_per_frame"`
-	SchedShards       int     `json:"sched_shards"`
-	PeersPerVirtualS  float64 `json:"peers_per_virtual_sec"`
-	ElapsedVirtualMs  float64 `json:"elapsed_virtual_ms"`
-	ElapsedWallMs     float64 `json:"elapsed_wall_ms"`
+	Peers              int     `json:"peers"`
+	Messages           int     `json:"messages"`
+	MatchRate          float64 `json:"match_rate"`
+	Duplicates         int     `json:"duplicates"`
+	PeakGoroutines     int     `json:"peak_goroutines"`
+	ResidentGoroutines int     `json:"resident_goroutines"`
+	GoroutinesPerPeer  float64 `json:"goroutines_per_peer"`
+	SchedFrames        uint64  `json:"sched_frames"`
+	SchedOpsPerFrame   float64 `json:"sched_ops_per_frame"`
+	SchedShards        int     `json:"sched_shards"`
+	PeersPerVirtualS   float64 `json:"peers_per_virtual_sec"`
+	ElapsedVirtualMs   float64 `json:"elapsed_virtual_ms"`
+	ElapsedWallMs      float64 `json:"elapsed_wall_ms"`
 }
 
 // scaleFleets are the subscriber counts, smallest first.
@@ -56,9 +63,9 @@ const scaleGoroutineSlack = 1.3
 
 // scaleGates: scale must not cost the exactly-once contract; each run
 // must finish inside the CI wall-clock budget; the scheduler must stay
-// at ~2 heap ops per frame; and peak goroutines must grow sublinearly
-// in peers, because the scheduler pool is fixed and idle reliable
-// links hold no goroutines.
+// at ~2 heap ops per frame; and resident goroutines must grow
+// sublinearly in peers, because the scheduler pool is fixed and idle
+// reliable links hold no goroutines.
 func scaleGates() []benchfmt.Gate {
 	var gates []benchfmt.Gate
 	for i, n := range scaleFleets {
@@ -90,9 +97,9 @@ func expScale(reps int) ([]benchfmt.Row, error) {
 			return nil, err
 		}
 		name := fmt.Sprintf("scale-%d", subs)
-		fmt.Printf("  %-12s match %.0f%%  dups %d  peakGoroutines %d (%.1f/peer)  schedOps/frame %.2f  shards %d  virtual %.0fms  wall %.0fms (budget %.0fms)\n",
-			name, r.MatchRate*100, r.Duplicates, r.PeakGoroutines,
-			r.GoroutinesPerPeer, r.SchedOpsPerFrame,
+		fmt.Printf("  %-12s match %.0f%%  dups %d  residentGoroutines %d (%.2f/peer)  peak %d  schedOps/frame %.2f  shards %d  virtual %.0fms  wall %.0fms (budget %.0fms)\n",
+			name, r.MatchRate*100, r.Duplicates, r.ResidentGoroutines,
+			r.GoroutinesPerPeer, r.PeakGoroutines, r.SchedOpsPerFrame,
 			r.SchedShards, r.ElapsedVirtualMs, r.ElapsedWallMs, float64(scaleWallBudgetMs))
 		rows = append(rows, benchRow("scale", name, r))
 	}
@@ -101,7 +108,10 @@ func expScale(reps int) ([]benchfmt.Row, error) {
 
 // runScale is one full scale run: nSubs subscribers split across
 // publishers (≤125 managed links each), four rounds of broadcast
-// fan-out with a 10% crash wave between rounds one and three.
+// fan-out with a 10% crash wave between rounds one and three. After
+// each round but the first it waits until every running subscriber
+// holds every message published so far and has acked it, then
+// samples the resident goroutines.
 func runScale(nSubs int) (scaleRow, error) {
 	nPubs := (nSubs + 124) / 125
 	if nPubs < 2 {
@@ -172,6 +182,7 @@ func runScale(nSubs int) (scaleRow, error) {
 	for i := 0; i < nSubs && len(wave) < nSubs/10; i += 10 {
 		wave = append(wave, names[i])
 	}
+	down := make(map[string]bool) // the crashed part of the wave
 
 	peak := runtime.NumGoroutine()
 	sample := func() {
@@ -203,26 +214,6 @@ func runScale(nSubs int) (scaleRow, error) {
 		sample()
 		return <-errs
 	}
-	for round := 0; round < rounds; round++ {
-		switch round {
-		case 1:
-			for _, n := range wave {
-				if err := f.Crash(n); err != nil {
-					return scaleRow{}, err
-				}
-			}
-		case 2:
-			for _, n := range wave {
-				if _, err := f.Restart(n); err != nil {
-					return scaleRow{}, err
-				}
-			}
-		}
-		if err := publish(round); err != nil {
-			return scaleRow{}, err
-		}
-	}
-
 	coverage := func(name string) (distinct, dups int) {
 		logMu.Lock()
 		defer logMu.Unlock()
@@ -240,17 +231,64 @@ func runScale(nSubs int) (scaleRow, error) {
 		return len(union), dups
 	}
 	deadline := time.Now().Add(240 * time.Second)
-	converged := func() bool {
-		sample()
-		for _, name := range names {
-			if got, _ := coverage(name); got != total {
+	// settled reports whether every running subscriber holds the first
+	// want messages (ids are published in order, so coverage counts
+	// them) and its publisher holds no unacked frame toward it, so the
+	// link's sender loop has gone idle.
+	settled := func(want int) bool {
+		for i, name := range names {
+			if down[name] {
+				continue
+			}
+			if got, _ := coverage(name); got < want {
+				return false
+			}
+			c, ok := f.Node(pubs[i%nPubs]).ConnTo(name)
+			if !ok {
+				return false
+			}
+			if s, _ := c.ReliableSnapshot(); s.InFlight > 0 {
 				return false
 			}
 		}
 		return true
 	}
-	for time.Now().Before(deadline) && !converged() {
-		time.Sleep(2 * time.Millisecond)
+	settle := func(want int) bool {
+		for time.Now().Before(deadline) {
+			sample()
+			if settled(want) {
+				return true
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		return false
+	}
+	var resident []int
+	for round := 0; round < rounds; round++ {
+		switch round {
+		case 1:
+			for _, n := range wave {
+				if err := f.Crash(n); err != nil {
+					return scaleRow{}, err
+				}
+				down[n] = true
+			}
+		case 2:
+			for _, n := range wave {
+				if _, err := f.Restart(n); err != nil {
+					return scaleRow{}, err
+				}
+				delete(down, n)
+			}
+		}
+		if err := publish(round); err != nil {
+			return scaleRow{}, err
+		}
+		// Round 0 is not settled: the crash wave lands while its
+		// frames are still in flight, which is what the wave tests.
+		if round > 0 && settle((round+1)*perRound) {
+			resident = append(resident, runtime.NumGoroutine())
+		}
 	}
 	elapsedVirtual := f.Clock().Now().Sub(virtualStart)
 	elapsedWall := time.Since(wallStart)
@@ -271,17 +309,29 @@ func runScale(nSubs int) (scaleRow, error) {
 		perVirtualS = float64(nSubs+nPubs) / elapsedVirtual.Seconds()
 	}
 	return scaleRow{
-		Peers:             nSubs + nPubs,
-		Messages:          total,
-		MatchRate:         float64(covered) / float64(total*nSubs),
-		Duplicates:        dups,
-		PeakGoroutines:    peak,
-		GoroutinesPerPeer: float64(peak) / float64(nSubs+nPubs),
-		SchedFrames:       frames,
-		SchedOpsPerFrame:  opsPerFrame,
-		SchedShards:       shards,
-		PeersPerVirtualS:  perVirtualS,
-		ElapsedVirtualMs:  float64(elapsedVirtual.Nanoseconds()) / 1e6,
-		ElapsedWallMs:     float64(elapsedWall.Nanoseconds()) / 1e6,
+		Peers:              nSubs + nPubs,
+		Messages:           total,
+		MatchRate:          float64(covered) / float64(total*nSubs),
+		Duplicates:         dups,
+		PeakGoroutines:     peak,
+		ResidentGoroutines: medianInt(resident),
+		GoroutinesPerPeer:  float64(medianInt(resident)) / float64(nSubs+nPubs),
+		SchedFrames:        frames,
+		SchedOpsPerFrame:   opsPerFrame,
+		SchedShards:        shards,
+		PeersPerVirtualS:   perVirtualS,
+		ElapsedVirtualMs:   float64(elapsedVirtual.Nanoseconds()) / 1e6,
+		ElapsedWallMs:      float64(elapsedWall.Nanoseconds()) / 1e6,
 	}, nil
+}
+
+// medianInt returns the middle of xs (the lower middle for an even
+// count), or 0 for none.
+func medianInt(xs []int) int {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]int(nil), xs...)
+	sort.Ints(s)
+	return s[(len(s)-1)/2]
 }

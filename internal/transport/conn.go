@@ -28,10 +28,12 @@ type Conn struct {
 	peer *Peer
 	rw   net.Conn
 
-	// writeMu serializes frames onto rw; wbuf, guarded by it, is the
-	// frame buffer send reuses (kept only up to maxKeptWriteBuffer).
+	// writeMu serializes frames onto rw; wbuf and wvec, guarded by it,
+	// are the frame buffer and its per-frame views that write reuses
+	// (wbuf kept only up to maxKeptWriteBuffer).
 	writeMu sync.Mutex
 	wbuf    []byte
+	wvec    net.Buffers
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -297,25 +299,49 @@ func (c *Conn) failPending() {
 }
 
 // maxKeptWriteBuffer caps the frame buffer a conn keeps between
-// sends, so one large code reply does not pin its size for the
+// writes, so one large code reply does not pin its size for the
 // conn's lifetime.
 const maxKeptWriteBuffer = 64 << 10
 
-// send writes a one-way message. A write that fails because the
-// stream is closed, by either side, reports ErrClosed.
-func (c *Conn) send(m *Message) error {
+// send writes a one-way message.
+func (c *Conn) send(m *Message) error { return c.write(*m) }
+
+// write puts msgs on the wire, each as one whole frame, in order. The
+// frames are appended into the conn's frame buffer and handed to one
+// net.Buffers.WriteTo: a single writev on a socket, and one Write per
+// frame on a conn without vectored writes (fabric endpoints,
+// net.Pipe), so a frame-oriented transport still sees exactly one
+// protocol frame per Write. A write that fails because the stream is
+// closed, by either side, reports ErrClosed.
+func (c *Conn) write(msgs ...Message) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	frame, err := appendFrame(c.wbuf[:0], m)
-	if err != nil {
-		return err
+	buf := c.wbuf[:0]
+	for i := range msgs {
+		var err error
+		if buf, err = appendFrame(buf, &msgs[i]); err != nil {
+			return err
+		}
 	}
-	if cap(frame) <= maxKeptWriteBuffer {
-		c.wbuf = frame
+	vec, start := c.wvec[:0], 0
+	for i := range msgs {
+		end := start + frameHeaderSize + len(msgs[i].Body)
+		vec = append(vec, buf[start:end:end])
+		start = end
 	}
-	n, err := writeFrame(c.rw, frame)
+	if cap(buf) <= maxKeptWriteBuffer {
+		c.wbuf = buf
+	}
+	c.wvec = vec
+	n, err := c.wvec.WriteTo(c.rw) // consumes c.wvec's views
+	clear(vec)
+	c.wvec = vec[:0]
 	c.peer.stats.add(cBytesSent, uint64(n))
-	if err != nil && (errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) || c.isClosed()) {
+	if err == nil {
+		return nil
+	}
+	err = fmt.Errorf("transport: write frame: %w", err)
+	if errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) || c.isClosed() {
 		return fmt.Errorf("%w: %w", ErrClosed, err)
 	}
 	return err

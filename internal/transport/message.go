@@ -145,14 +145,18 @@ const MaxFrameSize = 16 << 20
 
 const frameHeaderSize = 4 + 1 + 8 // length + type + seq
 
-// WriteMessage writes one length-prefixed frame and returns the
-// number of bytes put on the wire.
+// WriteMessage writes one length-prefixed frame in a single Write and
+// returns the number of bytes put on the wire.
 func WriteMessage(w io.Writer, m *Message) (int, error) {
 	frame, err := appendFrame(nil, m)
 	if err != nil {
 		return 0, err
 	}
-	return writeFrame(w, frame)
+	n, err := w.Write(frame)
+	if err != nil {
+		return n, fmt.Errorf("transport: write frame: %w", err)
+	}
+	return n, nil
 }
 
 // appendFrame appends m's length-prefixed frame to buf, growing it at
@@ -166,17 +170,6 @@ func appendFrame(buf []byte, m *Message) ([]byte, error) {
 	buf = append(buf, byte(m.Type))
 	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
 	return append(buf, m.Body...), nil
-}
-
-// writeFrame puts one whole frame on the wire in a single Write, so a
-// frame-oriented transport (the simulation fabric) sees exactly one
-// protocol frame per call.
-func writeFrame(w io.Writer, frame []byte) (int, error) {
-	n, err := w.Write(frame)
-	if err != nil {
-		return n, fmt.Errorf("transport: write frame: %w", err)
-	}
-	return n, nil
 }
 
 // ReadMessage reads one frame and returns it with the number of bytes

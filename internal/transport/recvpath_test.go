@@ -325,38 +325,67 @@ func TestMidStreamReRegistrationFallsBack(t *testing.T) {
 }
 
 // TestRelReceiverAckPolicy pins which frames the receiver acks and
-// when. A fresh in-order frame is acked once, by the drain after its
-// handler returns; a duplicate and a frame too far ahead are re-acked
-// on receipt; a frame beyond a gap is acked and the gap NACKed.
+// when. Fresh in-order frames are acked once per delivered run, by the
+// drain after the run's last handler returns: frames landing one at a
+// time with the drain idle between them get one ack each, frames
+// pending together share one. A duplicate and a frame too far ahead
+// are re-acked on receipt; a frame beyond a gap is acked and the gap
+// NACKed. A seal mid-run acks nothing and leaves the delivered prefix
+// to the saved session. In every row no ack carries a watermark beyond
+// a handler that has not returned.
 func TestRelReceiverAckPolicy(t *testing.T) {
 	type frame struct {
 		seq   uint64
 		inner *Message
 	}
 	cases := []struct {
-		name   string
-		frames []frame
-		want   []string // the harness's callback trace
+		name        string
+		frames      []frame
+		deferDrains bool     // land every frame before the drain runs
+		sealAt      uint64   // the handler of this marker seals the receiver
+		want        []string // the harness's callback trace
+		wantSession [2]uint64
 	}{
 		{
-			name:   "fresh in-order frame: one ack, after its handler",
-			frames: []frame{{1, obj(10)}, {2, obj(11)}},
-			want:   []string{"dispatch 10", "ack 1/1", "dispatch 11", "ack 1/2"},
+			name:        "fresh in-order frame: one ack, after its handler",
+			frames:      []frame{{1, obj(10)}, {2, obj(11)}},
+			want:        []string{"dispatch 10", "ack 1/1", "dispatch 11", "ack 1/2"},
+			wantSession: [2]uint64{1, 3},
 		},
 		{
-			name:   "in-order reply: one ack, after routing",
-			frames: []frame{{1, reply(99)}},
-			want:   []string{"reply 99", "ack 1/1"},
+			name:   "frames landing one at a time, drain idle between: one ack each",
+			frames: []frame{{1, obj(10)}, {2, reply(99)}, {3, obj(12)}},
+			want: []string{
+				"dispatch 10", "ack 1/1",
+				"reply 99", "ack 1/2",
+				"dispatch 12", "ack 1/3",
+			},
+			wantSession: [2]uint64{1, 4},
 		},
 		{
-			name:   "duplicate is re-acked",
-			frames: []frame{{1, obj(10)}, {1, obj(10)}},
-			want:   []string{"dispatch 10", "ack 1/1", "ack 1/1"},
+			name:        "frames pending together: one ack, after the last handler",
+			frames:      []frame{{1, obj(10)}, {2, obj(11)}, {3, obj(12)}, {4, obj(13)}},
+			deferDrains: true,
+			want:        []string{"dispatch 10", "dispatch 11", "dispatch 12", "dispatch 13", "ack 1/4"},
+			wantSession: [2]uint64{1, 5},
 		},
 		{
-			name:   "frame too far ahead is re-acked",
-			frames: []frame{{1, obj(10)}, {2 + relRecvBuffer, obj(66)}},
-			want:   []string{"dispatch 10", "ack 1/1", "ack 1/1"},
+			name:        "in-order reply: one ack, after routing",
+			frames:      []frame{{1, reply(99)}},
+			want:        []string{"reply 99", "ack 1/1"},
+			wantSession: [2]uint64{1, 2},
+		},
+		{
+			name:        "duplicate is re-acked",
+			frames:      []frame{{1, obj(10)}, {1, obj(10)}},
+			want:        []string{"dispatch 10", "ack 1/1", "ack 1/1"},
+			wantSession: [2]uint64{1, 2},
+		},
+		{
+			name:        "frame too far ahead is re-acked",
+			frames:      []frame{{1, obj(10)}, {2 + relRecvBuffer, obj(66)}},
+			want:        []string{"dispatch 10", "ack 1/1", "ack 1/1"},
+			wantSession: [2]uint64{1, 2},
 		},
 		{
 			name:   "gap: ack and NACK; frames landing in order ack on delivery only",
@@ -364,20 +393,85 @@ func TestRelReceiverAckPolicy(t *testing.T) {
 			want: []string{
 				"ack 1/0", "nack 1/[1 2]",
 				"dispatch 10", "ack 1/1",
-				"dispatch 11", "ack 1/2", "dispatch 12", "ack 1/3",
+				"dispatch 11", "dispatch 12", "ack 1/3",
 			},
+			wantSession: [2]uint64{1, 4},
+		},
+		{
+			name:        "seal mid-run: no ack, the session keeps the delivered prefix",
+			frames:      []frame{{1, obj(10)}, {2, obj(11)}, {3, obj(12)}},
+			deferDrains: true,
+			sealAt:      10,
+			want:        []string{"dispatch 10"},
+			wantSession: [2]uint64{1, 2},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newRecvHarness()
+			h.deferDrains = tc.deferDrains
+			sealed := make(chan [2]uint64, 1)
+			h.onDispatch = func(marker uint64) {
+				if marker != tc.sealAt {
+					return
+				}
+				// seal waits out this very handler, so it runs beside
+				// it; the handler returns once the seal has landed.
+				go func() {
+					e, n := h.rr.seal()
+					sealed <- [2]uint64{e, n}
+				}()
+				if !waitUntil(2*time.Second, func() bool {
+					h.rr.mu.Lock()
+					defer h.rr.mu.Unlock()
+					return h.rr.closed
+				}) {
+					t.Error("seal never landed")
+				}
+			}
 			for _, f := range tc.frames {
 				h.feed(t, 1, f.seq, f.inner)
+			}
+			h.runDrains()
+			if tc.sealAt != 0 {
+				if got := <-sealed; got != tc.wantSession {
+					t.Errorf("seal saved session %v, want %v", got, tc.wantSession)
+				}
+			}
+			if e, n := h.rr.session(); [2]uint64{e, n} != tc.wantSession {
+				t.Errorf("session() = (%d, %d), want %v", e, n, tc.wantSession)
 			}
 			h.mu.Lock()
 			defer h.mu.Unlock()
 			if fmt.Sprint(h.trace) != fmt.Sprint(tc.want) {
 				t.Errorf("trace = %q\nwant    %q", h.trace, tc.want)
+			}
+			// No ack may run ahead of the handlers: each seq up to an
+			// ack's watermark must have been dispatched (or, for a
+			// reply, routed) before the ack.
+			seqOf := make(map[string]uint64)
+			for _, f := range tc.frames {
+				kind := "dispatch"
+				if isRelReply(f.inner.Type) {
+					kind = "reply"
+				}
+				seqOf[fmt.Sprintf("%s %d", kind, f.inner.Seq)] = f.seq
+			}
+			returned := make(map[uint64]bool)
+			for _, ev := range h.trace {
+				if seq, ok := seqOf[ev]; ok {
+					returned[seq] = true
+					continue
+				}
+				var epoch, cum uint64
+				if _, err := fmt.Sscanf(ev, "ack %d/%d", &epoch, &cum); err != nil {
+					continue
+				}
+				for s := uint64(1); s <= cum; s++ {
+					if !returned[s] {
+						t.Errorf("%q certifies seq %d before its handler returned", ev, s)
+					}
+				}
 			}
 		})
 	}

@@ -34,7 +34,7 @@ import (
 // ahead of queued data. Every first transmission joins one FIFO in
 // the critical section that assigns its seq, so frames reach the wire
 // in seq order; repairs and the resume replay go through the same
-// loop.
+// loop, which puts every frame ready at once on the wire in one write.
 //
 // The retransmit timer starts from a Jacobson/Karels estimate of the
 // link's RTT (RFC 6298): SRTT/RTTVAR are updated only from frames
@@ -480,6 +480,10 @@ type ReliableLink struct {
 	active  bool
 	writing bool
 	kick    chan struct{}
+	// batch and msgs are the loop's reused lists for one write: the
+	// frames it takes and their wire messages. Only the loop uses them.
+	batch []*relEntry
+	msgs  []Message
 
 	retransmits     atomic.Uint64
 	fastRetransmits atomic.Uint64
@@ -701,19 +705,26 @@ func (r *ReliableLink) enqueue(m *Message) error {
 }
 
 // sendLoop is the link's only writer. First transmissions, NACK
-// repairs, timer resends and the resume replay all reach raw.Send
+// repairs, timer resends and the resume replay all reach the raw link
 // from here, so first transmissions hit the wire in the order their
-// seqs were assigned. Spawned by wakeLocked, the loop exits once
-// nothing is queued or in flight, or the link detaches (the resume
-// replay respawns it) or closes; it clears active in the same
-// critical section as the exit decision. One timer is re-armed across
-// waits, so waking costs no allocation.
+// seqs were assigned. Each pass writes every frame ready at that
+// moment in one write (see writeLocked). Spawned by wakeLocked, the
+// loop exits once nothing is queued or in flight, or the link
+// detaches (the resume replay respawns it) or closes; it clears
+// active in the same critical section as the exit decision. One timer
+// is re-armed across waits, so waking costs no allocation.
 func (r *ReliableLink) sendLoop() {
 	var timer Timer
 	r.mu.Lock()
 	for !r.closed && !r.detached {
-		if e := r.nextWriteLocked(); e != nil {
-			r.writeLocked(e)
+		batch := r.batch[:0]
+		for e := r.nextWriteLocked(); e != nil; e = r.nextWriteLocked() {
+			batch = append(batch, e)
+		}
+		if len(batch) > 0 {
+			r.writeLocked(batch)
+			clear(batch)
+			r.batch = batch[:0]
 			continue
 		}
 		if len(r.inflight) == 0 {
@@ -776,40 +787,65 @@ func (r *ReliableLink) nextWriteLocked() *relEntry {
 	return nil
 }
 
-// writeLocked puts e on the wire for the write it is owed, arming its
-// deadline. r.mu is released across the raw write — the read loop's
-// Ack must never wait on the network — and held again on return. A
-// failed write detaches a managed link (the window survives for the
-// resume replay) and kills any other. Caller holds r.mu.
-func (r *ReliableLink) writeLocked(e *relEntry) {
-	kind := e.owed
+// relWriteCounters names the counter a frame's write feeds, by the
+// write it was owed (a batch never holds a relWritten frame).
+var relWriteCounters = [...]counter{
+	relFirst:   cRelDataSent,
+	relReplay:  cRelFramesReplayed,
+	relTimeout: cRelRetransmits,
+	relNacked:  cRelFastRetransmits,
+}
+
+// writeLocked puts batch on the wire in seq order, each frame for the
+// write it is owed, arming its deadline. Over a Conn the whole batch
+// is one raw write (one writev on a socket); any other Link gets one
+// Send per frame. r.mu is released across the raw write — the read
+// loop's Ack must never wait on the network — and held again on
+// return. On success each frame counts under its own kind; a failed
+// write counts none of them, and detaches a managed link (the window
+// survives for the resume replay) or kills any other. Caller holds
+// r.mu.
+func (r *ReliableLink) writeLocked(batch []*relEntry) {
+	var kinds [len(relWriteCounters)]uint64
 	now := r.clock.Now()
-	if kind == relFirst || kind == relReplay {
-		e.sentAt = now
-		e.backoff = r.currentRTOLocked()
+	msgs := r.msgs[:0]
+	for _, e := range batch {
+		if e.owed == relFirst || e.owed == relReplay {
+			e.sentAt = now
+			e.backoff = r.currentRTOLocked()
+		}
+		kinds[e.owed]++
+		e.owed = relWritten
+		e.attempts++
+		e.deadline = now.Add(e.backoff)
+		msgs = append(msgs, Message{Type: MsgReliableData, Body: e.frame})
 	}
-	e.owed = relWritten
-	e.attempts++
-	e.deadline = now.Add(e.backoff)
 	raw, gen := r.raw, r.rawGen
-	r.writing = true // runnable until the frame is on the wire
+	r.writing = true // runnable until the frames are on the wire
 	r.updateRunnableLocked()
 	r.mu.Unlock()
 
-	err := raw.Send(&Message{Type: MsgReliableData, Body: e.frame})
-	if err == nil {
-		switch kind {
-		case relFirst:
-			r.stats.add(cRelDataSent, 1)
-		case relReplay:
-			r.stats.add(cRelFramesReplayed, 1)
-		case relTimeout:
-			r.retransmits.Add(1)
-			r.stats.add(cRelRetransmits, 1)
-		case relNacked:
-			r.fastRetransmits.Add(1)
-			r.stats.add(cRelFastRetransmits, 1)
+	var err error
+	if c, ok := raw.(connRaw); ok {
+		err = c.c.write(msgs...)
+	} else {
+		for _, m := range msgs {
+			if err = raw.Send(&m); err != nil {
+				break
+			}
 		}
+	}
+	clear(msgs)
+	r.msgs = msgs[:0]
+	if err == nil {
+		r.stats.add(cRelWrites, 1)
+		for kind, n := range kinds {
+			if n > 0 {
+				r.stats.add(relWriteCounters[kind], n)
+			}
+		}
+		r.retransmits.Add(kinds[relTimeout])
+		r.fastRetransmits.Add(kinds[relNacked])
 	}
 
 	r.mu.Lock()
@@ -1307,12 +1343,12 @@ func isRelReply(t MsgType) bool {
 // loss, never local reordering. It never runs a handler: when frames
 // become deliverable and no drain is running, it hands one to spawn.
 //
-// Ack policy: a fresh frame that lands in order is acked by the drain
-// once its handler returns, and not on receipt — a receipt ack would
-// carry the stale delivered watermark, which the sender ignores. A
-// duplicate, a frame too far ahead and a frame beyond a gap are acked
-// on receipt (the re-ack repairs a lost drain ack), and a gap is also
-// NACKed.
+// Ack policy: fresh frames that land in order are acked by the drain
+// once per delivered run — after the handler of the run's last frame
+// returns — and not on receipt: a receipt ack would carry the stale
+// delivered watermark, which the sender ignores. A duplicate, a frame
+// too far ahead and a frame beyond a gap are acked on receipt (the
+// re-ack repairs a lost drain ack), and a gap is also NACKed.
 func (rr *relReceiver) handleData(body []byte) error {
 	epoch, seq, inner, err := decodeRelData(body)
 	if err != nil {
@@ -1416,7 +1452,7 @@ func (rr *relReceiver) handleData(body []byte) error {
 		rr.drop(dropReason) // outside rr.mu: drop callbacks reach the observer
 	}
 	if !inOrder {
-		rr.ack(ackEpoch, cum)
+		rr.sendAck(ackEpoch, cum)
 	}
 	if len(missing) > 0 {
 		rr.nack(ackEpoch, missing)
@@ -1431,11 +1467,15 @@ func (rr *relReceiver) handleData(body []byte) error {
 // drain dispatches pending in-order messages until none remain. Only
 // one drain runs at a time; receptions append under the lock while it
 // runs, so dispatch order is exactly sequence order. After each handler
-// returns, the delivered watermark advances and an ack carries it to
-// the sender — so an ack never certifies a frame whose handler has
-// not run. A seal mid-drain stops the loop after the in-flight
-// dispatch; the remaining pending frames stay unacked and the
-// sender's replay redelivers them.
+// returns the delivered watermark advances, and once per delivered run
+// an ack carries it to the sender: a handler whose successor is
+// already pending under the same epoch leaves the ack to that
+// successor, whose cumulative ack covers both. So an ack never
+// certifies a frame whose handler has not returned, and the drain
+// never goes idle holding an unacked watermark. A seal mid-drain stops
+// the loop after the in-flight dispatch; the seal carries the
+// watermark to the resume, the remaining pending frames stay unacked
+// and the sender's replay redelivers them.
 func (rr *relReceiver) drain() {
 	for {
 		rr.mu.Lock()
@@ -1458,12 +1498,21 @@ func (rr *relReceiver) drain() {
 		if ackNow && e.seq > rr.deliv {
 			rr.deliv = e.seq
 		}
+		if len(rr.pending) > 0 && rr.pending[0].epoch == e.epoch {
+			ackNow = false // the run goes on: the next handler's ack covers this one
+		}
 		cum := rr.deliv
 		rr.mu.Unlock()
 		if ackNow {
-			rr.ack(e.epoch, cum)
+			rr.sendAck(e.epoch, cum)
 		}
 	}
+}
+
+// sendAck puts a cumulative ack on the wire and counts it.
+func (rr *relReceiver) sendAck(epoch, cum uint64) {
+	rr.ack(epoch, cum)
+	rr.stats.add(cRelAcksSent, 1)
 }
 
 // session reports the receiver's current (epoch, next-to-deliver):

@@ -101,7 +101,9 @@ func (l *scriptLink) dataFrames(t *testing.T) (epochs, seqs []uint64) {
 }
 
 // recvHarness captures a relReceiver's callbacks. Drains run inline
-// on the feeding goroutine, so every feed settles before it returns.
+// on the feeding goroutine, so every feed settles before it returns —
+// unless deferDrains holds them for runDrains, so that several frames
+// can be pending together.
 type recvHarness struct {
 	mu         sync.Mutex
 	dispatched []uint64 // inner Seq, used as a payload marker
@@ -111,6 +113,10 @@ type recvHarness struct {
 	trace      []string    // every callback in call order
 	stats      Stats
 	rr         *relReceiver
+
+	deferDrains bool
+	drains      []func()
+	onDispatch  func(marker uint64) // runs inside the handler, after it is traced
 }
 
 func newRecvHarness() *recvHarness {
@@ -124,8 +130,17 @@ func newRecvHarness() *recvHarness {
 			h.dispatched = append(h.dispatched, m.Seq)
 			record("dispatch %d", m.Seq)
 			h.mu.Unlock()
+			if h.onDispatch != nil {
+				h.onDispatch(m.Seq)
+			}
 		},
-		func(drain func()) { drain() },
+		func(drain func()) {
+			if h.deferDrains {
+				h.drains = append(h.drains, drain)
+				return
+			}
+			drain()
+		},
 		func(m *Message) {
 			h.mu.Lock()
 			h.replies = append(h.replies, m.Seq)
@@ -152,6 +167,13 @@ func (h *recvHarness) feed(t *testing.T, epoch, seq uint64, inner *Message) {
 	t.Helper()
 	if err := h.rr.handleData(encodeRelData(epoch, seq, inner)); err != nil {
 		t.Fatalf("handleData(e=%d s=%d): %v", epoch, seq, err)
+	}
+}
+
+// runDrains runs the drains deferDrains held back, in spawn order.
+func (h *recvHarness) runDrains() {
+	for len(h.drains) > 0 {
+		popFront(&h.drains)()
 	}
 }
 
@@ -1084,6 +1106,98 @@ func TestReliableIdleLinkLeavesBusyProbe(t *testing.T) {
 	}
 }
 
+// tcpStream is a reliable sender and receiver over a loopback TCP
+// pair, the receiver recording the age of each PersonA it delivers.
+type tcpStream struct {
+	sender, receiver *Peer
+	conn             *Conn
+	mu               sync.Mutex
+	ages             []int
+}
+
+// newTCPStream connects a reliable sender to a receiver over loopback
+// TCP. onDeliver, when set, runs in the receiver's handler after the
+// delivery is recorded.
+func newTCPStream(t *testing.T, onDeliver func(), opts ...ReliableOption) *tcpStream {
+	t.Helper()
+	sendReg := registry.New()
+	if _, err := sendReg.Register(fixtures.PersonB{}); err != nil {
+		t.Fatal(err)
+	}
+	recvReg := registry.New()
+	if _, err := recvReg.Register(fixtures.PersonA{}); err != nil {
+		t.Fatal(err)
+	}
+	s := &tcpStream{
+		sender:   NewPeer(sendReg, WithName("sender"), WithReliableLinks(opts...)),
+		receiver: NewPeer(recvReg, WithName("receiver"), WithReliableLinks(opts...)),
+	}
+	t.Cleanup(func() {
+		_ = s.sender.Close()
+		_ = s.receiver.Close()
+	})
+	if err := s.receiver.OnReceive(fixtures.PersonA{}, func(d Delivery) {
+		s.mu.Lock()
+		s.ages = append(s.ages, d.Bound.(*fixtures.PersonA).Age)
+		s.mu.Unlock()
+		if onDeliver != nil {
+			onDeliver()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.receiver.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := s.sender.Dial(s.receiver.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.conn = conn
+	return s
+}
+
+func (s *tcpStream) send(t *testing.T, age int) {
+	t.Helper()
+	if err := s.sender.SendObject(s.conn, fixtures.PersonB{PersonName: "tcp", PersonAge: age}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitInOrder waits until all n objects are delivered and acked, and
+// checks that each was delivered exactly once, in send order.
+func (s *tcpStream) awaitInOrder(t *testing.T, n int) {
+	t.Helper()
+	delivered := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.ages)
+	}
+	if !waitUntil(30*time.Second, func() bool {
+		rs, ok := s.conn.ReliableSnapshot()
+		return delivered() == n && ok && rs.InFlightData == 0
+	}) {
+		rs, _ := s.conn.ReliableSnapshot()
+		t.Fatalf("delivered %d of %d, sender %+v", delivered(), n, rs)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, age := range s.ages {
+		if age != i {
+			t.Fatalf("delivery %d carried object %d: want exactly-once, in-order delivery", i, age)
+		}
+	}
+	if got := s.receiver.Stats().Snapshot().ObjectsDelivered; got != uint64(n) {
+		t.Errorf("ObjectsDelivered = %d, want %d", got, n)
+	}
+}
+
+// repairs sums the NACKs and fast retransmits of both peers.
+func (s *tcpStream) repairs() (nacks, fast uint64) {
+	ss, rs := s.sender.Stats().Snapshot(), s.receiver.Stats().Snapshot()
+	return ss.RelNacksSent + rs.RelNacksSent, ss.RelFastRetransmits + rs.RelFastRetransmits
+}
+
 // TestReliableTCPNoSpuriousRepair streams objects over a loopback TCP
 // pair with reliable links and several objects in flight. TCP neither
 // loses nor reorders, the sender's one writer puts first
@@ -1099,78 +1213,116 @@ func TestReliableTCPNoSpuriousRepair(t *testing.T) {
 		objects  = 2000
 		inFlight = 4
 	)
-	sendReg := registry.New()
-	if _, err := sendReg.Register(fixtures.PersonB{}); err != nil {
-		t.Fatal(err)
-	}
-	recvReg := registry.New()
-	if _, err := recvReg.Register(fixtures.PersonA{}); err != nil {
-		t.Fatal(err)
-	}
-	sender := NewPeer(sendReg, WithName("sender"), WithReliableLinks())
-	defer sender.Close()
-	receiver := NewPeer(recvReg, WithName("receiver"), WithReliableLinks())
-	defer receiver.Close()
-
 	slots := make(chan struct{}, inFlight)
-	var mu sync.Mutex
-	var ages []int
-	if err := receiver.OnReceive(fixtures.PersonA{}, func(d Delivery) {
-		mu.Lock()
-		ages = append(ages, d.Bound.(*fixtures.PersonA).Age)
-		mu.Unlock()
-		<-slots
-	}); err != nil {
+	s := newTCPStream(t, func() { <-slots })
+	for i := 0; i < objects; i++ {
+		slots <- struct{}{}
+		s.send(t, i)
+	}
+	s.awaitInOrder(t, objects)
+	if s.receiver.Stats().Snapshot().TypeInfoRequests == 0 {
+		t.Error("no description fetch: the stream never mixed a reply with object frames")
+	}
+	if nacks, fast := s.repairs(); nacks != 0 || fast != 0 {
+		t.Errorf("over an ordered stream: %d NACKs sent and %d fast retransmits, want 0 and 0", nacks, fast)
+	}
+}
+
+// TestReliableTCPBatchedWrites sends objects back to back over a
+// loopback TCP pair, so frames queue up behind the sender loop's
+// writes and the receiver's drain. The loop must put every ready
+// frame on the wire in one write and the drain must ack once per
+// delivered run: both show as fewer writes than frames and fewer acks
+// than objects, with delivery still exactly-once and in order and no
+// repair on an ordered stream. Timer retransmits are logged, not
+// gated: a lossless link can still fire the timer (MinRTO).
+func TestReliableTCPBatchedWrites(t *testing.T) {
+	const objects = 2000
+	for _, window := range []int{2, 32} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			s := newTCPStream(t, nil, WithWindow(window))
+			for i := 0; i < objects; i++ {
+				s.send(t, i)
+			}
+			s.awaitInOrder(t, objects)
+			if nacks, fast := s.repairs(); nacks != 0 || fast != 0 {
+				t.Errorf("over an ordered stream: %d NACKs sent and %d fast retransmits, want 0 and 0", nacks, fast)
+			}
+			ss, rs := s.sender.Stats().Snapshot(), s.receiver.Stats().Snapshot()
+			frames := ss.RelDataSent + ss.RelRetransmits + ss.RelFastRetransmits + ss.RelFramesReplayed
+			t.Logf("%d frames in %d writes; %d acks for %d objects; %d timer retransmits",
+				frames, ss.RelWrites, rs.RelAcksSent, objects, ss.RelRetransmits)
+			if ss.RelWrites == 0 || frames <= ss.RelWrites {
+				t.Errorf("%d frames in %d writes: want more than one frame per write", frames, ss.RelWrites)
+			}
+			if rs.RelAcksSent >= objects {
+				t.Errorf("receiver sent %d acks for %d objects: want fewer than one per object", rs.RelAcksSent, objects)
+			}
+		})
+	}
+}
+
+// TestFabricBatchedWriteOneDecisionPerFrame: a batched write reaches a
+// fabric endpoint as one Write per frame, so the link's fault
+// schedule still decides frame by frame. Under a queued burst the
+// decisions recorded on the sender's direction equal the protocol
+// frames it wrote, while its sender loop made fewer writes than that.
+func TestFabricBatchedWriteOneDecisionPerFrame(t *testing.T) {
+	const objects = 500
+	f := NewFabric(scenarioSeed(t, 2020))
+	t.Cleanup(func() { _ = f.Close() })
+	regA := registry.New()
+	if _, err := regA.Register(fixtures.PersonB{}); err != nil {
 		t.Fatal(err)
 	}
-	delivered := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(ages)
-	}
-	if err := receiver.Listen("127.0.0.1:0"); err != nil {
+	regB := registry.New()
+	if _, err := regB.Register(fixtures.PersonA{}); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := sender.Dial(receiver.Addr())
+	// Only a sends reliably, so every frame on a->b is a reliable data
+	// frame counted by a's sender counters.
+	na, err := f.AddPeerWithRegistry("a", regA, WithReliableLinks(WithSendQueue(objects)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	send := func(age int) {
-		t.Helper()
-		slots <- struct{}{}
-		if err := sender.SendObject(conn, fixtures.PersonB{PersonName: "tcp", PersonAge: age}); err != nil {
+	nb, err := f.AddPeerWithRegistry("b", regB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, _, err := f.Connect("a", "b", FaultProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered sync.WaitGroup
+	delivered.Add(objects)
+	if err := nb.Peer().OnReceive(fixtures.PersonA{}, func(Delivery) { delivered.Done() }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < objects; i++ {
+		if err := na.Peer().SendObject(ca, fixtures.PersonB{PersonName: "burst", PersonAge: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	for i := 0; i < objects; i++ {
-		send(i)
-	}
-	if !waitUntil(30*time.Second, func() bool {
-		s, ok := conn.ReliableSnapshot()
-		return delivered() == objects && ok && s.InFlightData == 0
+	delivered.Wait()
+	if !waitUntil(10*time.Second, func() bool {
+		rs, _ := ca.ReliableSnapshot()
+		return rs.InFlight == 0
 	}) {
-		s, _ := conn.ReliableSnapshot()
-		t.Fatalf("delivered %d of %d, sender %+v", delivered(), objects, s)
+		t.Fatal("frames still in flight after every delivery")
 	}
-
-	mu.Lock()
-	for i, age := range ages {
-		if age != i {
-			mu.Unlock()
-			t.Fatalf("delivery %d carried object %d: want exactly-once, in-order delivery", i, age)
+	s := na.Peer().Stats().Snapshot()
+	frames := s.RelDataSent + s.RelRetransmits + s.RelFastRetransmits + s.RelFramesReplayed
+	decisions := 0
+	for _, d := range f.Schedule() {
+		if d.Link == "a->b" {
+			decisions++
 		}
 	}
-	mu.Unlock()
-	ss, rs := sender.Stats().Snapshot(), receiver.Stats().Snapshot()
-	if rs.ObjectsDelivered != objects {
-		t.Errorf("ObjectsDelivered = %d, want %d", rs.ObjectsDelivered, objects)
+	t.Logf("%d frames in %d writes, %d fault decisions", frames, s.RelWrites, decisions)
+	if uint64(decisions) != frames {
+		t.Errorf("a->b recorded %d fault decisions for %d frames written, want one per frame", decisions, frames)
 	}
-	if rs.TypeInfoRequests == 0 {
-		t.Error("no description fetch: the stream never mixed a reply with object frames")
-	}
-	nacks, fast := ss.RelNacksSent+rs.RelNacksSent, ss.RelFastRetransmits+rs.RelFastRetransmits
-	if nacks != 0 || fast != 0 {
-		t.Errorf("over an ordered stream: %d NACKs sent and %d fast retransmits, want 0 and 0", nacks, fast)
+	if s.RelWrites >= frames {
+		t.Errorf("%d frames in %d writes: the burst never batched", frames, s.RelWrites)
 	}
 }

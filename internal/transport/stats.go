@@ -37,8 +37,10 @@ const (
 	cDescWarmLoaded
 	cDescFeedApplied
 	cRelDataSent
+	cRelWrites
 	cRelRetransmits
 	cRelAcksReceived
+	cRelAcksSent
 	cRelDeduped
 	cRelNacksSent
 	cRelFastRetransmits
@@ -114,9 +116,14 @@ type StatsSnapshot struct {
 	DescFeedApplied uint64 // change-feed description deltas applied to the remote repo
 	// Reliable-layer counters (zero unless WithReliableLinks is on or
 	// a reliable remote is sending to this peer).
-	RelDataSent     uint64 // reliable frames first-sent (excl. retransmits)
+	RelDataSent uint64 // reliable frames first-sent (excl. retransmits)
+	// RelWrites counts the sender loops' raw writes, one per batch of
+	// ready frames; frames per write is (RelDataSent + RelRetransmits
+	// + RelFastRetransmits + RelFramesReplayed) / RelWrites.
+	RelWrites       uint64
 	RelRetransmits  uint64 // frames resent by the retransmit timer
 	RelAcksReceived uint64 // cumulative acks that advanced the window
+	RelAcksSent     uint64 // acks the receive side put on the wire
 	RelDeduped      uint64 // received frames suppressed as duplicates/ghosts
 	// Gap-repair and send-queue counters (zero until a receiver
 	// detects a gap or a link dies with frames still queued).
