@@ -60,8 +60,8 @@ help:
 	@echo "  churn       the churn convergence scenario long-form under -race"
 	@echo "              (PTI_SOAK scales it; PTI_SEED=n replays a failure)"
 	@echo "  scale       500-peer fabric convergence under -race on the virtual"
-	@echo "              clock (PTI_SCALE_PEERS=n overrides the fleet size;"
-	@echo "              PTI_SEED=n replays a failure)"
+	@echo "              clock at -cpu 1,2 (PTI_SCALE_PEERS=n overrides the"
+	@echo "              fleet size; PTI_SEED=n replays a failure)"
 
 check: vet lint test-race test-tcp-repair
 
@@ -122,12 +122,13 @@ churn:
 
 # Fabric scalability soak: 500 subscribers (1000 nightly via
 # PTI_SCALE_PEERS) fanned out from a small publisher tier with a 10%
-# crash wave, on the virtual clock under the race detector. The
-# timeout doubles as the CI wall-clock budget — a busy probe or
-# scheduler that regressed to O(peers·links) times out instead of
-# grinding through.
+# crash wave, on the virtual clock under the race detector, once at
+# GOMAXPROCS 1 and once at 2 so the one frame scheduler and the busy
+# probe run both with and without a second proc. The timeout doubles
+# as the CI wall-clock budget — a busy probe or scheduler that
+# regressed to O(peers·links) times out instead of grinding through.
 scale:
-	PTI_SCALE_PEERS=$${PTI_SCALE_PEERS:-500} $(GO) test -race -run 'TestFabricScale' -count=1 -timeout 20m -v ./internal/transport
+	PTI_SCALE_PEERS=$${PTI_SCALE_PEERS:-500} $(GO) test -race -run 'TestFabricScale' -cpu 1,2 -count=1 -timeout 20m -v ./internal/transport
 
 # Full paper-table benchmark run.
 bench:

@@ -104,8 +104,8 @@ func exp73(reps int) error {
 
 	row("SOAP serialize object", "16.68ms", fmtDur(soapSer), "")
 	row("SOAP deserialize object", "1.32ms", fmtDur(soapDe),
-		fmt.Sprintf("measured serialize/deserialize = %.2f (paper 12.6x; see EXPERIMENTS.md)",
-			float64(soapSer)/float64(soapDe)))
+		fmt.Sprintf("shape: serialize/deserialize = %s (paper 12.6x; see BENCHMARKS.md, \"Sections 7.2 and 7.3\")",
+			ratio(soapSer, soapDe)))
 	row("binary serialize object", "(alternative)", fmtDur(binSer), "")
 	row("binary deserialize object", "(alternative)", fmtDur(binDe),
 		fmt.Sprintf("binary vs SOAP payload: %d vs %d bytes", len(binData), len(soapData)))

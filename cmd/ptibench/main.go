@@ -182,9 +182,16 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
+// ratio prints slow/fast as a multiplier: whole numbers from 10 up,
+// two significant digits below, so a shape below 1 (0.6x) does not
+// round to "1x".
 func ratio(slow, fast time.Duration) string {
 	if fast <= 0 {
 		return "n/a"
 	}
-	return fmt.Sprintf("%.0fx", float64(slow)/float64(fast))
+	r := float64(slow) / float64(fast)
+	if r < 10 {
+		return fmt.Sprintf("%.2gx", r)
+	}
+	return fmt.Sprintf("%.0fx", r)
 }

@@ -49,6 +49,9 @@ func TestRatio(t *testing.T) {
 	if got := ratio(200*time.Nanosecond, 100*time.Nanosecond); got != "2x" {
 		t.Errorf("ratio = %q", got)
 	}
+	if got := ratio(600*time.Nanosecond, time.Microsecond); got != "0.6x" {
+		t.Errorf("sub-1 ratio = %q, want 0.6x", got)
+	}
 	if got := ratio(time.Second, 0); got != "n/a" {
 		t.Errorf("zero ratio = %q", got)
 	}

@@ -13,28 +13,32 @@ import (
 	"pti/internal/transport"
 )
 
-// The scale experiment measures the fabric's scalability: the
-// sharded frame scheduler, the O(1) busy probe and the lazily spawned
-// reliable loops, exercised by broadcast fan-out plus a crash wave at
-// two fleet sizes.
+// The scale experiment measures the fabric's scalability: the one
+// frame scheduler, the O(1) busy probe and the lazily spawned reliable
+// loops, exercised by broadcast fan-out plus a crash wave at two fleet
+// sizes.
 
 // scaleRow is one measured fleet size. ResidentGoroutines is the
 // median over rounds of the goroutines alive once a round's
 // deliveries have settled and been acked, and GoroutinesPerPeer
 // divides it by the fleet; PeakGoroutines, sampled during the broadcast bursts, is
 // reported but not gated, because a burst's transient handler and
-// sender-loop goroutines swing it from run to run.
+// sender-loop goroutines swing it from run to run. Duplicates counts
+// repeat deliveries within one incarnation, which exactly-once
+// forbids; MaxRedelivered is the largest number of messages any
+// subscriber got again in a later incarnation, the documented
+// at-least-once across a crash.
 type scaleRow struct {
 	Peers              int     `json:"peers"`
 	Messages           int     `json:"messages"`
 	MatchRate          float64 `json:"match_rate"`
 	Duplicates         int     `json:"duplicates"`
+	MaxRedelivered     int     `json:"max_redelivered"`
 	PeakGoroutines     int     `json:"peak_goroutines"`
 	ResidentGoroutines int     `json:"resident_goroutines"`
 	GoroutinesPerPeer  float64 `json:"goroutines_per_peer"`
 	SchedFrames        uint64  `json:"sched_frames"`
 	SchedOpsPerFrame   float64 `json:"sched_ops_per_frame"`
-	SchedShards        int     `json:"sched_shards"`
 	PeersPerVirtualS   float64 `json:"peers_per_virtual_sec"`
 	ElapsedVirtualMs   float64 `json:"elapsed_virtual_ms"`
 	ElapsedWallMs      float64 `json:"elapsed_wall_ms"`
@@ -55,17 +59,23 @@ const scaleWallBudgetMs = 120000
 // that re-sorts or thrashes overshoots immediately.
 const scaleOpsCeiling = 2.25
 
+// scaleRedeliveryCeiling bounds one subscriber's cross-incarnation
+// overlap: a crash can only lose the acks of frames its publisher
+// still had in flight, at most the reliable window (default 32).
+const scaleRedeliveryCeiling = 32
+
 // scaleGoroutineSlack bounds the per-peer goroutine cost at the
 // larger fleet as a multiple of the smaller fleet's: headroom for
 // runtime background goroutines, while per-link parked goroutines
 // creeping back would roughly double the per-peer cost.
 const scaleGoroutineSlack = 1.3
 
-// scaleGates: scale must not cost the exactly-once contract; each run
+// scaleGates: scale must not cost the exactly-once contract within an
+// incarnation, and a crash may redeliver at most one window; each run
 // must finish inside the CI wall-clock budget; the scheduler must stay
 // at ~2 heap ops per frame; and resident goroutines must grow
-// sublinearly in peers, because the scheduler pool is fixed and idle
-// reliable links hold no goroutines.
+// sublinearly in peers, because the fabric runs one scheduler
+// goroutine and idle reliable links hold none.
 func scaleGates() []benchfmt.Gate {
 	var gates []benchfmt.Gate
 	for i, n := range scaleFleets {
@@ -75,6 +85,7 @@ func scaleGates() []benchfmt.Gate {
 		gates = append(gates,
 			benchfmt.NewGate(r, "exactly once", benchfmt.Exact, "match_rate", 1),
 			benchfmt.NewGate(r, "duplicates", benchfmt.Exact, "duplicates", 0),
+			benchfmt.NewGate(r, "redelivered within window", benchfmt.Max, "max_redelivered", scaleRedeliveryCeiling),
 			benchfmt.NewGate(r, "wall budget", benchfmt.Max, "elapsed_wall_ms", scaleWallBudgetMs),
 			ops)
 		if i > 0 {
@@ -97,10 +108,10 @@ func expScale(reps int) ([]benchfmt.Row, error) {
 			return nil, err
 		}
 		name := fmt.Sprintf("scale-%d", subs)
-		fmt.Printf("  %-12s match %.0f%%  dups %d  residentGoroutines %d (%.2f/peer)  peak %d  schedOps/frame %.2f  shards %d  virtual %.0fms  wall %.0fms (budget %.0fms)\n",
-			name, r.MatchRate*100, r.Duplicates, r.ResidentGoroutines,
+		fmt.Printf("  %-12s match %.0f%%  dups %d  maxRedelivered %d  residentGoroutines %d (%.2f/peer)  peak %d  schedOps/frame %.2f  virtual %.0fms  wall %.0fms (budget %.0fms)\n",
+			name, r.MatchRate*100, r.Duplicates, r.MaxRedelivered, r.ResidentGoroutines,
 			r.GoroutinesPerPeer, r.PeakGoroutines, r.SchedOpsPerFrame,
-			r.SchedShards, r.ElapsedVirtualMs, r.ElapsedWallMs, float64(scaleWallBudgetMs))
+			r.ElapsedVirtualMs, r.ElapsedWallMs, float64(scaleWallBudgetMs))
 		rows = append(rows, benchRow("scale", name, r))
 	}
 	return rows, nil
@@ -214,21 +225,23 @@ func runScale(nSubs int) (scaleRow, error) {
 		sample()
 		return <-errs
 	}
-	coverage := func(name string) (distinct, dups int) {
+	// coverage reports the distinct ids a subscriber holds over all
+	// its incarnations, the repeats within any one incarnation, and
+	// the ids a later incarnation got again after a crash.
+	coverage := func(name string) (distinct, dups, redelivered int) {
 		logMu.Lock()
 		defer logMu.Unlock()
-		union := make(map[int]int)
+		union := make(map[int]bool)
 		for _, seen := range seenByNode[name] {
 			for id, n := range seen {
-				union[id] += n
-			}
-		}
-		for _, n := range union {
-			if n > 1 {
 				dups += n - 1
+				if union[id] {
+					redelivered++
+				}
+				union[id] = true
 			}
 		}
-		return len(union), dups
+		return len(union), dups, redelivered
 	}
 	deadline := time.Now().Add(240 * time.Second)
 	// settled reports whether every running subscriber holds the first
@@ -240,7 +253,7 @@ func runScale(nSubs int) (scaleRow, error) {
 			if down[name] {
 				continue
 			}
-			if got, _ := coverage(name); got < want {
+			if got, _, _ := coverage(name); got < want {
 				return false
 			}
 			c, ok := f.Node(pubs[i%nPubs]).ConnTo(name)
@@ -293,13 +306,14 @@ func runScale(nSubs int) (scaleRow, error) {
 	elapsedVirtual := f.Clock().Now().Sub(virtualStart)
 	elapsedWall := time.Since(wallStart)
 
-	covered, dups := 0, 0
+	covered, dups, maxRedelivered := 0, 0, 0
 	for _, name := range names {
-		got, d := coverage(name)
+		got, d, re := coverage(name)
 		covered += got
 		dups += d
+		maxRedelivered = max(maxRedelivered, re)
 	}
-	frames, heapOps, shards := f.SchedulerStats()
+	frames, heapOps := f.SchedulerStats()
 	opsPerFrame := 0.0
 	if frames > 0 {
 		opsPerFrame = float64(heapOps) / float64(frames)
@@ -313,12 +327,12 @@ func runScale(nSubs int) (scaleRow, error) {
 		Messages:           total,
 		MatchRate:          float64(covered) / float64(total*nSubs),
 		Duplicates:         dups,
+		MaxRedelivered:     maxRedelivered,
 		PeakGoroutines:     peak,
 		ResidentGoroutines: medianInt(resident),
 		GoroutinesPerPeer:  float64(medianInt(resident)) / float64(nSubs+nPubs),
 		SchedFrames:        frames,
 		SchedOpsPerFrame:   opsPerFrame,
-		SchedShards:        shards,
 		PeersPerVirtualS:   perVirtualS,
 		ElapsedVirtualMs:   float64(elapsedVirtual.Nanoseconds()) / 1e6,
 		ElapsedWallMs:      float64(elapsedWall.Nanoseconds()) / 1e6,

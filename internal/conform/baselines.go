@@ -1,6 +1,8 @@
 package conform
 
 import (
+	"errors"
+
 	"pti/internal/guid"
 	"pti/internal/typedesc"
 )
@@ -39,7 +41,7 @@ func NewExplicit(resolver typedesc.Resolver) *ExplicitChecker {
 // Check implements Relation.
 func (e *ExplicitChecker) Check(candidate, expected *typedesc.TypeDescription) (*Result, error) {
 	if candidate == nil || expected == nil {
-		return nil, ErrNilDescription
+		return nil, errors.New("conform: nil type description")
 	}
 	if !candidate.Identity.IsNil() && candidate.Identity == expected.Identity {
 		return identityResult(candidate, expected, "equivalent (same identity)"), nil
@@ -72,7 +74,7 @@ func NewNameOnly(p Policy) *NameOnlyChecker {
 // Check implements Relation.
 func (n *NameOnlyChecker) Check(candidate, expected *typedesc.TypeDescription) (*Result, error) {
 	if candidate == nil || expected == nil {
-		return nil, ErrNilDescription
+		return nil, errors.New("conform: nil type description")
 	}
 	if !n.policy.typeNameConforms(expected.Name, candidate.Name) {
 		return fail("name %q does not conform to %q", candidate.Name, expected.Name), nil
@@ -117,7 +119,7 @@ func (t *TaggedChecker) Tag(id guid.GUID) { t.tags[id] = true }
 // Check implements Relation.
 func (t *TaggedChecker) Check(candidate, expected *typedesc.TypeDescription) (*Result, error) {
 	if candidate == nil || expected == nil {
-		return nil, ErrNilDescription
+		return nil, errors.New("conform: nil type description")
 	}
 	if !t.tags[candidate.Identity] || !t.tags[expected.Identity] {
 		return fail("structural conformance requires both %s and %s to be tagged",

@@ -10,10 +10,6 @@ import (
 	"pti/internal/typedesc"
 )
 
-// ErrNilDescription is returned when Check is handed a nil
-// description.
-var ErrNilDescription = errors.New("conform: nil type description")
-
 // Result is the outcome of a conformance check: whether the candidate
 // implicitly structurally conforms to the expected type, the mapping
 // realizing the conformance, and — on failure — the first violated
@@ -84,7 +80,7 @@ func (c *Checker) Policy() Policy { return c.policy }
 // expected type is expected (Figure 2, rule (vi)).
 func (c *Checker) Check(candidate, expected *typedesc.TypeDescription) (*Result, error) {
 	if candidate == nil || expected == nil {
-		return nil, ErrNilDescription
+		return nil, errors.New("conform: nil type description")
 	}
 	if c.cache != nil {
 		if r, ok := c.cache.get(candidate.Identity, expected.Identity, c.fp); ok {

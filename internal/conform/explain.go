@@ -1,6 +1,8 @@
 package conform
 
 import (
+	"errors"
+
 	"pti/internal/typedesc"
 )
 
@@ -25,7 +27,7 @@ type Report struct {
 // violated aspect.
 func (c *Checker) Explain(candidate, expected *typedesc.TypeDescription) (*Report, error) {
 	if candidate == nil || expected == nil {
-		return nil, ErrNilDescription
+		return nil, errors.New("conform: nil type description")
 	}
 	ctx := &checkContext{
 		checker:     c,

@@ -29,9 +29,6 @@ type GUID [16]byte
 // Nil is the zero GUID.
 var Nil GUID
 
-// ErrInvalidFormat is returned by Parse for malformed textual GUIDs.
-var ErrInvalidFormat = errors.New("guid: invalid format")
-
 // New returns a fresh random GUID. It never returns Nil.
 func New() GUID {
 	var g GUID
@@ -83,24 +80,16 @@ func Parse(s string) (GUID, error) {
 	if len(s) >= 2 && s[0] == '{' && s[len(s)-1] == '}' {
 		s = s[1 : len(s)-1]
 	}
-	var g GUID
-	switch len(s) {
-	case 36:
-		if s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
-			return Nil, ErrInvalidFormat
-		}
-		hexOnly := s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36]
-		if _, err := hex.Decode(g[:], []byte(hexOnly)); err != nil {
-			return Nil, ErrInvalidFormat
-		}
-	case 32:
-		if _, err := hex.Decode(g[:], []byte(s)); err != nil {
-			return Nil, ErrInvalidFormat
-		}
-	default:
-		return Nil, ErrInvalidFormat
+	if len(s) == 36 && s[8] == '-' && s[13] == '-' && s[18] == '-' && s[23] == '-' {
+		s = s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36]
 	}
-	return g, nil
+	var g GUID
+	if len(s) == 2*len(g) {
+		if _, err := hex.Decode(g[:], []byte(s)); err == nil {
+			return g, nil
+		}
+	}
+	return Nil, errors.New("guid: invalid format")
 }
 
 // MarshalText implements encoding.TextMarshaler.
@@ -128,7 +117,7 @@ func (g GUID) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (g *GUID) UnmarshalBinary(data []byte) error {
 	if len(data) != 16 {
-		return ErrInvalidFormat
+		return errors.New("guid: invalid format")
 	}
 	copy(g[:], data)
 	return nil

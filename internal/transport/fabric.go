@@ -95,8 +95,8 @@ type Fabric struct {
 
 	// fb holds the O(1) busy-probe counters every fabric peer, link
 	// buffer and reliable pipeline maintains event-driven; fsched is
-	// the sharded frame scheduler all link directions deliver through
-	// (see sched.go). Both are fixed-size regardless of peer count.
+	// the one frame scheduler all link directions deliver through (see
+	// sched.go). Both are fixed-size regardless of peer count.
 	fb     *fabricBusy
 	fsched *frameSched
 
@@ -149,7 +149,7 @@ func WithVirtualClock() FabricOption {
 // goroutine-scheduled round trip on a zero-latency link can never
 // lose a race against its own timeout deadline.
 //
-// The answer is three atomic loads plus an O(shards) scheduler check:
+// The answer is three atomic loads plus one scheduler head check:
 // every contributor maintains its counter at its own state
 // transitions (frameBuffer on empty↔nonempty edges, Peer on handler
 // enter/park/unpark/exit, ReliableLink on every admission-state
@@ -230,7 +230,7 @@ func NewFabric(seed int64, opts ...FabricOption) *Fabric {
 		opt(f)
 	}
 	// After the options: WithVirtualClock may have swapped f.clock,
-	// and the scheduler's shard timers must run on the final clock.
+	// and the scheduler's timer must run on the final clock.
 	// The busy probe is installed last — it reads f.fsched, so the
 	// auto-advancer must not see the fabric half-built.
 	f.fsched = newFrameSched(f.clock)
@@ -240,12 +240,11 @@ func NewFabric(seed int64, opts ...FabricOption) *Fabric {
 	return f
 }
 
-// SchedulerStats reports the sharded frame scheduler's cumulative
-// counters: frames accepted for delivery, heap operations performed,
-// and the (fixed) shard count — the observability hook behind the
-// scale benchmark's ops-per-frame row.
-func (f *Fabric) SchedulerStats() (frames, heapOps uint64, shards int) {
-	return f.fsched.frames.Load(), f.fsched.heapOps.Load(), len(f.fsched.shards)
+// SchedulerStats reports the frame scheduler's cumulative counters:
+// frames accepted for delivery and heap operations performed — the
+// observability hook behind the scale benchmark's ops-per-frame row.
+func (f *Fabric) SchedulerStats() (frames, heapOps uint64) {
+	return f.fsched.frames.Load(), f.fsched.heapOps.Load()
 }
 
 // Seed returns the fabric's seed — print it when a scenario fails so
@@ -696,8 +695,8 @@ func (f *Fabric) Close() error {
 			firstErr = err
 		}
 	}
-	// Scheduler shards stop after the peers (their teardown may still
-	// be draining frames) and before the clock (a shard parked on a
+	// The scheduler stops after the peers (their teardown may still be
+	// draining frames) and before the clock (a scheduler parked on a
 	// stopped clock's timer would never wake).
 	f.fsched.stop()
 	if f.vclock != nil {
@@ -799,7 +798,7 @@ func (l *fabricLink) closeAll() {
 // schedule. Each Write call on a fabric endpoint is exactly one
 // protocol frame (Conn.write hands an endpoint one Write per frame),
 // so faults operate on whole frames and never corrupt the framing.
-// In-flight frames live in the fabric's sharded scheduler (see
+// In-flight frames live in the fabric's frame scheduler (see
 // sched.go) rather than a per-direction queue, so a direction costs
 // no goroutine of its own.
 type linkDir struct {
@@ -807,7 +806,6 @@ type linkDir struct {
 	dst   *frameBuffer
 	clock Clock
 	fs    *frameSched
-	shard *schedShard // fixed stripe of fs, by name hash
 
 	mu        sync.Mutex
 	rng       *rand.Rand
@@ -829,7 +827,6 @@ func newLinkDir(name string, rng *rand.Rand, prof FaultProfile, clock Clock, fs 
 		prof:  prof,
 		clock: clock,
 		fs:    fs,
-		shard: fs.shardFor(name),
 	}
 }
 
@@ -918,14 +915,12 @@ func (d *linkDir) send(b []byte) (int, error) {
 			d.lastDue = due
 		}
 		data := append([]byte(nil), b...)
-		// Enqueued under d.mu: the shard's arrival tiebreaker then
+		// Enqueued under d.mu: the scheduler's arrival tiebreaker then
 		// preserves this direction's send order across equal deadlines.
-		d.fs.frames.Add(1)
-		d.shard.enqueue(d, data, due)
+		d.fs.enqueue(d, data, due)
 		if dec.Dup {
 			d.duped.Add(1)
-			d.fs.frames.Add(1)
-			d.shard.enqueue(d, data, due.Add(time.Millisecond))
+			d.fs.enqueue(d, data, due.Add(time.Millisecond))
 		}
 	}
 	if len(d.sched) < maxScheduleLen {
@@ -953,7 +948,7 @@ func (d *linkDir) takeSchedule() []FaultDecision {
 }
 
 // deliver hands one due frame to the destination buffer, called by
-// the scheduler shard with no shard lock held. Delivery happens under
+// the scheduler with no scheduler lock held. Delivery happens under
 // d.mu: close() serializes on the same lock, so once closeAll returns
 // no delivery is mid-flight and a retirement snapshot of the counters
 // is exact. (push takes only the buffer's own lock; no cycle.)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,8 +15,8 @@ import (
 	"pti/internal/registry"
 )
 
-// The scale suite is what the sharded frame scheduler, the O(1) busy
-// probe and the lazily spawned reliable loops buy: a single fabric
+// The scale suite is what the fabric's one frame scheduler, the O(1)
+// busy probe and the lazily spawned reliable loops buy: a single fabric
 // carrying hundreds of simulated peers in CI-viable time. The per-PR
 // gate runs TestFabricScaleConvergence at 500 peers (make scale); the
 // nightly matrix raises it to 1000 across three seeds.
@@ -47,10 +48,11 @@ func scalePeerCount(t *testing.T) int {
 //     message its publisher broadcast — no loss, despite the wave;
 //   - exactly-once in-order per incarnation, cross-incarnation
 //     overlap bounded by the in-flight window;
-//   - the goroutine floor is scale-friendly: scheduler goroutines
-//     stay capped at the shard pool regardless of peer count, and
-//     once traffic drains the lazily spawned reliable loops exit on
-//     their own — before the fabric closes, not because of it.
+//   - the goroutine floor is scale-friendly: the fabric runs exactly
+//     one scheduler goroutine regardless of peer count, none once it
+//     closes, and once traffic drains the lazily spawned reliable
+//     loops exit on their own — before the fabric closes, not because
+//     of it.
 //
 // PTI_SCALE_PEERS sets the subscriber count (nightly runs 1000);
 // PTI_SEED replays a failure.
@@ -65,6 +67,7 @@ func TestFabricScaleConvergence(t *testing.T) {
 		}
 	}()
 	baseLoops := reliableLoopGoroutines()
+	baseScheds := schedGoroutines()
 
 	nSubs := scalePeerCount(t)
 	nPubs := (nSubs + 124) / 125 // ≤125 managed links per publisher
@@ -271,12 +274,12 @@ func TestFabricScaleConvergence(t *testing.T) {
 		t.Fatalf("match rate %d/%d != 1.0", delivered, expected)
 	}
 
-	// The scheduler pool is fixed-size no matter how many links ride
-	// it — the property that replaced two goroutines per link.
-	frames, heapOps, shards := f.SchedulerStats()
-	if shards > maxSchedShards {
-		t.Fatalf("scheduler shards = %d, want <= %d", shards, maxSchedShards)
+	// One scheduler goroutine no matter how many links ride it — the
+	// property that replaced two goroutines per link.
+	if n := schedGoroutines() - baseScheds; n != 1 {
+		t.Fatalf("scheduler goroutines = %d with the fabric open, want 1", n)
 	}
+	frames, heapOps := f.SchedulerStats()
 	// Every accepted frame costs one push; a pop only once delivered —
 	// frames still in flight at snapshot time have their pop pending.
 	if frames == 0 || heapOps < frames || heapOps > 2*frames {
@@ -292,9 +295,19 @@ func TestFabricScaleConvergence(t *testing.T) {
 		t.Fatalf("idle reliable loops leaked: %d > %d", reliableLoopGoroutines(), baseLoops)
 	}
 
-	t.Logf("scale converged: peers=%d msgs=%d wall=%s peakGoroutines=%d schedFrames=%d schedOpsPerFrame=%.2f shards=%d",
+	t.Logf("scale converged: peers=%d msgs=%d wall=%s peakGoroutines=%d schedFrames=%d schedOpsPerFrame=%.2f",
 		nSubs+nPubs, total, time.Since(start).Round(time.Millisecond), peak,
-		frames, float64(heapOps)/float64(frames), shards)
+		frames, float64(heapOps)/float64(frames))
+
+	_ = f.Close()
+	if !waitUntil(10*time.Second, func() bool { return schedGoroutines() == baseScheds }) {
+		t.Fatalf("scheduler goroutines = %d after Close, want 0", schedGoroutines()-baseScheds)
+	}
+}
+
+// schedGoroutines counts running frame-scheduler goroutines.
+func schedGoroutines() int {
+	return strings.Count(allStacks(), "(*frameSched).run(")
 }
 
 // TestFabricScaleSeedReplay is the determinism bar at scale: a

@@ -23,9 +23,7 @@ import (
 // monitor and redial loops — the leak probe for Close-vs-redial
 // races (companion to reliableLoopGoroutines).
 func healthLoopGoroutines() int {
-	buf := make([]byte, 1<<21)
-	n := runtime.Stack(buf, true)
-	s := string(buf[:n])
+	s := allStacks()
 	return strings.Count(s, "(*Remote).monitorLoop") +
 		strings.Count(s, "(*Remote).redialLoop")
 }

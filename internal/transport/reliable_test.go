@@ -952,12 +952,24 @@ func TestReliableUnreachableTyped(t *testing.T) {
 	}
 }
 
+// allStacks returns every goroutine's stack, growing the buffer until
+// the dump fits: a scale run holds thousands of goroutines, and a
+// truncated dump would miscount the leak probes below.
+func allStacks() string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return string(buf[:n])
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // reliableLoopGoroutines counts live sender loops — the
 // manual-snapshot leak detector (no external goleak dependency).
 func reliableLoopGoroutines() int {
-	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	return strings.Count(string(buf[:n]), "(*ReliableLink).sendLoop")
+	return strings.Count(allStacks(), "(*ReliableLink).sendLoop")
 }
 
 // TestReliableCloseReleasesGoroutines: a busy link runs one sender

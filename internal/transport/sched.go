@@ -2,22 +2,19 @@ package transport
 
 import (
 	"container/heap"
-	"hash/fnv"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// The sharded frame scheduler and the O(1) busy-probe counters are
-// what let one fabric carry 500–1000 simulated peers in CI-viable
-// time. Before them every link direction owned a delivery goroutine
-// (two per link — at 1000 managed links, thousands of parked
-// goroutines) and the virtual clock's busy probe scanned every link
-// buffer and every peer under the fabric lock at its 20kHz tick. Now
-// a fixed pool of shards drains all in-flight frames from per-shard
-// min-heaps, and busyness is three atomic counters maintained at the
-// state transitions themselves.
+// The frame scheduler and the O(1) busy-probe counters are what let
+// one fabric carry 500–1000 simulated peers in CI-viable time. Before
+// them every link direction owned a delivery goroutine (two per link —
+// at 1000 managed links, thousands of parked goroutines) and the
+// virtual clock's busy probe scanned every link buffer and every peer
+// under the fabric lock at its 20kHz tick. Now one goroutine drains
+// all in-flight frames from one min-heap, and busyness is three atomic
+// counters maintained at the state transitions themselves.
 
 // fabricBusy aggregates the busy probe of one fabric as three shared
 // counters, each maintained event-driven at its own transition edges:
@@ -45,19 +42,19 @@ func (b *fabricBusy) idle() bool {
 	return b.frames.Load() <= 0 && b.handlers.Load() <= 0 && b.pipelines.Load() <= 0
 }
 
-// maxSchedShards caps the scheduler pool: enough stripes that link
-// directions don't contend on one lock, few enough that the fabric's
-// goroutine floor stays trivially small.
-const maxSchedShards = 8
-
-// frameSched is the fabric's sharded frame scheduler: every in-flight
-// frame of every link direction lives in one of a fixed number of
-// per-shard min-heaps keyed (due, arrival), each drained by its own
-// goroutine. Link directions are striped over shards by name hash, so
-// delivery work parallelizes without funneling through one lock — and
-// the fabric's goroutine count is O(shards), not O(links).
+// frameSched is the fabric's frame scheduler: every in-flight frame
+// of every link direction lives in one min-heap keyed (due, arrival),
+// drained by one goroutine on one re-armed timer, so a link direction
+// costs the fabric no goroutine of its own.
 type frameSched struct {
-	shards []*schedShard
+	clock Clock
+	kick  chan struct{}
+	done  chan struct{}
+
+	mu         sync.Mutex
+	heap       schedHeap
+	seq        uint64 // arrival tiebreaker for equal deadlines
+	delivering int    // popped frames not yet pushed to their buffer
 
 	// frames counts frames accepted for delivery; heapOps counts heap
 	// push/pop operations. Their ratio is the benchmark's "scheduler
@@ -68,161 +65,118 @@ type frameSched struct {
 }
 
 func newFrameSched(clock Clock) *frameSched {
-	n := runtime.GOMAXPROCS(0)
-	if n > maxSchedShards {
-		n = maxSchedShards
+	fs := &frameSched{
+		clock: clock,
+		kick:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
-	if n < 1 {
-		n = 1
-	}
-	fs := &frameSched{shards: make([]*schedShard, n)}
-	for i := range fs.shards {
-		s := &schedShard{
-			clock: clock,
-			kick:  make(chan struct{}, 1),
-			done:  make(chan struct{}),
-			ops:   &fs.heapOps,
-		}
-		fs.shards[i] = s
-		go s.run()
-	}
+	go fs.run()
 	return fs
 }
 
-// shardFor stripes a link direction over the pool by name hash —
-// stable for the direction's lifetime, so its frames always pass
-// through one shard and per-direction delivery order is preserved.
-func (fs *frameSched) shardFor(name string) *schedShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(name))
-	return fs.shards[h.Sum32()%uint32(len(fs.shards))]
-}
-
-// stop releases every shard goroutine. Undelivered frames are
+// stop releases the scheduler goroutine. Undelivered frames are
 // abandoned, matching the old per-link workers dying with their link.
-func (fs *frameSched) stop() {
-	for _, s := range fs.shards {
-		close(s.done)
-	}
-}
+func (fs *frameSched) stop() { close(fs.done) }
 
-// busy reports whether any shard holds runnable delivery work: a
+// busy reports whether the scheduler holds runnable delivery work: a
 // frame whose deadline has passed but which has not yet landed in its
 // receive buffer (still heaped, or popped and mid-delivery). Frames
 // with future deadlines are timer-waiters, not busy — the virtual
 // clock must advance to reach them — but a due frame's timer has
 // already fired and consumed itself, so without this check the clock
-// could jump a timeout deadline in the window between a shard's timer
-// wake and the buffer push that hands coverage to fabricBusy.frames.
+// could jump a timeout deadline in the window between the scheduler's
+// timer wake and the buffer push that hands coverage to
+// fabricBusy.frames.
 //
-// A due head also gets its worker kicked. The worker arms its timer
+// A due head also gets the worker kicked. The worker arms its timer
 // for a wait it computed before unlocking, and the clock can
 // fast-forward in between, so the timer may sit later than the head's
 // deadline. Once the clock passes the deadline, this probe holds it
 // still, the timer can never fire, and only the kick lets the worker
 // deliver.
 func (fs *frameSched) busy(now time.Time) bool {
-	for _, s := range fs.shards {
-		s.mu.Lock()
-		due := s.heap.Len() > 0 && !s.heap[0].due.After(now)
-		b := s.delivering > 0 || due
-		s.mu.Unlock()
-		if due {
-			s.wake()
-		}
-		if b {
-			return true
-		}
+	fs.mu.Lock()
+	due := fs.heap.Len() > 0 && !fs.heap[0].due.After(now)
+	b := fs.delivering > 0 || due
+	fs.mu.Unlock()
+	if due {
+		fs.wake()
 	}
-	return false
-}
-
-// schedShard is one stripe: a min-heap of in-flight frames and the
-// goroutine that delivers them when they come due.
-type schedShard struct {
-	clock Clock
-	kick  chan struct{}
-	done  chan struct{}
-	ops   *atomic.Uint64
-
-	mu         sync.Mutex
-	heap       schedHeap
-	seq        uint64 // arrival tiebreaker for equal deadlines
-	delivering int    // popped frames not yet pushed to their buffer
+	return b
 }
 
 // enqueue accepts one frame for delivery at due. Callers hold their
 // linkDir's mutex, which is what makes the arrival tiebreaker a
-// per-direction FIFO: frames of one direction enter the shard in send
+// per-direction FIFO: frames of one direction enter the heap in send
 // order, so equal deadlines (the FIFO floor pins them equal on
 // purpose) deliver in send order.
-func (s *schedShard) enqueue(d *linkDir, data []byte, due time.Time) {
-	s.mu.Lock()
-	it := &schedItem{dir: d, data: data, due: due, seq: s.seq}
-	s.seq++
-	heap.Push(&s.heap, it)
-	s.ops.Add(1)
-	isHead := s.heap[0] == it
-	s.mu.Unlock()
+func (fs *frameSched) enqueue(d *linkDir, data []byte, due time.Time) {
+	fs.frames.Add(1)
+	fs.mu.Lock()
+	it := &schedItem{dir: d, data: data, due: due, seq: fs.seq}
+	fs.seq++
+	heap.Push(&fs.heap, it)
+	fs.heapOps.Add(1)
+	isHead := fs.heap[0] == it
+	fs.mu.Unlock()
 	if isHead {
 		// Only a new earliest deadline changes what the worker should
 		// be waiting for; anything else rides the already-armed timer.
-		s.wake()
+		fs.wake()
 	}
 }
 
 // wake makes the worker recompute its wait, without blocking.
-func (s *schedShard) wake() {
+func (fs *frameSched) wake() {
 	select {
-	case s.kick <- struct{}{}:
+	case fs.kick <- struct{}{}:
 	default:
 	}
 }
 
-// run delivers the shard's frames in deadline order, re-arming one
-// timer across waits. Delivery happens outside the shard lock — the
-// linkDir's own mutex serializes against close, preserving the
-// retirement contract that counter snapshots taken after closeAll are
-// exact.
-func (s *schedShard) run() {
+// run delivers frames in deadline order, re-arming one timer across
+// waits. Delivery happens outside the scheduler lock — the linkDir's
+// own mutex serializes against close, preserving the retirement
+// contract that counter snapshots taken after closeAll are exact.
+func (fs *frameSched) run() {
 	var timer Timer
 	for {
-		s.mu.Lock()
-		if s.heap.Len() == 0 {
-			s.mu.Unlock()
+		fs.mu.Lock()
+		if fs.heap.Len() == 0 {
+			fs.mu.Unlock()
 			select {
-			case <-s.kick:
+			case <-fs.kick:
 				continue
-			case <-s.done:
+			case <-fs.done:
 				return
 			}
 		}
-		head := s.heap[0]
-		if wait := s.clock.Until(head.due); wait > 0 {
-			s.mu.Unlock()
+		head := fs.heap[0]
+		if wait := fs.clock.Until(head.due); wait > 0 {
+			fs.mu.Unlock()
 			if timer == nil {
-				timer = s.clock.NewTimer(wait)
+				timer = fs.clock.NewTimer(wait)
 			} else {
 				timer.Reset(wait)
 			}
 			select {
 			case <-timer.C():
-			case <-s.kick: // an earlier deadline arrived; recompute
+			case <-fs.kick: // an earlier deadline arrived; recompute
 				timer.Stop()
-			case <-s.done:
+			case <-fs.done:
 				timer.Stop()
 				return
 			}
 			continue
 		}
-		it := heap.Pop(&s.heap).(*schedItem)
-		s.ops.Add(1)
-		s.delivering++
-		s.mu.Unlock()
+		it := heap.Pop(&fs.heap).(*schedItem)
+		fs.heapOps.Add(1)
+		fs.delivering++
+		fs.mu.Unlock()
 		it.dir.deliver(it.data)
-		s.mu.Lock()
-		s.delivering--
-		s.mu.Unlock()
+		fs.mu.Lock()
+		fs.delivering--
+		fs.mu.Unlock()
 	}
 }
 

@@ -11,10 +11,6 @@ import (
 	"pti/internal/guid"
 )
 
-// ErrUnsupportedType is returned by Describe for types the descriptor
-// model cannot represent (channels, unsafe pointers, complex numbers).
-var ErrUnsupportedType = errors.New("typedesc: unsupported type")
-
 // Option customizes Describe.
 type Option func(*builderOptions)
 
@@ -78,7 +74,7 @@ func WithName(name string) Option {
 // Section 6.1 without a naming authority.
 func Describe(t reflect.Type, opts ...Option) (*TypeDescription, error) {
 	if t == nil {
-		return nil, fmt.Errorf("%w: nil type", ErrUnsupportedType)
+		return nil, errors.New("typedesc: unsupported type: nil type")
 	}
 	var o builderOptions
 	for _, opt := range opts {
@@ -253,15 +249,15 @@ func describeMethod(name string, ft reflect.Type, hasReceiver bool) Method {
 
 func describeConstructor(name string, ft reflect.Type, target reflect.Type) (Constructor, error) {
 	if ft == nil || ft.Kind() != reflect.Func {
-		return Constructor{}, fmt.Errorf("%w: constructor %s is not a func", ErrUnsupportedType, name)
+		return Constructor{}, fmt.Errorf("typedesc: unsupported type: constructor %s is not a func", name)
 	}
 	if ft.NumOut() == 0 {
-		return Constructor{}, fmt.Errorf("%w: constructor %s returns nothing", ErrUnsupportedType, name)
+		return Constructor{}, fmt.Errorf("typedesc: unsupported type: constructor %s returns nothing", name)
 	}
 	out := ft.Out(0)
 	if out != target && !(out.Kind() == reflect.Ptr && out.Elem() == target) {
-		return Constructor{}, fmt.Errorf("%w: constructor %s returns %s, not %s",
-			ErrUnsupportedType, name, out, target)
+		return Constructor{}, fmt.Errorf("typedesc: unsupported type: constructor %s returns %s, not %s",
+			name, out, target)
 	}
 	c := Constructor{Name: name}
 	for i := 0; i < ft.NumIn(); i++ {
@@ -516,6 +512,6 @@ func kindOf(t reflect.Type) (Kind, error) {
 	case reflect.Func:
 		return KindFunc, nil
 	default:
-		return KindInvalid, fmt.Errorf("%w: %s", ErrUnsupportedType, t.Kind())
+		return KindInvalid, fmt.Errorf("typedesc: unsupported type: %s", t.Kind())
 	}
 }

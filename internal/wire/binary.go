@@ -126,7 +126,7 @@ func binWrite(buf *bytes.Buffer, v Value) error {
 		buf.WriteByte(tagRef)
 		writeUvarint(buf, uint64(x.ID))
 	default:
-		return fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
+		return fmt.Errorf("wire: unsupported value: %T", v)
 	}
 	return nil
 }

@@ -522,7 +522,7 @@ func (n *progNode) encBin(dst []byte, rv reflect.Value) ([]byte, error) {
 		}
 		return dst, nil
 	}
-	return dst, fmt.Errorf("%w: compiled op %d", ErrUnsupportedValue, n.op)
+	return dst, fmt.Errorf("wire: unsupported value: compiled op %d", n.op)
 }
 
 type mapEntryKV struct {
@@ -567,7 +567,7 @@ func (n *progNode) sortKeyOf(rv reflect.Value) (string, error) {
 	case opText:
 		return marshalTextOf(rv)
 	}
-	return "", fmt.Errorf("%w: unsortable map key %s", ErrUnsupportedValue, n.typ)
+	return "", fmt.Errorf("wire: unsupported value: unsortable map key %s", n.typ)
 }
 
 // marshalTextOf mirrors marshalText for a value already known to opt
@@ -737,5 +737,5 @@ func (n *progNode) encSOAPDelim(dst []byte, elem, open, close_ string, rv reflec
 		}
 		return writeClose(dst), nil
 	}
-	return dst, fmt.Errorf("%w: compiled op %d", ErrUnsupportedValue, n.op)
+	return dst, fmt.Errorf("wire: unsupported value: compiled op %d", n.op)
 }

@@ -110,7 +110,7 @@ func soapWrite(buf *bytes.Buffer, elem string, v Value) error {
 		}
 		fmt.Fprintf(buf, "</%s>", elem)
 	default:
-		return fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
+		return fmt.Errorf("wire: unsupported value: %T", v)
 	}
 	return nil
 }

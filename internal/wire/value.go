@@ -91,17 +91,8 @@ type Ref struct {
 	ID int
 }
 
-// Errors shared by the encoders.
-var (
-	// ErrUnsupportedValue is returned when a Go value cannot be
-	// represented in the generic model.
-	ErrUnsupportedValue = errors.New("wire: unsupported value")
-	// ErrBadStream is returned when a byte stream cannot be decoded.
-	ErrBadStream = errors.New("wire: bad stream")
-	// ErrTargetMismatch is returned when a generic value cannot be
-	// materialized into the requested Go type.
-	ErrTargetMismatch = errors.New("wire: value does not fit target type")
-)
+// ErrBadStream is returned when a byte stream cannot be decoded.
+var ErrBadStream = errors.New("wire: bad stream")
 
 // FromGo converts a Go value into the generic model. Pointers that
 // appear more than once (aliasing, cycles) become Object IDs plus
@@ -194,7 +185,7 @@ func (e *goEncoder) encode(rv reflect.Value) (Value, error) {
 		}
 		return e.encode(rv.Elem())
 	default:
-		return nil, fmt.Errorf("%w: %s", ErrUnsupportedValue, rv.Kind())
+		return nil, fmt.Errorf("wire: unsupported value: %s", rv.Kind())
 	}
 }
 
@@ -303,8 +294,8 @@ func (d *goMaterializer) materialize(v Value, out reflect.Value) error {
 				return fmt.Errorf("%w: dangling ref %d", ErrBadStream, r.ID)
 			}
 			if !prev.Type().AssignableTo(out.Type()) {
-				return fmt.Errorf("%w: ref %d has type %s, want %s",
-					ErrTargetMismatch, r.ID, prev.Type(), out.Type())
+				return fmt.Errorf("wire: value does not fit target type: ref %d has type %s, want %s",
+					r.ID, prev.Type(), out.Type())
 			}
 			out.Set(prev)
 			return nil
@@ -381,7 +372,7 @@ func (d *goMaterializer) materialize(v Value, out reflect.Value) error {
 	case reflect.Array:
 		if b, ok := v.([]byte); ok && out.Type().Elem().Kind() == reflect.Uint8 {
 			if len(b) != out.Len() {
-				return fmt.Errorf("%w: byte array length %d, want %d", ErrTargetMismatch, len(b), out.Len())
+				return fmt.Errorf("wire: value does not fit target type: byte array length %d, want %d", len(b), out.Len())
 			}
 			reflect.Copy(out, reflect.ValueOf(b))
 			return nil
@@ -417,13 +408,13 @@ func (d *goMaterializer) materialize(v Value, out reflect.Value) error {
 		return nil
 	case reflect.Interface:
 		if out.Type().NumMethod() != 0 {
-			return fmt.Errorf("%w: cannot materialize into non-empty interface %s",
-				ErrTargetMismatch, out.Type())
+			return fmt.Errorf("wire: value does not fit target type: cannot materialize into non-empty interface %s",
+				out.Type())
 		}
 		out.Set(reflect.ValueOf(v))
 		return nil
 	default:
-		return fmt.Errorf("%w: target kind %s", ErrTargetMismatch, out.Kind())
+		return fmt.Errorf("wire: value does not fit target type: target kind %s", out.Kind())
 	}
 }
 
@@ -504,7 +495,7 @@ func unmarshalText(s string, out reflect.Value) (bool, error) {
 }
 
 func mismatch(v Value, out reflect.Value) error {
-	return fmt.Errorf("%w: %T into %s", ErrTargetMismatch, v, out.Type())
+	return fmt.Errorf("wire: value does not fit target type: %T into %s", v, out.Type())
 }
 
 func asInt64(v Value) (int64, bool) {
