@@ -263,13 +263,13 @@ func fail(format string, args ...interface{}) *Result {
 // interface set looking for the expected type — the paper's T ≤e T'.
 func (ctx *checkContext) explicitConforms(cand, exp *typedesc.TypeDescription) bool {
 	target := exp.Ref()
-	seen := make(map[string]bool)
+	seen := make(map[typedesc.TypeRef]bool)
 	var walk func(d *typedesc.TypeDescription) bool
 	walk = func(d *typedesc.TypeDescription) bool {
-		if d == nil || seen[d.Name+"|"+d.Identity.String()] {
+		if d == nil || seen[d.Ref()] {
 			return false
 		}
-		seen[d.Name+"|"+d.Identity.String()] = true
+		seen[d.Ref()] = true
 		for _, iref := range d.Interfaces {
 			if iref.SameIdentity(target) || (target.Identity.IsNil() && iref.Name == target.Name) {
 				return true

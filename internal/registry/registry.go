@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"pti/internal/conform"
+	"pti/internal/guid"
 	"pti/internal/typedesc"
 	"pti/internal/wire"
 	"pti/internal/xmlenc"
@@ -234,9 +235,9 @@ func (e *Entry) Construct(name string, args ...interface{}) (interface{}, error)
 // published on the store's change feed.
 type Registry struct {
 	mu     sync.RWMutex
-	byID   map[string]*Entry // live entries by identity, every version
-	byName map[string]*Entry // latest live entry per chain name
-	chains map[string]*chain // full version history per chain name
+	byID   map[guid.GUID]*Entry // live entries by identity, every version
+	byName map[string]*Entry    // latest live entry per chain name
+	chains map[string]*chain    // full version history per chain name
 	repo   *typedesc.Repository
 	ifaces []reflect.Type
 	store  Store
@@ -333,7 +334,7 @@ func NewWithStore(s Store) (*Registry, error) {
 		s = NewMemStore()
 	}
 	r := &Registry{
-		byID:   make(map[string]*Entry),
+		byID:   make(map[guid.GUID]*Entry),
 		byName: make(map[string]*Entry),
 		chains: make(map[string]*chain),
 		repo:   typedesc.NewRepository(),
@@ -483,7 +484,7 @@ func (r *Registry) Register(v interface{}, opts ...Option) (*Entry, error) {
 	id := d.Identity.String()
 	replaceIdx := -1
 	for i, e := range c.versions {
-		if !e.tombstone && e.Description.Identity.String() == id {
+		if !e.tombstone && e.Description.Identity == d.Identity {
 			replaceIdx = i
 			break
 		}
@@ -514,7 +515,7 @@ func (r *Registry) Register(v interface{}, opts ...Option) (*Entry, error) {
 	if err := r.repo.Add(d); err != nil {
 		return nil, err
 	}
-	r.byID[id] = entry
+	r.byID[d.Identity] = entry
 	if replaceIdx >= 0 {
 		c.versions[replaceIdx] = entry
 	} else {
@@ -624,7 +625,7 @@ func (r *Registry) Unregister(ref typedesc.TypeRef) bool {
 	defer r.mu.Unlock()
 	var entry *Entry
 	if !ref.Identity.IsNil() {
-		entry = r.byID[ref.Identity.String()]
+		entry = r.byID[ref.Identity]
 	}
 	if entry == nil && ref.Name != "" {
 		entry = r.byName[ref.Name]
@@ -634,7 +635,7 @@ func (r *Registry) Unregister(ref typedesc.TypeRef) bool {
 	}
 	name := entry.Description.Name
 	entry.tombstone = true
-	delete(r.byID, entry.Description.Identity.String())
+	delete(r.byID, entry.Description.Identity)
 	c := r.chains[name]
 	if c != nil {
 		if prev := c.latestLive(); prev != nil {
@@ -670,7 +671,7 @@ func (r *Registry) Lookup(ref typedesc.TypeRef) (*Entry, bool) {
 
 func (r *Registry) lookupLocked(ref typedesc.TypeRef) (*Entry, bool) {
 	if !ref.Identity.IsNil() {
-		if e, ok := r.byID[ref.Identity.String()]; ok {
+		if e, ok := r.byID[ref.Identity]; ok {
 			return e, true
 		}
 	}
@@ -732,7 +733,7 @@ func (r *Registry) chainForRefLocked(ref typedesc.TypeRef) *chain {
 		}
 	}
 	if !ref.Identity.IsNil() {
-		if e := r.byID[ref.Identity.String()]; e != nil {
+		if e := r.byID[ref.Identity]; e != nil {
 			return r.chains[e.Description.Name]
 		}
 	}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"pti/internal/guid"
 	"pti/internal/typedesc"
 	"pti/internal/xmlenc"
 )
@@ -79,15 +80,16 @@ func MarkCodeSeen(s Store, identity string) error {
 }
 
 // CodeSeenIdentities returns the identities s has code records for.
-func CodeSeenIdentities(s Store) []string {
+func CodeSeenIdentities(s Store) []guid.GUID {
 	recs, err := s.List(KindCodeBlob)
 	if err != nil {
 		return nil
 	}
-	out := make([]string, 0, len(recs))
+	out := make([]guid.GUID, 0, len(recs))
 	for _, rec := range recs {
-		if !rec.Tombstone && rec.Identity != "" {
-			out = append(out, rec.Identity)
+		// A record whose identity does not parse marks no type.
+		if id, err := guid.Parse(rec.Identity); !rec.Tombstone && err == nil {
+			out = append(out, id)
 		}
 	}
 	return out

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pti/internal/conform"
+	"pti/internal/guid"
 	"pti/internal/proxy"
 	"pti/internal/registry"
 	"pti/internal/typedesc"
@@ -107,7 +108,7 @@ type Peer struct {
 	exports   map[string]*export
 	conns     map[*Conn]struct{}
 	remotes   map[string]*Remote
-	codeSeen  map[string]bool
+	codeSeen  map[guid.GUID]bool
 	codeBlobs map[string]codeBlobCache
 	inflight  map[string]chan struct{}
 	listener  net.Listener
@@ -253,7 +254,7 @@ func NewPeer(reg *registry.Registry, opts ...PeerOption) *Peer {
 		exports:   make(map[string]*export),
 		conns:     make(map[*Conn]struct{}),
 		remotes:   make(map[string]*Remote),
-		codeSeen:  make(map[string]bool),
+		codeSeen:  make(map[guid.GUID]bool),
 		codeBlobs: make(map[string]codeBlobCache),
 		inflight:  make(map[string]chan struct{}),
 		relResume: make(map[uint64]uint64),
@@ -1284,18 +1285,17 @@ func (p *Peer) downloadCodeOnce(l Link, ref typedesc.TypeRef, d *typedesc.TypeDe
 func (p *Peer) codeSeenBefore(d *typedesc.TypeDescription) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.codeSeen[d.Identity.String()]
+	return p.codeSeen[d.Identity]
 }
 
 func (p *Peer) markCodeSeen(d *typedesc.TypeDescription) {
-	id := d.Identity.String()
 	p.mu.Lock()
-	p.codeSeen[id] = true
+	p.codeSeen[d.Identity] = true
 	p.mu.Unlock()
 	// Persist the marker so a warm restart skips the code exchange
 	// along with the description fetch.
 	if p.store != nil {
-		_ = registry.MarkCodeSeen(p.store, id)
+		_ = registry.MarkCodeSeen(p.store, d.Identity.String())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"pti/internal/guid"
 )
 
 // ErrNotFound is returned when a repository cannot resolve a
@@ -24,7 +26,7 @@ type Resolver interface {
 // skips the type-information round trip of Figure 1.
 type Repository struct {
 	mu     sync.RWMutex
-	byID   map[string]*TypeDescription
+	byID   map[guid.GUID]*TypeDescription
 	byName map[string]*TypeDescription
 	hits   uint64
 	misses uint64
@@ -35,7 +37,7 @@ var _ Resolver = (*Repository)(nil)
 // NewRepository returns an empty Repository.
 func NewRepository() *Repository {
 	return &Repository{
-		byID:   make(map[string]*TypeDescription),
+		byID:   make(map[guid.GUID]*TypeDescription),
 		byName: make(map[string]*TypeDescription),
 	}
 }
@@ -53,7 +55,7 @@ func (r *Repository) Add(d *TypeDescription) error {
 	c := d.Clone()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.byID[c.Identity.String()] = c
+	r.byID[c.Identity] = c
 	if c.Name != "" {
 		r.byName[c.Name] = c
 	}
@@ -65,7 +67,7 @@ func (r *Repository) Resolve(ref TypeRef) (*TypeDescription, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !ref.Identity.IsNil() {
-		if d, ok := r.byID[ref.Identity.String()]; ok {
+		if d, ok := r.byID[ref.Identity]; ok {
 			r.hits++
 			return d, nil
 		}

@@ -5,11 +5,6 @@ import (
 	"strings"
 )
 
-// base64Encode renders raw bytes for embedding in XML character data.
-func base64Encode(data []byte) string {
-	return base64.StdEncoding.EncodeToString(data)
-}
-
 // base64Decode is tolerant of the whitespace XML indentation inserts
 // around character data.
 func base64Decode(s string) ([]byte, error) {

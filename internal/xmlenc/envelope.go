@@ -4,7 +4,6 @@ import (
 	"encoding/xml"
 	"fmt"
 
-	"pti/internal/bufpool"
 	"pti/internal/guid"
 	"pti/internal/typedesc"
 )
@@ -59,59 +58,47 @@ type xmlEnvelope struct {
 
 type xmlPayload struct {
 	Encoding string `xml:"encoding,attr"`
-	// Data is base64-encoded by encoding/xml on []byte... it is not;
-	// encode explicitly as CDATA-safe base64 via string field below.
+	// Data is the payload's base64 text, carried as character data.
 	Data string `xml:",chardata"`
+}
+
+// validEncoding reports an envelope's payload encoding as malformed
+// unless it is one this package produces.
+func validEncoding(enc PayloadEncoding) error {
+	if enc != EncodingSOAP && enc != EncodingBinary {
+		return fmt.Errorf("%w: unknown payload encoding %q", ErrMalformed, enc)
+	}
+	return nil
 }
 
 // MarshalEnvelope renders the envelope as an XML document. The binary
 // payload is base64-encoded inside the <Payload> element so the
 // surrounding message stays valid, human-readable XML.
 func MarshalEnvelope(e *Envelope) ([]byte, error) {
-	if e == nil {
-		return nil, fmt.Errorf("%w: nil envelope", ErrMalformed)
+	tpl, err := CompileEnvelopeTemplate(e)
+	if err != nil {
+		return nil, err
 	}
-	if e.Encoding != EncodingSOAP && e.Encoding != EncodingBinary {
-		return nil, fmt.Errorf("%w: unknown payload encoding %q", ErrMalformed, e.Encoding)
-	}
-	return marshalEnvelopeData(e, base64Encode(e.Payload))
+	return tpl.Append(make([]byte, 0, tpl.Size(len(e.Payload))), e.Payload), nil
 }
 
-// marshalEnvelopeData renders the envelope with the given payload
-// character data (already base64, or a template sentinel).
-func marshalEnvelopeData(e *Envelope, data string) ([]byte, error) {
-	x := xmlEnvelope{
-		Type: refToXML(e.Type),
-		Payload: xmlPayload{
-			Encoding: string(e.Encoding),
-			Data:     data,
-		},
-	}
-	for _, a := range e.Assemblies {
-		x.Assemblies = append(x.Assemblies, xmlAssembly{
-			Type:          refToXML(a.Type),
-			DownloadPaths: append([]string(nil), a.DownloadPaths...),
-		})
-	}
-	buf := bufpool.Get()
-	buf.WriteString(xml.Header)
-	enc := xml.NewEncoder(buf)
-	enc.Indent("", "  ")
-	if err := enc.Encode(x); err != nil {
-		bufpool.Put(buf)
-		return nil, fmt.Errorf("xmlenc: encode envelope: %w", err)
-	}
-	buf.WriteByte('\n')
-	return bufpool.Finish(buf), nil
-}
-
-// UnmarshalEnvelope parses an XML document produced by
-// MarshalEnvelope.
+// UnmarshalEnvelope parses an XML envelope document. The canonical
+// rendering MarshalEnvelope writes is scanned directly; any other
+// document is decoded by encoding/xml.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
-	var x xmlEnvelope
-	if err := xml.Unmarshal(data, &x); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	x, ok := scanEnvelope(data)
+	if !ok {
+		x = xmlEnvelope{}
+		if err := xml.Unmarshal(data, &x); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		}
 	}
+	return envelopeFromXML(&x)
+}
+
+// envelopeFromXML converts and validates a decoded envelope,
+// whichever parser filled it.
+func envelopeFromXML(x *xmlEnvelope) (*Envelope, error) {
 	typ, err := refFromXML(x.Type)
 	if err != nil {
 		return nil, err
@@ -120,23 +107,23 @@ func UnmarshalEnvelope(data []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("%w: envelope missing TypeInfo", ErrMalformed)
 	}
 	enc := PayloadEncoding(x.Payload.Encoding)
-	if enc != EncodingSOAP && enc != EncodingBinary {
-		return nil, fmt.Errorf("%w: unknown payload encoding %q", ErrMalformed, x.Payload.Encoding)
+	if err := validEncoding(enc); err != nil {
+		return nil, err
 	}
 	payload, err := base64Decode(x.Payload.Data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad payload: %v", ErrMalformed, err)
 	}
 	e := &Envelope{Type: typ, Encoding: enc, Payload: payload}
-	for _, a := range x.Assemblies {
+	if len(x.Assemblies) > 0 {
+		e.Assemblies = make([]AssemblyInfo, len(x.Assemblies))
+	}
+	for i, a := range x.Assemblies {
 		ref, err := refFromXML(a.Type)
 		if err != nil {
 			return nil, err
 		}
-		e.Assemblies = append(e.Assemblies, AssemblyInfo{
-			Type:          ref,
-			DownloadPaths: a.DownloadPaths,
-		})
+		e.Assemblies[i] = AssemblyInfo{Type: ref, DownloadPaths: a.DownloadPaths}
 	}
 	return e, nil
 }

@@ -14,7 +14,7 @@ import (
 // tag around a varying payload — so after one full parse the reader
 // compiles the shape's template and thereafter recognizes further
 // documents of that shape by comparing the constant prefix and suffix
-// byte runs. A hit skips encoding/xml entirely: the payload is the
+// byte runs. A hit skips parsing entirely: the payload is the
 // bytes between the runs, base64-decoded straight into a
 // caller-supplied scratch buffer.
 //
@@ -34,12 +34,19 @@ type EnvelopeReader struct {
 }
 
 type envShape struct {
+	// prefix is the document up to the payload; envelopeTail follows.
 	prefix []byte
-	suffix []byte
 	// meta is the envelope with everything but the payload filled in.
 	// It is shared across hits and must be treated as read-only by
 	// callers (Unmarshal hands out a shallow copy).
 	meta Envelope
+}
+
+// frames reports whether doc is the shape's prefix, then the
+// payload's character data, then envelopeTail.
+func (s *envShape) frames(doc []byte) bool {
+	return len(doc) >= len(s.prefix)+len(envelopeTail) && bytes.HasPrefix(doc, s.prefix) &&
+		string(doc[len(doc)-len(envelopeTail):]) == envelopeTail
 }
 
 // maxEnvelopeShapes bounds the cache; a peer receiving more distinct
@@ -58,15 +65,14 @@ func (er *EnvelopeReader) Unmarshal(data, scratch []byte) (*Envelope, []byte, er
 	shapes := er.shapes
 	er.mu.Unlock()
 	for i, s := range shapes {
-		if len(data) < len(s.prefix)+len(s.suffix) ||
-			!bytes.HasPrefix(data, s.prefix) || !bytes.HasSuffix(data, s.suffix) {
+		if !s.frames(data) {
 			continue
 		}
-		payload, ok := decodeBase64Clean(data[len(s.prefix):len(data)-len(s.suffix)], scratch)
+		payload, ok := decodeBase64Clean(data[len(s.prefix):len(data)-len(envelopeTail)], scratch)
 		if !ok {
 			// Whitespace-wrapped or malformed character data: another
 			// cached shape may still match (nested-prefix shapes), and
-			// otherwise the reflective parser rules on it.
+			// otherwise UnmarshalEnvelope rules on it.
 			continue
 		}
 		if i != 0 {
@@ -95,15 +101,14 @@ func (er *EnvelopeReader) learn(env *Envelope, doc []byte) {
 	if err != nil {
 		return
 	}
-	if len(doc) < len(tpl.prefix)+len(tpl.suffix) ||
-		!bytes.HasPrefix(doc, tpl.prefix) || !bytes.HasSuffix(doc, tpl.suffix) {
+	s := &envShape{prefix: tpl.prefix, meta: meta}
+	if !s.frames(doc) {
 		return
 	}
-	s := &envShape{prefix: tpl.prefix, suffix: tpl.suffix, meta: meta}
 	er.mu.Lock()
 	defer er.mu.Unlock()
 	for _, have := range er.shapes {
-		if bytes.Equal(have.prefix, s.prefix) && bytes.Equal(have.suffix, s.suffix) {
+		if bytes.Equal(have.prefix, s.prefix) {
 			return
 		}
 	}
@@ -130,7 +135,7 @@ func (er *EnvelopeReader) promote(s *envShape) {
 // base64Std marks the bytes of the standard base64 alphabet plus
 // padding — exactly what our own marshaler emits between the payload
 // delimiters. Whitespace is excluded on purpose: the tolerant
-// reflective decoder handles those documents.
+// UnmarshalEnvelope handles those documents.
 var base64Std = func() (t [256]bool) {
 	for _, c := range []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=") {
 		t[c] = true

@@ -18,7 +18,7 @@ func envEqual(a, b *Envelope) bool {
 }
 
 // TestEnvelopeReaderMatchesUnmarshal pins the fast-path guarantee: a
-// warmed EnvelopeReader and the reflective UnmarshalEnvelope agree on
+// warmed EnvelopeReader and the encoding/xml-only reference agree on
 // every document — template-shaped, reformatted, mutated, truncated.
 func TestEnvelopeReaderMatchesUnmarshal(t *testing.T) {
 	env := templateFixture()
@@ -59,12 +59,12 @@ func TestEnvelopeReaderMatchesUnmarshal(t *testing.T) {
 	var scratch []byte
 	for round := 0; round < 3; round++ {
 		for _, d := range docs {
-			want, wantErr := UnmarshalEnvelope(d)
+			want, wantErr := referenceUnmarshalEnvelope(d)
 			var got *Envelope
 			var gotErr error
 			got, scratch, gotErr = er.Unmarshal(d, scratch)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("round %d doc %q: error mismatch reader=%v reflective=%v", round, d, gotErr, wantErr)
+				t.Fatalf("round %d doc %q: error mismatch reader=%v reference=%v", round, d, gotErr, wantErr)
 			}
 			if wantErr != nil {
 				if !errors.Is(gotErr, ErrMalformed) {
@@ -73,7 +73,7 @@ func TestEnvelopeReaderMatchesUnmarshal(t *testing.T) {
 				continue
 			}
 			if !envEqual(got, want) {
-				t.Fatalf("round %d doc %q:\n reader %+v\n reflective %+v", round, d, got, want)
+				t.Fatalf("round %d doc %q:\n reader %+v\n reference %+v", round, d, got, want)
 			}
 		}
 	}

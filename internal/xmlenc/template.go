@@ -1,7 +1,6 @@
 package xmlenc
 
 import (
-	"bytes"
 	"encoding/base64"
 	"fmt"
 
@@ -18,40 +17,25 @@ import (
 // same registered type, so it is paid for once, at registration or
 // first use, not per message.
 type EnvelopeTemplate struct {
+	// prefix is the document up to the payload's character data;
+	// envelopeTail follows the payload.
 	prefix   []byte
-	suffix   []byte
 	encoding PayloadEncoding
 }
 
-// payloadSentinel is an alphanumeric marker that survives XML
-// character-data encoding untouched; the template is the real
-// marshaled document split at it.
-const payloadSentinel = "7f3d0b5ePTIPAYLOAD5e0bd3f7"
-
-// CompileEnvelopeTemplate renders e (whose Payload is ignored) once
-// through MarshalEnvelope and splits the document around the payload
-// location, so Append's output is byte-identical to what
-// MarshalEnvelope would produce for any payload.
+// CompileEnvelopeTemplate renders e's document (its Payload is
+// ignored) up to the payload, so Append's output is byte-identical to
+// what MarshalEnvelope produces for any payload.
 func CompileEnvelopeTemplate(e *Envelope) (*EnvelopeTemplate, error) {
 	if e == nil {
 		return nil, fmt.Errorf("%w: nil envelope", ErrMalformed)
 	}
-	if e.Encoding != EncodingSOAP && e.Encoding != EncodingBinary {
-		return nil, fmt.Errorf("%w: unknown payload encoding %q", ErrMalformed, e.Encoding)
-	}
-	doc, err := marshalEnvelopeData(e, payloadSentinel)
-	if err != nil {
+	if err := validEncoding(e.Encoding); err != nil {
 		return nil, err
 	}
-	i := bytes.Index(doc, []byte(payloadSentinel))
-	if i < 0 || bytes.Contains(doc[i+len(payloadSentinel):], []byte(payloadSentinel)) {
-		return nil, fmt.Errorf("%w: envelope content collides with template sentinel", ErrMalformed)
-	}
-	return &EnvelopeTemplate{
-		prefix:   append([]byte(nil), doc[:i]...),
-		suffix:   append([]byte(nil), doc[i+len(payloadSentinel):]...),
-		encoding: e.Encoding,
-	}, nil
+	buf := bufpool.Get()
+	writeEnvelopeHead(buf, e)
+	return &EnvelopeTemplate{prefix: bufpool.Finish(buf), encoding: e.Encoding}, nil
 }
 
 // Encoding returns the payload encoding the template was compiled
@@ -62,7 +46,7 @@ func (t *EnvelopeTemplate) Encoding() PayloadEncoding { return t.encoding }
 // bytes, so callers can pre-size the destination and keep Append
 // allocation-free.
 func (t *EnvelopeTemplate) Size(n int) int {
-	return len(t.prefix) + base64.StdEncoding.EncodedLen(n) + len(t.suffix)
+	return len(t.prefix) + base64.StdEncoding.EncodedLen(n) + len(envelopeTail)
 }
 
 // Append appends the full envelope document for payload to dst and
@@ -74,5 +58,5 @@ func (t *EnvelopeTemplate) Append(dst, payload []byte) []byte {
 	off := len(dst)
 	dst = bufpool.Grow(dst, n)
 	base64.StdEncoding.Encode(dst[off:off+n], payload)
-	return append(dst, t.suffix...)
+	return append(dst, envelopeTail...)
 }

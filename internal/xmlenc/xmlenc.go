@@ -20,7 +20,7 @@ import (
 // describe a valid TypeDescription or Envelope.
 var ErrMalformed = errors.New("xmlenc: malformed document")
 
-// --- XML DTOs -------------------------------------------------------
+// --- XML DTOs: filled by the canonical scanner or by xml.Unmarshal ---
 
 type xmlRef struct {
 	Name     string `xml:"name,attr"`
@@ -62,14 +62,6 @@ type xmlDescription struct {
 
 // --- conversions ----------------------------------------------------
 
-func refToXML(r typedesc.TypeRef) xmlRef {
-	x := xmlRef{Name: r.Name}
-	if !r.Identity.IsNil() {
-		x.Identity = r.Identity.String()
-	}
-	return x
-}
-
 func refFromXML(x xmlRef) (typedesc.TypeRef, error) {
 	r := typedesc.TypeRef{Name: x.Name}
 	if x.Identity != "" {
@@ -82,14 +74,6 @@ func refFromXML(x xmlRef) (typedesc.TypeRef, error) {
 	return r, nil
 }
 
-func refPtrToXML(r *typedesc.TypeRef) *xmlRef {
-	if r == nil {
-		return nil
-	}
-	x := refToXML(*r)
-	return &x
-}
-
 func refPtrFromXML(x *xmlRef) (*typedesc.TypeRef, error) {
 	if x == nil {
 		return nil, nil
@@ -99,17 +83,6 @@ func refPtrFromXML(x *xmlRef) (*typedesc.TypeRef, error) {
 		return nil, err
 	}
 	return &r, nil
-}
-
-func refsToXML(rs []typedesc.TypeRef) []xmlRef {
-	if rs == nil {
-		return nil
-	}
-	out := make([]xmlRef, len(rs))
-	for i, r := range rs {
-		out[i] = refToXML(r)
-	}
-	return out
 }
 
 func refsFromXML(xs []xmlRef) ([]typedesc.TypeRef, error) {
@@ -129,55 +102,33 @@ func refsFromXML(xs []xmlRef) ([]typedesc.TypeRef, error) {
 
 // MarshalDescription renders d as an indented XML document — the
 // human-readable representation the paper favours for type
-// descriptions.
+// descriptions — in the canonical rendering of canonical.go.
 func MarshalDescription(d *typedesc.TypeDescription) ([]byte, error) {
 	if d == nil {
 		return nil, fmt.Errorf("%w: nil description", ErrMalformed)
 	}
-	x := xmlDescription{
-		Name:          d.Name,
-		Identity:      d.Identity.String(),
-		Kind:          d.Kind.String(),
-		Len:           d.Len,
-		Elem:          refPtrToXML(d.Elem),
-		Key:           refPtrToXML(d.Key),
-		Super:         refPtrToXML(d.Super),
-		Interfaces:    refsToXML(d.Interfaces),
-		DownloadPaths: append([]string(nil), d.DownloadPaths...),
-	}
-	for _, f := range d.Fields {
-		x.Fields = append(x.Fields, xmlField{Name: f.Name, Exported: f.Exported, Type: refToXML(f.Type)})
-	}
-	for _, m := range d.Methods {
-		x.Methods = append(x.Methods, xmlMethod{
-			Name:    m.Name,
-			Params:  refsToXML(m.Params),
-			Returns: refsToXML(m.Returns),
-		})
-	}
-	for _, c := range d.Constructors {
-		x.Constructors = append(x.Constructors, xmlCtor{Name: c.Name, Params: refsToXML(c.Params)})
-	}
-
 	buf := bufpool.Get()
-	buf.WriteString(xml.Header)
-	enc := xml.NewEncoder(buf)
-	enc.Indent("", "  ")
-	if err := enc.Encode(x); err != nil {
-		bufpool.Put(buf)
-		return nil, fmt.Errorf("xmlenc: encode description: %w", err)
-	}
-	buf.WriteByte('\n')
+	writeDescription(buf, d)
 	return bufpool.Finish(buf), nil
 }
 
-// UnmarshalDescription parses an XML document produced by
-// MarshalDescription.
+// UnmarshalDescription parses an XML description document. The
+// canonical rendering MarshalDescription writes is scanned directly;
+// any other document is decoded by encoding/xml.
 func UnmarshalDescription(data []byte) (*typedesc.TypeDescription, error) {
-	var x xmlDescription
-	if err := xml.Unmarshal(data, &x); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	x, ok := scanDescription(data)
+	if !ok {
+		x = xmlDescription{}
+		if err := xml.Unmarshal(data, &x); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		}
 	}
+	return descriptionFromXML(&x)
+}
+
+// descriptionFromXML converts and validates a decoded description,
+// whichever parser filled it.
+func descriptionFromXML(x *xmlDescription) (*typedesc.TypeDescription, error) {
 	if x.Name == "" && x.Identity == "" {
 		return nil, fmt.Errorf("%w: missing name and identity", ErrMalformed)
 	}
@@ -209,14 +160,20 @@ func UnmarshalDescription(data []byte) (*typedesc.TypeDescription, error) {
 	if d.Interfaces, err = refsFromXML(x.Interfaces); err != nil {
 		return nil, err
 	}
-	for _, f := range x.Fields {
+	if len(x.Fields) > 0 {
+		d.Fields = make([]typedesc.Field, len(x.Fields))
+	}
+	for i, f := range x.Fields {
 		r, err := refFromXML(f.Type)
 		if err != nil {
 			return nil, err
 		}
-		d.Fields = append(d.Fields, typedesc.Field{Name: f.Name, Exported: f.Exported, Type: r})
+		d.Fields[i] = typedesc.Field{Name: f.Name, Exported: f.Exported, Type: r}
 	}
-	for _, m := range x.Methods {
+	if len(x.Methods) > 0 {
+		d.Methods = make([]typedesc.Method, len(x.Methods))
+	}
+	for i, m := range x.Methods {
 		params, err := refsFromXML(m.Params)
 		if err != nil {
 			return nil, err
@@ -225,14 +182,17 @@ func UnmarshalDescription(data []byte) (*typedesc.TypeDescription, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.Methods = append(d.Methods, typedesc.Method{Name: m.Name, Params: params, Returns: returns})
+		d.Methods[i] = typedesc.Method{Name: m.Name, Params: params, Returns: returns}
 	}
-	for _, c := range x.Constructors {
+	if len(x.Constructors) > 0 {
+		d.Constructors = make([]typedesc.Constructor, len(x.Constructors))
+	}
+	for i, c := range x.Constructors {
 		params, err := refsFromXML(c.Params)
 		if err != nil {
 			return nil, err
 		}
-		d.Constructors = append(d.Constructors, typedesc.Constructor{Name: c.Name, Params: params})
+		d.Constructors[i] = typedesc.Constructor{Name: c.Name, Params: params}
 	}
 	// Descriptions arrive from other peers: never trust them
 	// unvalidated.
