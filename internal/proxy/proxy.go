@@ -373,12 +373,8 @@ func (b *Binder) BindRef(obj *wire.Object, src typedesc.TypeRef, expected typede
 // BindRef, which stay the authority for values, errors and
 // conformance. compiled reports whether the compiled decode ran.
 func (b *Binder) Deserialize(codec wire.Codec, entry *registry.Entry, payload []byte, src typedesc.TypeRef) (out interface{}, m *conform.Mapping, compiled bool, err error) {
-	if mm, err := b.memoFor(src, entry); err == nil {
-		if prog, err := entry.Program(); err == nil {
-			if v, ok := codec.DecodeObjectFast(prog, payload, reflect.PtrTo(entry.Type), mm.resolve, mm.fp, src.Name); ok {
-				return v, mm.m, true, nil
-			}
-		}
+	if v, m, ok := b.DeserializeCompiled(codec, entry, payload, src); ok {
+		return v, m, true, nil
 	}
 	gv, err := codec.DecodeGeneric(payload)
 	if err != nil {
@@ -390,6 +386,28 @@ func (b *Binder) Deserialize(codec wire.Codec, entry *registry.Entry, payload []
 	}
 	out, m, err = b.bindEntry(obj, src, entry)
 	return out, m, false, err
+}
+
+// DeserializeCompiled is Deserialize's compiled half alone: it decodes
+// payload as entry's Go type through entry's wire program, with field
+// names mapped from src's version, and reports ok=false — leaving the
+// generic decode and bind to the caller — whenever the pair does not
+// conform, no program exists, or the compiled decoder declines the
+// payload (including one whose root type name differs from src's).
+func (b *Binder) DeserializeCompiled(codec wire.Codec, entry *registry.Entry, payload []byte, src typedesc.TypeRef) (interface{}, *conform.Mapping, bool) {
+	mm, err := b.memoFor(src, entry)
+	if err != nil {
+		return nil, nil, false
+	}
+	prog, err := entry.Program()
+	if err != nil {
+		return nil, nil, false
+	}
+	v, ok := codec.DecodeObjectFast(prog, payload, reflect.PtrTo(entry.Type), mm.resolve, mm.fp, src.Name)
+	if !ok {
+		return nil, nil, false
+	}
+	return v, mm.m, true
 }
 
 // bindEntry materializes obj, of source type src, as entry's Go type.
@@ -486,10 +504,7 @@ func (b *Binder) targetDescription(t reflect.Type) *typedesc.TypeDescription {
 	if e, ok := b.reg.LookupGo(t); ok {
 		return e.Description
 	}
-	td, err := b.reg.Resolve(typedesc.TypeRef{Name: typedesc.CanonicalName(t)})
-	if err != nil {
-		return nil
-	}
+	td, _ := b.reg.Descriptions().Lookup(typedesc.TypeRef{Name: typedesc.CanonicalName(t)})
 	return td
 }
 

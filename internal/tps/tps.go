@@ -279,7 +279,7 @@ func (b *Broker) describeEvent(t reflect.Type) (*typedesc.TypeDescription, error
 	if e, ok := b.reg.LookupGo(t); ok {
 		return e.Description, nil
 	}
-	if d, err := b.repo.Resolve(typedesc.RefOf(t)); err == nil {
+	if d, ok := b.repo.Lookup(typedesc.RefOf(t)); ok {
 		return d, nil
 	}
 	d, err := typedesc.Describe(t)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 
 	"pti/internal/wire"
@@ -45,14 +46,41 @@ func invokeFuzzSeeds(tb testing.TB) [][]byte {
 // FuzzInvokePayload asserts the decode side of the invoke wire forms
 // never panics on arbitrary input, and that whatever a codec accepts
 // re-encodes cleanly — the server feeds attacker-controlled bytes
-// from MsgInvokeRequest straight into this path.
+// from MsgInvokeRequest straight into this path. Each input is also
+// one result body for the caller: whenever the typed result decode
+// accepts it, the generic result path must yield the same value.
 func FuzzInvokePayload(f *testing.F) {
 	for _, s := range invokeFuzzSeeds(f) {
 		f.Add(s)
 	}
 	codecs := []wire.Codec{wire.Binary{}, wire.SOAP{}}
+	clients := make([]*Peer, len(codecs))
+	for i, codec := range codecs {
+		server, client, _ := invokePlanPair(f, codec)
+		clients[i] = client
+		for _, tc := range resultTypingCases {
+			for _, raw := range encodedResults(f, server, tc.method) {
+				f.Add(raw)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, codec := range codecs {
+		for ci, codec := range codecs {
+			for _, declared := range []string{"Invoice", "Voucher"} {
+				got, ok := clients[ci].typedResult(declared, data)
+				if !ok {
+					continue
+				}
+				want, err := genericResult(clients[ci], data)
+				if err != nil {
+					t.Fatalf("%s: typed %s result accepted, generic path failed: %v", codec.Name(), declared, err)
+				}
+				// Printed rather than DeepEqual'd: a NaN field is
+				// equal to itself here.
+				if g, w := fmt.Sprintf("%T %+v", got, got), fmt.Sprintf("%T %+v", want, want); g != w {
+					t.Fatalf("%s: typed %s result %s, generic %s", codec.Name(), declared, g, w)
+				}
+			}
 			if out, err := codec.DecodeCompiled(invokePayloadProg, data, invokePayloadType, nil, ""); err == nil {
 				p, ok := out.(invokePayload)
 				if !ok {

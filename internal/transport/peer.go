@@ -51,6 +51,16 @@ type interest struct {
 type export struct {
 	invoker *proxy.Invoker
 	desc    *typedesc.TypeDescription
+	// methods is the target's method set, resolved at Export so an
+	// invocation decodes its arguments without a reflective lookup.
+	methods map[string]exportMethod
+}
+
+// exportMethod is one exported method's invocation plan: its
+// parameter types and one codec program per parameter.
+type exportMethod struct {
+	in    []reflect.Type
+	progs []*wire.Program
 }
 
 // Peer is one participant of the protocol: it owns a local registry
@@ -1134,11 +1144,11 @@ func (p *Peer) decodeObject(codec wire.Codec, payload []byte) (*wire.Object, err
 // one per object.
 func (p *Peer) ensureDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
 	for attempt := 0; attempt < 3; attempt++ {
-		if d, err := p.reg.Resolve(ref); err == nil {
+		if d, ok := p.reg.Descriptions().Lookup(ref); ok {
 			p.stats.add(cDescriptorHits, 1)
 			return d, nil
 		}
-		if d, err := p.remote.Resolve(ref); err == nil {
+		if d, ok := p.remote.Lookup(ref); ok {
 			p.stats.add(cDescriptorHits, 1)
 			return d, nil
 		}
@@ -1320,11 +1330,9 @@ func (p *Peer) handleTypeInfo(c *Conn, m *Message) {
 		_ = c.reply(m, MsgTypeInfoReply, xmlBytes)
 		return
 	}
-	d, err := p.reg.Resolve(ref)
-	if err != nil {
-		if d2, err2 := p.remote.Resolve(ref); err2 == nil {
-			d = d2
-		} else {
+	d, ok := p.reg.Descriptions().Lookup(ref)
+	if !ok {
+		if d, ok = p.remote.Lookup(ref); !ok {
 			_ = c.replyError(m, fmt.Errorf("unknown type %s", ref))
 			return
 		}

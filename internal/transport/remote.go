@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 
 	"pti/internal/conform"
@@ -45,18 +46,110 @@ var (
 	invokeReplyProg, _   = wire.CompileProgram(invokeReplyType)
 )
 
-// progFor returns the compiled codec program for t when a registered
-// entry carries one; nil selects the reflective path.
-func (p *Peer) progFor(t reflect.Type) *wire.Program {
-	if t == nil {
-		return nil
-	}
-	if e, ok := p.reg.LookupGo(t); ok {
-		if prog, err := e.Program(); err == nil {
-			return prog
+// valueProg picks the program that encodes v. A registered entry's
+// program for v's type comes first and is looked up per call:
+// registration may change after a plan was built, and a registered
+// program stamps the registered name. Otherwise planned serves, and
+// EncodeCompiled falls back to the reflective encoder when v's
+// dynamic type is not the one it was compiled for.
+func (p *Peer) valueProg(planned *wire.Program, v interface{}) *wire.Program {
+	if t := reflect.TypeOf(v); t != nil {
+		if e, ok := p.reg.LookupGo(t); ok {
+			if prog, err := e.Program(); err == nil {
+				return prog
+			}
 		}
 	}
-	return nil
+	return planned
+}
+
+// invokeScratch is the pooled working buffer of one invoke encode.
+// The argument (or result) encodings and the envelope around them are
+// built in it and only the envelope is copied out at exact size: the
+// envelope encoder copies every part, so no part outlives the encode.
+type invokeScratch struct {
+	buf []byte
+}
+
+// maxInvokeScratch bounds the buffer a scratch keeps for reuse, so one
+// huge call does not pin its memory in the pool.
+const maxInvokeScratch = 64 << 10
+
+var invokeScratchPool = sync.Pool{
+	New: func() interface{} { return new(invokeScratch) },
+}
+
+func (sc *invokeScratch) release() {
+	if cap(sc.buf) > maxInvokeScratch {
+		sc.buf = nil
+	}
+	sc.buf = sc.buf[:0]
+	invokeScratchPool.Put(sc)
+}
+
+// encodeValues appends the encoding of each value to the scratch —
+// through planned[i] when a plan covers every value (valueProg
+// decides) — and returns each encoding as a sub-slice of it. On
+// failure it reports the index of the value that failed.
+func (p *Peer) encodeValues(sc *invokeScratch, planned []*wire.Program, vals []interface{}) ([][]byte, int, error) {
+	parts := make([][]byte, len(vals))
+	for i, v := range vals {
+		var prog *wire.Program
+		if len(planned) == len(vals) {
+			prog = planned[i]
+		}
+		start := len(sc.buf)
+		buf, err := p.codec.EncodeCompiled(p.valueProg(prog, v), sc.buf, v)
+		if err != nil {
+			return nil, i, err
+		}
+		// Earlier parts keep pointing into the array they were
+		// written to if this append moved the buffer.
+		sc.buf = buf
+		parts[i] = buf[start:len(buf):len(buf)]
+	}
+	return parts, 0, nil
+}
+
+// encodeEnvelope encodes an invoke envelope after the parts in the
+// scratch and returns an exact-size copy of it.
+func (p *Peer) encodeEnvelope(sc *invokeScratch, prog *wire.Program, env interface{}) ([]byte, error) {
+	start := len(sc.buf)
+	buf, err := p.codec.EncodeCompiled(prog, sc.buf, env)
+	if err != nil {
+		return nil, err
+	}
+	sc.buf = buf
+	return append([]byte(nil), buf[start:]...), nil
+}
+
+// compileAll compiles one codec program per type. Plans compile
+// unnamed programs: decoding does not depend on the root's wire name,
+// and encoding consults the registry first (valueProg).
+func compileAll(types ...reflect.Type) []*wire.Program {
+	progs := make([]*wire.Program, len(types))
+	for i, t := range types {
+		progs[i], _ = wire.CompileProgram(t)
+	}
+	return progs
+}
+
+// exportMethods resolves the method set of an exported target's
+// (pointer) type once, so handleInvoke neither looks methods up by
+// name nor picks codec programs per call.
+func exportMethods(t reflect.Type) map[string]exportMethod {
+	methods := make(map[string]exportMethod, t.NumMethod())
+	for i := 0; i < t.NumMethod(); i++ {
+		m := t.Method(i)
+		ft := m.Type
+		em := exportMethod{in: make([]reflect.Type, ft.NumIn()-1)}
+		for j := range em.in {
+			em.in[j] = ft.In(j + 1) // In(0) is the receiver
+		}
+		em.progs = compileAll(em.in...)
+		methods[m.Name] = em
+	}
+	return methods
 }
 
 // Export makes v remotely invocable under the given name
@@ -87,7 +180,7 @@ func (p *Peer) Export(name string, v interface{}) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.exports[name] = &export{invoker: inv, desc: desc}
+	p.exports[name] = &export{invoker: inv, desc: desc, methods: exportMethods(reflect.TypeOf(inv.Target()))}
 	return nil
 }
 
@@ -114,6 +207,62 @@ type RemoteRef struct {
 	name    string
 	mapping *conform.Mapping
 	desc    *typedesc.TypeDescription // remote object's description
+	plans   map[string]callPlan       // by expected method name
+}
+
+// callPlan is what Remote resolves ahead of the calls for one expected
+// method: a codec program per parameter, in the candidate's argument
+// order, and the result type names the remote description declares
+// for the candidate method (pointers stripped).
+type callPlan struct {
+	args    []*wire.Program
+	results []string
+}
+
+// callPlans builds the call plan of every method of the expected type
+// t that the mapping carries onto the remote type.
+func callPlans(t reflect.Type, m *conform.Mapping, remote *typedesc.TypeDescription) map[string]callPlan {
+	recv := 0
+	if t.Kind() != reflect.Interface {
+		if t.Kind() != reflect.Ptr {
+			t = reflect.PtrTo(t) // pointer-receiver methods too
+		}
+		recv = 1 // a concrete method's In(0) is the receiver
+	}
+	plans := make(map[string]callPlan, t.NumMethod())
+	for i := 0; i < t.NumMethod(); i++ {
+		meth := t.Method(i)
+		cand, perm := meth.Name, []int(nil)
+		if m != nil {
+			mm, ok := m.MethodFor(meth.Name)
+			if !ok {
+				continue
+			}
+			cand = mm.Candidate
+			if !m.Identity {
+				perm = mm.Perm
+			}
+		}
+		in := make([]reflect.Type, meth.Type.NumIn()-recv)
+		for j := range in {
+			slot := j
+			if len(perm) == len(in) {
+				slot = perm[j]
+			}
+			in[slot] = meth.Type.In(j + recv)
+		}
+		plan := callPlan{args: compileAll(in...)}
+		for _, rm := range remote.Methods {
+			if rm.Name == cand {
+				for _, ret := range rm.Returns {
+					plan.results = append(plan.results, strings.TrimLeft(ret.Name, "*"))
+				}
+				break
+			}
+		}
+		plans[meth.Name] = plan
+	}
+	return plans
 }
 
 // Remote resolves the named exported object on the other side of c
@@ -163,7 +312,8 @@ func (p *Peer) Remote(c *Conn, name string, expected interface{}) (*RemoteRef, e
 	if !r.Conformant {
 		return nil, fmt.Errorf("%w: %s vs %s: %s", ErrNoConformance, remoteDesc.Name, expDesc.Name, r.Reason)
 	}
-	return &RemoteRef{conn: c, name: name, mapping: r.Mapping, desc: remoteDesc}, nil
+	return &RemoteRef{conn: c, name: name, mapping: r.Mapping, desc: remoteDesc,
+		plans: callPlans(t, r.Mapping, remoteDesc)}, nil
 }
 
 // TypeName returns the remote object's type name.
@@ -221,15 +371,14 @@ func (r *RemoteRef) CallAsync(method string, args ...interface{}) (*PendingCall,
 		}
 	}
 
-	payload := invokePayload{Object: r.name, Method: name, Args: make([][]byte, len(ordered))}
-	for i, a := range ordered {
-		data, err := p.codec.EncodeCompiled(p.progFor(reflect.TypeOf(a)), nil, a)
-		if err != nil {
-			return nil, fmt.Errorf("transport: encode arg %d: %w", i, err)
-		}
-		payload.Args[i] = data
+	plan := r.plans[method]
+	sc := invokeScratchPool.Get().(*invokeScratch)
+	defer sc.release()
+	encoded, i, err := p.encodeValues(sc, plan.args, ordered)
+	if err != nil {
+		return nil, fmt.Errorf("transport: encode arg %d: %w", i, err)
 	}
-	body, err := p.codec.EncodeCompiled(invokePayloadProg, nil, payload)
+	body, err := p.encodeEnvelope(sc, invokePayloadProg, invokePayload{Object: r.name, Method: name, Args: encoded})
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +393,7 @@ func (r *RemoteRef) CallAsync(method string, args ...interface{}) (*PendingCall,
 	if err != nil {
 		return nil, err
 	}
-	return &PendingCall{ref: r, pr: pr}, nil
+	return &PendingCall{ref: r, pr: pr, resultTypes: plan.results}, nil
 }
 
 // PendingCall is one in-flight pipelined invocation. Wait is safe to
@@ -252,6 +401,8 @@ func (r *RemoteRef) CallAsync(method string, args ...interface{}) (*PendingCall,
 // exactly once.
 type PendingCall struct {
 	ref *RemoteRef
+	// resultTypes are the result type names the remote declares.
+	resultTypes []string
 
 	pr      *pendingReply
 	once    sync.Once
@@ -282,6 +433,12 @@ func (pc *PendingCall) finish() ([]interface{}, error) {
 	}
 	results := make([]interface{}, len(rep.Results))
 	for i, raw := range rep.Results {
+		if i < len(pc.resultTypes) {
+			if v, ok := p.typedResult(pc.resultTypes[i], raw); ok {
+				results[i] = v
+				continue
+			}
+		}
 		gv, err := p.codec.DecodeGeneric(raw)
 		if err != nil {
 			return nil, fmt.Errorf("transport: decode result %d: %w", i, err)
@@ -289,6 +446,24 @@ func (pc *PendingCall) finish() ([]interface{}, error) {
 		results[i] = p.nativizeResult(gv)
 	}
 	return results, nil
+}
+
+// typedResult decodes a result whose declared type is the given name
+// straight into the struct type registered locally under that name,
+// through the binder's compiled decoder. Registration is consulted per
+// call, as nativizeResult does, because it may change after Remote.
+// ok=false — no struct registered under the name, a non-conformant
+// pair, or a payload the compiled decoder declines (another root type
+// name among them) — leaves the result to DecodeGeneric and
+// nativizeResult, which stay the authority.
+func (p *Peer) typedResult(declared string, raw []byte) (interface{}, bool) {
+	ref := typedesc.TypeRef{Name: declared}
+	entry, ok := p.reg.Lookup(ref)
+	if !ok || entry.Type.Kind() != reflect.Struct {
+		return nil, false
+	}
+	v, _, ok := p.binder.DeserializeCompiled(p.codec, entry, raw, ref)
+	return v, ok
 }
 
 // nativizeResult converts a generic result into the most useful local
@@ -323,24 +498,23 @@ func (p *Peer) handleInvoke(c *Conn, m *Message) {
 		_ = c.replyError(m, fmt.Errorf("%w: %s", ErrNoSuchExport, payload.Object))
 		return
 	}
-	target := reflect.ValueOf(exp.invoker.Target())
-	fn := target.MethodByName(payload.Method)
-	if !fn.IsValid() {
+	meth, ok := exp.methods[payload.Method]
+	if !ok {
 		_ = c.replyError(m, fmt.Errorf("%w: %s on %s", proxy.ErrNoSuchMethod, payload.Method, exp.desc.Name))
 		return
 	}
-	ft := fn.Type()
-	if ft.NumIn() != len(payload.Args) {
+	if len(meth.in) != len(payload.Args) {
 		_ = c.replyError(m, fmt.Errorf("%w: %s takes %d args, got %d",
-			ErrArityMismatch, payload.Method, ft.NumIn(), len(payload.Args)))
+			ErrArityMismatch, payload.Method, len(meth.in), len(payload.Args)))
 		return
 	}
 	args := make([]interface{}, len(payload.Args))
+	resolve := p.binder.FieldResolver()
 	for i, raw := range payload.Args {
 		// The binder resolver's behaviour can still change while
 		// descriptions are being learned, so its materializer tables
 		// are built per decode (fp ""), not memoized.
-		av, err := p.codec.DecodeCompiled(p.progFor(ft.In(i)), raw, ft.In(i), p.binder.FieldResolver(), "")
+		av, err := p.codec.DecodeCompiled(meth.progs[i], raw, meth.in[i], resolve, "")
 		if err != nil {
 			_ = c.replyError(m, fmt.Errorf("arg %d: %v", i, err))
 			return
@@ -350,22 +524,18 @@ func (p *Peer) handleInvoke(c *Conn, m *Message) {
 
 	p.emit(EventInvoked, exp.desc.Ref(), payload.Method)
 	results, err := p.callExport(exp, payload.Method, args)
+	sc := invokeScratchPool.Get().(*invokeScratch)
+	defer sc.release()
 	rep := invokeReply{}
 	if err != nil {
 		rep.Failure = err.Error()
 		rep.Code = int(codeForError(err))
+	} else if parts, i, err := p.encodeValues(sc, nil, results); err != nil {
+		rep.Failure = fmt.Sprintf("encode result %d: %v", i, err)
 	} else {
-		rep.Results = make([][]byte, len(results))
-		for i, res := range results {
-			data, err := p.codec.EncodeCompiled(p.progFor(reflect.TypeOf(res)), nil, res)
-			if err != nil {
-				rep = invokeReply{Failure: fmt.Sprintf("encode result %d: %v", i, err)}
-				break
-			}
-			rep.Results[i] = data
-		}
+		rep.Results = parts
 	}
-	body, err := p.codec.EncodeCompiled(invokeReplyProg, nil, rep)
+	body, err := p.encodeEnvelope(sc, invokeReplyProg, rep)
 	if err != nil {
 		_ = c.replyError(m, err)
 		return

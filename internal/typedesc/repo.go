@@ -64,28 +64,38 @@ func (r *Repository) Add(d *TypeDescription) error {
 
 // Resolve implements Resolver: identity match first, then name.
 func (r *Repository) Resolve(ref TypeRef) (*TypeDescription, error) {
+	if d, ok := r.Lookup(ref); ok {
+		return d, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, ref)
+}
+
+// Lookup is Resolve without the miss error: probes that expect to
+// miss (the optimistic protocol's cache checks) pay no allocation for
+// it. Hits and misses count exactly as in Resolve.
+func (r *Repository) Lookup(ref TypeRef) (*TypeDescription, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !ref.Identity.IsNil() {
 		if d, ok := r.byID[ref.Identity]; ok {
 			r.hits++
-			return d, nil
+			return d, true
 		}
 	}
 	if ref.Name != "" {
 		if d, ok := r.byName[ref.Name]; ok {
 			r.hits++
-			return d, nil
+			return d, true
 		}
 	}
 	r.misses++
-	return nil, fmt.Errorf("%w: %s", ErrNotFound, ref)
+	return nil, false
 }
 
 // Contains reports whether the repository can resolve ref.
 func (r *Repository) Contains(ref TypeRef) bool {
-	_, err := r.Resolve(ref)
-	return err == nil
+	_, ok := r.Lookup(ref)
+	return ok
 }
 
 // Len returns the number of descriptions stored (by identity).

@@ -614,6 +614,10 @@ func (p *Program) AppendSOAP(dst []byte, v interface{}) (out []byte, ok bool, er
 	}
 	dst = append(dst, xmlHeaderBytes...)
 	dst = append(dst, soapEnvelopeOpen...)
+	if !rv.IsValid() {
+		dst = append(dst, `<value nil="true"/>`...)
+		return append(dst, soapEnvelopeClose...), true, nil
+	}
 	dst, err = p.root.encSOAP(dst, "value", rv)
 	if err != nil {
 		return dst, true, err

@@ -147,6 +147,31 @@ func TestCompiledEncodeMatchesReflective(t *testing.T) {
 	}
 }
 
+// TestCompiledEncodeNilMatchesReflective pins the top-level nil — a
+// nil interface, or a nil pointer to the program's type — to the
+// reflective encoding under both codecs (a remote method may return a
+// nil *T of a registered T).
+func TestCompiledEncodeNilMatchesReflective(t *testing.T) {
+	progs := []*Program{mustProgram(t, refStruct{}), mustProgram(t, "")}
+	for _, c := range codecs {
+		want, err := c.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prog := range progs {
+			for _, v := range []interface{}{nil, (*refStruct)(nil)} {
+				got, err := c.EncodeCompiled(prog, nil, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s %v %T: compiled %q, reflective %q", c.Name(), prog.Type, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCompiledDecodeMatchesReflective(t *testing.T) {
 	prog := mustProgram(t, refStruct{})
 	for i := 0; i < 50; i++ {
