@@ -27,13 +27,15 @@ COVER_MIN ?= 82.0
 # Pinned staticcheck build, fetched on demand by `go run`.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: help check vet lint test test-race test-tcp-repair cover bench bench-plan bench-wire bench-json bench-check soak churn scale build
+.PHONY: help check vet lint test test-race test-tcp-repair cover bench bench-plan bench-wire bench-json bench-check soak churn scale build loc
 
 help:
 	@echo "Targets:"
 	@echo "  check       CI gate: vet + lint + full test suite under -race"
 	@echo "              + test-tcp-repair"
 	@echo "  build       go build ./..."
+	@echo "  loc         production and test Go line counts of the tracked"
+	@echo "              files of the main module (tripbench/ excluded)"
 	@echo "  vet         go vet ./..."
 	@echo "  lint        staticcheck ./... (pinned via go run; skipped when offline)"
 	@echo "  test        go test ./..."
@@ -70,6 +72,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The line counts a simplifying change is measured by: tracked Go
+# files of the main module (tripbench/ is its own module), split into
+# production and test code.
+loc:
+	@git ls-files '*.go' ':!tripbench/' ':!*_test.go' | xargs cat | wc -l | awk '{print "production", $$1}'
+	@git ls-files '*_test.go' ':!tripbench/' | xargs cat | wc -l | awk '{print "test      ", $$1}'
 
 # staticcheck runs from a pinned module via `go run`, so nothing is
 # installed into the repo. The version probe separates "tool

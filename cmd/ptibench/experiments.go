@@ -317,7 +317,7 @@ func expAblations(reps int) error {
 	}
 	row("flat descriptor (Contact) vs recursive closure", "flat by design",
 		fmt.Sprintf("%dB vs %dB", len(flatDoc), closure),
-		"nested descriptions fetched only on demand")
+		"receivers fetch the top-level description only")
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pti/internal/bufpool"
 	"pti/internal/conform"
 	"pti/internal/guid"
 	"pti/internal/proxy"
@@ -735,8 +736,8 @@ func (p *Peer) SendObject(l Link, v interface{}) error {
 	}
 	prog, _ := entry.Program() // nil on compile error → reflective fallback
 
-	scratch := wire.GetScratch()
-	defer wire.PutScratch(scratch)
+	scratch := bufpool.Get()
+	defer bufpool.Put(scratch)
 	var payload []byte
 	var err error
 	if wireName := entry.Description.Name; (prog == nil || !prog.Direct()) &&
@@ -745,13 +746,11 @@ func (p *Peer) SendObject(l Link, v interface{}) error {
 		// path; the reflective fallback must rename the root the same
 		// way or receivers could not resolve the payload's self-
 		// description against the envelope ref.
-		payload, err = p.encodeRenamed((*scratch)[:0], v, wireName)
+		payload, err = p.encodeRenamed(scratch.B, v, wireName)
 	} else {
-		payload, err = p.codec.EncodeCompiled(prog, (*scratch)[:0], v)
+		payload, err = p.codec.EncodeCompiled(prog, scratch.B, v)
 	}
-	if cap(payload) > cap(*scratch) {
-		*scratch = payload // keep the growth for the next send
-	}
+	scratch.B = payload // keep the growth for the next send
 	if err != nil {
 		return fmt.Errorf("transport: encode object: %w", err)
 	}
@@ -770,13 +769,10 @@ func (p *Peer) SendObject(l Link, v interface{}) error {
 		if err != nil {
 			return err
 		}
-		envScratch := wire.GetScratch()
-		envBytes := tpl.Append((*envScratch)[:0], payload)
-		body = packEager(descXML, code, envBytes)
-		if cap(envBytes) > cap(*envScratch) {
-			*envScratch = envBytes
-		}
-		wire.PutScratch(envScratch)
+		env := bufpool.Get()
+		env.B = tpl.Append(env.B, payload)
+		body = packEager(descXML, code, env.B)
+		bufpool.Put(env)
 	} else {
 		// The message body is handed to the link (which may queue it),
 		// so it is the one fresh allocation of the send.
@@ -949,20 +945,6 @@ func (p *Peer) codeBlobFor(entry *registry.Entry) ([]byte, error) {
 
 // --- receiver side (Figure 1 steps 2-5) ------------------------------
 
-// recvScratch carries the receive path's reusable payload buffer
-// across the stages of one handleObject call. Handlers run
-// concurrently, so the scratch is pooled per call rather than held per
-// connection. The buffer is dead by the time the call returns: every
-// decoder downstream (compiled and generic alike) copies what it
-// keeps.
-type recvScratch struct {
-	payload []byte
-}
-
-var recvScratchPool = sync.Pool{
-	New: func() interface{} { return new(recvScratch) },
-}
-
 func (p *Peer) handleObject(c *Conn, m *Message) {
 	p.stats.add(cObjectsReceived, 1)
 	if len(m.Body) == 0 {
@@ -976,8 +958,13 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 		p.drop(DropUnknownFlag, typedesc.TypeRef{}, nil)
 		return
 	}
-	sc := recvScratchPool.Get().(*recvScratch)
-	defer recvScratchPool.Put(sc)
+	// The envelope reader decodes the payload into a pooled scratch
+	// held for the whole call (handlers run concurrently, so it is not
+	// per connection). It is dead by the time the call returns: every
+	// decoder downstream, compiled and generic alike, copies what it
+	// keeps.
+	sc := bufpool.Get()
+	defer bufpool.Put(sc)
 	body := m.Body[1:]
 	var inlineDesc *typedesc.TypeDescription
 	if flag == flagEager {
@@ -1005,8 +992,8 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 		body = rest
 	}
 
-	env, payloadBuf, err := p.envReader.Unmarshal(body, sc.payload)
-	sc.payload = payloadBuf
+	env, payloadBuf, err := p.envReader.Unmarshal(body, sc.B)
+	sc.B = payloadBuf
 	if err != nil {
 		p.drop(DropMalformedEnvelope, typedesc.TypeRef{}, nil)
 		return

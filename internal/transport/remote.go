@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"pti/internal/bufpool"
 	"pti/internal/conform"
 	"pti/internal/proxy"
 	"pti/internal/typedesc"
@@ -63,49 +64,28 @@ func (p *Peer) valueProg(planned *wire.Program, v interface{}) *wire.Program {
 	return planned
 }
 
-// invokeScratch is the pooled working buffer of one invoke encode.
-// The argument (or result) encodings and the envelope around them are
-// built in it and only the envelope is copied out at exact size: the
-// envelope encoder copies every part, so no part outlives the encode.
-type invokeScratch struct {
-	buf []byte
-}
-
-// maxInvokeScratch bounds the buffer a scratch keeps for reuse, so one
-// huge call does not pin its memory in the pool.
-const maxInvokeScratch = 64 << 10
-
-var invokeScratchPool = sync.Pool{
-	New: func() interface{} { return new(invokeScratch) },
-}
-
-func (sc *invokeScratch) release() {
-	if cap(sc.buf) > maxInvokeScratch {
-		sc.buf = nil
-	}
-	sc.buf = sc.buf[:0]
-	invokeScratchPool.Put(sc)
-}
-
-// encodeValues appends the encoding of each value to the scratch —
-// through planned[i] when a plan covers every value (valueProg
-// decides) — and returns each encoding as a sub-slice of it. On
-// failure it reports the index of the value that failed.
-func (p *Peer) encodeValues(sc *invokeScratch, planned []*wire.Program, vals []interface{}) ([][]byte, int, error) {
+// encodeValues appends the encoding of each value to the pooled
+// scratch sc — through planned[i] when a plan covers every value
+// (valueProg decides) — and returns each encoding as a sub-slice of
+// it. On failure it reports the index of the value that failed. The
+// envelope around the parts is built in the same scratch and only it
+// is copied out: the envelope encoder copies every part, so no part
+// outlives the scratch.
+func (p *Peer) encodeValues(sc *bufpool.Buffer, planned []*wire.Program, vals []interface{}) ([][]byte, int, error) {
 	parts := make([][]byte, len(vals))
 	for i, v := range vals {
 		var prog *wire.Program
 		if len(planned) == len(vals) {
 			prog = planned[i]
 		}
-		start := len(sc.buf)
-		buf, err := p.codec.EncodeCompiled(p.valueProg(prog, v), sc.buf, v)
+		start := len(sc.B)
+		buf, err := p.codec.EncodeCompiled(p.valueProg(prog, v), sc.B, v)
 		if err != nil {
 			return nil, i, err
 		}
 		// Earlier parts keep pointing into the array they were
 		// written to if this append moved the buffer.
-		sc.buf = buf
+		sc.B = buf
 		parts[i] = buf[start:len(buf):len(buf)]
 	}
 	return parts, 0, nil
@@ -113,13 +93,13 @@ func (p *Peer) encodeValues(sc *invokeScratch, planned []*wire.Program, vals []i
 
 // encodeEnvelope encodes an invoke envelope after the parts in the
 // scratch and returns an exact-size copy of it.
-func (p *Peer) encodeEnvelope(sc *invokeScratch, prog *wire.Program, env interface{}) ([]byte, error) {
-	start := len(sc.buf)
-	buf, err := p.codec.EncodeCompiled(prog, sc.buf, env)
+func (p *Peer) encodeEnvelope(sc *bufpool.Buffer, prog *wire.Program, env interface{}) ([]byte, error) {
+	start := len(sc.B)
+	buf, err := p.codec.EncodeCompiled(prog, sc.B, env)
 	if err != nil {
 		return nil, err
 	}
-	sc.buf = buf
+	sc.B = buf
 	return append([]byte(nil), buf[start:]...), nil
 }
 
@@ -372,8 +352,8 @@ func (r *RemoteRef) CallAsync(method string, args ...interface{}) (*PendingCall,
 	}
 
 	plan := r.plans[method]
-	sc := invokeScratchPool.Get().(*invokeScratch)
-	defer sc.release()
+	sc := bufpool.Get()
+	defer bufpool.Put(sc)
 	encoded, i, err := p.encodeValues(sc, plan.args, ordered)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode arg %d: %w", i, err)
@@ -524,8 +504,8 @@ func (p *Peer) handleInvoke(c *Conn, m *Message) {
 
 	p.emit(EventInvoked, exp.desc.Ref(), payload.Method)
 	results, err := p.callExport(exp, payload.Method, args)
-	sc := invokeScratchPool.Get().(*invokeScratch)
-	defer sc.release()
+	sc := bufpool.Get()
+	defer bufpool.Put(sc)
 	rep := invokeReply{}
 	if err != nil {
 		rep.Failure = err.Error()

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"pti/internal/bufpool"
 )
 
 // This file implements the compact binary encoding — the paper's
@@ -51,16 +53,16 @@ const (
 // The working buffer is pooled; only the exact-size result slice is
 // allocated.
 func EncodeBinary(v Value) ([]byte, error) {
-	buf := getBuf()
+	buf := bufpool.Get()
 	buf.WriteByte(binMagic)
 	if err := binWrite(buf, v); err != nil {
-		putBuf(buf)
+		bufpool.Put(buf)
 		return nil, err
 	}
-	return finishBuf(buf), nil
+	return bufpool.Finish(buf), nil
 }
 
-func binWrite(buf *bytes.Buffer, v Value) error {
+func binWrite(buf *bufpool.Buffer, v Value) error {
 	switch x := v.(type) {
 	case nil:
 		buf.WriteByte(tagNil)
@@ -280,13 +282,11 @@ func binRead(r *bytes.Reader, depth int) (Value, error) {
 	}
 }
 
-func writeUvarint(buf *bytes.Buffer, u uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], u)
-	buf.Write(b[:n])
+func writeUvarint(buf *bufpool.Buffer, u uint64) {
+	buf.B = binary.AppendUvarint(buf.B, u)
 }
 
-func writeString(buf *bytes.Buffer, s string) {
+func writeString(buf *bufpool.Buffer, s string) {
 	writeUvarint(buf, uint64(len(s)))
 	buf.WriteString(s)
 }

@@ -2,13 +2,17 @@ package wire
 
 import (
 	"encoding"
+	"encoding/base64"
 	"encoding/binary"
+	"encoding/xml"
 	"fmt"
 	"math"
 	"reflect"
 	"sort"
 	"strconv"
 	"sync/atomic"
+
+	"pti/internal/bufpool"
 )
 
 // This file implements compiled wire codec programs — the
@@ -742,4 +746,48 @@ func (n *progNode) encSOAPDelim(dst []byte, elem, open, close_ string, rv reflec
 		return writeClose(dst), nil
 	}
 	return dst, fmt.Errorf("wire: unsupported value: compiled op %d", n.op)
+}
+
+// soapSafe marks ASCII bytes xml.EscapeText passes through verbatim.
+var soapSafe = func() (t [128]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = true
+	}
+	for _, c := range []byte{'&', '<', '>', '\'', '"'} {
+		t[c] = false
+	}
+	return
+}()
+
+// soapAppendEscaped appends s escaped exactly as xml.EscapeText would
+// write it. The common all-safe-ASCII case appends the raw bytes; any
+// byte needing attention routes the whole string through
+// xml.EscapeText so escaping and invalid-UTF-8 replacement stay
+// byte-identical to the reflective writer.
+func soapAppendEscaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 0x80 || !soapSafe[c] {
+			buf := bufpool.Get()
+			_ = xml.EscapeText(buf, []byte(s))
+			dst = append(dst, buf.B...)
+			bufpool.Put(buf)
+			return dst
+		}
+	}
+	return append(dst, s...)
+}
+
+// appendBase64 appends the std-base64 rendering of a byte slice or
+// byte array value.
+func appendBase64(dst []byte, rv reflect.Value, isArray bool) []byte {
+	if !isArray {
+		return base64.StdEncoding.AppendEncode(dst, rv.Bytes())
+	}
+	if rv.CanAddr() {
+		return base64.StdEncoding.AppendEncode(dst, rv.Slice(0, rv.Len()).Bytes())
+	}
+	src := make([]byte, rv.Len())
+	reflect.Copy(reflect.ValueOf(src), rv)
+	return base64.StdEncoding.AppendEncode(dst, src)
 }

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"unicode"
 	"unicode/utf8"
+
+	"pti/internal/bufpool"
 )
 
 // Compiled SOAP decoding: a byte scanner specialized against the
@@ -136,12 +138,12 @@ type soapDecoder struct {
 
 	// scratch holds unescaped text when entities appear; pooled, and
 	// only borrowed once the first entity is seen.
-	scratch *[]byte
+	scratch *bufpool.Buffer
 }
 
 func (sd *soapDecoder) release() {
 	if sd.scratch != nil {
-		PutScratch(sd.scratch)
+		bufpool.Put(sd.scratch)
 		sd.scratch = nil
 	}
 }
@@ -415,9 +417,9 @@ func (sd *soapDecoder) text() ([]byte, bool) {
 		return seg, true
 	}
 	if sd.scratch == nil {
-		sd.scratch = GetScratch()
+		sd.scratch = bufpool.Get()
 	}
-	out := (*sd.scratch)[:0]
+	out := sd.scratch.B[:0]
 	i = sd.pos
 	b0, b1 = 0, 0
 	for i < len(sd.data) {
@@ -442,7 +444,7 @@ func (sd *soapDecoder) text() ([]byte, bool) {
 		out = append(out, c)
 		i++
 	}
-	*sd.scratch = out
+	sd.scratch.B = out
 	if !soapTextValid(out) {
 		return nil, false
 	}

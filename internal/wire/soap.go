@@ -8,6 +8,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"pti/internal/bufpool"
 )
 
 // This file implements the SOAP-style XML object encoding of
@@ -43,18 +45,18 @@ const maxSOAPDepth = 1000
 // The working buffer is pooled; only the exact-size result slice is
 // allocated.
 func EncodeSOAP(v Value) ([]byte, error) {
-	buf := getBuf()
+	buf := bufpool.Get()
 	buf.WriteString(xml.Header)
 	buf.WriteString(soapEnvelopeOpen)
 	if err := soapWrite(buf, "value", v); err != nil {
-		putBuf(buf)
+		bufpool.Put(buf)
 		return nil, err
 	}
 	buf.WriteString(soapEnvelopeClose)
-	return finishBuf(buf), nil
+	return bufpool.Finish(buf), nil
 }
 
-func soapWrite(buf *bytes.Buffer, elem string, v Value) error {
+func soapWrite(buf *bufpool.Buffer, elem string, v Value) error {
 	switch x := v.(type) {
 	case nil:
 		fmt.Fprintf(buf, `<%s nil="true"/>`, elem)
@@ -115,7 +117,7 @@ func soapWrite(buf *bytes.Buffer, elem string, v Value) error {
 	return nil
 }
 
-func writeLeaf(buf *bytes.Buffer, elem, typ, content string) {
+func writeLeaf(buf *bufpool.Buffer, elem, typ, content string) {
 	fmt.Fprintf(buf, `<%s type=%q>%s</%s>`, elem, typ, content, elem)
 }
 

@@ -1,11 +1,11 @@
 package xmlenc
 
 import (
-	"bytes"
 	"encoding/xml"
 	"strconv"
 	"unicode/utf8"
 
+	"pti/internal/bufpool"
 	"pti/internal/typedesc"
 )
 
@@ -23,10 +23,10 @@ import (
 // values and character data. Plain printable ASCII is copied; any
 // other string goes through xml.EscapeText, which also replaces
 // invalid characters with U+FFFD.
-func writeEscaped(buf *bytes.Buffer, s string) {
+func writeEscaped(buf *bufpool.Buffer, s string) {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '&' || c == '<' || c == '>' || c == '\'' || c == '"' {
-			_ = xml.EscapeText(buf, []byte(s)) // a bytes.Buffer write does not fail
+			_ = xml.EscapeText(buf, []byte(s)) // a bufpool.Buffer write does not fail
 			return
 		}
 	}
@@ -43,7 +43,7 @@ func isXMLChar(r rune) bool {
 
 // writeRef appends `<tag name=".." identity=".."></tag>` on its own
 // line at the given indentation; a nil identity omits the attribute.
-func writeRef(buf *bytes.Buffer, indent, tag string, r typedesc.TypeRef) {
+func writeRef(buf *bufpool.Buffer, indent, tag string, r typedesc.TypeRef) {
 	buf.WriteString(indent)
 	buf.WriteByte('<')
 	buf.WriteString(tag)
@@ -60,14 +60,14 @@ func writeRef(buf *bytes.Buffer, indent, tag string, r typedesc.TypeRef) {
 
 // writeRefs appends one ref element per r and reports whether it
 // wrote any.
-func writeRefs(buf *bytes.Buffer, indent, tag string, rs []typedesc.TypeRef) bool {
+func writeRefs(buf *bufpool.Buffer, indent, tag string, rs []typedesc.TypeRef) bool {
 	for _, r := range rs {
 		writeRef(buf, indent, tag, r)
 	}
 	return len(rs) > 0
 }
 
-func writeDownloadPaths(buf *bytes.Buffer, indent string, paths []string) {
+func writeDownloadPaths(buf *bufpool.Buffer, indent string, paths []string) {
 	for _, p := range paths {
 		buf.WriteString(indent)
 		buf.WriteString("<DownloadPath>")
@@ -76,7 +76,7 @@ func writeDownloadPaths(buf *bytes.Buffer, indent string, paths []string) {
 	}
 }
 
-func writeDescription(buf *bytes.Buffer, d *typedesc.TypeDescription) {
+func writeDescription(buf *bufpool.Buffer, d *typedesc.TypeDescription) {
 	buf.WriteString(xml.Header)
 	buf.WriteString(`<TypeDescription name="`)
 	writeEscaped(buf, d.Name)
@@ -91,7 +91,7 @@ func writeDescription(buf *bytes.Buffer, d *typedesc.TypeDescription) {
 		buf.WriteByte('"')
 	}
 	buf.WriteByte('>')
-	empty := buf.Len()
+	empty := len(buf.B)
 	for _, p := range []struct {
 		tag string
 		ref *typedesc.TypeRef
@@ -130,7 +130,7 @@ func writeDescription(buf *bytes.Buffer, d *typedesc.TypeDescription) {
 		buf.WriteString("</Constructor>")
 	}
 	writeDownloadPaths(buf, "\n  ", d.DownloadPaths)
-	if buf.Len() != empty {
+	if len(buf.B) != empty {
 		buf.WriteByte('\n')
 	}
 	buf.WriteString("</TypeDescription>\n")
@@ -142,7 +142,7 @@ const envelopeTail = "</Payload>\n</Message>\n"
 
 // writeEnvelopeHead appends everything of e's document up to the
 // payload's character data; envelopeTail follows the payload.
-func writeEnvelopeHead(buf *bytes.Buffer, e *Envelope) {
+func writeEnvelopeHead(buf *bufpool.Buffer, e *Envelope) {
 	buf.WriteString(xml.Header)
 	buf.WriteString("<Message>")
 	writeRef(buf, "\n  ", "TypeInfo", e.Type)

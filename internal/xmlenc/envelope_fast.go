@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/base64"
 	"sync"
-
-	"pti/internal/bufpool"
 )
 
 // EnvelopeReader is the receive-side counterpart of EnvelopeTemplate:
@@ -151,10 +149,6 @@ func decodeBase64Clean(src, dst []byte) ([]byte, bool) {
 			return nil, false
 		}
 	}
-	dst = bufpool.Grow(dst[:0], base64.StdEncoding.DecodedLen(len(src)))
-	n, err := base64.StdEncoding.Decode(dst, src)
-	if err != nil {
-		return nil, false
-	}
-	return dst[:n], true
+	dst, err := base64.StdEncoding.AppendDecode(dst[:0], src)
+	return dst, err == nil
 }

@@ -54,9 +54,6 @@ func (t *EnvelopeTemplate) Size(n int) int {
 // performs no allocations.
 func (t *EnvelopeTemplate) Append(dst, payload []byte) []byte {
 	dst = append(dst, t.prefix...)
-	n := base64.StdEncoding.EncodedLen(len(payload))
-	off := len(dst)
-	dst = bufpool.Grow(dst, n)
-	base64.StdEncoding.Encode(dst[off:off+n], payload)
+	dst = base64.StdEncoding.AppendEncode(dst, payload)
 	return append(dst, envelopeTail...)
 }

@@ -90,9 +90,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"pti/internal/borrowlend"
+	"pti/internal/bufpool"
 	"pti/internal/conform"
 	"pti/internal/lingua"
 	"pti/internal/proxy"
@@ -212,12 +212,8 @@ type Runtime struct {
 	cacheCap int
 
 	// envReader recognizes repeated envelope shapes so steady-state
-	// Unmarshal skips encoding/xml; recvBufs pools the payload scratch
-	// those fast parses decode into (every decoder downstream copies
-	// what it keeps, so the scratch is dead by the time Unmarshal
-	// returns).
+	// Unmarshal skips encoding/xml.
 	envReader xmlenc.EnvelopeReader
-	recvBufs  sync.Pool
 }
 
 // New builds a Runtime over an in-memory registry. Use NewWithStore
@@ -424,13 +420,12 @@ func (r *Runtime) ProgramFor(v interface{}) (*Program, error) {
 // that path falls back transparently to the reflective pipeline,
 // which stays the authority for values, errors and conformance.
 func (r *Runtime) Unmarshal(data []byte, expected interface{}) (interface{}, *Mapping, error) {
-	sc, _ := r.recvBufs.Get().(*[]byte)
-	if sc == nil {
-		sc = new([]byte)
-	}
-	env, scratch, err := r.envReader.Unmarshal(data, *sc)
-	*sc = scratch
-	defer r.recvBufs.Put(sc)
+	// The payload decodes into a pooled scratch: every decoder
+	// downstream copies what it keeps, so it is dead on return.
+	sc := bufpool.Get()
+	defer bufpool.Put(sc)
+	env, scratch, err := r.envReader.Unmarshal(data, sc.B)
+	sc.B = scratch
 	if err != nil {
 		return nil, nil, err
 	}
