@@ -376,16 +376,28 @@ func (b *Binder) Deserialize(codec wire.Codec, entry *registry.Entry, payload []
 	if v, m, ok := b.DeserializeCompiled(codec, entry, payload, src); ok {
 		return v, m, true, nil
 	}
-	gv, err := codec.DecodeGeneric(payload)
+	obj, err := DecodeObject(codec, payload)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("proxy: decode payload: %w", err)
-	}
-	obj, ok := gv.(*wire.Object)
-	if !ok {
-		return nil, nil, false, fmt.Errorf("%w: payload is %T, not an object", ErrNotBindable, gv)
+		return nil, nil, false, err
 	}
 	out, m, err = b.bindEntry(obj, src, entry)
 	return out, m, false, err
+}
+
+// DecodeObject is the generic payload decode: payload parsed into the
+// generic model, whose root must be an object. Deserialize's fallback
+// runs it before binding, and a transport delivery with no local
+// implementation to bind to runs it to build a View.
+func DecodeObject(codec wire.Codec, payload []byte) (*wire.Object, error) {
+	gv, err := codec.DecodeGeneric(payload)
+	if err != nil {
+		return nil, fmt.Errorf("proxy: decode payload: %w", err)
+	}
+	obj, ok := gv.(*wire.Object)
+	if !ok {
+		return nil, fmt.Errorf("%w: payload is %T, not an object", ErrNotBindable, gv)
+	}
+	return obj, nil
 }
 
 // DeserializeCompiled is Deserialize's compiled half alone: it decodes

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pti/internal/bufpool"
 	"pti/internal/conform"
 	"pti/internal/guid"
 	"pti/internal/typedesc"
@@ -186,6 +187,36 @@ func (e *Entry) EnvelopeTemplate(enc xmlenc.PayloadEncoding, resolver typedesc.R
 	}
 	e.envTemplates[enc] = tpl
 	return tpl, nil
+}
+
+// AppendObject appends the hybrid envelope of Figure 3 for v — the
+// type reference and download paths around v's codec payload — to dst
+// and returns the extended slice. It is the one writer of object
+// envelopes: the transport's SendObject and the facade's Marshal both
+// write through it, so the two emit the same bytes. The payload is
+// encoded through the entry's program (which stamps the registered
+// name on compiled and reflective encodes alike) into pooled scratch,
+// then the cached template is appended; when dst lacks room it grows
+// once, to the exact size.
+func (e *Entry) AppendObject(dst []byte, codec wire.Codec, v interface{}, resolver typedesc.Resolver) ([]byte, error) {
+	tpl, err := e.EnvelopeTemplate(xmlenc.PayloadEncoding(codec.Name()), resolver)
+	if err != nil {
+		return dst, fmt.Errorf("registry: marshal envelope: %w", err)
+	}
+	prog, _ := e.Program() // nil on compile error → reflective fallback
+	scratch := bufpool.Get()
+	defer bufpool.Put(scratch)
+	payload, err := codec.EncodeCompiled(prog, scratch.B, v)
+	scratch.B = payload // keep the growth for the next call
+	if err != nil {
+		return dst, fmt.Errorf("registry: encode object: %w", err)
+	}
+	if n := tpl.Size(len(payload)); cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	return tpl.Append(dst, payload), nil
 }
 
 // PlanFor returns the compiled invocation plan for this entry's

@@ -110,7 +110,9 @@ func TestRefEncodeDecode(t *testing.T) {
 }
 
 func TestChunkPacking(t *testing.T) {
-	body := packEager([]byte("desc"), []byte("code"), []byte("env"))
+	body := appendChunk([]byte{flagEager}, []byte("desc"))
+	body = appendChunk(body, []byte("code"))
+	body = append(body, "env"...)
 	if body[0] != flagEager {
 		t.Fatal("flag missing")
 	}

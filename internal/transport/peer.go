@@ -722,44 +722,20 @@ func (p *Peer) handleRequest(c *Conn, m *Message) {
 // must be registered. l is normally a *Conn — over real TCP, an
 // in-memory pipe, or a simulation-fabric endpoint.
 //
-// The steady-state path is compiled end to end: the payload is
-// encoded by the type's compiled wire.Program into a pooled scratch
-// buffer, and the envelope's static parts (type reference, assembly
-// list, payload delimiters) come precomputed from the registry
-// entry's envelope template. The only allocation left per optimistic
-// send is the outgoing message body itself.
+// The envelope comes from the registry entry's one object writer
+// (registry.Entry.AppendObject), the same bytes Runtime.Marshal
+// returns. The only allocation left per optimistic send is the
+// outgoing message body itself.
 func (p *Peer) SendObject(l Link, v interface{}) error {
 	t := reflect.TypeOf(v)
 	entry, ok := p.reg.LookupGo(t)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotRegistered, t)
 	}
-	prog, _ := entry.Program() // nil on compile error → reflective fallback
-
-	scratch := bufpool.Get()
-	defer bufpool.Put(scratch)
-	var payload []byte
-	var err error
-	if wireName := entry.Description.Name; (prog == nil || !prog.Direct()) &&
-		wireName != typedesc.CanonicalName(entry.Type) {
-		// The compiled program stamps the registered name on the fast
-		// path; the reflective fallback must rename the root the same
-		// way or receivers could not resolve the payload's self-
-		// description against the envelope ref.
-		payload, err = p.encodeRenamed(scratch.B, v, wireName)
-	} else {
-		payload, err = p.codec.EncodeCompiled(prog, scratch.B, v)
-	}
-	scratch.B = payload // keep the growth for the next send
-	if err != nil {
-		return fmt.Errorf("transport: encode object: %w", err)
-	}
-	tpl, err := entry.EnvelopeTemplate(xmlenc.PayloadEncoding(p.codec.Name()), p.reg)
-	if err != nil {
-		return fmt.Errorf("transport: marshal envelope: %w", err)
-	}
-
-	var body []byte
+	// The message body is handed to the link (which may queue it), so
+	// it is fresh: the writer copies the head into it, growing once to
+	// the exact size.
+	head := optimisticHead
 	if p.eager {
 		descXML, err := entry.DescriptionXML()
 		if err != nil {
@@ -769,16 +745,14 @@ func (p *Peer) SendObject(l Link, v interface{}) error {
 		if err != nil {
 			return err
 		}
-		env := bufpool.Get()
-		env.B = tpl.Append(env.B, payload)
-		body = packEager(descXML, code, env.B)
-		bufpool.Put(env)
-	} else {
-		// The message body is handed to the link (which may queue it),
-		// so it is the one fresh allocation of the send.
-		body = make([]byte, 0, 1+tpl.Size(len(payload)))
-		body = append(body, flagOptimistic)
-		body = tpl.Append(body, payload)
+		head = make([]byte, 0, 1+8+len(descXML)+len(code))
+		head = append(head, flagEager)
+		head = appendChunk(head, descXML)
+		head = appendChunk(head, code)
+	}
+	body, err := entry.AppendObject(head, p.codec, v, p.reg)
+	if err != nil {
+		return err
 	}
 	p.step(cObjectsSent, EventObjectSent, entry.Description.Ref())
 	return l.Send(&Message{Type: MsgObject, Body: body})
@@ -829,33 +803,6 @@ func (p *Peer) Broadcast(v interface{}) (int, error) {
 	return sent, errors.Join(errs...)
 }
 
-// encodeRenamed is the reflective encode path for entries registered
-// under a logical name that differs from their Go type name: the
-// generic value tree is built, its root object renamed, and the tree
-// encoded with the peer's codec.
-func (p *Peer) encodeRenamed(dst []byte, v interface{}, name string) ([]byte, error) {
-	gv, err := wire.FromGo(v)
-	if err != nil {
-		return dst, err
-	}
-	if obj, ok := gv.(*wire.Object); ok {
-		obj.TypeName = name
-	}
-	var data []byte
-	switch p.codec.(type) {
-	case wire.SOAP:
-		data, err = wire.EncodeSOAP(gv)
-	case wire.Binary:
-		data, err = wire.EncodeBinary(gv)
-	default:
-		data, err = p.codec.Encode(v)
-	}
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, data...), nil
-}
-
 // ConnCount returns the number of live connections.
 func (p *Peer) ConnCount() int {
 	p.mu.Lock()
@@ -871,18 +818,14 @@ const (
 	flagEager      byte = 1
 )
 
+// optimisticHead is an optimistic body's flag byte. Its capacity is
+// its length, so the envelope writer copies it and never appends into
+// it.
+var optimisticHead = []byte{flagOptimistic}
+
 // codePadding is the simulated assembly size appended to code blobs,
 // standing in for real CIL/bytecode.
 const codePadding = 4096
-
-func packEager(desc, code, env []byte) []byte {
-	body := make([]byte, 0, 1+12+len(desc)+len(code)+len(env))
-	body = append(body, flagEager)
-	body = appendChunk(body, desc)
-	body = appendChunk(body, code)
-	body = append(body, env...)
-	return body
-}
 
 func appendChunk(dst, chunk []byte) []byte {
 	n := len(chunk)
@@ -1095,7 +1038,7 @@ func (p *Peer) buildDelivery(c *Conn, env *xmlenc.Envelope, desc *typedesc.TypeD
 		d.Invoker = inv
 		return d, nil
 	}
-	obj, err := p.decodeObject(codec, env.Payload)
+	obj, err := proxy.DecodeObject(codec, env.Payload)
 	if err != nil {
 		return Delivery{}, err
 	}
@@ -1105,20 +1048,6 @@ func (p *Peer) buildDelivery(c *Conn, env *xmlenc.Envelope, desc *typedesc.TypeD
 	}
 	d.View = view
 	return d, nil
-}
-
-// decodeObject runs the generic payload decode for a delivery with no
-// local implementation to bind to (a View).
-func (p *Peer) decodeObject(codec wire.Codec, payload []byte) (*wire.Object, error) {
-	gv, err := codec.DecodeGeneric(payload)
-	if err != nil {
-		return nil, fmt.Errorf("transport: decode payload: %w", err)
-	}
-	obj, ok := gv.(*wire.Object)
-	if !ok {
-		return nil, fmt.Errorf("transport: payload is %T, not an object", gv)
-	}
-	return obj, nil
 }
 
 // ensureDescription returns the description for ref, asking the

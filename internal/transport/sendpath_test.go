@@ -11,11 +11,12 @@ import (
 	"pti/internal/xmlenc"
 )
 
-// TestSendObjectEnvelopeBuildZeroAlloc pins the acceptance criterion
-// of the compiled-codec PR: the steady-state SendObject envelope
-// build — compiled payload encode plus templated envelope append,
-// everything except the outgoing message body allocation — performs
-// zero allocations.
+// TestSendObjectEnvelopeBuildZeroAlloc pins the steady-state cost of
+// the object envelope writer SendObject and Runtime.Marshal share
+// (registry.Entry.AppendObject): given a destination with room — here
+// an optimistic body's flag byte — the compiled payload encode and the
+// templated envelope append perform zero allocations, so the message
+// body SendObject hands the link is the send's only one.
 func TestSendObjectEnvelopeBuildZeroAlloc(t *testing.T) {
 	reg := registry.New()
 	entry, err := reg.Register(fixtures.PersonB{},
@@ -30,26 +31,21 @@ func TestSendObjectEnvelopeBuildZeroAlloc(t *testing.T) {
 	if !prog.Direct() {
 		t.Fatal("PersonB must compile to a direct program")
 	}
-	tpl, err := entry.EnvelopeTemplate(xmlenc.EncodingBinary, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	codec := wire.Binary{}
 	var v interface{} = fixtures.PersonB{PersonName: "steady-state", PersonAge: 42}
-	payloadBuf := make([]byte, 0, 1024)
 	body := make([]byte, 0, 8192)
 	allocs := testing.AllocsPerRun(500, func() {
-		payload, err := codec.EncodeCompiled(prog, payloadBuf[:0], v)
-		if err != nil {
+		body = append(body[:0], flagOptimistic)
+		if body, err = entry.AppendObject(body, codec, v, reg); err != nil {
 			t.Fatal(err)
 		}
-		body = body[:0]
-		body = append(body, flagOptimistic)
-		body = tpl.Append(body, payload)
 	})
 	if allocs != 0 && !raceEnabled {
 		t.Fatalf("envelope build allocates %v times per op, want 0", allocs)
+	}
+	if cap(body) != 8192 {
+		t.Fatalf("writer grew a destination with room: cap %d", cap(body))
 	}
 
 	// And the built body is exactly what the receiver expects.

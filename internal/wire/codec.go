@@ -57,11 +57,7 @@ func (SOAP) Name() string { return "soap" }
 
 // Encode implements Codec.
 func (SOAP) Encode(v interface{}) ([]byte, error) {
-	gv, err := FromGo(v)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeSOAP(gv)
+	return reflectEncode(nil, nil, v, EncodeSOAP)
 }
 
 // DecodeGeneric implements Codec.
@@ -79,14 +75,14 @@ func (SOAP) Decode(data []byte, t reflect.Type, resolve FieldResolver) (interfac
 }
 
 // EncodeCompiled implements Codec.
-func (c SOAP) EncodeCompiled(prog *Program, dst []byte, v interface{}) ([]byte, error) {
+func (SOAP) EncodeCompiled(prog *Program, dst []byte, v interface{}) ([]byte, error) {
 	if prog != nil && prog.Direct() {
 		out, ok, err := prog.AppendSOAP(dst, v)
 		if ok {
 			return out, err
 		}
 	}
-	return fallbackEncode(c, dst, v)
+	return reflectEncode(prog, dst, v, EncodeSOAP)
 }
 
 // DecodeCompiled implements Codec.
@@ -112,11 +108,7 @@ func (Binary) Name() string { return "binary" }
 
 // Encode implements Codec.
 func (Binary) Encode(v interface{}) ([]byte, error) {
-	gv, err := FromGo(v)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeBinary(gv)
+	return reflectEncode(nil, nil, v, EncodeBinary)
 }
 
 // DecodeGeneric implements Codec.
@@ -134,21 +126,28 @@ func (Binary) Decode(data []byte, t reflect.Type, resolve FieldResolver) (interf
 }
 
 // EncodeCompiled implements Codec.
-func (c Binary) EncodeCompiled(prog *Program, dst []byte, v interface{}) ([]byte, error) {
+func (Binary) EncodeCompiled(prog *Program, dst []byte, v interface{}) ([]byte, error) {
 	if prog != nil && prog.Direct() {
 		out, ok, err := prog.AppendBinary(dst, v)
 		if ok {
 			return out, err
 		}
 	}
-	return fallbackEncode(c, dst, v)
+	return reflectEncode(prog, dst, v, EncodeBinary)
 }
 
-// fallbackEncode runs the reflective encoder for EncodeCompiled's
-// fallback, returning its exact-size result directly when the caller
+// reflectEncode is the reflective encoder behind Encode and
+// EncodeCompiled's fallback: v's generic value tree, its root stamped
+// with prog's wire name (nil prog: the Go spelling), rendered by
+// encode. It returns the exact-size result directly when the caller
 // brought no buffer to append into.
-func fallbackEncode(c Codec, dst []byte, v interface{}) ([]byte, error) {
-	data, err := c.Encode(v)
+func reflectEncode(prog *Program, dst []byte, v interface{}, encode func(Value) ([]byte, error)) ([]byte, error) {
+	gv, err := FromGo(v)
+	if err != nil {
+		return dst, err
+	}
+	prog.stampRoot(gv, v)
+	data, err := encode(gv)
 	if err != nil {
 		return dst, err
 	}

@@ -110,6 +110,10 @@ type Program struct {
 	// Type is the Go type the program encodes (pointers stripped).
 	Type reflect.Type
 
+	// rootName is the wire name CompileProgramNamed stamps on a root
+	// object of Type when it differs from the Go spelling; "" keeps
+	// the Go spelling.
+	rootName     string
 	root         *progNode
 	direct       bool
 	decodeDirect bool
@@ -151,17 +155,41 @@ func CompileProgram(t reflect.Type) (*Program, error) {
 // register a Go type under a logical chain name publish payloads whose
 // self-describing root matches the envelope's type reference — the
 // registered name — rather than the local Go spelling, so receivers
-// resolve the payload through the same ref the envelope pins.
+// resolve the payload through the same ref the envelope pins. The
+// name holds on every encode path: the compiled encoders bake it into
+// the root node, and EncodeCompiled's reflective fallback stamps it on
+// the root object of a value of the program's type.
 func CompileProgramNamed(t reflect.Type, rootName string) (*Program, error) {
 	p, err := CompileProgram(t)
-	if err != nil || p.root == nil || rootName == "" {
+	if err != nil || rootName == "" || rootName == canonicalTypeName(p.Type) {
 		return p, err
 	}
-	if p.root.op == opStruct && rootName != canonicalTypeName(p.Type) {
+	p.rootName = rootName
+	if p.root != nil && p.root.op == opStruct {
 		p.root.soapAttr = soapAttrFor(rootName)
 		p.root.binPrefix = structBinPrefixNamed(rootName, len(p.root.fields))
 	}
 	return p, nil
+}
+
+// stampRoot renames gv's root object, the reflective encoding of v,
+// to the program's wire name when v's type, pointers stripped, is the
+// program's type.
+func (p *Program) stampRoot(gv Value, v interface{}) {
+	if p == nil || p.rootName == "" {
+		return
+	}
+	obj, ok := gv.(*Object)
+	if !ok {
+		return
+	}
+	t := reflect.TypeOf(v)
+	for t.Kind() == reflect.Ptr {
+		t = t.Elem()
+	}
+	if t == p.Type {
+		obj.TypeName = p.rootName
+	}
 }
 
 // Direct reports whether the program has a compiled encode fast path;

@@ -373,26 +373,21 @@ func (r *Runtime) PlanFor(res *Result, target interface{}) (*Plan, error) {
 
 // Marshal serializes v into the hybrid envelope of Figure 3: an XML
 // message with type information and download paths embedding the
-// codec payload. The type of v must be registered. Like the
-// transport's SendObject, it runs on the compiled fast path: the
-// payload goes through the entry's compiled codec program and the
-// envelope's static parts come from the entry's precompiled template.
+// codec payload. The type of v must be registered. It writes through
+// the registry entry's one object writer, so its result is exactly
+// the envelope a transport SendObject puts on the wire: the payload
+// goes through the entry's compiled codec program, whose root carries
+// the registered name on the compiled and reflective paths alike, and
+// the envelope's static parts come from the entry's precompiled
+// template. For a type the compiled encoder covers, the result is the
+// call's one allocation.
 func (r *Runtime) Marshal(v interface{}) ([]byte, error) {
 	t := reflect.TypeOf(v)
 	entry, ok := r.reg.LookupGo(t)
 	if !ok {
 		return nil, fmt.Errorf("pti: %s is not registered", t)
 	}
-	prog, _ := entry.Program()
-	payload, err := r.codec.EncodeCompiled(prog, nil, v)
-	if err != nil {
-		return nil, err
-	}
-	tpl, err := entry.EnvelopeTemplate(xmlenc.PayloadEncoding(r.codec.Name()), r.reg)
-	if err != nil {
-		return nil, err
-	}
-	return tpl.Append(make([]byte, 0, tpl.Size(len(payload))), payload), nil
+	return entry.AppendObject(nil, r.codec, v, r.reg)
 }
 
 // ProgramFor exposes the compiled wire codec program memoized on the

@@ -1,12 +1,14 @@
 package pti
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
 	"pti/internal/fixtures"
 	"pti/internal/proxy"
+	"pti/internal/transport"
 )
 
 // parityRow is one payload unmarshalled as one expected type.
@@ -92,6 +94,117 @@ func TestUnmarshalCompiledParity(t *testing.T) {
 	}
 	card := marshalT(t, rt, fixtures.ProfileV2{FullName: "bob", Age: 41, Email: "b@x"})
 	checkParity(t, rt, parityRow{card, profileCard{}, &profileCard{Name: "bob", Age: 41}})
+
+	// A type with a pointer field has no compiled encoder. Registered
+	// under a logical name, its reflective payload must carry that name
+	// at the root as the compiled encoders do, or the payload disagrees
+	// with the envelope's reference and a renamed expected type binds
+	// no members. (A non-nil nested object still arrives zeroed:
+	// ROADMAP item 1.)
+	for _, c := range bothCodecs {
+		rt := New(c.opt)
+		registerChain(t, rt)
+		chain := marshalT(t, rt, chainLink{Label: "head"})
+		checkParity(t, rt, parityRow{chain, chainView{}, &chainView{Labels: "head"}})
+	}
+}
+
+// bothCodecs selects each payload codec in turn.
+var bothCodecs = []struct {
+	name string
+	opt  Option
+}{{"binary", WithBinary()}, {"soap", WithSOAP()}}
+
+// chainLink carries a pointer field, so no compiled encoder covers it
+// and every encode of it takes the reflective path.
+type chainLink struct {
+	Label string
+	Next  *chainLink
+}
+
+// chainView is a conformant view of chainLink under other member
+// names (Labels ⊑ Label, Nexts ⊑ Next).
+type chainView struct {
+	Labels string
+	Nexts  *chainLink
+}
+
+// registerChain registers chainLink and chainView under logical names
+// unlike their Go spellings.
+func registerChain(t *testing.T, rt *Runtime) {
+	t.Helper()
+	if err := rt.Register(chainLink{}, WithTypeName("Chain")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Register(chainView{}, WithTypeName("ChainView")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// bodyLink is a Link stub that keeps the body of every message sent
+// through it.
+type bodyLink struct{ bodies [][]byte }
+
+func (l *bodyLink) Send(m *transport.Message) error {
+	l.bodies = append(l.bodies, m.Body)
+	return nil
+}
+
+func (l *bodyLink) Request(transport.MsgType, []byte) (*transport.Message, error) {
+	return nil, errors.New("bodyLink: no requests")
+}
+
+func (l *bodyLink) Close() error { return nil }
+
+// TestMarshalMatchesSendObject pins that the facade and the transport
+// write one envelope: for every fixture type, plus renamed direct and
+// reflective types, Marshal returns exactly the optimistic body
+// SendObject puts on the link, minus its flag byte, under both codecs.
+func TestMarshalMatchesSendObject(t *testing.T) {
+	values := []interface{}{
+		fixtures.PersonA{Name: "ann", Age: 30},
+		fixtures.PersonB{PersonName: "bob", PersonAge: 41},
+		fixtures.Employee{PersonA: fixtures.PersonA{Name: "eve", Age: 29}, Company: "acme"},
+		fixtures.Address{Street: "1 Main", City: "Lausanne", Zip: "1015"},
+		fixtures.Contact{Who: fixtures.PersonA{Name: "cy", Age: 5}, Where: fixtures.Address{City: "Bern"}, Tags: []string{"a", "b"}},
+		fixtures.Node{Value: 1, Next: &fixtures.Node{Value: 2}},
+		fixtures.StockQuoteA{Symbol: "ACME", Price: 12.5, Volume: 100},
+		fixtures.StockQuoteB{StockSymbol: "ACME", StockPrice: 12.5, StockVolume: 100},
+		fixtures.ProfileV2{FullName: "pat", Age: 50, Email: "p@x"},
+		fixtures.Swapped{},
+	}
+	// Registered under logical names: a direct and a reflective type.
+	renamed := []interface{}{
+		fixtures.ProfileV1{Name: "pat", Age: 50},
+		chainLink{Label: "head", Next: &chainLink{Label: "tail"}},
+	}
+	for _, c := range bothCodecs {
+		t.Run(c.name, func(t *testing.T) {
+			rt := New(c.opt)
+			for _, v := range values {
+				if err := rt.Register(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := rt.Register(fixtures.ProfileV1{}, WithTypeName("Profile")); err != nil {
+				t.Fatal(err)
+			}
+			registerChain(t, rt)
+			peer := rt.NewPeer("sender")
+			defer peer.Close()
+			link := &bodyLink{}
+			for _, v := range append(values, renamed...) {
+				want := marshalT(t, rt, v)
+				if err := peer.SendObject(link, v); err != nil {
+					t.Fatalf("%T: %v", v, err)
+				}
+				body := link.bodies[len(link.bodies)-1]
+				if len(body) == 0 || body[0] != 0 || !bytes.Equal(body[1:], want) {
+					t.Fatalf("%T: SendObject body differs from Marshal\n got %q\nwant %q", v, body, want)
+				}
+			}
+		})
+	}
 }
 
 // checkParity unmarshals the rows round-robin and fails on the first
@@ -158,5 +271,30 @@ func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 	// magnitude under the reflective pipeline.
 	if allocs > 4 {
 		t.Errorf("steady-state Unmarshal allocates %.1f/op, want <= 4", allocs)
+	}
+}
+
+// TestMarshalSteadyStateAllocs pins Marshal of a pre-boxed direct type
+// at the one allocation of its result, under both codecs: the payload
+// is encoded into pooled scratch and the envelope written once, at
+// exact size.
+func TestMarshalSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode randomizes sync.Pool reuse; the pin only holds in a normal build")
+	}
+	var v interface{} = fixtures.PersonB{PersonName: "Steady", PersonAge: 7}
+	for _, c := range bothCodecs {
+		t.Run(c.name, func(t *testing.T) {
+			rt := newRuntime(t, c.opt)
+			marshalT(t, rt, v) // compile the program and the template
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := rt.Marshal(v); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Errorf("steady-state Marshal allocates %.1f/op, want <= 1", allocs)
+			}
+		})
 	}
 }
