@@ -297,6 +297,10 @@ type Binder struct {
 	// must never be conflated on a shared program.
 	fp string
 
+	// resolve is resolveField, bound once so FieldResolver does not
+	// allocate.
+	resolve wire.FieldResolver
+
 	// last memoizes the (source ref, target description) pair bound
 	// most recently: the steady-state receive path binds one pair on
 	// every message and then needs neither a checker lookup nor a
@@ -328,11 +332,13 @@ var binderSeq atomic.Uint64
 // descriptions (the registry's) and any remote descriptions received
 // so far (typically via typedesc.MultiResolver).
 func NewBinder(reg *registry.Registry, checker *conform.Checker) *Binder {
-	return &Binder{
+	b := &Binder{
 		reg:     reg,
 		checker: checker,
 		fp:      "binder-" + strconv.FormatUint(binderSeq.Add(1), 10),
 	}
+	b.resolve = b.resolveField
+	return b
 }
 
 // Bind materializes obj into the Go type registered for the expected
@@ -468,12 +474,12 @@ func (b *Binder) memoFor(src typedesc.TypeRef, entry *registry.Entry) (*bindMemo
 // FieldResolver exposes the binder's mapped field resolution for use
 // with wire codecs directly (the transport layer decodes invocation
 // arguments this way).
-func (b *Binder) FieldResolver() wire.FieldResolver { return b.resolveField }
+func (b *Binder) FieldResolver() wire.FieldResolver { return b.resolve }
 
 // BindValue materializes any generic value (object, list, map or
 // primitive) into the given Go type with mapped field names.
 func (b *Binder) BindValue(v wire.Value, t reflect.Type) (interface{}, error) {
-	return wire.ToGo(v, t, b.resolveField)
+	return wire.ToGo(v, t, b.resolve)
 }
 
 // resolveField is the wire.FieldResolver consulting conformance

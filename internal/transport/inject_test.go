@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -87,9 +88,25 @@ func injectionCorpora(t *testing.T) map[string][][]byte {
 	}
 }
 
+// InjectSink is the export that hostile argument chunks are aimed at.
+type InjectSink struct{}
+
+// Take accepts one struct argument.
+func (InjectSink) Take(p fixtures.PersonA) int { return p.Age }
+
+// sinkFrame renders an invoke request for InjectSink.Take exported as
+// "sink", followed by tail (its argument chunks, or broken framing).
+func sinkFrame(tail []byte) []byte {
+	return append(appendChunk(appendChunk(nil, "sink"), "Take"), tail...)
+}
+
 // TestMalformedFrameInjectionPlainLink replays the crasher corpora as
 // MsgObject and MsgInvokeRequest bodies over a live (unreliable) link
-// and asserts typed drop reporting plus continued service.
+// and asserts typed drop reporting plus continued service. Each corpus
+// entry also travels as the argument chunk of a well-formed invoke
+// frame, so it reaches the argument decoder behind the frame parser,
+// and malformed frames probe the parser itself: each such exchange
+// must be answered with an error reply.
 func TestMalformedFrameInjectionPlainLink(t *testing.T) {
 	var dropped atomic.Int64
 	var reasons sync.Map
@@ -112,9 +129,21 @@ func TestMalformedFrameInjectionPlainLink(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := nb.Peer().Export("sink", InjectSink{}); err != nil {
+		t.Fatal(err)
+	}
 	ca, ok := na.ConnTo("b")
 	if !ok {
 		t.Fatal("no conn a->b")
+	}
+	exchange := func(what string, body []byte) error {
+		t.Helper()
+		_, err := ca.request(MsgInvokeRequest, body)
+		var re *RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: got %v, want an error reply", what, err)
+		}
+		return err
 	}
 
 	// A well-formed object first, so the type handshake is done and
@@ -140,8 +169,18 @@ func TestMalformedFrameInjectionPlainLink(t *testing.T) {
 			if err := ca.send(&Message{Type: MsgInvokeRequest, Seq: 1 << 40, Body: p}); err != nil {
 				t.Fatalf("inject %s as invoke: %v", name, err)
 			}
-			injected += 2
+			// The same bytes as Take's argument: the frame parses, and
+			// the argument decoder refuses them.
+			if err := exchange("argument from "+name, sinkFrame(appendChunk(nil, p))); !strings.Contains(err.Error(), "arg 0: ") {
+				t.Fatalf("argument from %s: got %v, want the argument decoder's refusal", name, err)
+			}
+			injected += 3
 		}
+	}
+	exchange("chunk length past the end", sinkFrame([]byte{0, 0, 0, 9, 'x'}))
+	exchange("truncated chunk header", sinkFrame([]byte{0, 0}))
+	if err := exchange("one argument too many", sinkFrame(appendChunk(appendChunk(nil, "a"), "b"))); !errors.Is(err, ErrArityMismatch) {
+		t.Fatalf("one argument too many: got %v, want ErrArityMismatch", err)
 	}
 
 	// Continued service: well-formed traffic still flows on the very

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -57,9 +58,10 @@ type export struct {
 	methods map[string]exportMethod
 }
 
-// exportMethod is one exported method's invocation plan: its
-// parameter types and one codec program per parameter.
+// exportMethod is one exported method's invocation plan: its name,
+// its parameter types and one codec program per parameter.
 type exportMethod struct {
+	name  string
 	in    []reflect.Type
 	progs []*wire.Program
 }
@@ -827,18 +829,18 @@ var optimisticHead = []byte{flagOptimistic}
 // standing in for real CIL/bytecode.
 const codePadding = 4096
 
-func appendChunk(dst, chunk []byte) []byte {
-	n := len(chunk)
-	dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	return append(dst, chunk...)
+// appendChunk appends chunk behind its 4-byte big-endian length;
+// readChunk splits one such chunk off the front of src.
+func appendChunk[T string | []byte](dst []byte, chunk T) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(chunk))), chunk...)
 }
 
 func readChunk(src []byte) (chunk, rest []byte, err error) {
 	if len(src) < 4 {
 		return nil, nil, fmt.Errorf("%w: short chunk header", ErrBadFrame)
 	}
-	n := int(src[0])<<24 | int(src[1])<<16 | int(src[2])<<8 | int(src[3])
-	if n < 0 || n > len(src)-4 {
+	n := uint64(binary.BigEndian.Uint32(src))
+	if n > uint64(len(src)-4) {
 		return nil, nil, fmt.Errorf("%w: chunk length %d", ErrBadFrame, n)
 	}
 	return src[4 : 4+n], src[4+n:], nil

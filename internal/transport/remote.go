@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -17,34 +18,6 @@ import (
 // Remoting errors.
 var (
 	ErrNoSuchExport = errors.New("transport: no such exported object")
-)
-
-// invokePayload is the wire form of a remote invocation. Arguments
-// are encoded individually so the server can materialize each one
-// against the target parameter type.
-type invokePayload struct {
-	Object string
-	Method string
-	Args   [][]byte
-}
-
-// invokeReply is the wire form of invocation results. Code carries
-// the wire error code (errcode.go) classifying a non-empty Failure,
-// so the caller rehydrates the error identity; zero means "no known
-// sentinel" and decodes as plain ErrRemote.
-type invokeReply struct {
-	Results [][]byte
-	Failure string
-	Code    int
-}
-
-// The invocation envelope types never change, so their codec programs
-// compile once for the process (CompileProgram only fails on nil).
-var (
-	invokePayloadType    = reflect.TypeOf(invokePayload{})
-	invokeReplyType      = reflect.TypeOf(invokeReply{})
-	invokePayloadProg, _ = wire.CompileProgram(invokePayloadType)
-	invokeReplyProg, _   = wire.CompileProgram(invokeReplyType)
 )
 
 // valueProg picks the program that encodes v. A registered entry's
@@ -64,43 +37,46 @@ func (p *Peer) valueProg(planned *wire.Program, v interface{}) *wire.Program {
 	return planned
 }
 
-// encodeValues appends the encoding of each value to the pooled
-// scratch sc — through planned[i] when a plan covers every value
-// (valueProg decides) — and returns each encoding as a sub-slice of
-// it. On failure it reports the index of the value that failed. The
-// envelope around the parts is built in the same scratch and only it
-// is copied out: the envelope encoder copies every part, so no part
-// outlives the scratch.
-func (p *Peer) encodeValues(sc *bufpool.Buffer, planned []*wire.Program, vals []interface{}) ([][]byte, int, error) {
-	parts := make([][]byte, len(vals))
+// appendValues appends one chunk per value to the pooled scratch sc:
+// each value is encoded straight into sc — through planned[i] when a
+// plan covers every value (valueProg decides) — behind a 4-byte length
+// that is patched in place afterwards. On failure it reports the index
+// of the value that failed.
+func (p *Peer) appendValues(sc *bufpool.Buffer, planned []*wire.Program, vals []interface{}) (int, error) {
 	for i, v := range vals {
 		var prog *wire.Program
 		if len(planned) == len(vals) {
 			prog = planned[i]
 		}
-		start := len(sc.B)
-		buf, err := p.codec.EncodeCompiled(p.valueProg(prog, v), sc.B, v)
+		at := len(sc.B)
+		buf, err := p.codec.EncodeCompiled(p.valueProg(prog, v), append(sc.B, 0, 0, 0, 0), v)
 		if err != nil {
-			return nil, i, err
+			return i, err
 		}
-		// Earlier parts keep pointing into the array they were
-		// written to if this append moved the buffer.
+		binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 		sc.B = buf
-		parts[i] = buf[start:len(buf):len(buf)]
 	}
-	return parts, 0, nil
+	return 0, nil
 }
 
-// encodeEnvelope encodes an invoke envelope after the parts in the
-// scratch and returns an exact-size copy of it.
-func (p *Peer) encodeEnvelope(sc *bufpool.Buffer, prog *wire.Program, env interface{}) ([]byte, error) {
-	start := len(sc.B)
-	buf, err := p.codec.EncodeCompiled(prog, sc.B, env)
-	if err != nil {
-		return nil, err
+// Invoke bodies are runs of chunks (appendChunk). A MsgInvokeRequest
+// carries the export name, the method name in the server's vocabulary
+// and one codec-encoded chunk per argument, so the server materializes
+// each argument against its target parameter type; a MsgInvokeReply
+// carries one codec-encoded chunk per result, and a failed invocation
+// answers MsgError. The codec sees only argument and result values.
+//
+// parseInvokeRequest splits a request body into the export name, the
+// method name and the run of argument chunks, which it counts. The
+// framing of the whole body is checked before any argument is decoded.
+func parseInvokeRequest(body []byte) (object, method, args []byte, n int, err error) {
+	if object, args, err = readChunk(body); err == nil {
+		method, args, err = readChunk(args)
 	}
-	sc.B = buf
-	return append([]byte(nil), buf[start:]...), nil
+	for rest := args; err == nil && len(rest) > 0; n++ {
+		_, rest, err = readChunk(rest)
+	}
+	return object, method, args, n, err
 }
 
 // compileAll compiles one codec program per type. Plans compile
@@ -122,7 +98,7 @@ func exportMethods(t reflect.Type) map[string]exportMethod {
 	for i := 0; i < t.NumMethod(); i++ {
 		m := t.Method(i)
 		ft := m.Type
-		em := exportMethod{in: make([]reflect.Type, ft.NumIn()-1)}
+		em := exportMethod{name: m.Name, in: make([]reflect.Type, ft.NumIn()-1)}
 		for j := range em.in {
 			em.in[j] = ft.In(j + 1) // In(0) is the receiver
 		}
@@ -171,10 +147,10 @@ func (p *Peer) Unexport(name string) {
 	delete(p.exports, name)
 }
 
-func (p *Peer) lookupExport(name string) (*export, bool) {
+func (p *Peer) lookupExport(name []byte) (*export, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.exports[name]
+	e, ok := p.exports[string(name)]
 	return e, ok
 }
 
@@ -324,44 +300,13 @@ func (r *RemoteRef) Call(method string, args ...interface{}) ([]interface{}, err
 // arity mismatch, encode failure) surface here; everything else comes
 // from Wait.
 func (r *RemoteRef) CallAsync(method string, args ...interface{}) (*PendingCall, error) {
-	p := r.conn.peer
-	name := method
-	ordered := args
-	if r.mapping != nil {
-		mm, ok := r.mapping.MethodFor(method)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", proxy.ErrNoSuchMethod, method)
-		}
-		name = mm.Candidate
-		// An identity mapping carries no Perm (it does not know the
-		// arity; the server's typed check still applies). An explicit
-		// mapping's Perm is authoritative: a length mismatch is an
-		// arity error, never a silent unpermuted send.
-		if !r.mapping.Identity {
-			if len(mm.Perm) != len(args) {
-				return nil, fmt.Errorf("%w: %s takes %d args, got %d",
-					ErrArityMismatch, method, len(mm.Perm), len(args))
-			}
-			if len(args) > 0 {
-				ordered = make([]interface{}, len(args))
-				for i, slot := range mm.Perm {
-					ordered[slot] = args[i]
-				}
-			}
-		}
-	}
-
-	plan := r.plans[method]
 	sc := bufpool.Get()
 	defer bufpool.Put(sc)
-	encoded, i, err := p.encodeValues(sc, plan.args, ordered)
-	if err != nil {
-		return nil, fmt.Errorf("transport: encode arg %d: %w", i, err)
-	}
-	body, err := p.encodeEnvelope(sc, invokePayloadProg, invokePayload{Object: r.name, Method: name, Args: encoded})
+	plan, err := r.appendRequest(sc, method, args)
 	if err != nil {
 		return nil, err
 	}
+	body := append([]byte(nil), sc.B...)
 
 	if err := r.conn.pacer.acquire(); err != nil {
 		return nil, err
@@ -374,6 +319,45 @@ func (r *RemoteRef) CallAsync(method string, args ...interface{}) (*PendingCall,
 		return nil, err
 	}
 	return &PendingCall{ref: r, pr: pr, resultTypes: plan.results}, nil
+}
+
+// appendRequest appends the request body of an invocation of the
+// expected-type method to sc: the mapping translates the method name
+// and argument order, and the call plan, which it returns, encodes the
+// arguments.
+func (r *RemoteRef) appendRequest(sc *bufpool.Buffer, method string, args []interface{}) (callPlan, error) {
+	name := method
+	ordered := args
+	if r.mapping != nil {
+		mm, ok := r.mapping.MethodFor(method)
+		if !ok {
+			return callPlan{}, fmt.Errorf("%w: %s", proxy.ErrNoSuchMethod, method)
+		}
+		name = mm.Candidate
+		// An identity mapping carries no Perm (it does not know the
+		// arity; the server's typed check still applies). An explicit
+		// mapping's Perm is authoritative: a length mismatch is an
+		// arity error, never a silent unpermuted send.
+		if !r.mapping.Identity {
+			if len(mm.Perm) != len(args) {
+				return callPlan{}, fmt.Errorf("%w: %s takes %d args, got %d",
+					ErrArityMismatch, method, len(mm.Perm), len(args))
+			}
+			if len(args) > 0 {
+				ordered = make([]interface{}, len(args))
+				for i, slot := range mm.Perm {
+					ordered[slot] = args[i]
+				}
+			}
+		}
+	}
+
+	plan := r.plans[method]
+	sc.B = appendChunk(appendChunk(sc.B, r.name), name)
+	if i, err := r.conn.peer.appendValues(sc, plan.args, ordered); err != nil {
+		return callPlan{}, fmt.Errorf("transport: encode arg %d: %w", i, err)
+	}
+	return plan, nil
 }
 
 // PendingCall is one in-flight pipelined invocation. Wait is safe to
@@ -403,19 +387,16 @@ func (pc *PendingCall) finish() ([]interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.codec.DecodeCompiled(invokeReplyProg, reply.Body, invokeReplyType, nil, "")
-	if err != nil {
-		return nil, fmt.Errorf("transport: decode invoke reply: %w", err)
-	}
-	rep := out.(invokeReply)
-	if rep.Failure != "" {
-		return nil, &RemoteError{code: wireErrCode(rep.Code), Msg: rep.Failure}
-	}
-	results := make([]interface{}, len(rep.Results))
-	for i, raw := range rep.Results {
+	results := make([]interface{}, 0, len(pc.resultTypes))
+	for rest := reply.Body; len(rest) > 0; {
+		var raw []byte
+		if raw, rest, err = readChunk(rest); err != nil {
+			return nil, fmt.Errorf("transport: decode invoke reply: %w", err)
+		}
+		i := len(results)
 		if i < len(pc.resultTypes) {
 			if v, ok := p.typedResult(pc.resultTypes[i], raw); ok {
-				results[i] = v
+				results = append(results, v)
 				continue
 			}
 		}
@@ -423,7 +404,7 @@ func (pc *PendingCall) finish() ([]interface{}, error) {
 		if err != nil {
 			return nil, fmt.Errorf("transport: decode result %d: %w", i, err)
 		}
-		results[i] = p.nativizeResult(gv)
+		results = append(results, p.nativizeResult(gv))
 	}
 	return results, nil
 }
@@ -461,70 +442,66 @@ func (p *Peer) nativizeResult(gv wire.Value) interface{} {
 	return obj
 }
 
-// handleInvoke services MsgInvokeRequest: decode arguments against
-// the target method's parameter types, call through the identity
-// invoker, serialize the results.
+// handleInvoke services MsgInvokeRequest: the reply body is the
+// result chunks invoke writes, and any failure answers MsgError.
 func (p *Peer) handleInvoke(c *Conn, m *Message) {
 	p.stats.add(cInvokes, 1)
-	out, err := p.codec.DecodeCompiled(invokePayloadProg, m.Body, invokePayloadType, nil, "")
-	if err != nil {
-		_ = c.replyError(m, fmt.Errorf("bad invoke payload: %v", err))
+	sc := bufpool.Get()
+	defer bufpool.Put(sc)
+	if err := p.invoke(sc, m.Body); err != nil {
+		_ = c.replyError(m, err)
 		return
 	}
-	payload := out.(invokePayload)
+	_ = c.reply(m, MsgInvokeReply, append([]byte(nil), sc.B...))
+}
 
-	exp, ok := p.lookupExport(payload.Object)
+// invoke decodes a request body's arguments against the target
+// method's parameter types, calls through the identity invoker and
+// appends the result chunks to sc.
+func (p *Peer) invoke(sc *bufpool.Buffer, body []byte) error {
+	object, method, raw, n, err := parseInvokeRequest(body)
+	if err != nil {
+		return fmt.Errorf("bad invoke payload: %v", err)
+	}
+	exp, ok := p.lookupExport(object)
 	if !ok {
-		_ = c.replyError(m, fmt.Errorf("%w: %s", ErrNoSuchExport, payload.Object))
-		return
+		return fmt.Errorf("%w: %s", ErrNoSuchExport, object)
 	}
-	meth, ok := exp.methods[payload.Method]
+	meth, ok := exp.methods[string(method)]
 	if !ok {
-		_ = c.replyError(m, fmt.Errorf("%w: %s on %s", proxy.ErrNoSuchMethod, payload.Method, exp.desc.Name))
-		return
+		return fmt.Errorf("%w: %s on %s", proxy.ErrNoSuchMethod, method, exp.desc.Name)
 	}
-	if len(meth.in) != len(payload.Args) {
-		_ = c.replyError(m, fmt.Errorf("%w: %s takes %d args, got %d",
-			ErrArityMismatch, payload.Method, len(meth.in), len(payload.Args)))
-		return
+	if len(meth.in) != n {
+		return fmt.Errorf("%w: %s takes %d args, got %d", ErrArityMismatch, method, len(meth.in), n)
 	}
-	args := make([]interface{}, len(payload.Args))
+	args := make([]interface{}, n)
 	resolve := p.binder.FieldResolver()
-	for i, raw := range payload.Args {
+	for i := range args {
+		var arg []byte
+		arg, raw, _ = readChunk(raw) // framing checked by parseInvokeRequest
 		// The binder resolver's behaviour can still change while
 		// descriptions are being learned, so its materializer tables
 		// are built per decode (fp ""), not memoized.
-		av, err := p.codec.DecodeCompiled(meth.progs[i], raw, meth.in[i], resolve, "")
+		av, err := p.codec.DecodeCompiled(meth.progs[i], arg, meth.in[i], resolve, "")
 		if err != nil {
-			_ = c.replyError(m, fmt.Errorf("arg %d: %v", i, err))
-			return
+			return fmt.Errorf("arg %d: %v", i, err)
 		}
 		args[i] = av
 	}
 
-	p.emit(EventInvoked, exp.desc.Ref(), payload.Method)
-	results, err := p.callExport(exp, payload.Method, args)
-	sc := bufpool.Get()
-	defer bufpool.Put(sc)
-	rep := invokeReply{}
+	p.emit(EventInvoked, exp.desc.Ref(), meth.name)
+	results, err := p.callExport(exp, meth.name, args)
 	if err != nil {
-		rep.Failure = err.Error()
-		rep.Code = int(codeForError(err))
-	} else if parts, i, err := p.encodeValues(sc, nil, results); err != nil {
-		rep.Failure = fmt.Sprintf("encode result %d: %v", i, err)
-	} else {
-		rep.Results = parts
+		return err
 	}
-	body, err := p.encodeEnvelope(sc, invokeReplyProg, rep)
-	if err != nil {
-		_ = c.replyError(m, err)
-		return
+	if i, err := p.appendValues(sc, nil, results); err != nil {
+		return fmt.Errorf("encode result %d: %v", i, err)
 	}
-	_ = c.reply(m, MsgInvokeReply, body)
+	return nil
 }
 
 // callExport runs the exported method, converting a panic into an
-// error so a misbehaving method produces a Failure reply instead of
+// error so a misbehaving method produces an error reply instead of
 // killing its worker goroutine — the peer keeps serving.
 func (p *Peer) callExport(exp *export, method string, args []interface{}) (results []interface{}, err error) {
 	defer func() {
@@ -539,7 +516,7 @@ func (p *Peer) callExport(exp *export, method string, args []interface{}) (resul
 // handleLookup services MsgLookupRequest: return the exported
 // object's type reference.
 func (p *Peer) handleLookup(c *Conn, m *Message) {
-	exp, ok := p.lookupExport(string(m.Body))
+	exp, ok := p.lookupExport(m.Body)
 	if !ok {
 		_ = c.replyError(m, fmt.Errorf("%w: %q", ErrNoSuchExport, m.Body))
 		return

@@ -165,9 +165,11 @@ func CompileProgramNamed(t reflect.Type, rootName string) (*Program, error) {
 		return p, err
 	}
 	p.rootName = rootName
-	if p.root != nil && p.root.op == opStruct {
-		p.root.soapAttr = soapAttrFor(rootName)
-		p.root.binPrefix = structBinPrefixNamed(rootName, len(p.root.fields))
+	if r := p.root; r != nil && r.op == opStruct {
+		// A node of the root's own: values a recursive type nests keep
+		// the Go spelling, as the reflective encoder writes them.
+		p.root = &progNode{op: opStruct, typ: r.typ, fields: r.fields, nameTab: r.nameTab,
+			soapAttr: soapAttrFor(rootName), binPrefix: structBinPrefixNamed(rootName, len(r.fields))}
 	}
 	return p, nil
 }

@@ -145,6 +145,41 @@ func TestCompiledEncodeMatchesReflective(t *testing.T) {
 			}
 		})
 	}
+
+	// A renamed recursive type: only the root carries the logical
+	// name, nested values keep the Go spelling.
+	named, err := CompileProgramNamed(reflect.TypeOf(recTree{}), "Tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !named.Direct() {
+		t.Fatal("recursive tree must compile to a direct program")
+	}
+	tree := recTree{Name: "root", Kids: []recTree{{Name: "a", Kids: []recTree{{Name: "b"}}}, {Name: "c"}}}
+	for _, c := range []struct {
+		codec  Codec
+		encode func(Value) ([]byte, error)
+	}{{SOAP{}, EncodeSOAP}, {Binary{}, EncodeBinary}} {
+		want, err := reflectEncode(named, nil, tree, c.encode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.codec.EncodeCompiled(named, nil, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("renamed recursive %s: compiled and reflective encodings differ\n got %q\nwant %q",
+				c.codec.Name(), got, want)
+		}
+	}
+}
+
+// recTree is a recursive struct; TestCompiledEncodeMatchesReflective
+// compiles it under the logical name "Tree".
+type recTree struct {
+	Name string
+	Kids []recTree
 }
 
 // TestCompiledEncodeNilMatchesReflective pins the top-level nil — a
