@@ -161,7 +161,7 @@ bench-plan:
 # wire table) plus the end-to-end SendObject paths over an in-memory
 # pipe and over the simulation fabric.
 bench-wire:
-	$(GO) test -run '^$$' -bench 'EncodeBinary|EncodeSOAP|DecodeBinary' -benchmem ./internal/wire
+	$(GO) test -run '^$$' -bench '(Encode|Decode)(Binary|SOAP)' -benchmem ./internal/wire
 	$(GO) test -run '^$$' -bench 'SendObject' -benchmem ./internal/transport
 
 # The gated experiments in one seeded run: fabric fault-profile

@@ -195,7 +195,7 @@ func BenchmarkObjectSerializeSOAP(b *testing.B) {
 	codec := wire.SOAP{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.Encode(person); err != nil {
+		if _, err := codec.EncodeCompiled(nil, nil, person); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,14 +205,14 @@ func BenchmarkObjectSerializeSOAP(b *testing.B) {
 // 1.32 ms).
 func BenchmarkObjectDeserializeSOAP(b *testing.B) {
 	codec := wire.SOAP{}
-	data, err := codec.Encode(fixtures.PersonA{Name: "Serial", Age: 30})
+	data, err := codec.EncodeCompiled(nil, nil, fixtures.PersonA{Name: "Serial", Age: 30})
 	if err != nil {
 		b.Fatal(err)
 	}
 	target := reflect.TypeOf(fixtures.PersonA{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.Decode(data, target, nil); err != nil {
+		if _, err := codec.DecodeCompiled(nil, data, target, nil, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -225,7 +225,7 @@ func BenchmarkObjectSerializeBinary(b *testing.B) {
 	codec := wire.Binary{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.Encode(person); err != nil {
+		if _, err := codec.EncodeCompiled(nil, nil, person); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,14 +234,14 @@ func BenchmarkObjectSerializeBinary(b *testing.B) {
 // BenchmarkObjectDeserializeBinary measures the binary alternative.
 func BenchmarkObjectDeserializeBinary(b *testing.B) {
 	codec := wire.Binary{}
-	data, err := codec.Encode(fixtures.PersonA{Name: "Serial", Age: 30})
+	data, err := codec.EncodeCompiled(nil, nil, fixtures.PersonA{Name: "Serial", Age: 30})
 	if err != nil {
 		b.Fatal(err)
 	}
 	target := reflect.TypeOf(fixtures.PersonA{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.Decode(data, target, nil); err != nil {
+		if _, err := codec.DecodeCompiled(nil, data, target, nil, ""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -87,20 +87,20 @@ func exp73(reps int) error {
 	soap := wire.SOAP{}
 	bin := wire.Binary{}
 
-	soapData, err := soap.Encode(person)
+	soapData, err := soap.EncodeCompiled(nil, nil, person)
 	if err != nil {
 		return err
 	}
-	binData, err := bin.Encode(person)
+	binData, err := bin.EncodeCompiled(nil, nil, person)
 	if err != nil {
 		return err
 	}
 	target := reflect.TypeOf(fixtures.PersonA{})
 
-	soapSer := measure(reps, 5_000, func() { _, _ = soap.Encode(person) })
-	soapDe := measure(reps, 5_000, func() { _, _ = soap.Decode(soapData, target, nil) })
-	binSer := measure(reps, 20_000, func() { _, _ = bin.Encode(person) })
-	binDe := measure(reps, 20_000, func() { _, _ = bin.Decode(binData, target, nil) })
+	soapSer := measure(reps, 5_000, func() { _, _ = soap.EncodeCompiled(nil, nil, person) })
+	soapDe := measure(reps, 5_000, func() { _, _ = soap.DecodeCompiled(nil, soapData, target, nil, "") })
+	binSer := measure(reps, 20_000, func() { _, _ = bin.EncodeCompiled(nil, nil, person) })
+	binDe := measure(reps, 20_000, func() { _, _ = bin.DecodeCompiled(nil, binData, target, nil, "") })
 
 	row("SOAP serialize object", "16.68ms", fmtDur(soapSer), "")
 	row("SOAP deserialize object", "1.32ms", fmtDur(soapDe),

@@ -98,7 +98,7 @@ func expRecv(reps int) ([]benchfmt.Row, error) {
 		"row", "compiled", "reflective", "speedup", "allocs")
 
 	for _, codec := range []wire.Codec{wire.SOAP{}, wire.Binary{}} {
-		data, err := codec.Encode(sample)
+		data, err := codec.EncodeCompiled(nil, nil, sample)
 		if err != nil {
 			return nil, err
 		}

@@ -297,8 +297,8 @@ type Binder struct {
 	// must never be conflated on a shared program.
 	fp string
 
-	// resolve is resolveField, bound once so FieldResolver does not
-	// allocate.
+	// resolve is the binder's field resolution for sources named by
+	// name only, bound once so DecodeValue does not allocate.
 	resolve wire.FieldResolver
 
 	// last memoizes the (source ref, target description) pair bound
@@ -306,21 +306,24 @@ type Binder struct {
 	// every message and then needs neither a checker lookup nor a
 	// fresh resolver closure.
 	last atomic.Pointer[bindMemo]
+
+	// value memoizes DecodeValue's fingerprint; only gen and fp are set.
+	value atomic.Pointer[bindMemo]
 }
 
 // bindMemo is one memoized binding pair. The target is compared by
 // pointer: re-registration installs a fresh description, which misses
 // the memo. The source is the full ref — name and identity — so two
-// versions of one logical name never share a slot.
+// versions of one logical name never share a slot; a name-only one
+// also keys on the description generation (0 for an identity).
 type bindMemo struct {
 	src    typedesc.TypeRef
+	gen    uint64
 	target *typedesc.TypeDescription
 	m      *conform.Mapping
 	// resolve is the field resolver pinned to this pair: the root
 	// object maps through m, nested objects through their own pairs.
-	// fp is its materializer fingerprint ("" when src carries no
-	// identity, so a name-only resolution, which follows the latest
-	// version, is never memoized).
+	// fp is its materializer fingerprint.
 	resolve wire.FieldResolver
 	fp      string
 }
@@ -337,7 +340,9 @@ func NewBinder(reg *registry.Registry, checker *conform.Checker) *Binder {
 		checker: checker,
 		fp:      "binder-" + strconv.FormatUint(binderSeq.Add(1), 10),
 	}
-	b.resolve = b.resolveField
+	b.resolve = func(target reflect.Type, source *wire.Object, field string) string {
+		return b.resolveFieldRef(typedesc.TypeRef{}, target, source, field)
+	}
 	return b
 }
 
@@ -444,15 +449,22 @@ func (b *Binder) bindEntry(obj *wire.Object, src typedesc.TypeRef, entry *regist
 // memoFor returns the mapping, pinned resolver and fingerprint for
 // binding src as entry's type, from the single-entry memo when the
 // pair repeats. A non-conformant pair is an error and is not memoized.
+// The fingerprint of a source pinned by identity names the binder and
+// the identity; a name-only source maps through whatever description
+// is latest, so its fingerprint names the description generation too.
 func (b *Binder) memoFor(src typedesc.TypeRef, entry *registry.Entry) (*bindMemo, error) {
-	if mm := b.last.Load(); mm != nil && mm.src == src && mm.target == entry.Description {
+	var gen uint64
+	if src.Identity.IsNil() {
+		gen = b.generation()
+	}
+	if mm := b.last.Load(); mm != nil && mm.src == src && mm.gen == gen && mm.target == entry.Description {
 		return mm, nil
 	}
 	m, err := b.mappingForRef(src, entry.Description)
 	if err != nil {
 		return nil, err
 	}
-	mm := &bindMemo{src: src, target: entry.Description, m: m}
+	mm := &bindMemo{src: src, gen: gen, target: entry.Description, m: m}
 	mm.resolve = func(t reflect.Type, source *wire.Object, field string) string {
 		// The root object maps through the pair's own mapping, which
 		// also holds when src is another version of entry's name.
@@ -464,28 +476,35 @@ func (b *Binder) memoFor(src typedesc.TypeRef, entry *registry.Entry) (*bindMemo
 		}
 		return b.resolveFieldRef(src, t, source, field)
 	}
-	if !src.Identity.IsNil() {
+	if src.Identity.IsNil() {
+		mm.fp = b.fp + "|" + src.Name + "@" + strconv.FormatUint(gen, 10)
+	} else {
 		mm.fp = b.fp + "|" + src.Identity.String()
 	}
 	b.last.Store(mm)
 	return mm, nil
 }
 
-// FieldResolver exposes the binder's mapped field resolution for use
-// with wire codecs directly (the transport layer decodes invocation
-// arguments this way).
-func (b *Binder) FieldResolver() wire.FieldResolver { return b.resolve }
-
-// BindValue materializes any generic value (object, list, map or
-// primitive) into the given Go type with mapped field names.
-func (b *Binder) BindValue(v wire.Value, t reflect.Type) (interface{}, error) {
-	return wire.ToGo(v, t, b.resolve)
+// DecodeValue materializes data, one encoded value of any shape (an
+// invocation argument), as type t through prog (nil: reflectively),
+// mapping every object's fields through the binder. Its sources are
+// named by name only, so its fingerprint names the generation.
+func (b *Binder) DecodeValue(codec wire.Codec, prog *wire.Program, data []byte, t reflect.Type) (interface{}, error) {
+	gen := b.generation()
+	mm := b.value.Load()
+	if mm == nil || mm.gen != gen {
+		mm = &bindMemo{gen: gen, fp: b.fp + "@" + strconv.FormatUint(gen, 10)}
+		b.value.Store(mm)
+	}
+	return codec.DecodeCompiled(prog, data, t, b.resolve, mm.fp)
 }
 
-// resolveField is the wire.FieldResolver consulting conformance
-// mappings per (source type, target type) pair.
-func (b *Binder) resolveField(target reflect.Type, source *wire.Object, field string) string {
-	return b.resolveFieldRef(typedesc.TypeRef{}, target, source, field)
+// generation sums the change counters of every description source
+// the binder's resolution consults: the registry, its descriptions and
+// the checker's resolver. Read before resolving, it files a table
+// built while a description arrives under the older generation.
+func (b *Binder) generation() uint64 {
+	return b.reg.Generation() + b.reg.Descriptions().Generation() + b.checker.Generation()
 }
 
 // resolveFieldRef maps the target's field name onto the source

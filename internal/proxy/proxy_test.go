@@ -314,19 +314,167 @@ func TestBindRejectsNonConformant(t *testing.T) {
 	}
 }
 
-func TestBindValueList(t *testing.T) {
+func TestDecodeValueList(t *testing.T) {
 	_, _, binder := newWorld(t)
-	gv, err := wire.FromGo([]int{1, 2, 3})
+	for _, codec := range []wire.Codec{wire.SOAP{}, wire.Binary{}} {
+		data, err := codec.EncodeCompiled(nil, nil, []int{1, 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ := reflect.TypeOf([]int{})
+		prog, err := wire.CompileProgram(typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := binder.DecodeValue(codec, prog, data, typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := out.([]int); len(s) != 3 || s[2] != 3 {
+			t.Errorf("%s: DecodeValue = %v", codec.Name(), s)
+		}
+	}
+}
+
+// memoQuote is the local type of the memo tests. quoteSame and
+// quoteRenamed describe two versions of the source name "Quote": the
+// first maps member for member, the second renames Cost to Costs,
+// which Relaxed(1) still matches.
+type memoQuote struct {
+	Symbol string
+	Cost   float64
+}
+
+type quoteSame struct {
+	Symbol string
+	Cost   float64
+}
+
+type quoteRenamed struct {
+	Symbol string
+	Costs  float64
+}
+
+// memoWorld registers memoQuote and returns its entry, the binder,
+// the repository of learned descriptions, and one "Quote" payload per
+// codec whose Cost and Costs fields differ, so the decoded Cost shows
+// which mapping the decode followed.
+func memoWorld(t *testing.T) (*registry.Entry, *Binder, *typedesc.Repository, map[wire.Codec][]byte) {
+	t.Helper()
+	reg := registry.New()
+	entry, err := reg.Register(memoQuote{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := binder.BindValue(gv, reflect.TypeOf([]int{}))
+	learned := typedesc.NewRepository()
+	checker := conform.New(typedesc.MultiResolver{reg, learned}, conform.WithPolicy(conform.Relaxed(1)))
+	src := &wire.Object{TypeName: "Quote", Fields: []wire.FieldValue{
+		{Name: "Symbol", Value: "Q"}, {Name: "Cost", Value: 1.0}, {Name: "Costs", Value: 2.0},
+	}}
+	payloads := map[wire.Codec][]byte{}
+	for codec, encode := range map[wire.Codec]func(wire.Value) ([]byte, error){
+		wire.SOAP{}: wire.EncodeSOAP, wire.Binary{}: wire.EncodeBinary,
+	} {
+		if payloads[codec], err = encode(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return entry, NewBinder(reg, checker), learned, payloads
+}
+
+func learnQuote(t *testing.T, learned *typedesc.Repository, v interface{}) {
+	t.Helper()
+	d, err := typedesc.Describe(reflect.TypeOf(v), typedesc.WithName("Quote"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := out.([]int)
-	if len(s) != 3 || s[2] != 3 {
-		t.Errorf("BindValue = %v", s)
+	if err := learned.Add(d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeValueMemoFollowsDescriptions decodes one name-only
+// payload through the argument path before and after a description
+// of its source type is learned: the memoized materializer table must
+// not outlive the description generation it was built under.
+func TestDecodeValueMemoFollowsDescriptions(t *testing.T) {
+	for _, codec := range []wire.Codec{wire.SOAP{}, wire.Binary{}} {
+		t.Run(codec.Name(), func(t *testing.T) {
+			entry, binder, learned, payloads := memoWorld(t)
+			data := payloads[codec]
+			typ := reflect.PtrTo(entry.Type)
+			prog, err := entry.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			decode := func(wantCost float64) {
+				t.Helper()
+				gv, err := codec.DecodeGeneric(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := wire.ToGo(gv, typ, binder.resolve)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					got, err := binder.DecodeValue(codec, prog, data, typ)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("decode %d: got %+v, reflective %+v", i, got, want)
+					}
+				}
+				if c := want.(*memoQuote).Cost; c != wantCost {
+					t.Fatalf("reflective Cost = %v, want %v", c, wantCost)
+				}
+			}
+			decode(1) // no description of Quote: names map as identity
+			learnQuote(t, learned, quoteRenamed{})
+			decode(2) // Cost now maps to Costs
+		})
+	}
+}
+
+// TestDeserializeCompiledNameOnlyFollowsDescriptions is the typed
+// result path's counterpart: a name-only source ref binds through the
+// latest description of its name, and a newer version learned between
+// two decodes changes the mapping the next decode follows.
+func TestDeserializeCompiledNameOnlyFollowsDescriptions(t *testing.T) {
+	for _, codec := range []wire.Codec{wire.SOAP{}, wire.Binary{}} {
+		t.Run(codec.Name(), func(t *testing.T) {
+			entry, binder, learned, payloads := memoWorld(t)
+			data := payloads[codec]
+			src := typedesc.TypeRef{Name: "Quote"}
+			decode := func(wantCost float64) {
+				t.Helper()
+				obj, err := DecodeObject(codec, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := binder.bindEntry(obj, src, entry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					got, _, ok := binder.DeserializeCompiled(codec, entry, data, src)
+					if !ok {
+						t.Fatalf("decode %d: compiled decode declined", i)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("decode %d: got %+v, reflective %+v", i, got, want)
+					}
+				}
+				if c := want.(*memoQuote).Cost; c != wantCost {
+					t.Fatalf("reflective Cost = %v, want %v", c, wantCost)
+				}
+			}
+			learnQuote(t, learned, quoteSame{})
+			decode(1)
+			learnQuote(t, learned, quoteRenamed{})
+			decode(2)
+		})
 	}
 }
 

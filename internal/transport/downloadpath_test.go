@@ -50,7 +50,7 @@ func TestDownloadPathFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := wire.Binary{}.Encode(fixtures.PersonB{PersonName: "ViaHTTP", PersonAge: 12})
+	payload, err := wire.Binary{}.EncodeCompiled(nil, nil, fixtures.PersonB{PersonName: "ViaHTTP", PersonAge: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestDownloadPathMissingDrops(t *testing.T) {
 	}
 	cr, _ := Connect(relay, receiver)
 
-	payload, _ := wire.Binary{}.Encode(fixtures.PersonB{PersonName: "Lost"})
+	payload, _ := wire.Binary{}.EncodeCompiled(nil, nil, fixtures.PersonB{PersonName: "Lost"})
 	env := &xmlenc.Envelope{
 		Type:     typedesc.RefOf(refTypePersonB()),
 		Encoding: xmlenc.EncodingBinary,

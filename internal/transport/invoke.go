@@ -92,11 +92,15 @@ type invokePacer struct {
 	cond     *sync.Cond
 	inflight int
 	closed   bool
+	// releaseFn is release bound once, so handing it to each
+	// exchange allocates no closure.
+	releaseFn func()
 }
 
 func (pc *invokePacer) init(c *Conn) {
 	pc.c = c
 	pc.cond = sync.NewCond(&pc.mu)
+	pc.releaseFn = pc.release
 }
 
 // window is the current in-flight allowance: MaxInflight, tightened

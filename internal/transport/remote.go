@@ -314,7 +314,7 @@ func (r *RemoteRef) CallAsync(method string, args ...interface{}) (*PendingCall,
 	// The pacer slot is released when the exchange settles (reply
 	// arrived or failed), via the startRequest hook — including on
 	// immediate send failure.
-	pr, err := r.conn.startRequest(MsgInvokeRequest, body, r.conn.pacer.release)
+	pr, err := r.conn.startRequest(MsgInvokeRequest, body, r.conn.pacer.releaseFn)
 	if err != nil {
 		return nil, err
 	}
@@ -475,14 +475,10 @@ func (p *Peer) invoke(sc *bufpool.Buffer, body []byte) error {
 		return fmt.Errorf("%w: %s takes %d args, got %d", ErrArityMismatch, method, len(meth.in), n)
 	}
 	args := make([]interface{}, n)
-	resolve := p.binder.FieldResolver()
 	for i := range args {
 		var arg []byte
 		arg, raw, _ = readChunk(raw) // framing checked by parseInvokeRequest
-		// The binder resolver's behaviour can still change while
-		// descriptions are being learned, so its materializer tables
-		// are built per decode (fp ""), not memoized.
-		av, err := p.codec.DecodeCompiled(meth.progs[i], arg, meth.in[i], resolve, "")
+		av, err := p.binder.DecodeValue(p.codec, meth.progs[i], arg, meth.in[i])
 		if err != nil {
 			return fmt.Errorf("arg %d: %v", i, err)
 		}

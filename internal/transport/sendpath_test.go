@@ -123,7 +123,7 @@ func TestSendObjectCompiledWireEquivalence(t *testing.T) {
 
 	// Reconstruct the seed path's bytes: reflective payload encode +
 	// full envelope marshal.
-	payload, err := wire.Binary{}.Encode(v)
+	payload, err := wire.Binary{}.EncodeCompiled(nil, nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}

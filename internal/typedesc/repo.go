@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"pti/internal/guid"
 )
@@ -30,6 +31,7 @@ type Repository struct {
 	byName map[string]*TypeDescription
 	hits   uint64
 	misses uint64
+	gen    atomic.Uint64 // counts Adds
 }
 
 var _ Resolver = (*Repository)(nil)
@@ -59,8 +61,12 @@ func (r *Repository) Add(d *TypeDescription) error {
 	if c.Name != "" {
 		r.byName[c.Name] = c
 	}
+	r.gen.Add(1)
 	return nil
 }
+
+// Generation returns the repository's change counter.
+func (r *Repository) Generation() uint64 { return r.gen.Load() }
 
 // Resolve implements Resolver: identity match first, then name.
 func (r *Repository) Resolve(ref TypeRef) (*TypeDescription, error) {
@@ -148,6 +154,19 @@ func (m MultiResolver) Resolve(ref TypeRef) (*TypeDescription, error) {
 		firstErr = fmt.Errorf("%w: %s", ErrNotFound, ref)
 	}
 	return nil, firstErr
+}
+
+// Generation sums the change counters of the member resolvers that
+// keep one (repositories, registries, nested MultiResolvers). Each
+// counter only grows, so a change to any member changes the sum.
+func (m MultiResolver) Generation() uint64 {
+	var g uint64
+	for _, r := range m {
+		if c, ok := r.(interface{ Generation() uint64 }); ok {
+			g += c.Generation()
+		}
+	}
+	return g
 }
 
 // ResolverFunc adapts a function to the Resolver interface.

@@ -11,23 +11,20 @@ type Codec interface {
 	// Name tags the encoding ("soap" or "binary"), matching the
 	// envelope attribute.
 	Name() string
-	// Encode serializes a Go value.
-	Encode(v interface{}) ([]byte, error)
 	// DecodeGeneric parses a stream into the generic model — the
 	// path taken when the receiver does not (yet) know the type.
 	DecodeGeneric(data []byte) (Value, error)
-	// Decode materializes a stream into a Go value of type t,
-	// translating field names through resolve (nil = identity).
-	Decode(data []byte, t reflect.Type, resolve FieldResolver) (interface{}, error)
 	// EncodeCompiled appends the encoding of v to dst through prog's
 	// compiled fast path, transparently falling back to the
 	// reflective path when prog is nil, not direct, or does not match
 	// v's type. dst may be nil; reusing it across calls makes the
 	// steady-state encode allocation-free.
 	EncodeCompiled(prog *Program, dst []byte, v interface{}) ([]byte, error)
-	// DecodeCompiled materializes a stream into a Go value of type t
-	// through prog's compiled materializer, with the same transparent
-	// fallback. fp fingerprints the resolver's behaviour for
+	// DecodeCompiled materializes a stream into a Go value of type t,
+	// translating field names through resolve (nil = identity),
+	// through prog's compiled materializer with the same transparent
+	// fallback (a nil prog decodes reflectively: DecodeGeneric, then
+	// ToGo). fp fingerprints the resolver's behaviour for
 	// materializer-table memoization ("" = do not memoize; identity
 	// decodes, resolve == nil, are always memoized).
 	DecodeCompiled(prog *Program, data []byte, t reflect.Type, resolve FieldResolver, fp string) (interface{}, error)
@@ -55,93 +52,63 @@ var (
 // Name implements Codec.
 func (SOAP) Name() string { return "soap" }
 
-// Encode implements Codec.
-func (SOAP) Encode(v interface{}) ([]byte, error) {
-	return reflectEncode(nil, nil, v, EncodeSOAP)
-}
-
 // DecodeGeneric implements Codec.
-func (SOAP) DecodeGeneric(data []byte) (Value, error) {
-	return DecodeSOAP(data)
-}
-
-// Decode implements Codec.
-func (SOAP) Decode(data []byte, t reflect.Type, resolve FieldResolver) (interface{}, error) {
-	gv, err := DecodeSOAP(data)
-	if err != nil {
-		return nil, err
-	}
-	return ToGo(gv, t, resolve)
-}
+func (SOAP) DecodeGeneric(data []byte) (Value, error) { return DecodeSOAP(data) }
 
 // EncodeCompiled implements Codec.
 func (SOAP) EncodeCompiled(prog *Program, dst []byte, v interface{}) ([]byte, error) {
-	if prog != nil && prog.Direct() {
-		out, ok, err := prog.AppendSOAP(dst, v)
-		if ok {
-			return out, err
-		}
-	}
-	return reflectEncode(prog, dst, v, EncodeSOAP)
+	return encodeCompiled(prog, dst, v, (*Program).AppendSOAP, EncodeSOAP)
 }
 
 // DecodeCompiled implements Codec.
-func (c SOAP) DecodeCompiled(prog *Program, data []byte, t reflect.Type, resolve FieldResolver, fp string) (interface{}, error) {
-	if prog != nil {
-		if out, ok := prog.DecodeSOAP(data, t, resolve, fp); ok {
-			return out, nil
-		}
-	}
-	return c.Decode(data, t, resolve)
+func (SOAP) DecodeCompiled(prog *Program, data []byte, t reflect.Type, resolve FieldResolver, fp string) (interface{}, error) {
+	return decodeCompiled(prog, data, t, resolve, fp, (*Program).decodeSOAP, DecodeSOAP)
 }
 
 // DecodeObjectFast implements Codec.
 func (SOAP) DecodeObjectFast(prog *Program, data []byte, t reflect.Type, resolve FieldResolver, fp, srcName string) (interface{}, bool) {
-	if prog == nil {
+	if prog == nil || srcName == "" {
 		return nil, false
 	}
-	return prog.DecodeSOAPObject(data, t, resolve, fp, srcName)
+	return prog.decodeSOAP(data, t, resolve, fp, srcName)
 }
 
 // Name implements Codec.
 func (Binary) Name() string { return "binary" }
 
-// Encode implements Codec.
-func (Binary) Encode(v interface{}) ([]byte, error) {
-	return reflectEncode(nil, nil, v, EncodeBinary)
-}
-
 // DecodeGeneric implements Codec.
-func (Binary) DecodeGeneric(data []byte) (Value, error) {
-	return DecodeBinary(data)
-}
-
-// Decode implements Codec.
-func (Binary) Decode(data []byte, t reflect.Type, resolve FieldResolver) (interface{}, error) {
-	gv, err := DecodeBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	return ToGo(gv, t, resolve)
-}
+func (Binary) DecodeGeneric(data []byte) (Value, error) { return DecodeBinary(data) }
 
 // EncodeCompiled implements Codec.
 func (Binary) EncodeCompiled(prog *Program, dst []byte, v interface{}) ([]byte, error) {
-	if prog != nil && prog.Direct() {
-		out, ok, err := prog.AppendBinary(dst, v)
-		if ok {
+	return encodeCompiled(prog, dst, v, (*Program).AppendBinary, EncodeBinary)
+}
+
+// DecodeCompiled implements Codec.
+func (Binary) DecodeCompiled(prog *Program, data []byte, t reflect.Type, resolve FieldResolver, fp string) (interface{}, error) {
+	return decodeCompiled(prog, data, t, resolve, fp, (*Program).decodeBinary, DecodeBinary)
+}
+
+// DecodeObjectFast implements Codec.
+func (Binary) DecodeObjectFast(prog *Program, data []byte, t reflect.Type, resolve FieldResolver, fp, srcName string) (interface{}, bool) {
+	if prog == nil || srcName == "" {
+		return nil, false
+	}
+	return prog.decodeBinary(data, t, resolve, fp, srcName)
+}
+
+// encodeCompiled is EncodeCompiled over one codec's compiled encoder
+// (appendTo) and reflective one (encode). The reflective path renders
+// v's generic value tree, its root stamped with prog's wire name (nil
+// prog: the Go spelling), and returns the exact-size result directly
+// when the caller brought no buffer to append into.
+func encodeCompiled(prog *Program, dst []byte, v interface{},
+	appendTo func(*Program, []byte, interface{}) ([]byte, bool, error), encode func(Value) ([]byte, error)) ([]byte, error) {
+	if prog != nil {
+		if out, ok, err := appendTo(prog, dst, v); ok {
 			return out, err
 		}
 	}
-	return reflectEncode(prog, dst, v, EncodeBinary)
-}
-
-// reflectEncode is the reflective encoder behind Encode and
-// EncodeCompiled's fallback: v's generic value tree, its root stamped
-// with prog's wire name (nil prog: the Go spelling), rendered by
-// encode. It returns the exact-size result directly when the caller
-// brought no buffer to append into.
-func reflectEncode(prog *Program, dst []byte, v interface{}, encode func(Value) ([]byte, error)) ([]byte, error) {
 	gv, err := FromGo(v)
 	if err != nil {
 		return dst, err
@@ -157,22 +124,21 @@ func reflectEncode(prog *Program, dst []byte, v interface{}, encode func(Value) 
 	return append(dst, data...), nil
 }
 
-// DecodeCompiled implements Codec.
-func (c Binary) DecodeCompiled(prog *Program, data []byte, t reflect.Type, resolve FieldResolver, fp string) (interface{}, error) {
+// decodeCompiled is DecodeCompiled over one codec's compiled decoder
+// and generic parser. The reflective path, the parse into the generic
+// model and ToGo, stays the authority for values and errors.
+func decodeCompiled(prog *Program, data []byte, t reflect.Type, resolve FieldResolver, fp string,
+	decodeTo func(*Program, []byte, reflect.Type, FieldResolver, string, string) (interface{}, bool), parse func([]byte) (Value, error)) (interface{}, error) {
 	if prog != nil {
-		if out, ok := prog.DecodeBinary(data, t, resolve, fp); ok {
+		if out, ok := decodeTo(prog, data, t, resolve, fp, ""); ok {
 			return out, nil
 		}
 	}
-	return c.Decode(data, t, resolve)
-}
-
-// DecodeObjectFast implements Codec.
-func (Binary) DecodeObjectFast(prog *Program, data []byte, t reflect.Type, resolve FieldResolver, fp, srcName string) (interface{}, bool) {
-	if prog == nil {
-		return nil, false
+	gv, err := parse(data)
+	if err != nil {
+		return nil, err
 	}
-	return prog.DecodeBinaryObject(data, t, resolve, fp, srcName)
+	return ToGo(gv, t, resolve)
 }
 
 // ByName returns the codec for an envelope encoding tag.

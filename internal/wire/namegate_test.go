@@ -14,7 +14,7 @@ func TestDecodeObjectFastNameGate(t *testing.T) {
 	typ := reflect.TypeOf(&refStruct{})
 	want := refSample(3)
 	for _, c := range []Codec{SOAP{}, Binary{}} {
-		data, err := c.Encode(want)
+		data, err := c.EncodeCompiled(nil, nil, want)
 		if err != nil {
 			t.Fatalf("%s: Encode: %v", c.Name(), err)
 		}
@@ -53,7 +53,7 @@ func TestDecodeObjectFastNilTopLevel(t *testing.T) {
 	prog := mustProgram(t, refStruct{})
 	typ := reflect.TypeOf(&refStruct{})
 	for _, c := range []Codec{SOAP{}, Binary{}} {
-		data, err := c.Encode(nil)
+		data, err := c.EncodeCompiled(nil, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: Encode(nil): %v", c.Name(), err)
 		}
@@ -71,7 +71,7 @@ func TestDecodeObjectFastNonStructRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []Codec{SOAP{}, Binary{}} {
-		data, err := c.Encode([]int{1, 2, 3})
+		data, err := c.EncodeCompiled(nil, nil, []int{1, 2, 3})
 		if err != nil {
 			t.Fatalf("%s: Encode: %v", c.Name(), err)
 		}

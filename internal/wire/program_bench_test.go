@@ -29,7 +29,7 @@ func BenchmarkEncodeBinaryReflective(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Binary{}).Encode(v); err != nil {
+		if _, err := (Binary{}).EncodeCompiled(nil, nil, v); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkEncodeSOAPReflective(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (SOAP{}).Encode(v); err != nil {
+		if _, err := (SOAP{}).EncodeCompiled(nil, nil, v); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func BenchmarkEncodeSOAPReflective(b *testing.B) {
 
 func BenchmarkDecodeBinaryCompiled(b *testing.B) {
 	prog := mustProgram(b, refStruct{})
-	data, err := Binary{}.Encode(refSample(11))
+	data, err := Binary{}.EncodeCompiled(nil, nil, refSample(11))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func BenchmarkDecodeBinaryCompiled(b *testing.B) {
 }
 
 func BenchmarkDecodeBinaryReflective(b *testing.B) {
-	data, err := Binary{}.Encode(refSample(11))
+	data, err := Binary{}.EncodeCompiled(nil, nil, refSample(11))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func BenchmarkDecodeBinaryReflective(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Binary{}).Decode(data, target, nil); err != nil {
+		if _, err := (Binary{}).DecodeCompiled(nil, data, target, nil, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,12 +94,12 @@ func BenchmarkDecodeBinaryReflective(b *testing.B) {
 
 func BenchmarkDecodeSOAPCompiled(b *testing.B) {
 	prog := mustProgram(b, refStruct{})
-	data, err := SOAP{}.Encode(refSample(11))
+	data, err := SOAP{}.EncodeCompiled(nil, nil, refSample(11))
 	if err != nil {
 		b.Fatal(err)
 	}
 	target := reflect.TypeOf(refStruct{})
-	if _, ok := prog.DecodeSOAP(data, target, nil, ""); !ok {
+	if _, ok := prog.decodeSOAP(data, target, nil, "", ""); !ok {
 		b.Fatal("compiled SOAP decode bailed; benchmark would measure the fallback")
 	}
 	b.ReportAllocs()
@@ -112,7 +112,7 @@ func BenchmarkDecodeSOAPCompiled(b *testing.B) {
 }
 
 func BenchmarkDecodeSOAPReflective(b *testing.B) {
-	data, err := SOAP{}.Encode(refSample(11))
+	data, err := SOAP{}.EncodeCompiled(nil, nil, refSample(11))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func BenchmarkDecodeSOAPReflective(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (SOAP{}).Decode(data, target, nil); err != nil {
+		if _, err := (SOAP{}).DecodeCompiled(nil, data, target, nil, ""); err != nil {
 			b.Fatal(err)
 		}
 	}

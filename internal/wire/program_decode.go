@@ -31,45 +31,19 @@ import (
 // including references into the object's own subtree, i.e. cycles —
 // resolve to the same allocation, preserving aliasing.
 
-// DecodeBinary materializes a binary stream directly into a value of
+// decodeBinary materializes a binary stream directly into a value of
 // type t (the program's type, or a pointer to it). resolve translates
 // expected field names to source names exactly as in ToGo; fp is a
 // caller-stable fingerprint identifying the resolver's behaviour so
 // materializer tables can be memoized ("" disables memoization; use
-// it for resolvers whose behaviour may still change). ok=false means
-// the stream or target is outside the compiled path and the caller
-// must fall back to the reflective decoder.
-func (p *Program) DecodeBinary(data []byte, t reflect.Type, resolve FieldResolver, fp string) (interface{}, bool) {
-	return p.decodeBinary(data, t, resolve, fp, "")
-}
-
-// DecodeBinaryObject is DecodeBinary restricted to streams whose
-// top-level value is an object of the named source type. The receive
-// protocol checks conformance against the envelope's declared type
-// name before decoding; a payload whose embedded type name differs
-// must take the reflective pipeline, whose binder rules on it with
-// full authority, so a mismatch bails out instead of decoding.
-func (p *Program) DecodeBinaryObject(data []byte, t reflect.Type, resolve FieldResolver, fp, srcName string) (interface{}, bool) {
-	if srcName == "" {
-		return nil, false
-	}
-	return p.decodeBinary(data, t, resolve, fp, srcName)
-}
-
+// it for resolvers whose behaviour may still change). A non-empty
+// wantTop admits only a top-level object of that source type name
+// (the Codec.DecodeObjectFast gate). ok=false means the stream or
+// target is outside the compiled path and the caller must fall back to
+// the reflective decoder.
 func (p *Program) decodeBinary(data []byte, t reflect.Type, resolve FieldResolver, fp, wantTop string) (interface{}, bool) {
-	if !p.decodeDirect {
-		return nil, false
-	}
-	if wantTop != "" && p.root.op != opStruct {
-		return nil, false
-	}
-	ptrDepth := 0
-	tt := t
-	for tt.Kind() == reflect.Ptr {
-		tt = tt.Elem()
-		ptrDepth++
-	}
-	if tt != p.Type || ptrDepth > 1 {
+	isPtr, ok := p.decodeTarget(t, wantTop)
+	if !ok {
 		return nil, false
 	}
 	r := byteReader{data: data}
@@ -92,20 +66,32 @@ func (p *Program) decodeBinary(data []byte, t reflect.Type, resolve FieldResolve
 	// The generic materializer registers ids only at pointer positions;
 	// a *T target makes the top level one (ToGo's out.Kind() == Ptr).
 	var selfPtr reflect.Value
-	if ptrDepth == 1 {
+	if isPtr {
 		selfPtr = out
 	}
 	if !d.decodeSelf(&r, p.root, selfPtr, out.Elem(), 0) {
 		return nil, false
 	}
 	if r.len() != 0 {
-		// Reflective DecodeBinary rejects trailing bytes; let it.
+		// The reflective decoder rejects trailing bytes; let it.
 		return nil, false
 	}
-	if ptrDepth == 1 {
+	if isPtr {
 		return out.Interface(), true
 	}
 	return out.Elem().Interface(), true
+}
+
+// decodeTarget reports whether the compiled decoders serve target t
+// and wantTop, and whether t is a pointer to the program's type.
+func (p *Program) decodeTarget(t reflect.Type, wantTop string) (isPtr, ok bool) {
+	if !p.decodeDirect || wantTop != "" && p.root.op != opStruct {
+		return false, false
+	}
+	if t.Kind() == reflect.Ptr {
+		return true, t.Elem() == p.Type
+	}
+	return false, t == p.Type
 }
 
 type progDecoder struct {
@@ -113,8 +99,7 @@ type progDecoder struct {
 	fp      string
 
 	// wantTop, when set, requires the top-level value to be an object
-	// whose stream-embedded source type name matches it exactly (the
-	// DecodeBinaryObject/DecodeSOAPObject gate).
+	// whose stream-embedded source type name matches it exactly.
 	wantTop string
 
 	// refs is the object table of the two-pass ref-id assignment:

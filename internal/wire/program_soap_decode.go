@@ -30,39 +30,13 @@ import (
 // reflective path would decode to the same value. Element nesting is
 // bounded by maxSOAPDepth just like the reflective parser.
 
-// DecodeSOAP materializes a SOAP envelope directly into a value of
+// decodeSOAP materializes a SOAP envelope directly into a value of
 // type t (the program's type, or a pointer to it), with the same
-// resolver/fingerprint contract and fallback semantics as
-// DecodeBinary.
-func (p *Program) DecodeSOAP(data []byte, t reflect.Type, resolve FieldResolver, fp string) (interface{}, bool) {
-	return p.decodeSOAP(data, t, resolve, fp, "")
-}
-
-// DecodeSOAPObject is DecodeSOAP restricted to envelopes whose
-// payload element is an object of the named source type — the same
-// receive-protocol gate as DecodeBinaryObject: a document declaring
-// any other type bails out to the caller's reflective pipeline.
-func (p *Program) DecodeSOAPObject(data []byte, t reflect.Type, resolve FieldResolver, fp, srcName string) (interface{}, bool) {
-	if srcName == "" {
-		return nil, false
-	}
-	return p.decodeSOAP(data, t, resolve, fp, srcName)
-}
-
+// resolver, fingerprint and wantTop contract and fallback semantics as
+// decodeBinary.
 func (p *Program) decodeSOAP(data []byte, t reflect.Type, resolve FieldResolver, fp, wantTop string) (interface{}, bool) {
-	if !p.decodeDirect {
-		return nil, false
-	}
-	if wantTop != "" && p.root.op != opStruct {
-		return nil, false
-	}
-	ptrDepth := 0
-	tt := t
-	for tt.Kind() == reflect.Ptr {
-		tt = tt.Elem()
-		ptrDepth++
-	}
-	if tt != p.Type || ptrDepth > 1 {
+	isPtr, ok := p.decodeTarget(t, wantTop)
+	if !ok {
 		return nil, false
 	}
 	sd := soapDecoder{progDecoder: progDecoder{resolve: resolve, fp: fp, wantTop: wantTop}, data: data}
@@ -108,7 +82,7 @@ func (p *Program) decodeSOAP(data []byte, t reflect.Type, resolve FieldResolver,
 	}
 	out := reflect.New(p.Type)
 	var selfPtr reflect.Value
-	if ptrDepth == 1 {
+	if isPtr {
 		selfPtr = out
 	}
 	if !sd.value(root, p.root, selfPtr, out.Elem(), 0) {
@@ -117,7 +91,7 @@ func (p *Program) decodeSOAP(data []byte, t reflect.Type, resolve FieldResolver,
 	if !sd.closeEnvelope() {
 		return nil, false
 	}
-	if ptrDepth == 1 {
+	if isPtr {
 		return out.Interface(), true
 	}
 	return out.Elem().Interface(), true

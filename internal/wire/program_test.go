@@ -122,7 +122,7 @@ func TestCompiledEncodeMatchesReflective(t *testing.T) {
 		t.Run(c.Name(), func(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				v := refSample(i)
-				want, err := c.Encode(v)
+				want, err := c.EncodeCompiled(nil, nil, v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +160,9 @@ func TestCompiledEncodeMatchesReflective(t *testing.T) {
 		codec  Codec
 		encode func(Value) ([]byte, error)
 	}{{SOAP{}, EncodeSOAP}, {Binary{}, EncodeBinary}} {
-		want, err := reflectEncode(named, nil, tree, c.encode)
+		// A compiled encoder that always declines leaves the fallback.
+		decline := func(*Program, []byte, interface{}) ([]byte, bool, error) { return nil, false, nil }
+		want, err := encodeCompiled(named, nil, tree, decline, c.encode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +191,7 @@ type recTree struct {
 func TestCompiledEncodeNilMatchesReflective(t *testing.T) {
 	progs := []*Program{mustProgram(t, refStruct{}), mustProgram(t, "")}
 	for _, c := range codecs {
-		want, err := c.Encode(nil)
+		want, err := c.EncodeCompiled(nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,11 +213,11 @@ func TestCompiledDecodeMatchesReflective(t *testing.T) {
 	prog := mustProgram(t, refStruct{})
 	for i := 0; i < 50; i++ {
 		v := refSample(i)
-		data, err := Binary{}.Encode(v)
+		data, err := Binary{}.EncodeCompiled(nil, nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Binary{}.Decode(data, reflect.TypeOf(refStruct{}), nil)
+		want, err := Binary{}.DecodeCompiled(nil, data, reflect.TypeOf(refStruct{}), nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +248,7 @@ type renamedPoint struct {
 
 func TestCompiledDecodeMappedResolver(t *testing.T) {
 	src := renamedPoint{PosX: 4.5, PosY: -1}
-	data, err := Binary{}.Encode(src)
+	data, err := Binary{}.EncodeCompiled(nil, nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func TestCompiledDecodeMappedResolver(t *testing.T) {
 		return map[string]string{"X": "PosX", "Y": "PosY"}[field]
 	}
 	prog := mustProgram(t, refPoint{})
-	want, err := Binary{}.Decode(data, reflect.TypeOf(refPoint{}), resolve)
+	want, err := Binary{}.DecodeCompiled(nil, data, reflect.TypeOf(refPoint{}), resolve, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +290,7 @@ func TestCompiledDecodeMappedResolver(t *testing.T) {
 	// Source types and fingerprints alternating through the node's one
 	// hot entry: every decode resolves its own table, never one left
 	// behind by another source name or fingerprint.
-	shifted, err := Binary{}.Encode(shiftedPoint{AtX: 3, AtY: 4})
+	shifted, err := Binary{}.EncodeCompiled(nil, nil, shiftedPoint{AtX: 3, AtY: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +435,7 @@ func TestQuickCompiledDifferential(t *testing.T) {
 			t.Fatalf("iteration %d: %s should compile direct", i, typ)
 		}
 		for _, c := range codecs {
-			want, err := c.Encode(v)
+			want, err := c.EncodeCompiled(nil, nil, v)
 			if err != nil {
 				t.Fatalf("iteration %d (%s): reflective encode: %v", i, c.Name(), err)
 			}
@@ -445,7 +447,7 @@ func TestQuickCompiledDifferential(t *testing.T) {
 				t.Fatalf("iteration %d (%s): encodings differ for %s\nvalue %+v\n got %q\nwant %q",
 					i, c.Name(), typ, v, got, want)
 			}
-			wantV, wantErr := c.Decode(want, typ, nil)
+			wantV, wantErr := c.DecodeCompiled(nil, want, typ, nil, "")
 			gotV, gotErr := c.DecodeCompiled(prog, want, typ, nil, "")
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("iteration %d (%s): decode error mismatch: %v vs %v", i, c.Name(), gotErr, wantErr)
@@ -476,7 +478,7 @@ func TestCompiledDecodePointerGraphs(t *testing.T) {
 	}
 	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			data, err := c.Encode(aliased)
+			data, err := c.EncodeCompiled(nil, nil, aliased)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -484,9 +486,9 @@ func TestCompiledDecodePointerGraphs(t *testing.T) {
 			var ok bool
 			switch cc := c.(type) {
 			case Binary:
-				got, ok = prog.DecodeBinary(data, reflect.TypeOf(holder{}), nil, "")
+				got, ok = prog.decodeBinary(data, reflect.TypeOf(holder{}), nil, "", "")
 			case SOAP:
-				got, ok = prog.DecodeSOAP(data, reflect.TypeOf(holder{}), nil, "")
+				got, ok = prog.decodeSOAP(data, reflect.TypeOf(holder{}), nil, "", "")
 			default:
 				t.Fatalf("unknown codec %T", cc)
 			}
@@ -503,7 +505,7 @@ func TestCompiledDecodePointerGraphs(t *testing.T) {
 			if h.C != nil {
 				t.Fatal("nil pointer materialized non-nil")
 			}
-			want, err := c.Decode(data, reflect.TypeOf(holder{}), nil)
+			want, err := c.DecodeCompiled(nil, data, reflect.TypeOf(holder{}), nil, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -527,7 +529,7 @@ func TestCompiledDecodeCycles(t *testing.T) {
 	target := reflect.TypeOf(&cyclicNode{})
 	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			data, err := c.Encode(a)
+			data, err := c.EncodeCompiled(nil, nil, a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -535,9 +537,9 @@ func TestCompiledDecodeCycles(t *testing.T) {
 			var ok bool
 			switch c.(type) {
 			case Binary:
-				got, ok = prog.DecodeBinary(data, target, nil, "")
+				got, ok = prog.decodeBinary(data, target, nil, "", "")
 			case SOAP:
-				got, ok = prog.DecodeSOAP(data, target, nil, "")
+				got, ok = prog.decodeSOAP(data, target, nil, "", "")
 			}
 			if !ok {
 				t.Fatal("compiled decode bailed on a cyclic graph")
@@ -563,7 +565,7 @@ func TestCompiledDecodeBailsToReflective(t *testing.T) {
 		Any   interface{}
 	}
 	v := dyn{Label: "x", Any: int64(7)}
-	data, err := Binary{}.Encode(v)
+	data, err := Binary{}.EncodeCompiled(nil, nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +573,7 @@ func TestCompiledDecodeBailsToReflective(t *testing.T) {
 	if prog.DecodeDirect() {
 		t.Fatal("interface-bearing type must not be decode-direct")
 	}
-	want, wantErr := Binary{}.Decode(data, reflect.TypeOf(dyn{}), nil)
+	want, wantErr := Binary{}.DecodeCompiled(nil, data, reflect.TypeOf(dyn{}), nil, "")
 	got, gotErr := Binary{}.DecodeCompiled(prog, data, reflect.TypeOf(dyn{}), nil, "")
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("fallback error mismatch: %v vs %v", gotErr, wantErr)
@@ -595,15 +597,15 @@ func TestCompiledDecodeAllocsOnlyDestination(t *testing.T) {
 	target := reflect.TypeOf(&flat{})
 	resolve := func(tt reflect.Type, src *Object, field string) string { return field }
 	for _, c := range codecs {
-		data, err := c.Encode(flat{ID: 1, A: -2, B: 3, OK: true})
+		data, err := c.EncodeCompiled(nil, nil, flat{ID: 1, A: -2, B: 3, OK: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		decode := func(res FieldResolver, fp string) (interface{}, bool) {
 			if _, isBin := c.(Binary); isBin {
-				return prog.DecodeBinary(data, target, res, fp)
+				return prog.decodeBinary(data, target, res, fp, "")
 			}
-			return prog.DecodeSOAP(data, target, res, fp)
+			return prog.decodeSOAP(data, target, res, fp, "")
 		}
 		for _, mode := range []struct {
 			name string

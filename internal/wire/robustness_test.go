@@ -35,7 +35,7 @@ func TestBinaryDecoderNeverPanicsOnRandomBytes(t *testing.T) {
 
 // TestBinaryDecoderMutatedValidStreams flips bytes of valid streams.
 func TestBinaryDecoderMutatedValidStreams(t *testing.T) {
-	valid, err := Binary{}.Encode(struct {
+	valid, err := Binary{}.EncodeCompiled(nil, nil, struct {
 		Name string
 		Vals []int
 		M    map[string]int
@@ -170,7 +170,7 @@ func TestCompiledDecodeDepthBounded(t *testing.T) {
 	shallow := deepKids(40)
 	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			data, err := c.Encode(shallow)
+			data, err := c.EncodeCompiled(nil, nil, shallow)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func TestCompiledDecodeDepthBounded(t *testing.T) {
 				t.Fatal("shallow decode mismatch")
 			}
 
-			deep, err := c.Encode(overDeep)
+			deep, err := c.EncodeCompiled(nil, nil, overDeep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,8 +237,8 @@ func TestCompiledSOAPScannerDialect(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, wantErr := SOAP{}.Decode(tc.doc, target, nil)
-			gotFast, fastOK := prog.DecodeSOAP(tc.doc, target, nil, "")
+			want, wantErr := SOAP{}.DecodeCompiled(nil, tc.doc, target, nil, "")
+			gotFast, fastOK := prog.decodeSOAP(tc.doc, target, nil, "", "")
 			if tc.fast {
 				if !fastOK {
 					t.Fatalf("scanner bailed on a dialect document:\n%s", tc.doc)

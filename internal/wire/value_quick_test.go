@@ -86,11 +86,11 @@ func TestQuickRoundTripRandomGraphs(t *testing.T) {
 		t.Run(c.Name(), func(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				in := randomShape(r, 3)
-				data, err := c.Encode(in)
+				data, err := c.EncodeCompiled(nil, nil, in)
 				if err != nil {
 					t.Fatalf("iteration %d: encode: %v", i, err)
 				}
-				out, err := c.Decode(data, reflect.TypeOf(&quickShape{}), nil)
+				out, err := c.DecodeCompiled(nil, data, reflect.TypeOf(&quickShape{}), nil, "")
 				if err != nil {
 					t.Fatalf("iteration %d: decode: %v\ninput: %+v", i, err, in)
 				}
@@ -109,7 +109,7 @@ func TestQuickGenericStability(t *testing.T) {
 		t.Run(c.Name(), func(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				in := randomShape(r, 2)
-				data, err := c.Encode(in)
+				data, err := c.EncodeCompiled(nil, nil, in)
 				if err != nil {
 					t.Fatal(err)
 				}

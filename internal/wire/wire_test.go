@@ -15,11 +15,11 @@ var codecs = []Codec{SOAP{}, Binary{}}
 
 func roundTrip(t *testing.T, c Codec, v interface{}, target reflect.Type) interface{} {
 	t.Helper()
-	data, err := c.Encode(v)
+	data, err := c.EncodeCompiled(nil, nil, v)
 	if err != nil {
 		t.Fatalf("%s encode: %v", c.Name(), err)
 	}
-	out, err := c.Decode(data, target, nil)
+	out, err := c.DecodeCompiled(nil, data, target, nil, "")
 	if err != nil {
 		t.Fatalf("%s decode: %v", c.Name(), err)
 	}
@@ -192,7 +192,7 @@ func TestDecodeGenericUnknownType(t *testing.T) {
 	in := fixtures.PersonB{PersonName: "Dave", PersonAge: 55}
 	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			data, err := c.Encode(in)
+			data, err := c.EncodeCompiled(nil, nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,11 +232,11 @@ func TestFieldResolverCrossType(t *testing.T) {
 	}
 	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			data, err := c.Encode(in)
+			data, err := c.EncodeCompiled(nil, nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := c.Decode(data, reflect.TypeOf(fixtures.PersonA{}), resolve)
+			out, err := c.DecodeCompiled(nil, data, reflect.TypeOf(fixtures.PersonA{}), resolve, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,11 +257,11 @@ func TestMissingFieldsTolerated(t *testing.T) {
 	}
 	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			data, err := c.Encode(V1{Name: "old"})
+			data, err := c.EncodeCompiled(nil, nil, V1{Name: "old"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := c.Decode(data, reflect.TypeOf(V2{}), nil)
+			out, err := c.DecodeCompiled(nil, data, reflect.TypeOf(V2{}), nil, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,11 +278,11 @@ func TestTypeMismatchRejected(t *testing.T) {
 	type IntBox struct{ V int }
 	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			data, err := c.Encode(StrBox{V: "oops"})
+			data, err := c.EncodeCompiled(nil, nil, StrBox{V: "oops"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Decode(data, reflect.TypeOf(IntBox{}), nil); err == nil {
+			if _, err := c.DecodeCompiled(nil, data, reflect.TypeOf(IntBox{}), nil, ""); err == nil {
 				t.Error("string into int field should fail")
 			}
 		})
@@ -292,10 +292,10 @@ func TestTypeMismatchRejected(t *testing.T) {
 func TestUnsupportedValues(t *testing.T) {
 	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			if _, err := c.Encode(make(chan int)); err == nil {
+			if _, err := c.EncodeCompiled(nil, nil, make(chan int)); err == nil {
 				t.Error("chan should be unsupported")
 			}
-			if _, err := c.Encode(struct{ F func() }{}); err == nil {
+			if _, err := c.EncodeCompiled(nil, nil, struct{ F func() }{}); err == nil {
 				t.Error("func field should be unsupported")
 			}
 		})
@@ -305,7 +305,7 @@ func TestUnsupportedValues(t *testing.T) {
 func TestDecodeCorruptStreams(t *testing.T) {
 	in := fixtures.PersonA{Name: "x", Age: 1}
 	for _, c := range codecs {
-		data, err := c.Encode(in)
+		data, err := c.EncodeCompiled(nil, nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestDecodeCorruptStreams(t *testing.T) {
 }
 
 func TestSOAPIsHumanReadable(t *testing.T) {
-	data, err := SOAP{}.Encode(fixtures.PersonA{Name: "Grace", Age: 7})
+	data, err := SOAP{}.EncodeCompiled(nil, nil, fixtures.PersonA{Name: "Grace", Age: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +347,11 @@ func TestBinarySmallerThanSOAP(t *testing.T) {
 		Where: fixtures.Address{Street: "Main", City: "Zurich", Zip: "8000"},
 		Tags:  []string{"a", "b", "c"},
 	}
-	soapData, err := SOAP{}.Encode(in)
+	soapData, err := SOAP{}.EncodeCompiled(nil, nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binData, err := Binary{}.Encode(in)
+	binData, err := Binary{}.EncodeCompiled(nil, nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,11 +426,11 @@ func TestDeterministicEncoding(t *testing.T) {
 	in := map[string]int{"z": 26, "a": 1, "m": 13}
 	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
-			d1, err := c.Encode(in)
+			d1, err := c.EncodeCompiled(nil, nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d2, err := c.Encode(in)
+			d2, err := c.EncodeCompiled(nil, nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -482,7 +482,7 @@ func TestTimeInGenericModelIsString(t *testing.T) {
 	// value, not an empty object.
 	type Stamped struct{ At time.Time }
 	in := Stamped{At: time.Date(2026, 6, 12, 0, 0, 0, 0, time.UTC)}
-	data, err := Binary{}.Encode(in)
+	data, err := Binary{}.EncodeCompiled(nil, nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,11 +572,11 @@ func TestInterfaceFieldRoundTrip(t *testing.T) {
 	// A struct inside an interface field decodes as a generic object
 	// (the concrete type cannot be known).
 	in2 := carrier{Payload: fixtures.Address{City: "Sion"}}
-	data, err := Binary{}.Encode(in2)
+	data, err := Binary{}.EncodeCompiled(nil, nil, in2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Binary{}.Decode(data, reflect.TypeOf(carrier{}), nil)
+	out, err := Binary{}.DecodeCompiled(nil, data, reflect.TypeOf(carrier{}), nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
