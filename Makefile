@@ -1,7 +1,9 @@
 # CI gate and developer conveniences. `make check` is the gate:
 # vet plus staticcheck plus the full test suite under the race
 # detector, plus the reliable-over-TCP repair test across scheduler
-# parallelism, plus vet and race tests of the tripbench harness.
+# parallelism, plus the description/code single-flight tests across
+# scheduler parallelism, plus vet and race tests of the tripbench
+# harness.
 # `make soak` runs the fabric churn scenario long-form on the virtual
 # clock, and `make bench-json` emits the committed bench baseline
 # BENCH.json (whose gates `make bench-check` applies to a fresh run).
@@ -28,12 +30,12 @@ COVER_MIN ?= 82.0
 # Pinned staticcheck build, fetched on demand by `go run`.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
-.PHONY: help check vet lint test test-race test-tcp-repair test-tripbench cover bench bench-plan bench-wire bench-json bench-check soak churn scale build loc
+.PHONY: help check vet lint test test-race test-tcp-repair test-singleflight test-tripbench cover bench bench-plan bench-wire bench-json bench-check soak churn scale build loc
 
 help:
 	@echo "Targets:"
 	@echo "  check       CI gate: vet + lint + full test suite under -race"
-	@echo "              + test-tcp-repair + test-tripbench"
+	@echo "              + test-tcp-repair + test-singleflight + test-tripbench"
 	@echo "  build       go build ./..."
 	@echo "  loc         production and test Go line counts of the tracked"
 	@echo "              files of the main module (tripbench/ excluded)"
@@ -45,6 +47,9 @@ help:
 	@echo "              NACK or fast-retransmit, must batch writes and acks,"
 	@echo "              and first sends must reach the wire in seq order,"
 	@echo "              at -cpu 1,2,4 -count 5"
+	@echo "  test-singleflight  concurrent description and code misses must"
+	@echo "              coalesce onto one fetch (flash crowd, warm restart,"
+	@echo "              forced miss-then-claim interleaving) at -cpu 1,2,4 -count 5"
 	@echo "  test-tripbench  go vet + go test -race of the tripbench harness"
 	@echo "              (its own module, a client of the library's internals)"
 	@echo "  cover       go test -coverprofile across packages, enforce the"
@@ -68,7 +73,7 @@ help:
 	@echo "              clock at -cpu 1,2 (PTI_SCALE_PEERS=n overrides the"
 	@echo "              fleet size; PTI_SEED=n replays a failure)"
 
-check: vet lint test-race test-tcp-repair test-tripbench
+check: vet lint test-race test-tcp-repair test-singleflight test-tripbench
 
 build:
 	$(GO) build ./...
@@ -109,6 +114,15 @@ test-race:
 # write and comes back with fewer acks than objects.
 test-tcp-repair:
 	$(GO) test -race -run '^(TestReliableTCPNoSpuriousRepair|TestReliableTCPBatchedWrites|TestReliableFirstSendsInSeqOrder)$$' -cpu 1,2,4 -count 5 ./internal/transport
+
+# Concurrent misses for one description or one type's code must cost
+# one fetch. A second fetch slips through only when a handler misses,
+# is descheduled while another fetches and releases, and claims after
+# it, so the flash-crowd and warm-restart scenarios run at several
+# GOMAXPROCS settings and repeat, beside the test that forces that
+# interleaving directly.
+test-singleflight:
+	$(GO) test -race -run '^(TestFabricFlashCrowdSingleFetch|TestFabricWarmRestartZeroFetch|TestSingleFlightRecheckAfterClaim)$$' -cpu 1,2,4 -count 5 ./internal/transport
 
 # tripbench is its own module but calls the library's internal
 # packages, so a library change can break it without failing any test

@@ -158,7 +158,8 @@ func expRecv(reps int) ([]benchfmt.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	binder := proxy.NewBinder(reg, conform.New(reg, conform.WithPolicy(conform.Relaxed(1))))
+	cat := registry.NewCatalog(reg, nil, nil)
+	binder := proxy.NewBinder(cat, conform.New(cat, conform.WithPolicy(conform.Relaxed(1))))
 	reflective := measure(reps, iters, func() {
 		env, err := xmlenc.UnmarshalEnvelope(envData)
 		if err != nil {

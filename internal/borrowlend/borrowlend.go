@@ -48,7 +48,8 @@ type Offer struct {
 // through implicit structural conformance.
 type Market struct {
 	reg     *registry.Registry
-	repo    *typedesc.Repository
+	cat     *registry.Catalog
+	policy  conform.Policy
 	checker *conform.Checker
 	now     func() time.Time
 
@@ -61,10 +62,7 @@ type MarketOption func(*Market)
 
 // WithPolicy sets the conformance policy (default Relaxed(1)).
 func WithPolicy(p conform.Policy) MarketOption {
-	return func(m *Market) {
-		m.checker = conform.New(typedesc.MultiResolver{m.reg, m.repo},
-			conform.WithPolicy(p), conform.WithCache(conform.NewCache()))
-	}
+	return func(m *Market) { m.policy = p }
 }
 
 // WithClock injects the market's time source (tests).
@@ -75,15 +73,15 @@ func WithClock(now func() time.Time) MarketOption {
 // NewMarket builds a market over a registry of known types.
 func NewMarket(reg *registry.Registry, opts ...MarketOption) *Market {
 	m := &Market{
-		reg:  reg,
-		repo: typedesc.NewRepository(),
-		now:  time.Now,
+		reg:    reg,
+		cat:    registry.NewCatalog(reg, nil, nil),
+		policy: conform.Relaxed(1),
+		now:    time.Now,
 	}
-	m.checker = conform.New(typedesc.MultiResolver{m.reg, m.repo},
-		conform.WithPolicy(conform.Relaxed(1)), conform.WithCache(conform.NewCache()))
 	for _, opt := range opts {
 		opt(m)
 	}
+	m.checker = conform.New(m.cat, conform.WithPolicy(m.policy), conform.WithCache(conform.NewCache()))
 	return m
 }
 
@@ -114,7 +112,7 @@ func (m *Market) Lend(id string, resource interface{}, opts ...LendOption) (*Off
 			return nil, fmt.Errorf("borrowlend: describe resource: %w", err)
 		}
 		desc = d
-		if err := m.repo.Add(d); err != nil {
+		if err := m.cat.Learn(d); err != nil {
 			return nil, err
 		}
 	}
@@ -214,7 +212,7 @@ func (m *Market) Borrow(typeOfInterest interface{}) (*Loan, error) {
 			return nil, fmt.Errorf("borrowlend: describe interest: %w", err)
 		}
 		expDesc = d
-		if err := m.repo.Add(d); err != nil {
+		if err := m.cat.Learn(d); err != nil {
 			return nil, err
 		}
 	}

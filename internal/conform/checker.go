@@ -75,15 +75,6 @@ func New(resolver typedesc.Resolver, opts ...CheckerOption) *Checker {
 // Policy returns the checker's policy.
 func (c *Checker) Policy() Policy { return c.policy }
 
-// Generation returns the change counter of the checker's resolver
-// (see typedesc.MultiResolver.Generation), or 0 if it keeps none.
-func (c *Checker) Generation() uint64 {
-	if g, ok := c.resolver.(interface{ Generation() uint64 }); ok {
-		return g.Generation()
-	}
-	return 0
-}
-
 // Check reports whether candidate ≤is expected: instances of the
 // candidate type can be used safely wherever an instance of the
 // expected type is expected (Figure 2, rule (vi)).

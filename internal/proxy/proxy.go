@@ -288,7 +288,7 @@ func (v *View) Object() *wire.Object { return v.obj }
 // conformance cache (which WithCacheCapacity bounds); the binder
 // itself remembers only the pair it bound last.
 type Binder struct {
-	reg     *registry.Registry
+	cat     *registry.Catalog
 	checker *conform.Checker
 
 	// fp fingerprints this binder's field resolution for the wire
@@ -331,12 +331,12 @@ type bindMemo struct {
 // binderSeq hands every binder a distinct fingerprint.
 var binderSeq atomic.Uint64
 
-// NewBinder builds a Binder. The checker must resolve both local
-// descriptions (the registry's) and any remote descriptions received
-// so far (typically via typedesc.MultiResolver).
-func NewBinder(reg *registry.Registry, checker *conform.Checker) *Binder {
+// NewBinder builds a Binder over a participant's catalog. The checker
+// must resolve through the same catalog, so that the catalog's
+// generation covers every description the binding consults.
+func NewBinder(cat *registry.Catalog, checker *conform.Checker) *Binder {
 	b := &Binder{
-		reg:     reg,
+		cat:     cat,
 		checker: checker,
 		fp:      "binder-" + strconv.FormatUint(binderSeq.Add(1), 10),
 	}
@@ -365,7 +365,7 @@ func (b *Binder) BindRef(obj *wire.Object, src typedesc.TypeRef, expected typede
 	if obj == nil {
 		return nil, nil, fmt.Errorf("%w: nil object", ErrBadArguments)
 	}
-	entry, ok := b.reg.Lookup(expected)
+	entry, ok := b.cat.Registry().Lookup(expected)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: no local implementation registered for %s", ErrNotBindable, expected)
 	}
@@ -499,13 +499,11 @@ func (b *Binder) DecodeValue(codec wire.Codec, prog *wire.Program, data []byte, 
 	return codec.DecodeCompiled(prog, data, t, b.resolve, mm.fp)
 }
 
-// generation sums the change counters of every description source
-// the binder's resolution consults: the registry, its descriptions and
-// the checker's resolver. Read before resolving, it files a table
-// built while a description arrives under the older generation.
-func (b *Binder) generation() uint64 {
-	return b.reg.Generation() + b.reg.Descriptions().Generation() + b.checker.Generation()
-}
+// generation is the catalog's: it changes whenever a description the
+// binder's resolution consults could. Read before resolving, it files
+// a table built while a description arrives under the older
+// generation.
+func (b *Binder) generation() uint64 { return b.cat.Generation() }
 
 // resolveFieldRef maps the target's field name onto the source
 // object's: objects named like src resolve through src's exact
@@ -538,10 +536,10 @@ func (b *Binder) resolveFieldRef(src typedesc.TypeRef, target reflect.Type, sour
 // set apart from the Go spelling, else the description of its Go name
 // (a nested type described alongside a registered one); nil if none.
 func (b *Binder) targetDescription(t reflect.Type) *typedesc.TypeDescription {
-	if e, ok := b.reg.LookupGo(t); ok {
+	if e, ok := b.cat.Registry().LookupGo(t); ok {
 		return e.Description
 	}
-	td, _ := b.reg.Descriptions().Lookup(typedesc.TypeRef{Name: typedesc.CanonicalName(t)})
+	td, _ := b.cat.Registry().Descriptions().Lookup(typedesc.TypeRef{Name: typedesc.CanonicalName(t)})
 	return td
 }
 

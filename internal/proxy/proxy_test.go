@@ -25,7 +25,7 @@ func newWorld(t *testing.T) (*registry.Registry, *conform.Checker, *Binder) {
 		}
 	}
 	// Remote descriptions the receiver has "downloaded".
-	remote := typedesc.NewRepository()
+	cat := registry.NewCatalog(reg, nil, nil)
 	for _, v := range []interface{}{
 		fixtures.PersonB{}, fixtures.StockQuoteB{},
 	} {
@@ -33,13 +33,12 @@ func newWorld(t *testing.T) (*registry.Registry, *conform.Checker, *Binder) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := remote.Add(d); err != nil {
+		if err := cat.Learn(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	resolver := typedesc.MultiResolver{reg, remote}
-	checker := conform.New(resolver, conform.WithPolicy(conform.Relaxed(1)))
-	return reg, checker, NewBinder(reg, checker)
+	checker := conform.New(cat, conform.WithPolicy(conform.Relaxed(1)))
+	return reg, checker, NewBinder(cat, checker)
 }
 
 func mappingFor(t *testing.T, checker *conform.Checker, cand, exp interface{}) *conform.Mapping {
@@ -356,18 +355,18 @@ type quoteRenamed struct {
 }
 
 // memoWorld registers memoQuote and returns its entry, the binder,
-// the repository of learned descriptions, and one "Quote" payload per
+// the catalog that learns descriptions, and one "Quote" payload per
 // codec whose Cost and Costs fields differ, so the decoded Cost shows
 // which mapping the decode followed.
-func memoWorld(t *testing.T) (*registry.Entry, *Binder, *typedesc.Repository, map[wire.Codec][]byte) {
+func memoWorld(t *testing.T) (*registry.Entry, *Binder, *registry.Catalog, map[wire.Codec][]byte) {
 	t.Helper()
 	reg := registry.New()
 	entry, err := reg.Register(memoQuote{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	learned := typedesc.NewRepository()
-	checker := conform.New(typedesc.MultiResolver{reg, learned}, conform.WithPolicy(conform.Relaxed(1)))
+	cat := registry.NewCatalog(reg, nil, nil)
+	checker := conform.New(cat, conform.WithPolicy(conform.Relaxed(1)))
 	src := &wire.Object{TypeName: "Quote", Fields: []wire.FieldValue{
 		{Name: "Symbol", Value: "Q"}, {Name: "Cost", Value: 1.0}, {Name: "Costs", Value: 2.0},
 	}}
@@ -379,16 +378,16 @@ func memoWorld(t *testing.T) (*registry.Entry, *Binder, *typedesc.Repository, ma
 			t.Fatal(err)
 		}
 	}
-	return entry, NewBinder(reg, checker), learned, payloads
+	return entry, NewBinder(cat, checker), cat, payloads
 }
 
-func learnQuote(t *testing.T, learned *typedesc.Repository, v interface{}) {
+func learnQuote(t *testing.T, cat *registry.Catalog, v interface{}) {
 	t.Helper()
 	d, err := typedesc.Describe(reflect.TypeOf(v), typedesc.WithName("Quote"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := learned.Add(d); err != nil {
+	if err := cat.Learn(d); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -400,7 +399,7 @@ func learnQuote(t *testing.T, learned *typedesc.Repository, v interface{}) {
 func TestDecodeValueMemoFollowsDescriptions(t *testing.T) {
 	for _, codec := range []wire.Codec{wire.SOAP{}, wire.Binary{}} {
 		t.Run(codec.Name(), func(t *testing.T) {
-			entry, binder, learned, payloads := memoWorld(t)
+			entry, binder, cat, payloads := memoWorld(t)
 			data := payloads[codec]
 			typ := reflect.PtrTo(entry.Type)
 			prog, err := entry.Program()
@@ -431,7 +430,7 @@ func TestDecodeValueMemoFollowsDescriptions(t *testing.T) {
 				}
 			}
 			decode(1) // no description of Quote: names map as identity
-			learnQuote(t, learned, quoteRenamed{})
+			learnQuote(t, cat, quoteRenamed{})
 			decode(2) // Cost now maps to Costs
 		})
 	}
@@ -444,7 +443,7 @@ func TestDecodeValueMemoFollowsDescriptions(t *testing.T) {
 func TestDeserializeCompiledNameOnlyFollowsDescriptions(t *testing.T) {
 	for _, codec := range []wire.Codec{wire.SOAP{}, wire.Binary{}} {
 		t.Run(codec.Name(), func(t *testing.T) {
-			entry, binder, learned, payloads := memoWorld(t)
+			entry, binder, cat, payloads := memoWorld(t)
 			data := payloads[codec]
 			src := typedesc.TypeRef{Name: "Quote"}
 			decode := func(wantCost float64) {
@@ -470,9 +469,9 @@ func TestDeserializeCompiledNameOnlyFollowsDescriptions(t *testing.T) {
 					t.Fatalf("reflective Cost = %v, want %v", c, wantCost)
 				}
 			}
-			learnQuote(t, learned, quoteSame{})
+			learnQuote(t, cat, quoteSame{})
 			decode(1)
-			learnQuote(t, learned, quoteRenamed{})
+			learnQuote(t, cat, quoteRenamed{})
 			decode(2)
 		})
 	}

@@ -71,7 +71,8 @@ type sub struct {
 // It is safe for concurrent use.
 type Broker struct {
 	reg     *registry.Registry
-	repo    *typedesc.Repository
+	cat     *registry.Catalog
+	policy  conform.Policy
 	checker *conform.Checker
 	binder  *proxy.Binder
 
@@ -94,25 +95,21 @@ type BrokerOption func(*Broker)
 
 // WithPolicy sets the conformance policy (default Relaxed(1)).
 func WithPolicy(p conform.Policy) BrokerOption {
-	return func(b *Broker) {
-		b.checker = conform.New(typedesc.MultiResolver{b.reg, b.repo},
-			conform.WithPolicy(p), conform.WithCache(conform.NewCache()))
-		b.binder = proxy.NewBinder(b.reg, b.checker)
-	}
+	return func(b *Broker) { b.policy = p }
 }
 
 // NewBroker builds a broker over a registry of locally known types.
 func NewBroker(reg *registry.Registry, opts ...BrokerOption) *Broker {
 	b := &Broker{
-		reg:  reg,
-		repo: typedesc.NewRepository(),
+		reg:    reg,
+		cat:    registry.NewCatalog(reg, nil, nil),
+		policy: conform.Relaxed(1),
 	}
-	b.checker = conform.New(typedesc.MultiResolver{b.reg, b.repo},
-		conform.WithPolicy(conform.Relaxed(1)), conform.WithCache(conform.NewCache()))
-	b.binder = proxy.NewBinder(b.reg, b.checker)
 	for _, opt := range opts {
 		opt(b)
 	}
+	b.checker = conform.New(b.cat, conform.WithPolicy(b.policy), conform.WithCache(conform.NewCache()))
+	b.binder = proxy.NewBinder(b.cat, b.checker)
 	return b
 }
 
@@ -146,7 +143,7 @@ func (b *Broker) Subscribe(typeOfInterest interface{}, handler Handler) (*Subscr
 			return nil, fmt.Errorf("%w: %v", ErrBadInterest, err)
 		}
 		desc = d
-		if err := b.repo.Add(d); err != nil {
+		if err := b.cat.Learn(d); err != nil {
 			return nil, err
 		}
 	}
@@ -279,14 +276,14 @@ func (b *Broker) describeEvent(t reflect.Type) (*typedesc.TypeDescription, error
 	if e, ok := b.reg.LookupGo(t); ok {
 		return e.Description, nil
 	}
-	if d, ok := b.repo.Lookup(typedesc.RefOf(t)); ok {
+	if d, _ := b.cat.Lookup(typedesc.RefOf(t)); d != nil {
 		return d, nil
 	}
 	d, err := typedesc.Describe(t)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEvent, err)
 	}
-	if err := b.repo.Add(d); err != nil {
+	if err := b.cat.Learn(d); err != nil {
 		return nil, err
 	}
 	return d, nil

@@ -175,7 +175,7 @@ func TestScenarioPartitionHealConvergence(t *testing.T) {
 	// result (the conform.Result convergence the issue names).
 	var results []mappingFingerprint
 	for _, s := range subs {
-		cand, err := s.node.Peer().RemoteDescriptions().Resolve(dA.Mapping.Candidate)
+		cand, err := s.node.Peer().Catalog().Resolve(dA.Mapping.Candidate)
 		if err != nil {
 			t.Fatal(err)
 		}

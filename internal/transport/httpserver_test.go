@@ -102,15 +102,3 @@ func TestHTTPResolver(t *testing.T) {
 		t.Error("no base URLs should fail")
 	}
 }
-
-func TestHTTPResolverAsFallbackChain(t *testing.T) {
-	// MultiResolver: local repo first, HTTP second — the shape a
-	// peer uses for download paths.
-	srv, _ := descServer(t)
-	local := typedesc.NewRepository()
-	chain := typedesc.MultiResolver{local, &HTTPResolver{BaseURLs: []string{srv.URL}}}
-	d, err := chain.Resolve(typedesc.TypeRef{Name: "PersonA"})
-	if err != nil || d.Name != "PersonA" {
-		t.Fatalf("chain resolve: %v, %v", d, err)
-	}
-}

@@ -67,12 +67,14 @@ type exportMethod struct {
 }
 
 // Peer is one participant of the protocol: it owns a local registry
-// ("assemblies"), a repository of remotely learned descriptions, a
+// ("assemblies"), a catalog of the descriptions it holds, a
 // conformance checker with cache, and any number of connections.
 type Peer struct {
 	name           string
 	reg            *registry.Registry
-	remote         *typedesc.Repository
+	cat            *registry.Catalog
+	policy         conform.Policy
+	cacheCap       int
 	cache          *conform.Cache
 	checker        *conform.Checker
 	binder         *proxy.Binder
@@ -86,14 +88,10 @@ type Peer struct {
 	lifeCfg        LifecycleConfig
 	stats          Stats
 
-	// store, when set (WithStore), is the peer's durable description
-	// and code-seen cache: warm-loaded into the remote repository at
-	// construction, consulted by ensureDescription before the wire,
-	// written through on every fetch, and subscribed for change-feed
-	// deltas. storeWatchCancel tears the subscription down on Close.
-	store            registry.Store
-	ownStore         bool
-	storeWatchCancel func()
+	// store, when set (WithStore), backs the catalog: see
+	// registry.Catalog. ownStore: the peer opened it and closes it.
+	store    registry.Store
+	ownStore bool
 
 	// envReader recognizes repeated envelope shapes on the receive
 	// path (the receive-side counterpart of the entry's envelope
@@ -121,9 +119,11 @@ type Peer struct {
 	exports   map[string]*export
 	conns     map[*Conn]struct{}
 	remotes   map[string]*Remote
-	codeSeen  map[guid.GUID]bool
 	codeBlobs map[string]codeBlobCache
-	inflight  map[string]chan struct{}
+	inflight  map[flightKey]chan struct{}
+	// afterMiss, when set (tests), runs between a single flight's miss
+	// and its claim.
+	afterMiss func(flightKey)
 	listener  net.Listener
 	acceptWG  sync.WaitGroup
 	handlerWG sync.WaitGroup
@@ -161,20 +161,11 @@ func withFabricBusy(fb *fabricBusy) PeerOption {
 	return func(p *Peer) { p.busyRef = fb }
 }
 
-// rebuildChecker reconstructs the checker and binder around the
-// peer's current cache — the single place checker wiring lives, so
-// policy and cache options compose in either order.
-func (p *Peer) rebuildChecker(pol conform.Policy) {
-	p.checker = conform.New(typedesc.MultiResolver{p.reg, p.remote},
-		conform.WithPolicy(pol), conform.WithCache(p.cache))
-	p.binder = proxy.NewBinder(p.reg, p.checker)
-}
-
 // WithPolicy sets the conformance policy (default Relaxed(1) with
 // token-subset member matching — the pragmatic configuration that
 // unifies the paper's Person example).
 func WithPolicy(pol conform.Policy) PeerOption {
-	return func(p *Peer) { p.rebuildChecker(pol) }
+	return func(p *Peer) { p.policy = pol }
 }
 
 // WithCacheCapacity bounds the peer's conformance cache to roughly n
@@ -182,10 +173,7 @@ func WithPolicy(pol conform.Policy) PeerOption {
 // the long-lived-peer configuration where the type population churns
 // past what should stay resident.
 func WithCacheCapacity(n int) PeerOption {
-	return func(p *Peer) {
-		p.cache = conform.NewCacheWithCapacity(n)
-		p.rebuildChecker(p.checker.Policy())
-	}
+	return func(p *Peer) { p.cacheCap = n }
 }
 
 // WithCodec selects the payload codec (default binary; the paper's
@@ -217,14 +205,14 @@ func WithClock(c Clock) PeerOption {
 	}
 }
 
-// WithStore attaches a registry store as the peer's durable
-// description/code cache. Descriptions and code-seen markers already
-// in the store are warm-loaded at construction (a restarted peer
-// serves traffic with zero description fetches — see
-// docs/registry.md), ensureDescription consults the store before
-// asking the wire, every wire-fetched description is written through,
-// and the store's change feed is applied to the remote repository so
-// peers sharing a store learn each other's registrations without
+// WithStore attaches a registry store to the peer's catalog as its
+// durable description/code cache (see registry.Catalog and
+// docs/registry.md). Descriptions and code-seen markers already in the
+// store are warm-loaded at construction, so a restarted peer serves
+// traffic with zero description fetches; a description miss consults
+// the store before the wire; every description fetched from outside is
+// written through; and the store's change feed folds into the catalog,
+// so peers sharing a store learn each other's registrations without
 // re-downloading.
 func WithStore(s registry.Store) PeerOption {
 	return func(p *Peer) { p.store = s }
@@ -253,8 +241,7 @@ func NewPeer(reg *registry.Registry, opts ...PeerOption) *Peer {
 	p := &Peer{
 		name:           "peer",
 		reg:            reg,
-		remote:         typedesc.NewRepository(),
-		cache:          conform.NewCache(),
+		policy:         conform.Relaxed(1),
 		codec:          wire.Binary{},
 		requestTimeout: 5 * time.Second,
 		clock:          realClock{},
@@ -267,70 +254,25 @@ func NewPeer(reg *registry.Registry, opts ...PeerOption) *Peer {
 		exports:   make(map[string]*export),
 		conns:     make(map[*Conn]struct{}),
 		remotes:   make(map[string]*Remote),
-		codeSeen:  make(map[guid.GUID]bool),
 		codeBlobs: make(map[string]codeBlobCache),
-		inflight:  make(map[string]chan struct{}),
+		inflight:  make(map[flightKey]chan struct{}),
 		relResume: make(map[uint64]uint64),
 		closeCh:   make(chan struct{}),
 	}
-	p.rebuildChecker(conform.Relaxed(1))
 	for _, opt := range opts {
 		opt(p)
 	}
-	p.initStore()
-	return p
-}
-
-// initStore warm-loads the attached store and subscribes to its
-// change feed. Load failures are tolerated record by record — a
-// degraded store serves what it can and the rest falls back to the
-// wire.
-func (p *Peer) initStore() {
-	if p.store == nil {
-		return
-	}
-	if recs, err := p.store.List(registry.KindDescription); err == nil {
-		for _, rec := range recs {
-			if rec.Tombstone || len(rec.Data) == 0 {
-				continue
-			}
-			d, err := xmlenc.UnmarshalDescription(rec.Data)
-			if err != nil {
-				continue
-			}
-			if p.remote.Add(d) == nil {
-				p.stats.add(cDescWarmLoaded, 1)
-			}
-		}
-	}
-	p.mu.Lock()
-	for _, id := range registry.CodeSeenIdentities(p.store) {
-		p.codeSeen[id] = true
-	}
-	p.mu.Unlock()
-	events, cancel := p.store.Watch()
-	p.storeWatchCancel = cancel
-	go p.applyStoreEvents(events)
-}
-
-// applyStoreEvents folds change-feed deltas into the remote
-// repository: registrations and new versions become resolvable
-// without a wire fetch. Tombstones are ignored here — identity-pinned
-// resolution of already-received objects must keep working.
-func (p *Peer) applyStoreEvents(events <-chan registry.StoreEvent) {
-	for ev := range events {
-		if ev.Record.Key.Kind != registry.KindDescription ||
-			ev.Record.Tombstone || len(ev.Record.Data) == 0 {
-			continue
-		}
-		d, err := xmlenc.UnmarshalDescription(ev.Record.Data)
-		if err != nil {
-			continue
-		}
-		if p.remote.Add(d) == nil {
+	p.cat = registry.NewCatalog(reg, p.store, func(fromFeed bool) {
+		if fromFeed {
 			p.stats.add(cDescFeedApplied, 1)
+		} else {
+			p.stats.add(cDescWarmLoaded, 1)
 		}
-	}
+	})
+	p.cache = conform.NewCacheWithCapacity(p.cacheCap)
+	p.checker = conform.New(p.cat, conform.WithPolicy(p.policy), conform.WithCache(p.cache))
+	p.binder = proxy.NewBinder(p.cat, p.checker)
+	return p
 }
 
 // Stats exposes the peer's counters.
@@ -342,9 +284,9 @@ func (p *Peer) Registry() *registry.Registry { return p.reg }
 // Checker returns the peer's conformance checker.
 func (p *Peer) Checker() *conform.Checker { return p.checker }
 
-// RemoteDescriptions returns the repository of descriptions learned
-// from other peers.
-func (p *Peer) RemoteDescriptions() *typedesc.Repository { return p.remote }
+// Catalog returns the peer's description catalog: its registry's
+// descriptions, the ones it learned, and its store.
+func (p *Peer) Catalog() *registry.Catalog { return p.cat }
 
 // OnReceive registers a type of interest: v is an instance of a
 // registered type, a reflect.Type, or a pointer to an interface. Each
@@ -378,7 +320,7 @@ func (p *Peer) OnReceive(v interface{}, handler func(Delivery)) error {
 		}
 		desc = d
 		// Interests must resolve for conformance checks.
-		if err := p.remote.Add(d); err != nil {
+		if err := p.cat.Learn(d); err != nil {
 			return err
 		}
 	}
@@ -407,7 +349,7 @@ func (p *Peer) OnReceiveDescription(desc *typedesc.TypeDescription, handler func
 	if err := desc.Validate(); err != nil {
 		return err
 	}
-	if err := p.remote.Add(desc); err != nil {
+	if err := p.cat.Learn(desc); err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -478,7 +420,6 @@ func (p *Peer) Close() error {
 	}
 	p.closed = true
 	close(p.closeCh)
-	watchCancel := p.storeWatchCancel
 	ln := p.listener
 	conns := make([]*Conn, 0, len(p.conns))
 	for c := range p.conns {
@@ -490,9 +431,7 @@ func (p *Peer) Close() error {
 	}
 	p.mu.Unlock()
 
-	if watchCancel != nil {
-		watchCancel()
-	}
+	p.cat.Close()
 	if p.ownStore && p.store != nil {
 		_ = p.store.Close()
 	}
@@ -920,7 +859,7 @@ func (p *Peer) handleObject(c *Conn, m *Message) {
 		}
 		if d, err := xmlenc.UnmarshalDescription(descXML); err == nil {
 			inlineDesc = d
-			if err := p.remote.Add(d); err != nil {
+			if err := p.cat.Learn(d); err != nil {
 				// Not fatal — the inline copy still drives this
 				// delivery — but a refused description (an identity
 				// clash, typically) must not vanish silently.
@@ -1053,67 +992,33 @@ func (p *Peer) buildDelivery(c *Conn, env *xmlenc.Envelope, desc *typedesc.TypeD
 }
 
 // ensureDescription returns the description for ref, asking the
-// remote peer only on a cache miss (the optimistic protocol's
-// on-demand step): local registry, then remote repository, then the
-// attached store, and only then the wire. Concurrent misses for the
-// same type (the full ref — name and identity, so distinct versions
-// never share a flight) collapse into one request (single flight), so
-// a flash crowd of objects of a new type costs one round trip, not
-// one per object.
+// remote peer only on a catalog miss (the optimistic protocol's
+// on-demand step). Concurrent misses for the same type (the full ref —
+// name and identity, so distinct versions never share a flight)
+// collapse into one request, so a flash crowd of objects of a new type
+// costs one round trip, not one per object.
 func (p *Peer) ensureDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
-	for attempt := 0; attempt < 3; attempt++ {
-		if d, ok := p.reg.Descriptions().Lookup(ref); ok {
-			p.stats.add(cDescriptorHits, 1)
-			return d, nil
-		}
-		if d, ok := p.remote.Lookup(ref); ok {
-			p.stats.add(cDescriptorHits, 1)
-			return d, nil
-		}
-		if d := p.storeDescription(ref); d != nil {
+	var d *typedesc.TypeDescription
+	have := func() bool {
+		var fromStore bool
+		d, fromStore = p.cat.Lookup(ref)
+		switch {
+		case fromStore:
 			p.stats.add(cDescStoreHits, 1)
-			return d, nil
+		case d != nil:
+			p.stats.add(cDescriptorHits, 1)
 		}
-		leader, wait := p.claim("desc|" + ref.String())
-		if !leader {
-			wait()
-			continue
-		}
-		d, err := p.fetchDescription(l, ref)
-		p.release("desc|" + ref.String())
-		return d, err
+		return d != nil
 	}
-	return nil, fmt.Errorf("transport: type info for %s: fetch did not converge", ref)
-}
-
-// storeDescription consults the attached store for ref, folding a hit
-// into the remote repository so subsequent lookups resolve in memory.
-func (p *Peer) storeDescription(ref typedesc.TypeRef) *typedesc.TypeDescription {
-	if p.store == nil {
-		return nil
-	}
-	rec, ok := registry.FindDescription(p.store, ref)
-	if !ok {
-		return nil
-	}
-	d, err := xmlenc.UnmarshalDescription(rec.Data)
+	err := p.singleFlight(flightKey{kind: flightDesc, id: ref.Identity, name: ref.Name}, have,
+		func() (err error) {
+			d, err = p.fetchDescription(l, ref)
+			return err
+		})
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("transport: type info for %s: %w", ref, err)
 	}
-	if err := p.remote.Add(d); err != nil {
-		return nil
-	}
-	return d
-}
-
-// storeLearnedDescription writes a wire-fetched description through
-// to the attached store so the next incarnation of this peer starts
-// warm. Best-effort: a store failure never fails the delivery.
-func (p *Peer) storeLearnedDescription(d *typedesc.TypeDescription) {
-	if p.store == nil {
-		return
-	}
-	_ = registry.StoreDescription(p.store, d)
+	return d, nil
 }
 
 func (p *Peer) fetchDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
@@ -1122,16 +1027,15 @@ func (p *Peer) fetchDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDes
 	reply, err := l.Request(MsgTypeInfoRequest, encodeRef(ref))
 	p.unpark()
 	if err != nil {
-		return nil, fmt.Errorf("transport: type info for %s: %w", ref, err)
+		return nil, err
 	}
 	d, err := xmlenc.UnmarshalDescription(reply.Body)
 	if err != nil {
-		return nil, fmt.Errorf("transport: bad type info for %s: %w", ref, err)
+		return nil, fmt.Errorf("bad reply: %w", err)
 	}
-	if err := p.remote.Add(d); err != nil {
+	if err := p.cat.LearnFetched(d); err != nil {
 		return nil, err
 	}
-	p.storeLearnedDescription(d)
 	return d, nil
 }
 
@@ -1151,80 +1055,87 @@ func (p *Peer) fetchFromDownloadPaths(env *xmlenc.Envelope) (*typedesc.TypeDescr
 		return nil, err
 	}
 	p.stats.add(cTypeInfoRequests, 1)
-	if err := p.remote.Add(d); err != nil {
+	if err := p.cat.LearnFetched(d); err != nil {
 		return nil, err
 	}
-	p.storeLearnedDescription(d)
 	return d, nil
 }
 
-// claim starts or joins an in-flight fetch. The leader (true return)
-// must call release; followers get a wait function.
-func (p *Peer) claim(key string) (leader bool, wait func()) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ch, ok := p.inflight[key]; ok {
-		return false, func() {
-			p.park()
-			defer p.unpark()
-			<-ch
-		}
-	}
-	ch := make(chan struct{})
-	p.inflight[key] = ch
-	return true, nil
+// flightKey names one single-flight exchange: a description fetch,
+// keyed by the full ref, or a code exchange, keyed by identity.
+type flightKey struct {
+	kind flightKind
+	id   guid.GUID
+	name string
 }
 
-func (p *Peer) release(key string) {
-	p.mu.Lock()
-	ch := p.inflight[key]
-	delete(p.inflight, key)
-	p.mu.Unlock()
-	if ch != nil {
+type flightKind uint8
+
+const (
+	flightDesc flightKind = iota
+	flightCode
+)
+
+// errFlightStalled reports a caller that waited out several flights
+// on one key without the result appearing.
+var errFlightStalled = errors.New("fetch did not converge")
+
+// singleFlight runs fetch for key unless have reports the result
+// already held. Concurrent callers coalesce: one claims the key and
+// fetches while the others wait for its release and check have again.
+// The claimant checks have once more before fetching, so a caller
+// that missed while another flight was fetching, and claims only after
+// it released, finds the result instead of fetching it a second time.
+func (p *Peer) singleFlight(key flightKey, have func() bool, fetch func() error) error {
+	for attempt := 0; attempt < 3; attempt++ {
+		if have() {
+			return nil
+		}
+		if p.afterMiss != nil {
+			p.afterMiss(key)
+		}
+		p.mu.Lock()
+		ch, busy := p.inflight[key]
+		if !busy {
+			ch = make(chan struct{})
+			p.inflight[key] = ch
+		}
+		p.mu.Unlock()
+		if busy {
+			p.park() // handler context: the claimant's release resolves this
+			<-ch
+			p.unpark()
+			continue
+		}
+		var err error
+		if !have() {
+			err = fetch()
+		}
+		p.mu.Lock()
+		delete(p.inflight, key)
+		p.mu.Unlock()
 		close(ch)
+		return err
 	}
+	return errFlightStalled
 }
 
 // downloadCodeOnce performs the Figure 1 code exchange the first time
 // a type is seen. A failed download is not fatal: the object can
 // still be delivered as a generic view.
 func (p *Peer) downloadCodeOnce(l Link, ref typedesc.TypeRef, d *typedesc.TypeDescription) {
-	for attempt := 0; attempt < 3; attempt++ {
-		if p.codeSeenBefore(d) {
-			return
-		}
-		leader, wait := p.claim("code|" + d.Identity.String())
-		if !leader {
-			wait()
-			continue
-		}
-		p.step(cCodeRequests, EventCodeRequested, ref)
-		p.park() // handler context, as in fetchDescription
-		_, err := l.Request(MsgCodeRequest, encodeRef(ref))
-		p.unpark()
-		if err == nil {
-			p.markCodeSeen(d)
-		}
-		p.release("code|" + d.Identity.String())
-		return
-	}
-}
-
-func (p *Peer) codeSeenBefore(d *typedesc.TypeDescription) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.codeSeen[d.Identity]
-}
-
-func (p *Peer) markCodeSeen(d *typedesc.TypeDescription) {
-	p.mu.Lock()
-	p.codeSeen[d.Identity] = true
-	p.mu.Unlock()
-	// Persist the marker so a warm restart skips the code exchange
-	// along with the description fetch.
-	if p.store != nil {
-		_ = registry.MarkCodeSeen(p.store, d.Identity.String())
-	}
+	_ = p.singleFlight(flightKey{kind: flightCode, id: d.Identity},
+		func() bool { return p.cat.CodeSeen(d.Identity) },
+		func() error {
+			p.step(cCodeRequests, EventCodeRequested, ref)
+			p.park() // handler context, as in fetchDescription
+			_, err := l.Request(MsgCodeRequest, encodeRef(ref))
+			p.unpark()
+			if err == nil {
+				p.cat.MarkCodeSeen(d.Identity)
+			}
+			return err
+		})
 }
 
 // --- server-side request handlers ------------------------------------
@@ -1248,12 +1159,10 @@ func (p *Peer) handleTypeInfo(c *Conn, m *Message) {
 		_ = c.reply(m, MsgTypeInfoReply, xmlBytes)
 		return
 	}
-	d, ok := p.reg.Descriptions().Lookup(ref)
-	if !ok {
-		if d, ok = p.remote.Lookup(ref); !ok {
-			_ = c.replyError(m, fmt.Errorf("unknown type %s", ref))
-			return
-		}
+	d, _ := p.cat.Lookup(ref)
+	if d == nil {
+		_ = c.replyError(m, fmt.Errorf("unknown type %s", ref))
+		return
 	}
 	xmlBytes, err := xmlenc.MarshalDescription(d)
 	if err != nil {

@@ -132,7 +132,7 @@ func (p *Peer) Export(name string, v interface{}) error {
 		if err != nil {
 			return fmt.Errorf("transport: describe export: %w", err)
 		}
-		_ = p.remote.Add(desc)
+		_ = p.cat.Learn(desc)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -258,7 +258,7 @@ func (p *Peer) Remote(c *Conn, name string, expected interface{}) (*RemoteRef, e
 		if err != nil {
 			return nil, err
 		}
-		_ = p.remote.Add(expDesc)
+		_ = p.cat.Learn(expDesc)
 	}
 
 	r, err := p.checker.Check(remoteDesc, expDesc)

@@ -29,8 +29,6 @@ type Repository struct {
 	mu     sync.RWMutex
 	byID   map[guid.GUID]*TypeDescription
 	byName map[string]*TypeDescription
-	hits   uint64
-	misses uint64
 	gen    atomic.Uint64 // counts Adds
 }
 
@@ -78,23 +76,20 @@ func (r *Repository) Resolve(ref TypeRef) (*TypeDescription, error) {
 
 // Lookup is Resolve without the miss error: probes that expect to
 // miss (the optimistic protocol's cache checks) pay no allocation for
-// it. Hits and misses count exactly as in Resolve.
+// it, and concurrent lookups share the read lock.
 func (r *Repository) Lookup(ref TypeRef) (*TypeDescription, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	if !ref.Identity.IsNil() {
 		if d, ok := r.byID[ref.Identity]; ok {
-			r.hits++
 			return d, true
 		}
 	}
 	if ref.Name != "" {
 		if d, ok := r.byName[ref.Name]; ok {
-			r.hits++
 			return d, true
 		}
 	}
-	r.misses++
 	return nil, false
 }
 
@@ -111,15 +106,6 @@ func (r *Repository) Len() int {
 	return len(r.byID)
 }
 
-// Stats returns cumulative resolve hits and misses; the transport
-// benchmarks report these as the optimistic-protocol cache
-// effectiveness.
-func (r *Repository) Stats() (hits, misses uint64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.hits, r.misses
-}
-
 // All returns a snapshot of every stored description.
 func (r *Repository) All() []*TypeDescription {
 	r.mu.RLock()
@@ -129,44 +115,6 @@ func (r *Repository) All() []*TypeDescription {
 		out = append(out, d)
 	}
 	return out
-}
-
-// MultiResolver tries each resolver in order, returning the first
-// success. It lets the conformance checker consult a local repository
-// first and fall back to a remote fetcher.
-type MultiResolver []Resolver
-
-var _ Resolver = MultiResolver(nil)
-
-// Resolve implements Resolver.
-func (m MultiResolver) Resolve(ref TypeRef) (*TypeDescription, error) {
-	var firstErr error
-	for _, r := range m {
-		d, err := r.Resolve(ref)
-		if err == nil {
-			return d, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("%w: %s", ErrNotFound, ref)
-	}
-	return nil, firstErr
-}
-
-// Generation sums the change counters of the member resolvers that
-// keep one (repositories, registries, nested MultiResolvers). Each
-// counter only grows, so a change to any member changes the sum.
-func (m MultiResolver) Generation() uint64 {
-	var g uint64
-	for _, r := range m {
-		if c, ok := r.(interface{ Generation() uint64 }); ok {
-			g += c.Generation()
-		}
-	}
-	return g
 }
 
 // ResolverFunc adapts a function to the Resolver interface.

@@ -147,11 +147,6 @@ func TestRepositoryAddResolve(t *testing.T) {
 	if _, err := repo.Resolve(TypeRef{Name: "Nope"}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("want ErrNotFound, got %v", err)
 	}
-
-	hits, misses := repo.Stats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("Stats = %d hits, %d misses; want 2, 1", hits, misses)
-	}
 }
 
 func TestRepositoryRejectsBadAdds(t *testing.T) {
@@ -192,28 +187,6 @@ func TestRepositoryContainsAndAll(t *testing.T) {
 	}
 	if all := repo.All(); len(all) != 1 || all[0].Name != "Address" {
 		t.Errorf("All = %v", all)
-	}
-}
-
-func TestMultiResolver(t *testing.T) {
-	primary := NewRepository()
-	secondary := NewRepository()
-	d := MustDescribe(reflect.TypeOf(fixtures.PersonA{}))
-	_ = secondary.Add(d)
-
-	m := MultiResolver{primary, secondary}
-	got, err := m.Resolve(d.Ref())
-	if err != nil {
-		t.Fatalf("MultiResolver: %v", err)
-	}
-	if !Equal(got, d) {
-		t.Error("wrong description")
-	}
-	if _, err := m.Resolve(TypeRef{Name: "Ghost"}); err == nil {
-		t.Error("want error for unresolvable ref")
-	}
-	if _, err := MultiResolver(nil).Resolve(d.Ref()); err == nil {
-		t.Error("empty MultiResolver should fail")
 	}
 }
 

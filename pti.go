@@ -232,8 +232,9 @@ func buildRuntime(reg *registry.Registry, opts ...Option) *Runtime {
 		opt(r)
 	}
 	r.cache = conform.NewCacheWithCapacity(r.cacheCap)
-	r.checker = conform.New(r.reg, conform.WithPolicy(r.policy), conform.WithCache(r.cache))
-	r.binder = proxy.NewBinder(r.reg, r.checker)
+	cat := registry.NewCatalog(r.reg, nil, nil)
+	r.checker = conform.New(cat, conform.WithPolicy(r.policy), conform.WithCache(r.cache))
+	r.binder = proxy.NewBinder(cat, r.checker)
 	return r
 }
 

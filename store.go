@@ -96,12 +96,12 @@ func NewWithStore(s Store, opts ...Option) (*Runtime, error) {
 	return buildRuntime(reg, opts...), nil
 }
 
-// WithStore gives a transport peer a durable description/code cache:
-// stored descriptions warm the peer on construction (a restart serves
-// traffic with zero description fetches), the store is consulted
-// before the wire, every wire-fetched description is written through,
-// and the store's change feed keeps the peer's remote repository
-// current. The caller keeps ownership of s.
+// WithStore gives a transport peer's description catalog a durable
+// description/code cache: stored descriptions warm the peer on
+// construction (a restart serves traffic with zero description
+// fetches), the store is consulted before the wire, every description
+// fetched from outside is written through, and the store's change
+// feed keeps the catalog current. The caller keeps ownership of s.
 func WithStore(s Store) PeerOption { return transport.WithStore(s) }
 
 // WithStoreDir is WithStore over a crash-safe FileStore opened (or
