@@ -71,10 +71,13 @@ type Entry struct {
 
 	// The marshaled XML type description: immutable once the entry
 	// exists, but the seed re-rendered it on every eager send, every
-	// type-info reply and every code blob.
-	descXMLOnce sync.Once
-	descXML     []byte
-	descXMLErr  error
+	// type-info reply and every code blob. The code blob is built from
+	// it once too.
+	descXMLOnce  sync.Once
+	descXML      []byte
+	descXMLErr   error
+	codeBlobOnce sync.Once
+	codeBlob     []byte
 
 	// Per-encoding compiled envelope templates plus the envelope's
 	// static assembly list (root type + nested struct fields),
@@ -118,6 +121,31 @@ func (e *Entry) DescriptionXML() ([]byte, error) {
 		e.descXML, e.descXMLErr = xmlenc.MarshalDescription(e.Description)
 	})
 	return e.descXML, e.descXMLErr
+}
+
+// CodeBlob returns the entry's code blob — the package's CodeBlob of
+// DescriptionXML — building it on first use.
+func (e *Entry) CodeBlob() ([]byte, error) {
+	xmlBytes, err := e.DescriptionXML()
+	if err != nil {
+		return nil, err
+	}
+	e.codeBlobOnce.Do(func() { e.codeBlob = CodeBlob(xmlBytes) })
+	return e.codeBlob, nil
+}
+
+// codePadding is the simulated assembly size appended to code blobs,
+// standing in for real CIL/bytecode.
+const codePadding = 4096
+
+// CodeBlob simulates the assembly bytes for a type: its description
+// XML (the part a real system would need anyway) followed by
+// codePadding zero bytes standing in for executable code. Peers and
+// the transport's DescriptionServer serve the same blob.
+func CodeBlob(descXML []byte) []byte {
+	blob := make([]byte, len(descXML)+codePadding)
+	copy(blob, descXML)
+	return blob
 }
 
 // Assemblies returns the envelope's static assembly list: the root

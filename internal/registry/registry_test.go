@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -226,5 +227,30 @@ func TestUnregister(t *testing.T) {
 	}
 	if !r.Unregister(typedesc.TypeRef{Identity: e.Description.Identity}) {
 		t.Error("Unregister by identity failed")
+	}
+}
+
+// TestEntryCodeBlobBuiltOnce: an entry's code blob is its description
+// XML followed by the simulated code padding, the same bytes CodeBlob
+// renders, and it is built once per entry.
+func TestEntryCodeBlobBuiltOnce(t *testing.T) {
+	e, err := New().Register(fixtures.PersonA{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xmlBytes, err := e.DescriptionXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := e.CodeBlob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, CodeBlob(xmlBytes)) || len(blob) != len(xmlBytes)+codePadding {
+		t.Fatalf("code blob is %d bytes, want the %d-byte description plus %d padding", len(blob), len(xmlBytes), codePadding)
+	}
+	again, _ := e.CodeBlob()
+	if &again[0] != &blob[0] {
+		t.Error("second CodeBlob call rebuilt the blob")
 	}
 }

@@ -86,11 +86,9 @@ func newConnWith(p *Peer, rw net.Conn, rel *ReliableLink, owner *Remote) *Conn {
 		func(m *Message) { p.handleRequest(c, m) },
 		p.goHandler,
 		func(m *Message) { c.routeReply(m) },
-		func(epoch, cum uint64) {
-			_ = c.send(&Message{Type: MsgReliableAck, Body: encodeRelAck(epoch, cum)})
-		},
-		func(epoch uint64, seqs []uint64) {
-			_ = c.send(&Message{Type: MsgReliableNack, Body: encodeRelNack(epoch, seqs)})
+		func(epoch, cum uint64, gaps []uint64) {
+			var body [relAckMax]byte // the write copies it: no allocation
+			_ = c.send(&Message{Type: MsgReliableAck, Body: appendRelAck(body[:0], epoch, cum, gaps)})
 		},
 		func(r DropReason) { p.drop(r, typedesc.TypeRef{}, nil) })
 	var created *ReliableLink
@@ -212,18 +210,11 @@ func (c *Conn) readLoop() {
 			// very conn — so the answer must come off the read loop.
 			c.peer.handleAsync(c, m)
 		case MsgReliableAck:
-			// Acks are cheap and order-insensitive: route them
-			// synchronously so window space frees the moment the
-			// frame arrives.
+			// Feedback routes synchronously: window space frees the
+			// moment the frame arrives, and a reported gap is repaired
+			// before the backoff timer would fire.
 			if r := c.rel.Load(); r != nil {
 				r.Ack(m.Body)
-			}
-		case MsgReliableNack:
-			// Gap reports route synchronously too: the whole point of
-			// fast retransmit is repairing the gap before the backoff
-			// timer would.
-			if r := c.rel.Load(); r != nil {
-				r.Nack(m.Body)
 			}
 		case MsgReliableData:
 			// Accepted here, in arrival order, so the receiver sees the

@@ -293,7 +293,7 @@ func TestPeerCloseFailsFastInFlightRequest(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := cb.Request(MsgTypeInfoRequest, encodeRef(typedesc.RefOf(reflect.TypeOf(fixtures.PersonA{}))))
+		_, err := cb.request(MsgTypeInfoRequest, encodeRef(typedesc.RefOf(reflect.TypeOf(fixtures.PersonA{}))))
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the request get in flight

@@ -524,8 +524,7 @@ func TestReliableDropBuckets(t *testing.T) {
 		func(m *Message) { delivered = append(delivered, string(m.Body)) },
 		func(drain func()) { drain() },
 		func(m *Message) {},
-		func(epoch, cum uint64) {},
-		nil,
+		func(epoch, cum uint64, gaps []uint64) {},
 		func(r DropReason) { p.drop(r, typedesc.TypeRef{}, nil) })
 
 	feed := func(epoch, seq uint64, body string) {
@@ -594,8 +593,7 @@ func TestSealBoundedWaitTimesOut(t *testing.T) {
 		},
 		func(drain func()) { go drain() }, // as in production: off the accepting goroutine
 		func(m *Message) {},
-		func(epoch, cum uint64) {},
-		nil,
+		func(epoch, cum uint64, gaps []uint64) {},
 		func(DropReason) {})
 
 	feed := func(seq uint64, body string) {

@@ -64,7 +64,7 @@ func (s *DescriptionServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if isCode {
 		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(codeBlob(xmlBytes))
+		_, _ = w.Write(registry.CodeBlob(xmlBytes))
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml")

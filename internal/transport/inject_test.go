@@ -230,7 +230,7 @@ func TestMalformedFrameInjectionPlainLink(t *testing.T) {
 
 // TestMalformedFrameInjectionManagedLink replays the corpora as
 // reliable-layer and lifecycle frame bodies against a managed link:
-// garbage MsgReliableData/Ack/Nack and truncated resume handshakes
+// garbage MsgReliableData/Ack and truncated resume handshakes
 // must neither kill the session nor confuse the failure detector —
 // the remote stays healthy and in-order delivery continues.
 func TestMalformedFrameInjectionManagedLink(t *testing.T) {
@@ -280,7 +280,7 @@ func TestMalformedFrameInjectionManagedLink(t *testing.T) {
 	}
 	for name, payloads := range injectionCorpora(t) {
 		for _, p := range payloads {
-			for _, mt := range []MsgType{MsgReliableData, MsgReliableAck, MsgReliableNack,
+			for _, mt := range []MsgType{MsgReliableData, MsgReliableAck,
 				MsgResumeRequest, MsgResumeReply, MsgObject} {
 				if err := cb.send(&Message{Type: mt, Body: p}); err != nil {
 					t.Fatalf("inject %s as %v: %v", name, mt, err)

@@ -115,6 +115,86 @@ func TestInvokeErrorIdentityAcrossFabric(t *testing.T) {
 	}
 }
 
+// TestRemoteFetchKeepsBusyCountBalanced: Remote runs on the
+// application's goroutine, and its description fetch parks while the
+// reply crosses a 20 ms link. The fabric's busy-handler count must
+// not read negative while it does: the server handler answering the
+// fetch must still count as running, or the virtual clock could
+// advance under it. Remote still completes on the virtual clock.
+func TestRemoteFetchKeepsBusyCountBalanced(t *testing.T) {
+	f := NewFabric(7, WithVirtualClock())
+	defer func() { _ = f.Close() }()
+	var mu sync.Mutex
+	var served []int64 // busy handlers seen inside the serving handler
+	srv, err := f.AddPeerWithRegistry("srv", registry.New(), WithObserver(func(e Event) {
+		if e.Kind == EventTypeInfoServed {
+			mu.Lock()
+			served = append(served, f.fb.handlers.Load())
+			mu.Unlock()
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := f.AddPeerWithRegistry("cli", registry.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Peer().Export("svc", EchoSvc{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.Connect("srv", "cli", FaultProfile{Latency: 20 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	conn, ok := cli.ConnTo("srv")
+	if !ok {
+		t.Fatal("no conn to srv")
+	}
+
+	stop := make(chan struct{})
+	lowest := make(chan int64)
+	go func() {
+		low := f.fb.handlers.Load()
+		for {
+			select {
+			case <-stop:
+				lowest <- low
+				return
+			default:
+			}
+			low = min(low, f.fb.handlers.Load())
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		ref, err := cli.Peer().Remote(conn, "svc", EchoSvc{})
+		if err == nil {
+			_, err = ref.Call("Echo", "x")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Remote: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Remote did not complete on the virtual clock")
+	}
+	close(stop)
+	if low := <-lowest; low < 0 {
+		t.Errorf("busy handlers read %d during Remote, want >= 0", low)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(served) != 1 {
+		t.Fatalf("type-info requests served = %d, want 1", len(served))
+	}
+	if served[0] < 1 {
+		t.Errorf("busy handlers inside the serving handler = %d, want >= 1", served[0])
+	}
+}
+
 // GateSvc blocks until released, for saturating the worker pool under
 // the real clock.
 type GateSvc struct {

@@ -1,18 +1,16 @@
 package transport
 
-// Link is one bidirectional frame path between two peers: the minimal
-// surface the protocol's sender-side operations need. *Conn — a link
-// over a real byte stream (TCP, an in-memory pipe, or a fabric
-// endpoint) — is the canonical implementation; the simulation fabric
-// hands out *Conns over virtual endpoints, so Peer.SendObject,
-// handleObject and fetchDescription run unmodified over either a real
-// network or a simulated one.
+// Link is one bidirectional frame path between two peers: the one-way
+// surface Peer.SendObject and the reliable layer write through. *Conn
+// — a link over a real byte stream (TCP, an in-memory pipe, or a
+// fabric endpoint) — is the canonical implementation; the simulation
+// fabric hands out *Conns over virtual endpoints, so SendObject and
+// the receive side run unmodified over either a real network or a
+// simulated one. Request/reply exchanges (description and code
+// fetches, lookups) run on the *Conn itself.
 type Link interface {
 	// Send writes a one-way message.
 	Send(m *Message) error
-	// Request performs a correlated request/reply exchange, failing
-	// with ErrRequestTimeout, ErrClosed or ErrPeerClosed.
-	Request(t MsgType, body []byte) (*Message, error)
 	// Close tears the link down, unblocking pending requests.
 	Close() error
 }
@@ -29,7 +27,7 @@ var _ Link = (*Conn)(nil)
 func (c *Conn) Send(m *Message) error {
 	if r := c.rel.Load(); r != nil {
 		switch m.Type {
-		case MsgReliableData, MsgReliableAck, MsgReliableNack,
+		case MsgReliableData, MsgReliableAck,
 			MsgPing, MsgPong, MsgResumeRequest, MsgResumeReply:
 		default:
 			return r.Send(m)
@@ -37,7 +35,3 @@ func (c *Conn) Send(m *Message) error {
 	}
 	return c.send(m)
 }
-
-// Request performs a correlated request/reply exchange over the
-// connection.
-func (c *Conn) Request(t MsgType, body []byte) (*Message, error) { return c.request(t, body) }

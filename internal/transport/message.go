@@ -63,13 +63,16 @@ const (
 	// MsgReliableData frames an inner message with an (epoch, seq)
 	// header for the reliable delivery layer (see reliable.go).
 	MsgReliableData
-	// MsgReliableAck carries a cumulative acknowledgement for reliable
-	// data frames.
+	// MsgReliableAck is the reliable receiver's one feedback frame:
+	// the delivered watermark, acknowledging reliable data frames
+	// cumulatively, and the missing seqs of a detected gap, which the
+	// sender retransmits at once instead of waiting out its backoff
+	// timer.
 	MsgReliableAck
-	// MsgReliableNack reports sequence gaps the receiver has detected,
-	// triggering immediate retransmission of the named frames instead
-	// of waiting out the sender's backoff timer.
-	MsgReliableNack
+	// 13 is reserved: it was the separate gap report, now carried by
+	// MsgReliableAck. Keeping it unused leaves the later values as
+	// they were.
+	_
 	// MsgPing is a heartbeat probe from the failure detector; any
 	// frame counts as liveness, so pings only flow on idle links.
 	MsgPing
@@ -110,8 +113,6 @@ func (t MsgType) String() string {
 		return "ReliableData"
 	case MsgReliableAck:
 		return "ReliableAck"
-	case MsgReliableNack:
-		return "ReliableNack"
 	case MsgPing:
 		return "Ping"
 	case MsgPong:

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pti/internal/bufpool"
@@ -98,16 +97,6 @@ type Peer struct {
 	// template).
 	envReader xmlenc.EnvelopeReader
 
-	// activeHandlers counts running message handlers and
-	// parkedHandlers the subset blocked on a clock-backed wait (a
-	// request reply, a single-flight claim). Their difference is the
-	// peer's contribution to the virtual clock's busy probe: time
-	// must not advance while a handler is actually executing, but a
-	// handler waiting on a timer-guarded exchange is the clock's to
-	// resolve.
-	activeHandlers atomic.Int64
-	parkedHandlers atomic.Int64
-
 	// busyRef, when set (fabric-built peers), is the fabric's shared
 	// busy-probe aggregate: handler enter/park/unpark/exit mirror into
 	// its handlers counter, and the peer's reliable links maintain its
@@ -119,7 +108,6 @@ type Peer struct {
 	exports   map[string]*export
 	conns     map[*Conn]struct{}
 	remotes   map[string]*Remote
-	codeBlobs map[string]codeBlobCache
 	inflight  map[flightKey]chan struct{}
 	// afterMiss, when set (tests), runs between a single flight's miss
 	// and its claim.
@@ -254,7 +242,6 @@ func NewPeer(reg *registry.Registry, opts ...PeerOption) *Peer {
 		exports:   make(map[string]*export),
 		conns:     make(map[*Conn]struct{}),
 		remotes:   make(map[string]*Remote),
-		codeBlobs: make(map[string]codeBlobCache),
 		inflight:  make(map[flightKey]chan struct{}),
 		relResume: make(map[uint64]uint64),
 		closeCh:   make(chan struct{}),
@@ -595,46 +582,37 @@ func (p *Peer) goHandler(f func()) {
 }
 
 // handlerEnter/handlerExit bracket a handler goroutine's lifetime:
-// the wait group Close drains, the peer's own active count, and — on
-// a fabric peer — the shared busy aggregate the virtual clock probes.
-// handlerEnter runs before the goroutine exists, so the virtual clock
-// cannot advance through the gap.
+// the wait group Close drains and — on a fabric peer — the shared
+// busy count the virtual clock probes. handlerEnter runs before the
+// goroutine exists, so the virtual clock cannot advance through the
+// gap.
 func (p *Peer) handlerEnter() {
 	p.handlerWG.Add(1)
-	p.activeHandlers.Add(1)
-	if p.busyRef != nil {
-		p.busyRef.handlers.Add(1)
-	}
+	p.busy(1)
 }
 
 func (p *Peer) handlerExit() {
-	p.activeHandlers.Add(-1)
-	if p.busyRef != nil {
-		p.busyRef.handlers.Add(-1)
-	}
+	p.busy(-1)
 	p.handlerWG.Done()
+}
+
+// busy adds n to the fabric's busy-handler count (a no-op off a
+// fabric): time must not advance while a handler is executing.
+func (p *Peer) busy(n int64) {
+	if p.busyRef != nil {
+		p.busyRef.handlers.Add(n)
+	}
 }
 
 // park/unpark bracket a clock-backed wait on a handler's code path
 // (a description/code fetch, a single-flight claim): a parked
 // handler makes no progress on its own, so it must not hold the
-// virtual clock still. These are called only from handler-context
-// call sites — never from Conn.request itself, which application
-// goroutines also use; a parked non-handler must not cancel out a
-// handler that is genuinely executing.
-func (p *Peer) park() {
-	p.parkedHandlers.Add(1)
-	if p.busyRef != nil {
-		p.busyRef.handlers.Add(-1)
-	}
-}
-
-func (p *Peer) unpark() {
-	p.parkedHandlers.Add(-1)
-	if p.busyRef != nil {
-		p.busyRef.handlers.Add(1)
-	}
-}
+// virtual clock still. They run only inside work counted as busy — a
+// handler, or Remote's description fetch — never from Conn.request
+// itself, which application goroutines also use: a parked non-handler
+// would cancel out a handler that is genuinely executing.
+func (p *Peer) park()   { p.busy(-1) }
+func (p *Peer) unpark() { p.busy(1) }
 
 func (p *Peer) handleRequest(c *Conn, m *Message) {
 	switch m.Type {
@@ -682,7 +660,7 @@ func (p *Peer) SendObject(l Link, v interface{}) error {
 		if err != nil {
 			return err
 		}
-		code, err := p.codeBlobFor(entry)
+		code, err := entry.CodeBlob()
 		if err != nil {
 			return err
 		}
@@ -764,10 +742,6 @@ const (
 // it.
 var optimisticHead = []byte{flagOptimistic}
 
-// codePadding is the simulated assembly size appended to code blobs,
-// standing in for real CIL/bytecode.
-const codePadding = 4096
-
 // appendChunk appends chunk behind its 4-byte big-endian length;
 // readChunk splits one such chunk off the front of src.
 func appendChunk[T string | []byte](dst []byte, chunk T) []byte {
@@ -783,48 +757,6 @@ func readChunk(src []byte) (chunk, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: chunk length %d", ErrBadFrame, n)
 	}
 	return src[4 : 4+n], src[4+n:], nil
-}
-
-// codeBlob simulates the assembly bytes for a type: its description
-// XML (the part a real system would need anyway) followed by
-// codePadding zero bytes standing in for executable code. Peers and
-// the DescriptionServer serve the same blob.
-func codeBlob(descXML []byte) []byte {
-	blob := make([]byte, len(descXML)+codePadding)
-	copy(blob, descXML)
-	return blob
-}
-
-// codeBlobCache is one cached code blob together with the entry it
-// was built from, so a replaced entry is noticed and its stale blob
-// overwritten in place (the map stays bounded by the number of
-// distinct type identities).
-type codeBlobCache struct {
-	entry *registry.Entry
-	blob  []byte
-}
-
-// codeBlobFor returns the code blob for a registered entry, built
-// once per (peer, entry): re-registration installs a fresh entry,
-// which misses the entry comparison and rebuilds the blob under the
-// same identity key.
-func (p *Peer) codeBlobFor(entry *registry.Entry) ([]byte, error) {
-	key := entry.Description.Identity.String()
-	p.mu.Lock()
-	cached, ok := p.codeBlobs[key]
-	p.mu.Unlock()
-	if ok && cached.entry == entry {
-		return cached.blob, nil
-	}
-	xmlBytes, err := entry.DescriptionXML()
-	if err != nil {
-		return nil, err
-	}
-	blob := codeBlob(xmlBytes)
-	p.mu.Lock()
-	p.codeBlobs[key] = codeBlobCache{entry: entry, blob: blob}
-	p.mu.Unlock()
-	return blob, nil
 }
 
 // --- receiver side (Figure 1 steps 2-5) ------------------------------
@@ -997,7 +929,7 @@ func (p *Peer) buildDelivery(c *Conn, env *xmlenc.Envelope, desc *typedesc.TypeD
 // name and identity, so distinct versions never share a flight)
 // collapse into one request, so a flash crowd of objects of a new type
 // costs one round trip, not one per object.
-func (p *Peer) ensureDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
+func (p *Peer) ensureDescription(c *Conn, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
 	var d *typedesc.TypeDescription
 	have := func() bool {
 		var fromStore bool
@@ -1012,7 +944,7 @@ func (p *Peer) ensureDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDe
 	}
 	err := p.singleFlight(flightKey{kind: flightDesc, id: ref.Identity, name: ref.Name}, have,
 		func() (err error) {
-			d, err = p.fetchDescription(l, ref)
+			d, err = p.fetchDescription(c, ref)
 			return err
 		})
 	if err != nil {
@@ -1021,10 +953,10 @@ func (p *Peer) ensureDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDe
 	return d, nil
 }
 
-func (p *Peer) fetchDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
+func (p *Peer) fetchDescription(c *Conn, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
 	p.step(cTypeInfoRequests, EventTypeInfoRequested, ref)
-	p.park() // handler context: the reply or its timeout resolves this
-	reply, err := l.Request(MsgTypeInfoRequest, encodeRef(ref))
+	p.park() // counted work (see park): the reply or its timeout resolves this
+	reply, err := c.request(MsgTypeInfoRequest, encodeRef(ref))
 	p.unpark()
 	if err != nil {
 		return nil, err
@@ -1123,13 +1055,13 @@ func (p *Peer) singleFlight(key flightKey, have func() bool, fetch func() error)
 // downloadCodeOnce performs the Figure 1 code exchange the first time
 // a type is seen. A failed download is not fatal: the object can
 // still be delivered as a generic view.
-func (p *Peer) downloadCodeOnce(l Link, ref typedesc.TypeRef, d *typedesc.TypeDescription) {
+func (p *Peer) downloadCodeOnce(c *Conn, ref typedesc.TypeRef, d *typedesc.TypeDescription) {
 	_ = p.singleFlight(flightKey{kind: flightCode, id: d.Identity},
 		func() bool { return p.cat.CodeSeen(d.Identity) },
 		func() error {
 			p.step(cCodeRequests, EventCodeRequested, ref)
 			p.park() // handler context, as in fetchDescription
-			_, err := l.Request(MsgCodeRequest, encodeRef(ref))
+			_, err := c.request(MsgCodeRequest, encodeRef(ref))
 			p.unpark()
 			if err == nil {
 				p.cat.MarkCodeSeen(d.Identity)
@@ -1180,7 +1112,7 @@ func (p *Peer) handleCode(c *Conn, m *Message) {
 		return
 	}
 	if entry, ok := p.reg.Lookup(ref); ok {
-		blob, err := p.codeBlobFor(entry)
+		blob, err := entry.CodeBlob()
 		if err != nil {
 			_ = c.replyError(m, err)
 			return
@@ -1200,5 +1132,5 @@ func (p *Peer) handleCode(c *Conn, m *Message) {
 		return
 	}
 	p.emit(EventCodeServed, d.Ref())
-	_ = c.reply(m, MsgCodeReply, codeBlob(xmlBytes))
+	_ = c.reply(m, MsgCodeReply, registry.CodeBlob(xmlBytes))
 }

@@ -391,7 +391,7 @@ func TestRelReceiverAckPolicy(t *testing.T) {
 			name:   "gap: ack and NACK; frames landing in order ack on delivery only",
 			frames: []frame{{3, obj(12)}, {1, obj(10)}, {2, obj(11)}},
 			want: []string{
-				"ack 1/0", "nack 1/[1 2]",
+				"ack 1/0 gaps [1 2]",
 				"dispatch 10", "ack 1/1",
 				"dispatch 11", "dispatch 12", "ack 1/3",
 			},

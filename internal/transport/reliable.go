@@ -19,7 +19,8 @@ import (
 // Sender side (ReliableLink): every outgoing message is framed as
 // MsgReliableData carrying a (epoch, seq) header; unacked frames live
 // in an in-flight set and are retransmitted on a timer with
-// exponential backoff until a cumulative MsgReliableAck covers them.
+// exponential backoff until the delivered watermark of a
+// MsgReliableAck covers them.
 //
 // One sender loop per link is the only writer of its frames. Object
 // frames take one path: Send appends them to a bounded per-link queue
@@ -41,10 +42,11 @@ import (
 // transmitted exactly once (Karn's rule), the timeout is clamped to
 // [MinRTO, MaxBackoff], and RetransmitTimeout applies until the first
 // sample. NACK fast-retransmit closes the other half of the loop from
-// the receive side: a receiver that observes a sequence gap reports
-// the missing seqs in a MsgReliableNack, and the sender repairs them
-// immediately instead of waiting out a full backoff interval; the
-// timer remains the backstop for lost NACKs.
+// the receive side: MsgReliableAck is the receiver's one feedback
+// frame, and a receiver that observes a sequence gap lists the missing
+// seqs behind the watermark in it. The sender repairs them immediately
+// instead of waiting out a full backoff interval; the timer remains
+// the backstop for lost gap reports.
 //
 // Receiver side (relReceiver, armed on every Conn unconditionally so
 // only the sender has to opt in): frames are deduplicated by (epoch,
@@ -150,7 +152,7 @@ type ReliableConfig struct {
 	// MinRTO floors the estimated RTO so a fast LAN measurement can
 	// never spin the retransmit timer (default 2ms).
 	MinRTO time.Duration
-	// FastRetransmit reacts to receiver gap reports (MsgReliableNack)
+	// FastRetransmit reacts to the gap seqs a MsgReliableAck reports
 	// with an immediate resend (default true); disable it to fall
 	// back to pure timer-driven recovery, the ablation baseline of
 	// the fan-out benchmark.
@@ -310,43 +312,39 @@ func decodeRelData(body []byte) (epoch, seq uint64, inner *Message, err error) {
 	return epoch, seq, inner, nil
 }
 
-func encodeRelAck(epoch, cum uint64) []byte {
-	b := make([]byte, 16)
-	binary.BigEndian.PutUint64(b[0:8], epoch)
-	binary.BigEndian.PutUint64(b[8:16], cum)
-	return b
-}
-
-func decodeRelAck(body []byte) (epoch, cum uint64, err error) {
-	if len(body) != 16 {
-		return 0, 0, fmt.Errorf("%w: bad reliable ack", ErrBadFrame)
-	}
-	return binary.BigEndian.Uint64(body[0:8]), binary.BigEndian.Uint64(body[8:16]), nil
-}
-
-// maxNackSeqs bounds one gap report; deeper gaps heal incrementally
-// as repairs land, with the retransmit timer as the backstop.
+// maxNackSeqs bounds the gap seqs one feedback frame reports; deeper
+// gaps heal incrementally as repairs land, with the retransmit timer
+// as the backstop.
 const maxNackSeqs = 32
 
-func encodeRelNack(epoch uint64, seqs []uint64) []byte {
-	b := make([]byte, 8+8*len(seqs))
-	binary.BigEndian.PutUint64(b[0:8], epoch)
-	for i, s := range seqs {
-		binary.BigEndian.PutUint64(b[8+8*i:16+8*i], s)
+// relAckMax is the longest feedback frame body.
+const relAckMax = 16 + 8*maxNackSeqs
+
+// appendRelAck appends the receiver's one feedback frame to dst: the
+// epoch, the delivered watermark and up to maxNackSeqs missing seqs. A
+// plain ack carries no gaps and is 16 bytes.
+func appendRelAck(dst []byte, epoch, cum uint64, gaps []uint64) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, epoch)
+	dst = binary.BigEndian.AppendUint64(dst, cum)
+	for _, s := range gaps {
+		dst = binary.BigEndian.AppendUint64(dst, s)
 	}
-	return b
+	return dst
 }
 
-func decodeRelNack(body []byte) (epoch uint64, seqs []uint64, err error) {
-	if len(body) < 16 || len(body)%8 != 0 {
-		return 0, nil, fmt.Errorf("%w: bad reliable nack", ErrBadFrame)
+// decodeRelAck parses a feedback frame, rejecting any length other
+// than 16 + 8k with k <= maxNackSeqs. gaps is nil for a plain ack.
+func decodeRelAck(body []byte) (epoch, cum uint64, gaps []uint64, err error) {
+	if len(body) < 16 || len(body)%8 != 0 || len(body) > relAckMax {
+		return 0, 0, nil, fmt.Errorf("%w: bad reliable ack", ErrBadFrame)
 	}
-	epoch = binary.BigEndian.Uint64(body[0:8])
-	seqs = make([]uint64, 0, (len(body)-8)/8)
-	for off := 8; off < len(body); off += 8 {
-		seqs = append(seqs, binary.BigEndian.Uint64(body[off:off+8]))
+	if k := (len(body) - 16) / 8; k > 0 {
+		gaps = make([]uint64, k)
+		for i := range gaps {
+			gaps[i] = binary.BigEndian.Uint64(body[16+8*i:])
+		}
 	}
-	return epoch, seqs, nil
+	return binary.BigEndian.Uint64(body[0:8]), binary.BigEndian.Uint64(body[8:16]), gaps, nil
 }
 
 // --- RTT estimation ---------------------------------------------------
@@ -392,7 +390,7 @@ const (
 	relFirst                   // sequenced, never written
 	relReplay                  // rebuilt by resume, not yet rewritten
 	relTimeout                 // deadline passed: a timer resend is owed
-	relNacked                  // named by a NACK: a fast retransmit is owed
+	relNacked                  // named as a gap by an ack: a fast retransmit is owed
 )
 
 // relEntry is one unacked frame.
@@ -491,10 +489,9 @@ type ReliableLink struct {
 }
 
 // NewReliableLink wraps l in a reliable sender. When l is a *Conn the
-// link attaches itself for ack/nack routing and raw writes; for any
-// other Link the caller must feed incoming MsgReliableAck bodies to
-// Ack and MsgReliableNack bodies to Nack. A nil clock means the wall
-// clock.
+// link attaches itself for ack routing and raw writes; for any other
+// Link the caller must feed incoming MsgReliableAck bodies to Ack. A
+// nil clock means the wall clock.
 func NewReliableLink(l Link, clock Clock, opts ...ReliableOption) *ReliableLink {
 	cfg := defaultReliableConfig()
 	for _, o := range opts {
@@ -549,9 +546,8 @@ func newReliableLink(raw Link, clock Clock, stats *Stats, fb *fabricBusy, cfg Re
 // wrapping Conn.Send applies once a link is attached.
 type connRaw struct{ c *Conn }
 
-func (l connRaw) Send(m *Message) error                         { return l.c.send(m) }
-func (l connRaw) Request(t MsgType, b []byte) (*Message, error) { return l.c.request(t, b) }
-func (l connRaw) Close() error                                  { return l.c.Close() }
+func (l connRaw) Send(m *Message) error { return l.c.send(m) }
+func (l connRaw) Close() error          { return l.c.Close() }
 
 // Send frames m with the next sequence number and hands it to the
 // link's sender loop, which retransmits it until acked. Object frames
@@ -961,93 +957,77 @@ func (r *ReliableLink) wakeLocked() {
 	}
 }
 
-// Request passes through to the underlying link: correlated
-// request/reply exchanges carry their own correlation and timeout.
-// (Conn-attached reliable links route requests through the reliable
-// channel at the Conn layer instead — see Conn.request.)
-func (r *ReliableLink) Request(t MsgType, body []byte) (*Message, error) {
-	r.mu.Lock()
-	raw := r.raw
-	r.mu.Unlock()
-	return raw.Request(t, body)
-}
-
-// Ack processes a cumulative acknowledgement body, releasing every
-// in-flight frame it covers and feeding the RTT estimator (Karn's
-// rule: only frames transmitted exactly once produce samples).
-// Conn-attached links are fed automatically from the connection's
-// read loop.
+// Ack processes one feedback frame. The delivered watermark releases
+// every in-flight frame it covers and feeds the RTT estimator (Karn's
+// rule: only frames transmitted exactly once produce samples). Then
+// every gap seq still on the wire is owed a fast retransmit, which the
+// sender loop writes ahead of new frames — the fast path that spares a
+// single lost frame the full backoff wait. A repaired frame keeps its
+// backoff (a gap is a loss signal, not a congestion signal worth
+// doubling for); the write re-arms its deadline so the timer does not
+// double-fire right behind the repair. Gaps are ignored on a detached
+// link and with FastRetransmit off. Conn-attached links are fed
+// automatically from the connection's read loop, which therefore never
+// writes a sender-side repair itself.
 func (r *ReliableLink) Ack(body []byte) {
-	epoch, cum, err := decodeRelAck(body)
+	epoch, cum, gaps, err := decodeRelAck(body)
 	if err != nil {
 		return
 	}
 	now := r.clock.Now()
 	r.mu.Lock()
-	if r.closed || epoch != r.epoch || cum <= r.acked {
+	if r.closed || epoch != r.epoch {
 		r.mu.Unlock()
 		return
 	}
-	r.acked = cum
-	for seq, e := range r.inflight {
-		if seq <= cum {
-			delete(r.inflight, seq)
-			if e.data {
-				r.inflightData--
-			}
-			if e.attempts == 1 {
-				r.est.observe(now.Sub(e.sentAt))
+	advanced := cum > r.acked
+	wake := false
+	if advanced {
+		r.acked = cum
+		for seq, e := range r.inflight {
+			if seq <= cum {
+				delete(r.inflight, seq)
+				if e.data {
+					r.inflightData--
+				}
+				if e.attempts == 1 {
+					r.est.observe(now.Sub(e.sentAt))
+				}
 			}
 		}
-	}
-	r.cond.Broadcast()
-	if len(r.queue) > 0 || len(r.inflight) == 0 {
+		r.cond.Broadcast()
 		// The window may admit the queued head, or the loop may go
-		// idle. Otherwise the loop sleeps on: its timer was armed for
-		// a deadline no later than any that remains, and an early
-		// fire just rescans.
+		// idle. Otherwise the loop sleeps on: its timer was armed for a
+		// deadline no later than any that remains, and an early fire
+		// just rescans.
+		wake = len(r.queue) > 0 || len(r.inflight) == 0
+	}
+	if !r.detached && r.cfg.FastRetransmit {
+		marked := false
+		for _, seq := range gaps {
+			e, ok := r.inflight[seq]
+			if !ok || e.owed != relWritten {
+				continue // already acked (a stale report), or a write is already owed
+			}
+			if r.cfg.MaxAttempts > 0 && e.attempts >= r.cfg.MaxAttempts {
+				continue // the timer path owns give-up
+			}
+			e.owed = relNacked
+			r.due = append(r.due, e)
+			marked = true
+		}
+		if marked {
+			sortBySeq(r.due)
+			wake = true
+		}
+	}
+	if wake {
 		r.wakeLocked()
 	}
 	r.mu.Unlock()
-	r.acksReceived.Add(1)
-	r.stats.add(cRelAcksReceived, 1)
-}
-
-// Nack processes a receiver gap report: every named seq on the wire
-// and still in flight is owed a fast retransmit, which the sender
-// loop writes ahead of new frames — the fast path that spares a
-// single lost frame the full backoff wait. The frame's backoff is
-// kept (a gap is a loss signal, not a congestion signal worth
-// doubling for); the write re-arms its deadline so the timer does not
-// double-fire right behind the repair. Conn-attached links are fed
-// automatically from the connection's read loop, which therefore
-// never writes a sender-side repair itself.
-func (r *ReliableLink) Nack(body []byte) {
-	epoch, seqs, err := decodeRelNack(body)
-	if err != nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || r.detached || epoch != r.epoch || !r.cfg.FastRetransmit {
-		return
-	}
-	marked := false
-	for _, seq := range seqs {
-		e, ok := r.inflight[seq]
-		if !ok || e.owed != relWritten {
-			continue // already acked (a stale report), or a write is already owed
-		}
-		if r.cfg.MaxAttempts > 0 && e.attempts >= r.cfg.MaxAttempts {
-			continue // the timer path owns give-up
-		}
-		e.owed = relNacked
-		r.due = append(r.due, e)
-		marked = true
-	}
-	if marked {
-		sortBySeq(r.due)
-		r.wakeLocked()
+	if advanced {
+		r.acksReceived.Add(1)
+		r.stats.add(cRelAcksReceived, 1)
 	}
 }
 
@@ -1277,7 +1257,8 @@ type relPending struct {
 }
 
 // relReceiver is the receive half of the reliable layer: dedup,
-// cumulative acks, gap-driven NACKs, and strictly in-order dispatch.
+// cumulative acks that also report gaps, and strictly in-order
+// dispatch.
 // One is armed on every Conn, so receiving needs no opt-in.
 //
 // The cumulative ack certifies delivery to the application, not
@@ -1301,15 +1282,14 @@ type relReceiver struct {
 	closed      bool       // sealed at conn teardown: no accepts, no dispatch
 	idle        *sync.Cond // signalled when dispatching goes false
 
-	dispatch func(*Message)                    // in-order request dispatch
-	spawn    func(drain func())                // runs a drain off the accepting goroutine
-	reply    func(*Message)                    // immediate correlated-reply routing
-	ack      func(epoch, cum uint64)           // ack transmission
-	nack     func(epoch uint64, seqs []uint64) // gap-report transmission (nil: disabled)
-	drop     func(DropReason)                  // counts and reports a discarded frame
+	dispatch func(*Message)                         // in-order request dispatch
+	spawn    func(drain func())                     // runs a drain off the accepting goroutine
+	reply    func(*Message)                         // immediate correlated-reply routing
+	ack      func(epoch, cum uint64, gaps []uint64) // feedback frame transmission
+	drop     func(DropReason)                       // counts and reports a discarded frame
 }
 
-func newRelReceiver(stats *Stats, dispatch func(*Message), spawn func(drain func()), reply func(*Message), ack func(epoch, cum uint64), nack func(epoch uint64, seqs []uint64), drop func(DropReason)) *relReceiver {
+func newRelReceiver(stats *Stats, dispatch func(*Message), spawn func(drain func()), reply func(*Message), ack func(epoch, cum uint64, gaps []uint64), drop func(DropReason)) *relReceiver {
 	rr := &relReceiver{
 		stats:    stats,
 		next:     1,
@@ -1319,7 +1299,6 @@ func newRelReceiver(stats *Stats, dispatch func(*Message), spawn func(drain func
 		spawn:    spawn,
 		reply:    reply,
 		ack:      ack,
-		nack:     nack,
 		drop:     drop,
 	}
 	rr.idle = sync.NewCond(&rr.mu)
@@ -1348,7 +1327,8 @@ func isRelReply(t MsgType) bool {
 // returns — and not on receipt: a receipt ack would carry the stale
 // delivered watermark, which the sender ignores. A duplicate, a frame
 // too far ahead and a frame beyond a gap are acked on receipt (the
-// re-ack repairs a lost drain ack), and a gap is also NACKed.
+// re-ack repairs a lost drain ack), and that ack also lists the gap's
+// missing seqs not reported before.
 func (rr *relReceiver) handleData(body []byte) error {
 	epoch, seq, inner, err := decodeRelData(body)
 	if err != nil {
@@ -1420,10 +1400,10 @@ func (rr *relReceiver) handleData(body []byte) error {
 		}
 		inOrder = seq < rr.next
 		// Gap report: every seq below the newly buffered frame that
-		// is still missing is NACKed, once per epoch — the sender
-		// repairs immediately and its backoff timer stays armed as
-		// the backstop for a lost report.
-		if rr.nack != nil && !inOrder {
+		// is still missing rides the receipt ack, once per epoch — the
+		// sender repairs immediately and its backoff timer stays armed
+		// as the backstop for a lost report.
+		if !inOrder {
 			for s := rr.next; s < seq && len(missing) < maxNackSeqs; s++ {
 				if _, held := rr.buf[s]; held {
 					continue
@@ -1452,11 +1432,7 @@ func (rr *relReceiver) handleData(body []byte) error {
 		rr.drop(dropReason) // outside rr.mu: drop callbacks reach the observer
 	}
 	if !inOrder {
-		rr.sendAck(ackEpoch, cum)
-	}
-	if len(missing) > 0 {
-		rr.nack(ackEpoch, missing)
-		rr.stats.add(cRelNacksSent, 1)
+		rr.sendAck(ackEpoch, cum, missing)
 	}
 	if runDispatch {
 		rr.spawn(rr.drain)
@@ -1504,15 +1480,19 @@ func (rr *relReceiver) drain() {
 		cum := rr.deliv
 		rr.mu.Unlock()
 		if ackNow {
-			rr.sendAck(e.epoch, cum)
+			rr.sendAck(e.epoch, cum, nil)
 		}
 	}
 }
 
-// sendAck puts a cumulative ack on the wire and counts it.
-func (rr *relReceiver) sendAck(epoch, cum uint64) {
-	rr.ack(epoch, cum)
+// sendAck puts one feedback frame on the wire and counts it, and
+// counts it as a gap report too when it names missing seqs.
+func (rr *relReceiver) sendAck(epoch, cum uint64, gaps []uint64) {
+	rr.ack(epoch, cum, gaps)
 	rr.stats.add(cRelAcksSent, 1)
+	if len(gaps) > 0 {
+		rr.stats.add(cRelNacksSent, 1)
+	}
 }
 
 // session reports the receiver's current (epoch, next-to-deliver):

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -48,10 +49,6 @@ func (l *scriptLink) Send(m *Message) error {
 	}
 	l.frames = append(l.frames, m)
 	return nil
-}
-
-func (l *scriptLink) Request(MsgType, []byte) (*Message, error) {
-	return nil, errors.New("scriptLink: no requests")
 }
 
 func (l *scriptLink) Close() error { return nil }
@@ -109,7 +106,7 @@ type recvHarness struct {
 	dispatched []uint64 // inner Seq, used as a payload marker
 	replies    []uint64
 	acks       [][2]uint64 // (epoch, cum)
-	nacks      [][]uint64  // per report: [epoch, seqs...]
+	nacks      [][]uint64  // per ack naming gaps: [epoch, seqs...]
 	trace      []string    // every callback in call order
 	stats      Stats
 	rr         *relReceiver
@@ -147,16 +144,15 @@ func newRecvHarness() *recvHarness {
 			record("reply %d", m.Seq)
 			h.mu.Unlock()
 		},
-		func(epoch, cum uint64) {
+		func(epoch, cum uint64, gaps []uint64) {
 			h.mu.Lock()
 			h.acks = append(h.acks, [2]uint64{epoch, cum})
-			record("ack %d/%d", epoch, cum)
-			h.mu.Unlock()
-		},
-		func(epoch uint64, seqs []uint64) {
-			h.mu.Lock()
-			h.nacks = append(h.nacks, append([]uint64{epoch}, seqs...))
-			record("nack %d/%v", epoch, seqs)
+			if len(gaps) > 0 {
+				h.nacks = append(h.nacks, append([]uint64{epoch}, gaps...))
+				record("ack %d/%d gaps %v", epoch, cum, gaps)
+			} else {
+				record("ack %d/%d", epoch, cum)
+			}
 			h.mu.Unlock()
 		},
 		func(DropReason) {})
@@ -359,7 +355,7 @@ func TestReliableWindowBackpressure(t *testing.T) {
 			}
 			// Ack the first object: exactly one slot frees, one queued
 			// frame takes it, and the blocked enqueue gets the queue slot.
-			r.Ack(encodeRelAck(r.Snapshot().Epoch, 1))
+			r.Ack(appendRelAck(nil, r.Snapshot().Epoch, 1, nil))
 			select {
 			case err := <-blocked:
 				if err != nil {
@@ -429,7 +425,7 @@ func TestReliableRetransmitBackoff(t *testing.T) {
 		t.Errorf("retransmits = %d, want 3", got)
 	}
 
-	r.Ack(encodeRelAck(r.Snapshot().Epoch, 1))
+	r.Ack(appendRelAck(nil, r.Snapshot().Epoch, 1, nil))
 	if !waitUntil(2*time.Second, func() bool { return r.Snapshot().InFlight == 0 }) {
 		t.Fatal("ack did not clear the in-flight set")
 	}
@@ -504,7 +500,7 @@ func TestReliableSeqWrapRollsEpoch(t *testing.T) {
 	if got := link.count(); got != 2 {
 		t.Fatalf("frames = %d: a frame crossed the wrap before the drain", got)
 	}
-	r.Ack(encodeRelAck(oldEpoch, math.MaxUint64))
+	r.Ack(appendRelAck(nil, oldEpoch, math.MaxUint64, nil))
 	if !waitUntil(2*time.Second, func() bool { return link.count() == 3 }) {
 		t.Fatalf("frames = %d, want 3 after the drain", link.count())
 	}
@@ -633,11 +629,11 @@ func TestReliableSendQueueAsync(t *testing.T) {
 		t.Errorf("QueuePeak = %d, want >= 3", snap.QueuePeak)
 	}
 	// Each ack admits the next queued frame.
-	r.Ack(encodeRelAck(snap.Epoch, 1))
+	r.Ack(appendRelAck(nil, snap.Epoch, 1, nil))
 	if !waitUntil(2*time.Second, func() bool { return link.count() == 3 }) {
 		t.Fatalf("frames on wire = %d after ack, want 3", link.count())
 	}
-	r.Ack(encodeRelAck(snap.Epoch, 5))
+	r.Ack(appendRelAck(nil, snap.Epoch, 5, nil))
 	if !waitUntil(2*time.Second, func() bool { return r.Snapshot().QueueDepth == 0 }) {
 		t.Fatalf("queue never drained: %+v", r.Snapshot())
 	}
@@ -671,7 +667,7 @@ func TestReliableQueueOverflowPolicies(t *testing.T) {
 			t.Fatalf("Send on full queue returned early: %v", err)
 		case <-time.After(50 * time.Millisecond):
 		}
-		r.Ack(encodeRelAck(r.Snapshot().Epoch, 1)) // window frees, sender drains one
+		r.Ack(appendRelAck(nil, r.Snapshot().Epoch, 1, nil)) // window frees, sender drains one
 		select {
 		case err := <-blocked:
 			if err != nil {
@@ -742,7 +738,7 @@ func TestReliableAdaptiveRTO(t *testing.T) {
 		t.Fatalf("pre-sample RTO = %v, want the fixed fallback", got)
 	}
 	clock.Advance(8 * time.Millisecond) // the measured round trip
-	r.Ack(encodeRelAck(r.Snapshot().Epoch, 1))
+	r.Ack(appendRelAck(nil, r.Snapshot().Epoch, 1, nil))
 	snap := r.Snapshot()
 	if snap.SRTT != 8*time.Millisecond || snap.RTTVar != 4*time.Millisecond {
 		t.Fatalf("SRTT/RTTVAR = %v/%v, want 8ms/4ms", snap.SRTT, snap.RTTVar)
@@ -768,7 +764,7 @@ func TestReliableAdaptiveRTO(t *testing.T) {
 	if !waitUntil(2*time.Second, func() bool { return r.Snapshot().Retransmits == 1 }) {
 		t.Fatalf("retransmits = %d, want 1", r.Snapshot().Retransmits)
 	}
-	r.Ack(encodeRelAck(r.Snapshot().Epoch, 2))
+	r.Ack(appendRelAck(nil, r.Snapshot().Epoch, 2, nil))
 	if got := r.Snapshot().RTTSamples; got != 1 {
 		t.Errorf("samples after ambiguous ack = %d, want 1 (Karn)", got)
 	}
@@ -788,16 +784,16 @@ func TestReliableMinRTOClampsEstimate(t *testing.T) {
 		t.Fatal("frame never left the queue")
 	}
 	clock.Advance(100 * time.Microsecond)
-	r.Ack(encodeRelAck(r.Snapshot().Epoch, 1))
+	r.Ack(appendRelAck(nil, r.Snapshot().Epoch, 1, nil))
 	if got := r.Snapshot().RTO; got != 5*time.Millisecond {
 		t.Errorf("clamped RTO = %v, want the 5ms floor", got)
 	}
 }
 
-// TestReliableNackFastRetransmit drives the sender's NACK reaction:
-// named in-flight frames resend immediately, acked/unknown seqs and
-// stale epochs are ignored, and WithoutFastRetransmit disables the
-// path entirely.
+// TestReliableNackFastRetransmit drives the sender's reaction to the
+// gap seqs an ack reports: named in-flight frames resend immediately,
+// acked/unknown seqs and stale epochs are ignored, and
+// WithoutFastRetransmit disables the path entirely.
 func TestReliableNackFastRetransmit(t *testing.T) {
 	link := &scriptLink{}
 	clock := NewManualClock()
@@ -813,7 +809,7 @@ func TestReliableNackFastRetransmit(t *testing.T) {
 	}
 	epoch := r.Snapshot().Epoch
 
-	r.Nack(encodeRelNack(epoch, []uint64{2}))
+	r.Ack(appendRelAck(nil, epoch, 0, []uint64{2}))
 	if !waitUntil(2*time.Second, func() bool { return r.Snapshot().FastRetransmits == 1 }) {
 		t.Fatalf("frames = %d after NACK, want 4 (one fast retransmit)", link.count())
 	}
@@ -830,9 +826,9 @@ func TestReliableNackFastRetransmit(t *testing.T) {
 
 	// Acked, unknown and stale-epoch reports do nothing: once the loop
 	// is idle again, no frame has appeared.
-	r.Ack(encodeRelAck(epoch, 2))
-	r.Nack(encodeRelNack(epoch, []uint64{1, 2, 99}))
-	r.Nack(encodeRelNack(epoch+1, []uint64{3}))
+	r.Ack(appendRelAck(nil, epoch, 2, nil))
+	r.Ack(appendRelAck(nil, epoch, 2, []uint64{1, 2, 99}))
+	r.Ack(appendRelAck(nil, epoch+1, 0, []uint64{3}))
 	if !waitUntil(2*time.Second, loopIdle(r, clock)) {
 		t.Fatal("sender loop never went idle")
 	}
@@ -850,7 +846,7 @@ func TestReliableNackFastRetransmit(t *testing.T) {
 	if !waitUntil(2*time.Second, func() bool { return link2.count() == 1 }) {
 		t.Fatal("frame never left the queue")
 	}
-	r2.Nack(encodeRelNack(r2.Snapshot().Epoch, []uint64{1}))
+	r2.Ack(appendRelAck(nil, r2.Snapshot().Epoch, 0, []uint64{1}))
 	if !waitUntil(2*time.Second, loopIdle(r2, clock)) {
 		t.Fatal("sender loop never went idle")
 	}
@@ -914,6 +910,49 @@ func TestRelReceiverNacksGapsOncePerEpoch(t *testing.T) {
 	}
 	if len(h.nacks) != 2 {
 		t.Errorf("nack reports after heal = %d, want 2", len(h.nacks))
+	}
+}
+
+// TestConnGapReportIsOneFrame feeds a reliable frame past a gap into a
+// live Conn and reads what comes back: exactly one MsgReliableAck that
+// carries both the delivered watermark and the missing seqs.
+func TestConnGapReportIsOneFrame(t *testing.T) {
+	p := NewPeer(registry.New())
+	defer p.Close()
+	local, remote := net.Pipe()
+	defer remote.Close()
+	newConn(p, local)
+
+	const epoch = 7
+	frame := &Message{Type: MsgReliableData, Body: encodeRelData(epoch, 3, obj(12))}
+	if _, err := WriteMessage(remote, frame); err != nil {
+		t.Fatal(err)
+	}
+	_ = remote.SetReadDeadline(time.Now().Add(2 * time.Second))
+	m, _, err := ReadMessage(remote)
+	if err != nil {
+		t.Fatalf("no feedback frame: %v", err)
+	}
+	if m.Type != MsgReliableAck {
+		t.Fatalf("feedback frame type = %s, want ReliableAck", m.Type)
+	}
+	gotEpoch, cum, gaps, err := decodeRelAck(m.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotEpoch != epoch || cum != 0 || fmt.Sprint(gaps) != "[1 2]" {
+		t.Fatalf("ack = epoch %d cum %d gaps %v, want epoch %d cum 0 gaps [1 2]", gotEpoch, cum, gaps, epoch)
+	}
+
+	// net.Pipe writes are synchronous, so a second feedback frame would
+	// be waiting here.
+	_ = remote.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if m, _, err := ReadMessage(remote); err == nil {
+		t.Fatalf("second frame %s after the gap report, want none", m.Type)
+	}
+	st := p.Stats().Snapshot()
+	if st.RelAcksSent != 1 || st.RelNacksSent != 1 {
+		t.Errorf("RelAcksSent = %d, RelNacksSent = %d, want 1 and 1", st.RelAcksSent, st.RelNacksSent)
 	}
 }
 
@@ -1100,8 +1139,8 @@ func TestReliableIdleLinkLeavesBusyProbe(t *testing.T) {
 	}
 	awaitHeld(t, held)
 	epoch := r.Snapshot().Epoch
-	r.Nack(encodeRelNack(epoch, []uint64{1})) // a repair is owed...
-	r.Ack(encodeRelAck(epoch, 2))             // ...and made moot before the loop gets to it
+	r.Ack(appendRelAck(nil, epoch, 0, []uint64{1})) // a repair is owed...
+	r.Ack(appendRelAck(nil, epoch, 2, nil))         // ...and made moot before the loop gets to it
 	close(release)
 	if !waitUntil(2*time.Second, func() bool {
 		r.mu.Lock()

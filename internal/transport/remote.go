@@ -235,7 +235,12 @@ func (p *Peer) Remote(c *Conn, name string, expected interface{}) (*RemoteRef, e
 	if err != nil {
 		return nil, err
 	}
+	// Counted as fabric work like a handler, so the fetch's park
+	// inside is balanced. Only the fetch: the lookup above waits on a
+	// reply the virtual clock must be free to deliver.
+	p.busy(1)
 	remoteDesc, err := p.ensureDescription(c, remoteRef)
+	p.busy(-1)
 	if err != nil {
 		return nil, err
 	}

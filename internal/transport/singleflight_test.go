@@ -18,15 +18,15 @@ import (
 func TestSingleFlightRecheckAfterClaim(t *testing.T) {
 	cases := []struct {
 		name     string
-		exchange func(p *Peer, l Link, d *typedesc.TypeDescription) error
+		exchange func(p *Peer, c *Conn, d *typedesc.TypeDescription) error
 		requests func(StatsSnapshot) uint64
 	}{
-		{"description", func(p *Peer, l Link, d *typedesc.TypeDescription) error {
-			_, err := p.ensureDescription(l, d.Ref())
+		{"description", func(p *Peer, c *Conn, d *typedesc.TypeDescription) error {
+			_, err := p.ensureDescription(c, d.Ref())
 			return err
 		}, func(s StatsSnapshot) uint64 { return s.TypeInfoRequests }},
-		{"code", func(p *Peer, l Link, d *typedesc.TypeDescription) error {
-			p.downloadCodeOnce(l, d.Ref(), d)
+		{"code", func(p *Peer, c *Conn, d *typedesc.TypeDescription) error {
+			p.downloadCodeOnce(c, d.Ref(), d)
 			return nil
 		}, func(s StatsSnapshot) uint64 { return s.CodeRequests }},
 	}

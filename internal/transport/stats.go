@@ -123,12 +123,12 @@ type StatsSnapshot struct {
 	RelWrites       uint64
 	RelRetransmits  uint64 // frames resent by the retransmit timer
 	RelAcksReceived uint64 // cumulative acks that advanced the window
-	RelAcksSent     uint64 // acks the receive side put on the wire
+	RelAcksSent     uint64 // feedback frames (acks) the receive side put on the wire
 	RelDeduped      uint64 // received frames suppressed as duplicates/ghosts
 	// Gap-repair and send-queue counters (zero until a receiver
 	// detects a gap or a link dies with frames still queued).
-	RelNacksSent       uint64 // gap reports emitted by the receive side
-	RelFastRetransmits uint64 // frames resent on NACK, ahead of their timer
+	RelNacksSent       uint64 // acks the receive side sent naming at least one gap
+	RelFastRetransmits uint64 // frames resent on a reported gap, ahead of their timer
 	RelQueueAbandoned  uint64 // queued frames discarded by link shutdown
 	// Connection-lifecycle counters (zero unless the peer runs managed
 	// remotes; see health.go and docs/health.md). The first two are

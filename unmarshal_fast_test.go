@@ -150,10 +150,6 @@ func (l *bodyLink) Send(m *transport.Message) error {
 	return nil
 }
 
-func (l *bodyLink) Request(transport.MsgType, []byte) (*transport.Message, error) {
-	return nil, errors.New("bodyLink: no requests")
-}
-
 func (l *bodyLink) Close() error { return nil }
 
 // TestMarshalMatchesSendObject pins that the facade and the transport
