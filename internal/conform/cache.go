@@ -42,7 +42,9 @@ type cacheShard struct {
 }
 
 type cacheShardData struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// entries is made by the shard's first put, so a cache that
+	// never fills a shard never pays for its map.
 	entries map[cacheKey]*cacheEntry
 	// order is the insertion ring the second-chance eviction hand
 	// sweeps; it mirrors the key set of entries exactly. cap 0 means
@@ -93,7 +95,6 @@ func NewCacheWithCapacity(capacity int) *Cache {
 	}
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[cacheKey]*cacheEntry)
 		c.shards[i].cap = perShard
 	}
 	return c
@@ -173,6 +174,9 @@ func (c *Cache) put(cand, exp guid.GUID, fp string, r *Result) *Result {
 	if e, ok := s.entries[k]; ok {
 		r = e.res
 	} else {
+		if s.entries == nil {
+			s.entries = make(map[cacheKey]*cacheEntry)
+		}
 		if s.cap > 0 && len(s.entries) >= s.cap {
 			s.evictOneLocked()
 		}
@@ -271,7 +275,7 @@ func (c *Cache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.entries = make(map[cacheKey]*cacheEntry)
+		s.entries = nil
 		s.order = nil
 		s.hand = 0
 		s.hits.Store(0)

@@ -174,3 +174,31 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 		t.Errorf("Evictions = %d, want 0", c.Evictions())
 	}
 }
+
+// TestNewCacheMakesNoShardMaps pins the lazy shards: a new cache is
+// one allocation, and a shard makes its map on its first put.
+func TestNewCacheMakesNoShardMaps(t *testing.T) {
+	if allocs := testing.AllocsPerRun(20, func() { NewCacheWithCapacity(128) }); allocs > 1 {
+		t.Errorf("NewCacheWithCapacity allocates %.0f, want 1", allocs)
+	}
+	c := NewCache()
+	r := &Result{Conformant: true}
+	a, b := guid.Derive("a"), guid.Derive("b")
+	if got := c.put(a, b, "fp", r); got != r {
+		t.Fatal("first put did not keep its result")
+	}
+	if got, ok := c.get(a, b, "fp"); !ok || got != r {
+		t.Fatal("put result not found")
+	}
+	c.Reset()
+	if c.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", c.Len())
+	}
+	if _, ok := c.get(a, b, "fp"); ok {
+		t.Fatal("entry survived Reset")
+	}
+	c.put(a, b, "fp", r)
+	if c.Len() != 1 {
+		t.Fatalf("Len after put following Reset = %d", c.Len())
+	}
+}

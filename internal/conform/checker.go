@@ -87,10 +87,7 @@ func (c *Checker) Check(candidate, expected *typedesc.TypeDescription) (*Result,
 			return r, nil
 		}
 	}
-	ctx := &checkContext{
-		checker:     c,
-		assumptions: make(map[pairKey]bool),
-	}
+	ctx := &checkContext{checker: c}
 	r := ctx.check(candidate, expected, true)
 	if c.cache != nil && !candidate.Identity.IsNil() && !expected.Identity.IsNil() {
 		// Stamp the key before publishing the result, then let put
@@ -151,15 +148,17 @@ func (c *Checker) resolve(ref typedesc.TypeRef) (*typedesc.TypeDescription, erro
 	return c.resolver.Resolve(ref)
 }
 
-// pairKey identifies an in-progress (candidate, expected) pair for
-// coinductive cycle handling.
+// pairKey identifies an in-progress (candidate, expected) pair of
+// type references for coinductive cycle handling.
 type pairKey struct {
-	cand string
-	exp  string
+	candID, expID     guid.GUID
+	candName, expName string
 }
 
 type checkContext struct {
-	checker     *Checker
+	checker *Checker
+	// assumptions holds the pairs under evaluation; it is made on
+	// the first nested pair, so checks of flat types never make it.
 	assumptions map[pairKey]bool
 	depth       int
 }
@@ -262,6 +261,9 @@ func fail(format string, args ...interface{}) *Result {
 // explicitConforms walks the candidate's declared supertype chain and
 // interface set looking for the expected type — the paper's T ≤e T'.
 func (ctx *checkContext) explicitConforms(cand, exp *typedesc.TypeDescription) bool {
+	if cand.Super == nil && len(cand.Interfaces) == 0 {
+		return false
+	}
 	target := exp.Ref()
 	seen := make(map[typedesc.TypeRef]bool)
 	var walk func(d *typedesc.TypeDescription) bool
@@ -361,7 +363,11 @@ func (ctx *checkContext) checkSupertypes(cand, exp *typedesc.TypeDescription) *R
 func (ctx *checkContext) checkFields(cand, exp *typedesc.TypeDescription, mapping *Mapping, topLevel bool) *Result {
 	p := ctx.checker.policy
 	used := make(map[string]bool, len(cand.Fields))
-	for _, fexp := range exp.ExportedFields() {
+	for i := range exp.Fields {
+		fexp := &exp.Fields[i]
+		if !fexp.Exported {
+			continue
+		}
 		pinned, hasPin := ctx.pinFor("field", fexp.Name, topLevel)
 		var (
 			match     *typedesc.Field
@@ -605,7 +611,7 @@ func (ctx *checkContext) refConforms(candRef, expRef typedesc.TypeRef) bool {
 		return cp && ep && p.exactNameEqual(candRef.Name, expRef.Name)
 	}
 
-	key := pairKey{cand: candRef.Identity.String() + candRef.Name, exp: expRef.Identity.String() + expRef.Name}
+	key := pairKey{candID: candRef.Identity, expID: expRef.Identity, candName: candRef.Name, expName: expRef.Name}
 	if ctx.assumptions[key] {
 		return true
 	}
@@ -618,6 +624,9 @@ func (ctx *checkContext) refConforms(candRef, expRef typedesc.TypeRef) bool {
 		return p.typeNameConforms(expRef.Name, candRef.Name)
 	}
 
+	if ctx.assumptions == nil {
+		ctx.assumptions = make(map[pairKey]bool)
+	}
 	ctx.assumptions[key] = true
 	defer delete(ctx.assumptions, key)
 	r := ctx.check(cd, ed, false)

@@ -779,3 +779,22 @@ func TestBestMatchMethods(t *testing.T) {
 		t.Errorf("method pick = %s, want Doo (distance 1 beats Dogs' 2)", mm.Candidate)
 	}
 }
+
+// TestColdCheckAllocs pins the cost of one uncached check of the
+// BenchmarkConformanceCheck pair (PersonB against PersonA, Relaxed(1)):
+// the name rules compare in place and the cycle bookkeeping keys on
+// identities, so what is left is the result, its mapping and the
+// matching state.
+func TestColdCheckAllocs(t *testing.T) {
+	cd := typedesc.MustDescribe(reflect.TypeOf(fixtures.PersonB{}))
+	ed := typedesc.MustDescribe(reflect.TypeOf(fixtures.PersonA{}))
+	checker := New(typedesc.NewRepository(), WithPolicy(Relaxed(1)))
+	allocs := testing.AllocsPerRun(50, func() {
+		if r, err := checker.Check(cd, ed); err != nil || !r.Conformant {
+			t.Fatalf("check failed: %v %v", r, err)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("uncached check allocates %.0f, want at most 16", allocs)
+	}
+}

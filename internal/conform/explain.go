@@ -29,10 +29,7 @@ func (c *Checker) Explain(candidate, expected *typedesc.TypeDescription) (*Repor
 	if candidate == nil || expected == nil {
 		return nil, errors.New("conform: nil type description")
 	}
-	ctx := &checkContext{
-		checker:     c,
-		assumptions: make(map[pairKey]bool),
-	}
+	ctx := &checkContext{checker: c}
 
 	if !candidate.Identity.IsNil() && candidate.Identity == expected.Identity {
 		return &Report{
@@ -71,7 +68,10 @@ func (c *Checker) Explain(candidate, expected *typedesc.TypeDescription) (*Repor
 	// Fields/methods/ctors: evaluate per expected member so every
 	// unmatched member is reported, not just the first.
 	used := make(map[string]bool, len(candidate.Fields))
-	for _, fexp := range expected.ExportedFields() {
+	for _, fexp := range expected.Fields {
+		if !fexp.Exported {
+			continue
+		}
 		one := &Mapping{Candidate: candidate.Ref(), Expected: expected.Ref()}
 		single := &typedesc.TypeDescription{
 			Name: expected.Name, Identity: expected.Identity, Kind: expected.Kind,

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"pti/internal/levenshtein"
 )
@@ -105,14 +106,16 @@ func (p Policy) memberNameConforms(expected, candidate string) bool {
 }
 
 func (p Policy) nameConforms(expected, candidate string, maxDist int) bool {
-	if !p.CaseSensitive {
-		expected = strings.ToLower(expected)
-		candidate = strings.ToLower(candidate)
-	}
 	if p.Wildcards && strings.ContainsAny(expected, "*?") {
-		return levenshtein.MatchWildcard(expected, candidate)
+		if p.CaseSensitive {
+			return levenshtein.MatchWildcard(expected, candidate)
+		}
+		return levenshtein.MatchWildcardFold(expected, candidate)
 	}
-	return levenshtein.WithinDistance(expected, candidate, maxDist)
+	if p.CaseSensitive {
+		return levenshtein.WithinDistance(expected, candidate, maxDist)
+	}
+	return levenshtein.WithinDistanceFold(expected, candidate, maxDist)
 }
 
 // exactNameEqual is the non-negotiable comparison used for primitive
@@ -134,55 +137,75 @@ func (p Policy) fingerprint() string {
 
 // tokenSubset reports whether the camel-case token sequence of the
 // shorter name is an ordered subsequence of the longer one's:
-// setName ⊑ setPersonName, GetSymbol ⊑ GetStockSymbol.
+// setName ⊑ setPersonName, GetSymbol ⊑ GetStockSymbol. Tokens are
+// found and compared, lowercased, where they stand in the names.
 func tokenSubset(a, b string) bool {
-	ta, tb := splitCamel(a), splitCamel(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		return len(ta) == len(tb)
+	na, nb := countTokens(a), countTokens(b)
+	if na == 0 || nb == 0 {
+		return na == nb
 	}
-	if len(ta) > len(tb) {
-		ta, tb = tb, ta
+	if na > nb {
+		a, b = b, a
 	}
-	i := 0
-	for _, tok := range tb {
-		if i < len(ta) && ta[i] == tok {
-			i++
+	as, ae := nextToken(a, 0)
+	for bs, be := nextToken(b, 0); bs < be; bs, be = nextToken(b, be) {
+		if as < ae && tokenEqual(a[as:ae], b[bs:be]) {
+			as, ae = nextToken(a, ae)
 		}
 	}
-	return i == len(ta)
+	return as == ae
 }
 
-// splitCamel splits a camelCase / PascalCase / snake_case identifier
-// into lowercase tokens.
-func splitCamel(s string) []string {
-	var (
-		tokens []string
-		cur    strings.Builder
-	)
-	flush := func() {
-		if cur.Len() > 0 {
-			tokens = append(tokens, strings.ToLower(cur.String()))
-			cur.Reset()
-		}
+func countTokens(s string) int {
+	n := 0
+	for start, end := nextToken(s, 0); start < end; start, end = nextToken(s, end) {
+		n++
 	}
-	runes := []rune(s)
-	for i, r := range runes {
-		switch {
-		case r == '_' || r == '-':
-			flush()
-		case unicode.IsUpper(r):
-			// Start of a new token, unless we are inside an
-			// all-caps run (e.g. "ID", "XML") that has not ended.
-			if i > 0 && !unicode.IsUpper(runes[i-1]) {
-				flush()
-			} else if i > 0 && i+1 < len(runes) && unicode.IsUpper(runes[i-1]) && unicode.IsLower(runes[i+1]) {
-				flush()
+	return n
+}
+
+// nextToken returns the byte bounds [start, end) of the first
+// camel-case token of s at or after pos, or start == end when none is
+// left. '_' and '-' separate tokens; an upper-case rune starts one
+// after a non-upper rune, and ends an all-caps run (ID, XML) when a
+// lower-case rune follows it: parseXMLDoc is parse, XML, Doc.
+func nextToken(s string, pos int) (start, end int) {
+	for pos < len(s) && (s[pos] == '_' || s[pos] == '-') {
+		pos++
+	}
+	if pos == len(s) {
+		return pos, pos
+	}
+	start = pos
+	prev, w := utf8.DecodeRuneInString(s[pos:])
+	for pos += w; pos < len(s); pos += w {
+		var r rune
+		r, w = utf8.DecodeRuneInString(s[pos:])
+		if r == '_' || r == '-' {
+			break
+		}
+		if unicode.IsUpper(r) {
+			if !unicode.IsUpper(prev) {
+				break
 			}
-			cur.WriteRune(r)
-		default:
-			cur.WriteRune(r)
+			if next, _ := utf8.DecodeRuneInString(s[pos+w:]); unicode.IsLower(next) {
+				break
+			}
 		}
+		prev = r
 	}
-	flush()
-	return tokens
+	return start, pos
+}
+
+// tokenEqual compares two tokens rune by rune after unicode.ToLower.
+func tokenEqual(x, y string) bool {
+	for x != "" && y != "" {
+		rx, wx := utf8.DecodeRuneInString(x)
+		ry, wy := utf8.DecodeRuneInString(y)
+		if rx != ry && unicode.ToLower(rx) != unicode.ToLower(ry) {
+			return false
+		}
+		x, y = x[wx:], y[wy:]
+	}
+	return x == y
 }

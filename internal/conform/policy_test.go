@@ -2,9 +2,12 @@ package conform
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
+// TestSplitCamel pins the tokens of the reference splitCamel and checks
+// that nextToken walks the same tokens in place.
 func TestSplitCamel(t *testing.T) {
 	tests := []struct {
 		in   string
@@ -25,6 +28,13 @@ func TestSplitCamel(t *testing.T) {
 		t.Run(tt.in, func(t *testing.T) {
 			if got := splitCamel(tt.in); !reflect.DeepEqual(got, tt.want) {
 				t.Errorf("splitCamel(%q) = %v, want %v", tt.in, got, tt.want)
+			}
+			var walked []string
+			for start, end := nextToken(tt.in, 0); start < end; start, end = nextToken(tt.in, end) {
+				walked = append(walked, strings.ToLower(tt.in[start:end]))
+			}
+			if !reflect.DeepEqual(walked, tt.want) {
+				t.Errorf("nextToken walks %q as %v, want %v", tt.in, walked, tt.want)
 			}
 		})
 	}

@@ -46,8 +46,12 @@ func New() GUID {
 
 // Derive returns the deterministic GUID of the given canonical string.
 // Equal inputs yield equal GUIDs on every platform.
-func Derive(canonical string) GUID {
-	sum := sha256.Sum256([]byte(canonical))
+func Derive(canonical string) GUID { return DeriveBytes([]byte(canonical)) }
+
+// DeriveBytes is Derive over the canonical string's bytes, for callers
+// that render it into a reused buffer.
+func DeriveBytes(canonical []byte) GUID {
+	sum := sha256.Sum256(canonical)
 	var g GUID
 	copy(g[:], sum[:16])
 	// Tag as a "version 5"-like name-derived identifier.
@@ -62,34 +66,65 @@ func (g GUID) IsNil() bool { return g == Nil }
 // String renders g in canonical 8-4-4-4-12 hexadecimal form.
 func (g GUID) String() string {
 	var buf [36]byte
-	hex.Encode(buf[0:8], g[0:4])
-	buf[8] = '-'
-	hex.Encode(buf[9:13], g[4:6])
-	buf[13] = '-'
-	hex.Encode(buf[14:18], g[6:8])
-	buf[18] = '-'
-	hex.Encode(buf[19:23], g[8:10])
-	buf[23] = '-'
-	hex.Encode(buf[24:36], g[10:16])
-	return string(buf[:])
+	return string(g.AppendText(buf[:0]))
+}
+
+// AppendText appends the canonical 36-byte form of g to dst.
+func (g GUID) AppendText(dst []byte) []byte {
+	dst = hex.AppendEncode(dst, g[0:4])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, g[4:6])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, g[6:8])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, g[8:10])
+	dst = append(dst, '-')
+	return hex.AppendEncode(dst, g[10:16])
 }
 
 // Parse parses the canonical 8-4-4-4-12 form (case-insensitive),
 // optionally wrapped in braces, and the plain 32-hex-digit form.
-func Parse(s string) (GUID, error) {
+func Parse(s string) (GUID, error) { return parse(s) }
+
+var errFormat = errors.New("guid: invalid format")
+
+// parse decodes the hex digits where they stand, so neither form
+// builds an intermediate string.
+func parse[T string | []byte](s T) (GUID, error) {
 	if len(s) >= 2 && s[0] == '{' && s[len(s)-1] == '}' {
 		s = s[1 : len(s)-1]
 	}
-	if len(s) == 36 && s[8] == '-' && s[13] == '-' && s[18] == '-' && s[23] == '-' {
-		s = s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36]
-	}
+	dashed := len(s) == 36 && s[8] == '-' && s[13] == '-' && s[18] == '-' && s[23] == '-'
 	var g GUID
-	if len(s) == 2*len(g) {
-		if _, err := hex.Decode(g[:], []byte(s)); err == nil {
-			return g, nil
-		}
+	if !dashed && len(s) != 2*len(g) {
+		return Nil, errFormat
 	}
-	return Nil, errors.New("guid: invalid format")
+	j := 0
+	for i := range g {
+		if dashed && (j == 8 || j == 13 || j == 18 || j == 23) {
+			j++
+		}
+		hi, okHi := fromHex(s[j])
+		lo, okLo := fromHex(s[j+1])
+		if !okHi || !okLo {
+			return Nil, errFormat
+		}
+		g[i] = hi<<4 | lo
+		j += 2
+	}
+	return g, nil
+}
+
+func fromHex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }
 
 // MarshalText implements encoding.TextMarshaler.
@@ -99,7 +134,7 @@ func (g GUID) MarshalText() ([]byte, error) {
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (g *GUID) UnmarshalText(text []byte) error {
-	parsed, err := Parse(string(text))
+	parsed, err := parse(text)
 	if err != nil {
 		return err
 	}
@@ -117,7 +152,7 @@ func (g GUID) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (g *GUID) UnmarshalBinary(data []byte) error {
 	if len(data) != 16 {
-		return errors.New("guid: invalid format")
+		return errFormat
 	}
 	copy(g[:], data)
 	return nil

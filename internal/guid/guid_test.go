@@ -217,3 +217,38 @@ func TestConcurrentNew(t *testing.T) {
 		seen[g] = true
 	}
 }
+
+func TestAppendText(t *testing.T) {
+	g := New()
+	got := g.AppendText([]byte("id="))
+	if want := "id=" + g.String(); string(got) != want {
+		t.Errorf("AppendText = %q, want %q", got, want)
+	}
+	if s := Nil.AppendText(nil); string(s) != "00000000-0000-0000-0000-000000000000" {
+		t.Errorf("Nil.AppendText = %q", s)
+	}
+}
+
+func TestDeriveBytesMatchesDerive(t *testing.T) {
+	for _, s := range []string{"", "x", "struct Person{Name:string;}[]"} {
+		if DeriveBytes([]byte(s)) != Derive(s) {
+			t.Errorf("DeriveBytes(%q) differs from Derive", s)
+		}
+	}
+}
+
+// TestParseAllocatesNothing pins the in-place hex decoding of both
+// textual forms.
+func TestParseAllocatesNothing(t *testing.T) {
+	g := New()
+	dashed, plain := []byte(g.String()), []byte(strings.ReplaceAll(g.String(), "-", ""))
+	allocs := testing.AllocsPerRun(50, func() {
+		var a, b GUID
+		if a.UnmarshalText(dashed) != nil || b.UnmarshalText(plain) != nil || a != g || b != g {
+			t.Fatal("parse failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("UnmarshalText allocates %.0f, want 0", allocs)
+	}
+}

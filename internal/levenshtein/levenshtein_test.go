@@ -268,3 +268,62 @@ func BenchmarkWithinDistanceBanded(b *testing.B) {
 		WithinDistance("setPersonName", "setPersonalName", 2)
 	}
 }
+
+// TestFoldMatchesToLower checks the in-place folding against
+// strings.ToLower, including names past the stack buffers, letters
+// with special case mappings and invalid UTF-8.
+func TestFoldMatchesToLower(t *testing.T) {
+	pieces := []string{"a", "B", "İ", "ß", "ẞ", "ſ", "\u212a", "Σ", "ς", "*", "?", "\xff", "Name"}
+	r := rand.New(rand.NewSource(11))
+	name := func() string {
+		var b strings.Builder
+		n := r.Intn(8)
+		if r.Intn(10) == 0 {
+			n = 40 + r.Intn(40) // past the 64-rune stack buffers
+		}
+		for i := 0; i < n; i++ {
+			b.WriteString(pieces[r.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	for i := 0; i < 2000; i++ {
+		a, b, k := name(), name(), r.Intn(4)
+		la, lb := strings.ToLower(a), strings.ToLower(b)
+		if got, want := DistanceFold(a, b), Distance(la, lb); got != want {
+			t.Fatalf("DistanceFold(%q, %q) = %d, want %d", a, b, got, want)
+		}
+		if got, want := WithinDistanceFold(a, b, k), WithinDistance(la, lb, k); got != want {
+			t.Fatalf("WithinDistanceFold(%q, %q, %d) = %v, want %v", a, b, k, got, want)
+		}
+		if got, want := MatchWildcardFold(a, b), MatchWildcard(la, lb); got != want {
+			t.Fatalf("MatchWildcardFold(%q, %q) = %v, want %v", a, b, got, want)
+		}
+	}
+}
+
+// TestWithinRunesWideBand covers bands wider than the stack arrays
+// (2k+1 > 16).
+func TestWithinRunesWideBand(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for i := 0; i < 500; i++ {
+		a, b := randomASCII(r, 30), randomASCII(r, 30)
+		k := 6 + r.Intn(12)
+		if got, want := WithinRunes([]rune(a), []rune(b), k), Distance(a, b) <= k; got != want {
+			t.Fatalf("WithinRunes(%q, %q, %d) = %v, Distance = %d", a, b, k, got, Distance(a, b))
+		}
+	}
+}
+
+// TestFoldedComparisonsAllocateNothing pins the in-place folding for
+// names within the stack buffers.
+func TestFoldedComparisonsAllocateNothing(t *testing.T) {
+	allocs := testing.AllocsPerRun(50, func() {
+		DistanceFold("setPersonName", "SetName")
+		WithinDistanceFold("GetStockSymbol", "getstocksymbols", 2)
+		MatchWildcardFold("get*NAME", "getPersonName")
+		WithinRunes([]rune("abc"), []rune("abd"), 7)
+	})
+	if allocs != 0 {
+		t.Errorf("folded comparisons allocate %.0f, want 0", allocs)
+	}
+}

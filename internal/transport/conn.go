@@ -1,11 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -477,18 +477,22 @@ func (c *Conn) request(t MsgType, body []byte) (*Message, error) {
 
 // encodeRef renders a TypeRef for request bodies.
 func encodeRef(ref typedesc.TypeRef) []byte {
-	return []byte(ref.Name + "\x00" + ref.Identity.String())
+	b := make([]byte, 0, len(ref.Name)+1+36)
+	b = append(b, ref.Name...)
+	b = append(b, 0)
+	return ref.Identity.AppendText(b)
 }
 
-// decodeRef parses a TypeRef request body.
+// decodeRef parses a TypeRef request body: the name, a NUL, and the
+// identity's text.
 func decodeRef(body []byte) (typedesc.TypeRef, error) {
-	parts := strings.SplitN(string(body), "\x00", 2)
-	if len(parts) != 2 {
+	i := bytes.IndexByte(body, 0)
+	if i < 0 {
 		return typedesc.TypeRef{}, fmt.Errorf("%w: bad type ref", ErrBadFrame)
 	}
-	id, err := guid.Parse(parts[1])
-	if err != nil {
+	var id guid.GUID
+	if err := id.UnmarshalText(body[i+1:]); err != nil {
 		return typedesc.TypeRef{}, fmt.Errorf("%w: bad type ref identity", ErrBadFrame)
 	}
-	return typedesc.TypeRef{Name: parts[0], Identity: id}, nil
+	return typedesc.TypeRef{Name: string(body[:i]), Identity: id}, nil
 }

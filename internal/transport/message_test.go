@@ -109,6 +109,30 @@ func TestRefEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestRefBodyBytesUnchanged pins the type-ref request body to its
+// string-built form, name + NUL + the identity's canonical text, for
+// nil and non-nil identities, and round-trips each.
+func TestRefBodyBytesUnchanged(t *testing.T) {
+	for _, ref := range []typedesc.TypeRef{
+		{Name: "PersonA", Identity: guid.Derive("p")},
+		{Name: "PersonA"},
+		{Name: "", Identity: guid.New()},
+		{Name: "map[string]*Straße"},
+	} {
+		body := encodeRef(ref)
+		if want := []byte(ref.Name + "\x00" + ref.Identity.String()); !bytes.Equal(body, want) {
+			t.Errorf("encodeRef(%v) = %q, want %q", ref, body, want)
+		}
+		got, err := decodeRef(body)
+		if err != nil || got != ref {
+			t.Errorf("decodeRef(encodeRef(%v)) = %v, %v", ref, got, err)
+		}
+	}
+	if _, err := decodeRef([]byte("name\x00" + guid.Derive("p").String() + "\x00")); err == nil {
+		t.Error("trailing bytes after the identity accepted")
+	}
+}
+
 func TestChunkPacking(t *testing.T) {
 	body := appendChunk([]byte{flagEager}, []byte("desc"))
 	body = appendChunk(body, []byte("code"))

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 
+	"pti/internal/bufpool"
 	"pti/internal/guid"
 )
 
@@ -142,7 +142,7 @@ func Describe(t reflect.Type, opts ...Option) (*TypeDescription, error) {
 
 	d.Normalize()
 	if o.identity.IsNil() {
-		d.Identity = guid.Derive(Fingerprint(t))
+		d.Identity = identityOf(t)
 	} else {
 		d.Identity = o.identity
 	}
@@ -291,7 +291,7 @@ func lookupByCanonicalName(t reflect.Type, name string) (reflect.Type, bool) {
 // RefOf returns the TypeRef of t: canonical name plus structural
 // identity.
 func RefOf(t reflect.Type) TypeRef {
-	return TypeRef{Name: CanonicalName(t), Identity: guid.Derive(Fingerprint(t))}
+	return TypeRef{Name: CanonicalName(t), Identity: identityOf(t)}
 }
 
 // CanonicalName renders the platform-neutral name of t. Named types
@@ -349,12 +349,24 @@ func CanonicalName(t reflect.Type) string {
 // locally where the code is available) and is cycle-safe: revisited
 // named types render as "ref:Name".
 func Fingerprint(t reflect.Type) string {
-	var sb strings.Builder
-	writeFingerprint(&sb, t, make(map[reflect.Type]bool))
-	return sb.String()
+	buf := bufpool.Get()
+	writeFingerprint(buf, t, make(map[reflect.Type]bool))
+	s := string(buf.B)
+	bufpool.Put(buf)
+	return s
 }
 
-func writeFingerprint(sb *strings.Builder, t reflect.Type, visiting map[reflect.Type]bool) {
+// identityOf derives t's identity GUID from its fingerprint, rendered
+// into a pooled buffer rather than a string.
+func identityOf(t reflect.Type) guid.GUID {
+	buf := bufpool.Get()
+	writeFingerprint(buf, t, make(map[reflect.Type]bool))
+	id := guid.DeriveBytes(buf.B)
+	bufpool.Put(buf)
+	return id
+}
+
+func writeFingerprint(sb *bufpool.Buffer, t reflect.Type, visiting map[reflect.Type]bool) {
 	if t == nil {
 		sb.WriteString("nil")
 		return
@@ -388,7 +400,7 @@ func writeFingerprint(sb *strings.Builder, t reflect.Type, visiting map[reflect.
 		return
 	case reflect.Array:
 		sb.WriteByte('[')
-		sb.WriteString(strconv.Itoa(t.Len()))
+		sb.B = strconv.AppendInt(sb.B, int64(t.Len()), 10)
 		sb.WriteByte(']')
 		writeFingerprint(sb, t.Elem(), visiting)
 		return
@@ -452,19 +464,12 @@ func writeFingerprint(sb *strings.Builder, t reflect.Type, visiting map[reflect.
 		// Exported methods (pointer method set), sorted by name for
 		// determinism, participate in identity: two types with the
 		// same fields but different behaviours must not be
-		// equivalent.
+		// equivalent. reflect lists exactly those, already sorted.
 		pt := reflect.PtrTo(t)
-		names := make([]string, 0, pt.NumMethod())
-		for i := 0; i < pt.NumMethod(); i++ {
-			if m := pt.Method(i); m.IsExported() {
-				names = append(names, m.Name)
-			}
-		}
-		sort.Strings(names)
 		sb.WriteByte('[')
-		for _, name := range names {
-			m, _ := pt.MethodByName(name)
-			sb.WriteString(name)
+		for i := 0; i < pt.NumMethod(); i++ {
+			m := pt.Method(i)
+			sb.WriteString(m.Name)
 			sb.WriteByte(':')
 			// Skip the receiver parameter.
 			sb.WriteString("func(")

@@ -267,15 +267,40 @@ func TestDescribeUnexportedFieldsFlagged(t *testing.T) {
 	if !d.Fields[0].Exported || d.Fields[1].Exported {
 		t.Errorf("export flags wrong: %+v", d.Fields)
 	}
-	exported := d.ExportedFields()
-	if len(exported) != 1 || exported[0].Name != "Visible" {
-		t.Errorf("ExportedFields = %v", exported)
-	}
 }
 
 func TestDescribeDownloadPaths(t *testing.T) {
 	d := MustDescribe(personAType(), WithDownloadPaths("http://a/personA", "http://b/personA"))
 	if len(d.DownloadPaths) != 2 {
 		t.Errorf("DownloadPaths = %v", d.DownloadPaths)
+	}
+}
+
+// TestIdentitiesPinned pins derived identities to the values the
+// string-built fingerprint gave, so rendering the fingerprint into a
+// pooled buffer and walking reflect's sorted method set cannot move a
+// type's identity (peers built from older trees must still agree).
+func TestIdentitiesPinned(t *testing.T) {
+	for _, tt := range []struct {
+		typ  reflect.Type
+		want string
+	}{
+		{reflect.TypeOf(fixtures.PersonA{}), "d09545b4-19c9-5ec2-85d1-4b94ee862aef"},
+		{reflect.TypeOf(&fixtures.PersonB{}), "9a0685d3-683e-525d-aba0-909f4b513cf4"},
+		{reflect.TypeOf(fixtures.Node{}), "d4129bc5-67da-5239-8910-df068be5d624"},
+		{reflect.TypeOf(fixtures.Contact{}), "b8931243-9580-5268-8fc5-6fb43301bf65"},
+		{reflect.TypeOf(fixtures.Employee{}), "3f59213a-d129-5e79-b314-ccc557e38a1e"},
+		{reflect.TypeOf(fixtures.Swapped{}), "5e240777-d407-5881-a505-6b70b849d6f3"},
+		{reflect.TypeOf((*fixtures.Person)(nil)).Elem(), "b991b467-be35-5842-83a4-88c32d792b39"},
+		{reflect.TypeOf(map[string][]*fixtures.Address{}), "77e7664e-ed8c-5af3-bbe1-00b3760b2860"},
+		{reflect.TypeOf([3]int{}), "eafb402d-1f50-5877-bc48-55995a8ff795"},
+		{reflect.TypeOf(func(int, string) (bool, error) { return false, nil }), "f7208acf-ed1c-5343-8492-906592b05a6e"},
+	} {
+		if got := RefOf(tt.typ).Identity.String(); got != tt.want {
+			t.Errorf("RefOf(%s).Identity = %s, want %s", tt.typ, got, tt.want)
+		}
+		if got := guid.Derive(Fingerprint(tt.typ)).String(); got != tt.want {
+			t.Errorf("Derive(Fingerprint(%s)) = %s, want %s", tt.typ, got, tt.want)
+		}
 	}
 }

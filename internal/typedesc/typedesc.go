@@ -185,17 +185,6 @@ func (d *TypeDescription) Ref() TypeRef {
 	return TypeRef{Name: d.Name, Identity: d.Identity}
 }
 
-// ExportedFields returns the exported fields in declaration order.
-func (d *TypeDescription) ExportedFields() []Field {
-	out := make([]Field, 0, len(d.Fields))
-	for _, f := range d.Fields {
-		if f.Exported {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // MethodByName returns the first method with the given name.
 func (d *TypeDescription) MethodByName(name string) (Method, bool) {
 	for _, m := range d.Methods {

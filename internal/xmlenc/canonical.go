@@ -51,7 +51,7 @@ func writeRef(buf *bufpool.Buffer, indent, tag string, r typedesc.TypeRef) {
 	writeEscaped(buf, r.Name)
 	if !r.Identity.IsNil() {
 		buf.WriteString(`" identity="`)
-		buf.WriteString(r.Identity.String())
+		buf.B = r.Identity.AppendText(buf.B)
 	}
 	buf.WriteString(`"></`)
 	buf.WriteString(tag)
@@ -81,7 +81,7 @@ func writeDescription(buf *bufpool.Buffer, d *typedesc.TypeDescription) {
 	buf.WriteString(`<TypeDescription name="`)
 	writeEscaped(buf, d.Name)
 	buf.WriteString(`" identity="`)
-	buf.WriteString(d.Identity.String())
+	buf.B = d.Identity.AppendText(buf.B)
 	buf.WriteString(`" kind="`)
 	writeEscaped(buf, d.Kind.String())
 	buf.WriteByte('"')
