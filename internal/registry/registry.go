@@ -301,6 +301,14 @@ type Registry struct {
 	ifaces []reflect.Type
 	store  Store
 
+	// described holds the Go types describeReachable has walked: each
+	// one's description, and those of every type reachable from it,
+	// are in repo. A description's identity derives from its Go type
+	// alone, and the repository only grows (Unregister keeps
+	// descriptions), so Describe on a walked type would only find its
+	// identity already there.
+	described map[reflect.Type]struct{}
+
 	// gen counts mutations (Register, DeclareInterface, Unregister);
 	// entry-level envelope snapshots compare against it to notice
 	// nested types changing underneath them, and memoized LookupGo
@@ -595,7 +603,7 @@ func (r *Registry) Register(v interface{}, opts ...Option) (*Entry, error) {
 	// Auto-describe reachable named types so nested conformance
 	// resolves (Section 5.2's "subtype description might already be
 	// available at the receiver side").
-	r.describeReachable(t, make(map[reflect.Type]bool))
+	r.describeReachable(t)
 	c.stamp.Add(1)
 	r.gen.Add(1)
 	return entry, nil
@@ -627,20 +635,29 @@ func (r *Registry) chainLocked(name string) *chain {
 }
 
 // describeReachable walks field/elem types, adding descriptions (not
-// full entries) for named structs and interfaces.
-func (r *Registry) describeReachable(t reflect.Type, seen map[reflect.Type]bool) {
-	if t == nil || seen[t] {
+// full entries) for named structs and interfaces. A type walked
+// before, by this registration or an earlier one, is skipped whole
+// (see Registry.described); marking it on entry also stops recursion
+// through cyclic types.
+func (r *Registry) describeReachable(t reflect.Type) {
+	if t == nil {
 		return
 	}
-	seen[t] = true
+	if _, done := r.described[t]; done {
+		return
+	}
+	if r.described == nil {
+		r.described = make(map[reflect.Type]struct{})
+	}
+	r.described[t] = struct{}{}
 	switch t.Kind() {
 	case reflect.Ptr, reflect.Slice, reflect.Array:
 		r.addDescription(t)
-		r.describeReachable(t.Elem(), seen)
+		r.describeReachable(t.Elem())
 	case reflect.Map:
 		r.addDescription(t)
-		r.describeReachable(t.Key(), seen)
-		r.describeReachable(t.Elem(), seen)
+		r.describeReachable(t.Key())
+		r.describeReachable(t.Elem())
 	case reflect.Struct:
 		r.addDescription(t)
 		r.addDescription(reflect.PtrTo(t))
@@ -649,7 +666,7 @@ func (r *Registry) describeReachable(t reflect.Type, seen map[reflect.Type]bool)
 			if !f.IsExported() && !f.Anonymous {
 				continue
 			}
-			r.describeReachable(f.Type, seen)
+			r.describeReachable(f.Type)
 		}
 	case reflect.Interface:
 		r.addDescription(t)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pti/internal/fixtures"
@@ -252,5 +253,70 @@ func TestEntryCodeBlobBuiltOnce(t *testing.T) {
 	again, _ := e.CodeBlob()
 	if &again[0] != &blob[0] {
 		t.Error("second CodeBlob call rebuilt the blob")
+	}
+}
+
+// Shared field types of the two holders below: registering the
+// second holder finds every one of them described by the first.
+type (
+	regLeaf struct {
+		Name  string
+		Count int
+	}
+	regBranch struct {
+		Leaf   regLeaf
+		Leaves []regLeaf
+		ByName map[string]regLeaf
+	}
+	regFirstHolder struct {
+		Branch  regBranch
+		Ptr     *regBranch
+		Tags    []string
+		Weights map[string]float64
+	}
+	regSecondHolder struct {
+		Branch  regBranch
+		Ptr     *regBranch
+		Tags    []string
+		Weights map[string]float64
+	}
+)
+
+// mallocs runs f once and returns the heap allocations it made.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestRegisterSkipsDescribedFieldTypes pins the registry's walk of
+// reachable types: a second Register whose field types the first
+// already described adds only its own two descriptions (the type and
+// its pointer) and runs no Describe for the shared field types, so it
+// allocates well under half of what the first Register did.
+func TestRegisterSkipsDescribedFieldTypes(t *testing.T) {
+	r := New()
+	var err error
+	first := mallocs(func() { _, err = r.Register(regFirstHolder{}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := r.Descriptions().Len()
+	second := mallocs(func() { _, err = r.Register(regSecondHolder{}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added := r.Descriptions().Len() - n; added != 2 {
+		t.Errorf("second Register added %d descriptions, want 2 (regSecondHolder and its pointer)", added)
+	}
+	if second*2 >= first {
+		t.Errorf("second Register allocated %d times, want under half of the first's %d", second, first)
+	}
+	for _, name := range []string{"regLeaf", "regBranch", "*regBranch", "regSecondHolder", "*regSecondHolder"} {
+		if _, err := r.Resolve(typedesc.TypeRef{Name: name}); err != nil {
+			t.Errorf("description %q missing: %v", name, err)
+		}
 	}
 }

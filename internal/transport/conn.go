@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -174,10 +175,20 @@ func (c *Conn) Close() error {
 	return err
 }
 
+// readLoop reads frames through one pooled buffered reader, so a
+// burst of frames costs one read instead of two per frame. Over the
+// fabric each read still returns at most one frame (frameBuffer.Read),
+// so a frame this loop has not taken keeps the virtual clock busy.
 func (c *Conn) readLoop() {
 	defer close(c.done)
+	br := frameReaders.Get().(*bufio.Reader)
+	br.Reset(c.rw)
+	defer func() {
+		br.Reset(nil)
+		frameReaders.Put(br)
+	}()
 	for {
-		m, n, err := ReadMessage(c.rw)
+		m, n, err := ReadMessage(br)
 		if err != nil {
 			// The remote side died (EOF) or the stream broke: fail
 			// pending exchanges and reap the connection, so a peer

@@ -999,12 +999,21 @@ func (a fabricAddr) String() string  { return string(a) }
 // maintains the fabric's pending-frames busy counter on its
 // empty↔nonempty edges (the `counted` flag tracks its contribution),
 // so the virtual clock's probe never scans buffers.
+//
+// One Read returns at most the rest of one pushed frame (each push is
+// one protocol frame: Conn.write hands an endpoint one Write per
+// frame). A conn's buffered reader therefore never takes a frame
+// ahead of the one it is parsing, and a frame its read loop has not
+// taken keeps the buffer, and the virtual clock, busy.
 type frameBuffer struct {
 	busy *fabricBusy
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	data    []byte
+	mu   sync.Mutex
+	cond *sync.Cond
+	data []byte
+	// sizes holds the unread byte count of each pushed frame still in
+	// data, in order; sizes[0] is what remains of the frame Read is in.
+	sizes   []int
 	counted bool
 	closed  bool
 }
@@ -1033,8 +1042,8 @@ func (b *frameBuffer) syncBusyLocked() {
 	}
 }
 
-// push appends delivered frame bytes, reporting whether the buffer
-// accepted them (a closed endpoint discards, and the frame must not
+// push appends one delivered frame, reporting whether the buffer
+// accepted it (a closed endpoint discards, and the frame must not
 // count as delivered).
 func (b *frameBuffer) push(p []byte) bool {
 	b.mu.Lock()
@@ -1042,12 +1051,17 @@ func (b *frameBuffer) push(p []byte) bool {
 	if b.closed {
 		return false
 	}
+	if len(p) == 0 {
+		return true
+	}
 	b.data = append(b.data, p...)
+	b.sizes = append(b.sizes, len(p))
 	b.syncBusyLocked()
 	b.cond.Broadcast()
 	return true
 }
 
+// Read copies out at most the rest of the oldest unread frame.
 func (b *frameBuffer) Read(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -1057,8 +1071,11 @@ func (b *frameBuffer) Read(p []byte) (int, error) {
 	if len(b.data) == 0 {
 		return 0, io.EOF
 	}
-	n := copy(p, b.data)
+	n := copy(p, b.data[:b.sizes[0]])
 	b.data = b.data[n:]
+	if b.sizes[0] -= n; b.sizes[0] == 0 {
+		b.sizes = b.sizes[1:]
+	}
 	b.syncBusyLocked()
 	return n, nil
 }

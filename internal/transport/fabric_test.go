@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"reflect"
@@ -450,5 +451,54 @@ func TestFabricManagementErrors(t *testing.T) {
 	_ = f.Close()
 	if _, err := f.AddPeerWithRegistry("b", reg); !errors.Is(err, ErrFabricClosed) {
 		t.Errorf("AddPeer after close = %v, want ErrFabricClosed", err)
+	}
+}
+
+// TestFrameBufferReadsOneFrame pins the fabric's one-frame reads: with
+// two frames pushed, one Read into a large buffer returns only the
+// first, and the buffer keeps the fabric busy until the second frame
+// is read too. A conn's buffered reader over the endpoint therefore
+// never takes a frame ahead of the one it parses, so a frame its read
+// loop has not taken holds the virtual clock still.
+func TestFrameBufferReadsOneFrame(t *testing.T) {
+	busy := &fabricBusy{}
+	b := newFrameBuffer(busy)
+	first, _ := appendFrame(nil, &Message{Type: MsgObject, Seq: 1, Body: []byte("first")})
+	second, _ := appendFrame(nil, &Message{Type: MsgObject, Seq: 2, Body: []byte("second frame")})
+	b.push(first)
+	b.push(second)
+
+	p := make([]byte, 4096)
+	n, err := b.Read(p)
+	if err != nil || !bytes.Equal(p[:n], first) {
+		t.Fatalf("first Read = %q, %v; want exactly the first frame %q", p[:n], err, first)
+	}
+	if busy.frames.Load() == 0 {
+		t.Fatal("buffer idle with the second frame unread")
+	}
+	n, err = b.Read(p[:3])
+	if err != nil || n != 3 || busy.frames.Load() == 0 {
+		t.Fatalf("partial Read = %d, %v, busy %d; want 3 bytes and still busy", n, err, busy.frames.Load())
+	}
+	n, err = b.Read(p)
+	if err != nil || !bytes.Equal(p[:n], second[3:]) {
+		t.Fatalf("last Read = %q, %v; want the second frame's rest", p[:n], err)
+	}
+	if got := busy.frames.Load(); got != 0 {
+		t.Fatalf("busy frames = %d after both frames were read, want 0", got)
+	}
+
+	// The same through the read loop's buffered reader.
+	b.push(first)
+	b.push(second)
+	br := bufio.NewReaderSize(b, frameReaderSize)
+	if m, _, err := ReadMessage(br); err != nil || m.Seq != 1 {
+		t.Fatalf("ReadMessage = %v, %v; want the first frame", m, err)
+	}
+	if br.Buffered() != 0 || busy.frames.Load() == 0 {
+		t.Fatalf("reader buffered %d bytes ahead, busy %d; want 0 and still busy", br.Buffered(), busy.frames.Load())
+	}
+	if m, _, err := ReadMessage(br); err != nil || m.Seq != 2 || busy.frames.Load() != 0 {
+		t.Fatalf("second ReadMessage = %v, %v, busy %d; want the second frame and idle", m, err, busy.frames.Load())
 	}
 }

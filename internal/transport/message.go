@@ -26,11 +26,13 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 )
 
 // MsgType identifies a protocol message.
@@ -173,14 +175,31 @@ func appendFrame(buf []byte, m *Message) ([]byte, error) {
 	return append(buf, m.Body...), nil
 }
 
-// ReadMessage reads one frame and returns it with the number of bytes
-// consumed.
-func ReadMessage(r io.Reader) (*Message, int, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// frameReaderSize is the read buffer of one connection: a burst of
+// warm objects and acks (a few hundred bytes each) arrives in one read
+// instead of two per frame, and a frame larger than the buffer is read
+// past it straight into its payload.
+const frameReaderSize = 4 << 10
+
+// frameReaders pools the connections' read buffers: a read loop takes
+// one when it starts and returns it when it exits, so short-lived
+// connections reuse buffers instead of allocating one each.
+var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, frameReaderSize) }}
+
+// ReadMessage reads one frame from br and returns it with the number
+// of bytes consumed. A stream that ends cleanly between frames
+// reports io.EOF, and one that ends inside a length header reports
+// io.ErrUnexpectedEOF. The message's body never aliases br's buffer.
+func ReadMessage(br *bufio.Reader) (*Message, int, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, 0, err // io.EOF passes through for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(hdr)
+	_, _ = br.Discard(4)
 	if n < 9 {
 		return nil, 4, fmt.Errorf("%w: length %d", ErrBadFrame, n)
 	}
@@ -188,7 +207,7 @@ func ReadMessage(r io.Reader) (*Message, int, error) {
 		return nil, 4, fmt.Errorf("%w: length %d", ErrFrameTooLarge, n)
 	}
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, 4, fmt.Errorf("%w: truncated frame: %v", ErrBadFrame, err)
 	}
 	m := &Message{

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -26,7 +27,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		if wrote != buf.Len() {
 			t.Errorf("wrote = %d, buffer = %d", wrote, buf.Len())
 		}
-		got, read, err := ReadMessage(&buf)
+		got, read, err := ReadMessage(bufio.NewReader(&buf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestMessageTooLarge(t *testing.T) {
 
 func TestReadMessageErrors(t *testing.T) {
 	// Clean EOF.
-	if _, _, err := ReadMessage(bytes.NewReader(nil)); err != io.EOF {
+	if _, _, err := ReadMessage(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
 		t.Errorf("empty read: %v", err)
 	}
 	// Truncated frame.
@@ -58,17 +59,17 @@ func TestReadMessageErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, _, err := ReadMessage(bytes.NewReader(data[:len(data)-2])); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := ReadMessage(bufio.NewReader(bytes.NewReader(data[:len(data)-2]))); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("truncated read: %v", err)
 	}
 	// Absurd length prefix.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, _, err := ReadMessage(bytes.NewReader(huge)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := ReadMessage(bufio.NewReader(bytes.NewReader(huge))); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("huge length: %v", err)
 	}
 	// Length below minimum.
 	small := []byte{0, 0, 0, 1, 0}
-	if _, _, err := ReadMessage(bytes.NewReader(small)); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := ReadMessage(bufio.NewReader(bytes.NewReader(small))); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("small length: %v", err)
 	}
 }

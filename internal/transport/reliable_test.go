@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -929,7 +930,8 @@ func TestConnGapReportIsOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = remote.SetReadDeadline(time.Now().Add(2 * time.Second))
-	m, _, err := ReadMessage(remote)
+	br := bufio.NewReader(remote)
+	m, _, err := ReadMessage(br)
 	if err != nil {
 		t.Fatalf("no feedback frame: %v", err)
 	}
@@ -947,7 +949,7 @@ func TestConnGapReportIsOneFrame(t *testing.T) {
 	// net.Pipe writes are synchronous, so a second feedback frame would
 	// be waiting here.
 	_ = remote.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if m, _, err := ReadMessage(remote); err == nil {
+	if m, _, err := ReadMessage(br); err == nil {
 		t.Fatalf("second frame %s after the gap report, want none", m.Type)
 	}
 	st := p.Stats().Snapshot()

@@ -8,8 +8,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"pti/internal/bufpool"
@@ -540,46 +541,70 @@ func (n *progNode) encBin(dst []byte, rv reflect.Value) ([]byte, error) {
 		if rv.IsNil() {
 			return append(dst, tagNil), nil
 		}
-		entries, err := n.sortedEntries(rv)
-		if err != nil {
-			return dst, err
-		}
 		dst = append(dst, n.binPrefix...)
-		dst = appendUvarintBytes(dst, uint64(len(entries)))
-		for _, e := range entries {
-			if dst, err = n.key.encBin(dst, e.k); err != nil {
-				return dst, err
-			}
-			if dst, err = n.elem.encBin(dst, e.v); err != nil {
-				return dst, err
-			}
-		}
-		return dst, nil
+		dst = appendUvarintBytes(dst, uint64(rv.Len()))
+		return n.appendMapEntries(dst, rv, false)
 	}
 	return dst, fmt.Errorf("wire: unsupported value: compiled op %d", n.op)
 }
 
-type mapEntryKV struct {
-	sortKey string
-	k, v    reflect.Value
+// mapEntry is one encoded map entry: its key's sort key and the
+// span of its bytes in appendMapEntries' scratch buffer.
+type mapEntry struct {
+	sortKey    string
+	start, end int
 }
 
-// sortedEntries orders map entries exactly as the reflective path
-// does: by fmt.Sprint of the *generic* key value (so int keys sort
-// lexically on their decimal form, not numerically).
-func (n *progNode) sortedEntries(rv reflect.Value) ([]mapEntryKV, error) {
-	entries := make([]mapEntryKV, 0, rv.Len())
+// appendMapEntries appends map rv's entries, binary or SOAP, ordered
+// exactly as the reflective path orders them: by fmt.Sprint of the
+// *generic* key value (so int keys sort lexically on their decimal
+// form, not numerically). Each entry is encoded once, in iteration
+// order, through one scratch key and one scratch value into a pooled
+// buffer, and copied out in sorted order, so no entry allocates and a
+// map of up to len(stack) entries sorts without a heap slice.
+func (n *progNode) appendMapEntries(dst []byte, rv reflect.Value, soap bool) ([]byte, error) {
+	var stack [8]mapEntry
+	entries := stack[:0]
+	if l := rv.Len(); l > len(stack) {
+		entries = make([]mapEntry, 0, l)
+	}
+	scratch := bufpool.Get()
+	defer bufpool.Put(scratch)
+	k := reflect.New(rv.Type().Key()).Elem()
+	v := reflect.New(rv.Type().Elem()).Elem()
 	iter := rv.MapRange()
 	for iter.Next() {
-		k := iter.Key()
+		k.SetIterKey(iter)
+		v.SetIterValue(iter)
 		sk, err := n.key.sortKeyOf(k)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		entries = append(entries, mapEntryKV{sortKey: sk, k: k, v: iter.Value()})
+		start := len(scratch.B)
+		if soap {
+			scratch.B = append(scratch.B, "<entry>"...)
+			if scratch.B, err = n.key.encSOAP(scratch.B, "key", k); err != nil {
+				return dst, err
+			}
+			if scratch.B, err = n.elem.encSOAP(scratch.B, "val", v); err != nil {
+				return dst, err
+			}
+			scratch.B = append(scratch.B, "</entry>"...)
+		} else {
+			if scratch.B, err = n.key.encBin(scratch.B, k); err != nil {
+				return dst, err
+			}
+			if scratch.B, err = n.elem.encBin(scratch.B, v); err != nil {
+				return dst, err
+			}
+		}
+		entries = append(entries, mapEntry{sortKey: sk, start: start, end: len(scratch.B)})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].sortKey < entries[j].sortKey })
-	return entries, nil
+	slices.SortFunc(entries, func(a, b mapEntry) int { return strings.Compare(a.sortKey, b.sortKey) })
+	for _, e := range entries {
+		dst = append(dst, scratch.B[e.start:e.end]...)
+	}
+	return dst, nil
 }
 
 func (n *progNode) sortKeyOf(rv reflect.Value) (string, error) {
@@ -758,20 +783,9 @@ func (n *progNode) encSOAPDelim(dst []byte, elem, open, close_ string, rv reflec
 		if rv.IsNil() {
 			return writeNil(dst), nil
 		}
-		entries, err := n.sortedEntries(rv)
+		dst, err := n.appendMapEntries(writeOpen(dst), rv, true)
 		if err != nil {
 			return dst, err
-		}
-		dst = writeOpen(dst)
-		for _, e := range entries {
-			dst = append(dst, "<entry>"...)
-			if dst, err = n.key.encSOAP(dst, "key", e.k); err != nil {
-				return dst, err
-			}
-			if dst, err = n.elem.encSOAP(dst, "val", e.v); err != nil {
-				return dst, err
-			}
-			dst = append(dst, "</entry>"...)
 		}
 		return writeClose(dst), nil
 	}

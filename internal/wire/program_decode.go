@@ -331,7 +331,7 @@ func (d *progDecoder) decodeTag(r *byteReader, n *progNode, tag byte, selfPtr, o
 		if tag != tagList {
 			return false
 		}
-		if _, ok := r.readString(); !ok { // elem type name (informative)
+		if _, ok := r.readStrBytes(); !ok { // elem type name (informative)
 			return false
 		}
 		l, ok := r.readLen()
@@ -342,49 +342,50 @@ func (d *progDecoder) decodeTag(r *byteReader, n *progNode, tag byte, selfPtr, o
 			if l != n.arrayLen {
 				return false
 			}
-			for i := 0; i < l; i++ {
-				if !d.decode(r, n.elem, out.Index(i), depth+1) {
-					return false
-				}
-			}
-			return true
+		} else if l == 0 {
+			out.Set(reflect.MakeSlice(out.Type(), 0, 0)) // empty, not nil
+		} else {
+			// Grown in place: out is an addressable zero slice, so no
+			// slice header is boxed the way MakeSlice boxes one.
+			out.Grow(l)
+			out.SetLen(l)
 		}
-		s := reflect.MakeSlice(out.Type(), l, l)
 		for i := 0; i < l; i++ {
-			if !d.decode(r, n.elem, s.Index(i), depth+1) {
+			if !d.decode(r, n.elem, out.Index(i), depth+1) {
 				return false
 			}
 		}
-		out.Set(s)
 		return true
 	case opMap:
 		if tag != tagMap {
 			return false
 		}
-		if _, ok := r.readString(); !ok {
+		if _, ok := r.readStrBytes(); !ok { // key type name (informative)
 			return false
 		}
-		if _, ok := r.readString(); !ok {
+		if _, ok := r.readStrBytes(); !ok { // elem type name (informative)
 			return false
 		}
 		l, ok := r.readLen()
 		if !ok {
 			return false
 		}
-		mv := reflect.MakeMapWithSize(out.Type(), l)
-		kt, vt := out.Type().Key(), out.Type().Elem()
+		out.Set(reflect.MakeMapWithSize(out.Type(), l))
+		// One scratch key and value serve every entry: SetMapIndex
+		// copies them into the map, and each is zeroed before the next
+		// entry decodes into it.
+		k := reflect.New(out.Type().Key()).Elem()
+		v := reflect.New(out.Type().Elem()).Elem()
 		for i := 0; i < l; i++ {
-			k := reflect.New(kt).Elem()
-			if !d.decode(r, n.key, k, depth+1) {
+			if i > 0 {
+				k.SetZero()
+				v.SetZero()
+			}
+			if !d.decode(r, n.key, k, depth+1) || !d.decode(r, n.elem, v, depth+1) {
 				return false
 			}
-			v := reflect.New(vt).Elem()
-			if !d.decode(r, n.elem, v, depth+1) {
-				return false
-			}
-			mv.SetMapIndex(k, v)
+			out.SetMapIndex(k, v)
 		}
-		out.Set(mv)
 		return true
 	}
 	return false
@@ -595,7 +596,7 @@ func skipBinValue(r *byteReader, depth int) bool {
 		_, ok = r.readBytes(n)
 		return ok
 	case tagObject:
-		if _, ok := r.readString(); !ok {
+		if _, ok := r.readStrBytes(); !ok {
 			return false
 		}
 		if _, ok := r.readUvarint(); !ok {
@@ -606,7 +607,7 @@ func skipBinValue(r *byteReader, depth int) bool {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if _, ok := r.readString(); !ok {
+			if _, ok := r.readStrBytes(); !ok {
 				return false
 			}
 			if !skipBinValue(r, depth+1) {
@@ -615,7 +616,7 @@ func skipBinValue(r *byteReader, depth int) bool {
 		}
 		return true
 	case tagList:
-		if _, ok := r.readString(); !ok {
+		if _, ok := r.readStrBytes(); !ok {
 			return false
 		}
 		n, ok := r.readLen()
@@ -629,10 +630,10 @@ func skipBinValue(r *byteReader, depth int) bool {
 		}
 		return true
 	case tagMap:
-		if _, ok := r.readString(); !ok {
+		if _, ok := r.readStrBytes(); !ok {
 			return false
 		}
-		if _, ok := r.readString(); !ok {
+		if _, ok := r.readStrBytes(); !ok {
 			return false
 		}
 		n, ok := r.readLen()

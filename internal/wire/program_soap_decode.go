@@ -749,8 +749,8 @@ func (sd *soapDecoder) list(t soapTag, n *progNode, out reflect.Value, depth int
 		}
 		return idx == n.arrayLen
 	}
-	s := reflect.MakeSlice(out.Type(), 0, 0)
-	et := out.Type().Elem()
+	// Items decode in place into out, an addressable zero slice grown
+	// as they arrive, so no item is boxed and appended.
 	if !t.selfClose {
 		for {
 			if !sd.skipText() {
@@ -766,15 +766,18 @@ func (sd *soapDecoder) list(t soapTag, n *progNode, out reflect.Value, depth int
 			if !ok {
 				return false
 			}
-			ev := reflect.New(et).Elem()
-			if !sd.value(child, n.elem, reflect.Value{}, ev, depth+1) {
+			i := out.Len()
+			out.Grow(1)
+			out.SetLen(i + 1)
+			if !sd.value(child, n.elem, reflect.Value{}, out.Index(i), depth+1) {
 				return false
 			}
-			s = reflect.Append(s, ev)
 		}
 	}
-	// Empty source lists still materialize non-nil, as in ToGo.
-	out.Set(s)
+	if out.Len() == 0 {
+		// Empty source lists still materialize non-nil, as in ToGo.
+		out.Set(reflect.MakeSlice(out.Type(), 0, 0))
+	}
 	return true
 }
 
@@ -782,8 +785,11 @@ func (sd *soapDecoder) mapValue(t soapTag, n *progNode, out reflect.Value, depth
 	if string(t.typ) != soapMap {
 		return false
 	}
-	mv := reflect.MakeMapWithSize(out.Type(), 0)
-	kt, vt := out.Type().Key(), out.Type().Elem()
+	out.Set(reflect.MakeMapWithSize(out.Type(), 0))
+	// One scratch key and value serve every entry, as in the binary
+	// decoder: SetMapIndex copies them, and both are zeroed per entry.
+	k := reflect.New(out.Type().Key()).Elem()
+	v := reflect.New(out.Type().Elem()).Elem()
 	if !t.selfClose {
 		for {
 			if !sd.skipText() {
@@ -799,8 +805,8 @@ func (sd *soapDecoder) mapValue(t soapTag, n *progNode, out reflect.Value, depth
 			if !ok || string(entry.name) != soapEntry {
 				return false
 			}
-			k := reflect.New(kt).Elem()
-			v := reflect.New(vt).Elem()
+			k.SetZero()
+			v.SetZero()
 			slot := 0
 			if !entry.selfClose {
 				for {
@@ -833,10 +839,9 @@ func (sd *soapDecoder) mapValue(t soapTag, n *progNode, out reflect.Value, depth
 			if slot != 2 {
 				return false
 			}
-			mv.SetMapIndex(k, v)
+			out.SetMapIndex(k, v)
 		}
 	}
-	out.Set(mv)
 	return true
 }
 

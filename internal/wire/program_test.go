@@ -657,3 +657,130 @@ func TestCompiledEncodeZeroAlloc(t *testing.T) {
 		t.Fatalf("compiled binary encode allocates %v times per op, want 0", allocs)
 	}
 }
+
+// collections is the pinned shape with a list and a map: the shape of
+// a stream object's tags and attributes.
+type collections struct {
+	ID    uint64
+	Tags  []string
+	Attrs map[string]string
+}
+
+func newCollections() collections {
+	return collections{ID: 7, Tags: []string{"tag-1", "tag-22", "tag-333"},
+		Attrs: map[string]string{"site": "s1", "owner": "o2", "zone": "z3"}}
+}
+
+// TestCompiledEncodeCollectionsAllocs pins the compiled encoders on a
+// value with a []string and a map[string]string, under both codecs:
+// a list costs nothing, and a map costs its one scratch key and one
+// scratch value whatever its size (entries encode into a pooled
+// buffer and sort on the stack), never an allocation per entry.
+func TestCompiledEncodeCollectionsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomizes sync.Pool reuse; the entry buffer is pooled")
+	}
+	var v interface{} = newCollections()
+	prog := mustProgram(t, v)
+	buf := make([]byte, 0, 4096)
+	for _, c := range codecs {
+		var err error
+		encode := func() {
+			if _, isBin := c.(Binary); isBin {
+				buf, _, err = prog.AppendBinary(buf[:0], v)
+			} else {
+				buf, _, err = prog.AppendSOAP(buf[:0], v)
+			}
+		}
+		encode()
+		allocs := testing.AllocsPerRun(200, encode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs > 2 {
+			t.Errorf("%s: compiled encode allocates %v times per op, want at most 2 (the map's scratch key and value)", c.Name(), allocs)
+		}
+	}
+}
+
+// TestCompiledDecodeCollectionsAllocs pins the compiled decoders on
+// the same value under both codecs. Binary decode allocates 15 times:
+// the destination, the list's backing array and its three strings,
+// the map (two), its three keys and three values, and the map's one
+// scratch key and one scratch value; never a scratch pair per entry or
+// a boxed slice header. SOAP decode does not know a list's length
+// up front and grows it as items arrive: two allocations more.
+func TestCompiledDecodeCollectionsAllocs(t *testing.T) {
+	want := map[string]float64{"binary": 15, "soap": 17}
+	v := newCollections()
+	prog := mustProgram(t, v)
+	target := reflect.TypeOf(&collections{})
+	for _, c := range codecs {
+		data, err := c.EncodeCompiled(nil, nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func() (interface{}, bool) {
+			if _, isBin := c.(Binary); isBin {
+				return prog.decodeBinary(data, target, nil, "", "")
+			}
+			return prog.decodeSOAP(data, target, nil, "", "")
+		}
+		if out, ok := decode(); !ok || !reflect.DeepEqual(*out.(*collections), v) {
+			t.Fatalf("%s: compiled decode = %v, %v; want %v", c.Name(), out, ok, v)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, ok := decode(); !ok {
+				t.Fatal("decode failed mid-measurement")
+			}
+		})
+		if allocs > want[c.Name()] {
+			t.Errorf("%s: compiled decode allocates %v times per op, want at most %v", c.Name(), allocs, want[c.Name()])
+		}
+	}
+}
+
+// TestCompiledMapOrderMatchesReflective pins the compiled map
+// encoders' entry order to the reflective order under both codecs,
+// for maps that sort on the stack (up to 8 entries) and past it, with
+// keys whose order is lexical on their text (ints, floats, bools) and
+// with maps nested in map values.
+func TestCompiledMapOrderMatchesReflective(t *testing.T) {
+	type maps struct {
+		Ints   map[int]string
+		Floats map[float64]int
+		Bools  map[bool]uint8
+		Nested map[string]map[int]string
+	}
+	for _, size := range []int{0, 1, 8, 9, 30} {
+		v := maps{Ints: map[int]string{}, Floats: map[float64]int{}, Bools: map[bool]uint8{},
+			Nested: map[string]map[int]string{}}
+		for i := 0; i < size; i++ {
+			v.Ints[i*7-50] = fmt.Sprint("v", i)
+			v.Floats[float64(i)/3-2] = i
+			v.Bools[i%2 == 0] = uint8(i)
+			inner := map[int]string{}
+			for j := 0; j < i%11; j++ {
+				inner[j*13] = fmt.Sprint(j)
+			}
+			v.Nested[fmt.Sprint("k", i)] = inner
+		}
+		prog := mustProgram(t, v)
+		if !prog.Direct() {
+			t.Fatal("map shapes must compile to a direct program")
+		}
+		for _, c := range codecs {
+			want, err := c.EncodeCompiled(nil, nil, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.EncodeCompiled(prog, nil, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d entries, %s: compiled and reflective encodings differ\n got %q\nwant %q", size, c.Name(), got, want)
+			}
+		}
+	}
+}
