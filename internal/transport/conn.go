@@ -77,7 +77,7 @@ func newConnWith(p *Peer, rw net.Conn, rel *ReliableLink, owner *Remote) *Conn {
 		peer:      p,
 		rw:        rw,
 		pending:   make(map[uint64]*pendingReply),
-		invokeSem: make(chan struct{}, p.invCfg.workers()),
+		invokeSem: make(chan struct{}, p.invCfg.Workers),
 		remote:    owner,
 		done:      make(chan struct{}),
 	}
@@ -85,7 +85,7 @@ func newConnWith(p *Peer, rw net.Conn, rel *ReliableLink, owner *Remote) *Conn {
 	c.pacer.init(c)
 	c.rrecv = newRelReceiver(&p.stats,
 		func(m *Message) { p.handleRequest(c, m) },
-		p.goHandler,
+		func(f func()) { p.goHandler(func(*Peer, *Conn, *Message) { f() }, c, nil) },
 		func(m *Message) { c.routeReply(m) },
 		func(epoch, cum uint64, gaps []uint64) {
 			var body [relAckMax]byte // the write copies it: no allocation
@@ -149,25 +149,13 @@ func (c *Conn) stopReliable() {
 	}
 }
 
-// Close tears the connection down and unblocks pending requests.
+// Close tears the connection down and unblocks pending requests. Only
+// the first of Close and the read loop's teardown tears the stream
+// down; a later Close returns nil.
 func (c *Conn) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.failPending() {
 		return nil
 	}
-	c.closed = true
-	settled := make([]*pendingReply, 0, len(c.pending))
-	for seq, pr := range c.pending {
-		close(pr.ch)
-		settled = append(settled, pr)
-		delete(c.pending, seq)
-	}
-	c.mu.Unlock()
-	for _, pr := range settled {
-		pr.settled()
-	}
-	c.pacer.close()
 	c.stopReliable()
 	err := c.rw.Close()
 	<-c.done
@@ -179,6 +167,15 @@ func (c *Conn) Close() error {
 // burst of frames costs one read instead of two per frame. Over the
 // fabric each read still returns at most one frame (frameBuffer.Read),
 // so a frame this loop has not taken keeps the virtual clock busy.
+//
+// The loop only reads and routes, by msgClasses: a reply goes to its
+// waiting request, a link frame to its onRead, and every other message
+// to a handler goroutine. A handler may wait for a reply that only
+// this loop can deliver (the receiver asks the sender for type info
+// while handling an object), so the loop must never block — and it
+// never writes, since a write can block on a peer that is not reading:
+// pongs, receipt acks and shed invoke replies go out from handler
+// goroutines too.
 func (c *Conn) readLoop() {
 	defer close(c.done)
 	br := frameReaders.Get().(*bufio.Reader)
@@ -198,67 +195,68 @@ func (c *Conn) readLoop() {
 			// instead of replaying the committed prefix.
 			c.failPending()
 			c.stopReliable()
-			c.peer.saveRelSession(c.rrecv.seal())
+			c.rrecv.seal(0, nil, 0)
+			c.peer.saveRelSession(c.rrecv.session())
 			_ = c.rw.Close()
 			c.peer.untrack(c)
 			return
 		}
 		c.peer.stats.add(cBytesReceived, uint64(n))
 		c.lastHeard.Store(c.peer.clock.Now().UnixNano())
-		switch m.Type {
-		case MsgTypeInfoReply, MsgCodeReply, MsgInvokeReply, MsgLookupReply, MsgError, MsgResumeReply:
+		switch cl := m.Type.class(); {
+		case cl.reply:
 			c.routeReply(m)
-		case MsgPing:
-			// Heartbeat probe: answer in place on the raw stream —
-			// liveness must not queue behind a stalled window.
-			_ = c.send(&Message{Type: MsgPong, Seq: m.Seq})
-		case MsgPong:
-			// The read itself refreshed lastHeard; nothing else to do.
-		case MsgResumeRequest:
-			// The handshake may wait out a predecessor conn's in-flight
-			// dispatch (resumeSessionFor's seal), and that handler can
-			// itself be blocked on a reply that must arrive over this
-			// very conn — so the answer must come off the read loop.
-			c.peer.handleAsync(c, m)
-		case MsgReliableAck:
-			// Feedback routes synchronously: window space frees the
-			// moment the frame arrives, and a reported gap is repaired
-			// before the backoff timer would fire.
-			if r := c.rel.Load(); r != nil {
-				r.Ack(m.Body)
-			}
-		case MsgReliableData:
-			// Accepted here, in arrival order, so the receiver sees the
-			// stream's own order and never mistakes scheduling for
-			// loss. Accepting never blocks on a handler: the in-order
-			// drain runs on a handler goroutine of its own.
-			_ = c.rrecv.handleData(m.Body)
+		case cl.onRead != nil:
+			cl.onRead(c.peer, c, m)
 		default:
-			// Requests may themselves wait for replies on this
-			// connection (the receiver asks the sender for type
-			// info while handling an object), so they must not
-			// block the read loop.
-			c.peer.handleAsync(c, m)
+			c.peer.goHandler((*Peer).handleRequest, c, m)
 		}
 	}
 }
 
-// handleResume answers a redialing sender's resume request (off the
-// read loop — see the MsgResumeRequest routing): if this peer still
-// holds the named reliable session — saved when the old conn died, or
-// live on another conn — this conn's receiver adopts it and the reply
-// advertises the last contiguous seq, so the sender replays only the
-// unacked window. Otherwise found=false tells the sender to roll a
-// fresh epoch and replay everything it still holds.
-func (c *Conn) handleResume(m *Message) {
+// acceptData hands a reliable data frame to the receiver in arrival
+// order, so it sees the stream's own order and never mistakes
+// scheduling for loss. Accepting neither blocks nor writes: the
+// in-order drain and any receipt ack run on handler goroutines.
+func (p *Peer) acceptData(c *Conn, m *Message) { _ = c.rrecv.handleData(m.Body) }
+
+// acceptAck applies feedback at once: window space frees the moment
+// the frame arrives, and a reported gap is repaired before the backoff
+// timer would fire. The sender loop does the writing.
+func (p *Peer) acceptAck(c *Conn, m *Message) {
+	if r := c.rel.Load(); r != nil {
+		r.Ack(m.Body)
+	}
+}
+
+// answerPing answers a heartbeat probe with a pong. Pong is raw, so it
+// goes straight to the stream — liveness must not queue behind a
+// stalled window — and it is written from a handler goroutine.
+func (p *Peer) answerPing(c *Conn, m *Message) {
+	p.goHandler(sendFrame, c, &Message{Type: MsgPong, Seq: m.Seq})
+}
+
+// sendFrame is a handler that writes a frame built on the read loop.
+func sendFrame(_ *Peer, c *Conn, m *Message) { _ = c.Send(m) }
+
+// handleResume answers a redialing sender's resume request: if this
+// peer still holds the named reliable session — saved when the old
+// conn died, or live on another conn — this conn's receiver adopts it
+// and the reply advertises the last contiguous seq, so the sender
+// replays only the unacked window. Otherwise found=false tells the
+// sender to roll a fresh epoch and replay everything it still holds.
+// It runs on a handler goroutine: the seal inside resumeSessionFor may
+// wait out a predecessor conn's dispatch, which can itself be blocked
+// on a reply that must arrive over this very conn.
+func (p *Peer) handleResume(c *Conn, m *Message) {
 	epoch, err := decodeResumeReq(m.Body)
 	if err == nil {
 		// Parked: the seal inside resumeSessionFor resolves through
 		// another handler's return or its own clock-backed timeout, so
 		// this wait must not hold the virtual clock still.
-		c.peer.park()
-		next, ok := c.peer.resumeSessionFor(epoch, c)
-		c.peer.unpark()
+		p.park()
+		next, ok := p.resumeSessionFor(epoch, c)
+		p.unpark()
 		if ok {
 			c.rrecv.adopt(epoch, next)
 			_ = c.reply(m, MsgResumeReply, encodeResumeReply(epoch, next-1, true))
@@ -284,8 +282,13 @@ func (c *Conn) routeReply(m *Message) {
 	}
 }
 
-func (c *Conn) failPending() {
+// failPending marks the conn closed, settles every pending exchange
+// and closes the invoke pacer. It reports whether the conn was still
+// open, so only the first of Close and the read loop's teardown goes
+// on to tear the stream down.
+func (c *Conn) failPending() bool {
 	c.mu.Lock()
+	wasOpen := !c.closed
 	c.closed = true
 	settled := make([]*pendingReply, 0, len(c.pending))
 	for seq, pr := range c.pending {
@@ -298,6 +301,7 @@ func (c *Conn) failPending() {
 		pr.settled()
 	}
 	c.pacer.close()
+	return wasOpen
 }
 
 // maxKeptWriteBuffer caps the frame buffer a conn keeps between

@@ -572,11 +572,12 @@ func TestReliableDropBuckets(t *testing.T) {
 	}
 }
 
-// TestSealBoundedWaitTimesOut: sealIfWithin must not wait forever on
-// a wedged dispatch handler — the handler can itself be blocked on a
-// reply that only the resuming conn can carry, so an unbounded wait
-// deadlocks the peer. On timeout the seal rolls back: the live
-// session keeps delivering, and the handshake answers found=false.
+// TestSealBoundedWaitTimesOut: a resume handshake's seal must not
+// wait forever on a wedged dispatch handler — the handler can itself
+// be blocked on a reply that only the resuming conn can carry, so an
+// unbounded wait deadlocks the peer. On timeout the seal rolls back:
+// the live session keeps delivering, and the handshake answers
+// found=false.
 func TestSealBoundedWaitTimesOut(t *testing.T) {
 	var stats Stats
 	entered := make(chan struct{}, 2) // one per fed frame
@@ -609,10 +610,10 @@ func TestSealBoundedWaitTimesOut(t *testing.T) {
 		t.Fatal("dispatch never entered the wedged handler")
 	}
 
-	if _, ok, timedOut := rr.sealIfWithin(99, realClock{}, time.Second); ok || timedOut {
+	if _, ok, timedOut := rr.seal(99, realClock{}, time.Second); ok || timedOut {
 		t.Fatalf("seal of a foreign epoch = ok=%v timedOut=%v, want a plain miss", ok, timedOut)
 	}
-	if _, ok, timedOut := rr.sealIfWithin(3, realClock{}, 50*time.Millisecond); ok || !timedOut {
+	if _, ok, timedOut := rr.seal(3, realClock{}, 50*time.Millisecond); ok || !timedOut {
 		t.Fatalf("seal over a wedged handler = ok=%v timedOut=%v, want a timeout", ok, timedOut)
 	}
 
@@ -627,7 +628,7 @@ func TestSealBoundedWaitTimesOut(t *testing.T) {
 	}) {
 		t.Fatal("dispatch did not resume after the rolled-back seal")
 	}
-	if next, ok, timedOut := rr.sealIfWithin(3, realClock{}, time.Second); !ok || timedOut || next != 3 {
+	if next, ok, timedOut := rr.seal(3, realClock{}, time.Second); !ok || timedOut || next != 3 {
 		t.Fatalf("seal after drain = (%d,%v,%v), want (3,true,false)", next, ok, timedOut)
 	}
 }

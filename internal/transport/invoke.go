@@ -16,70 +16,42 @@ import (
 // client side caps its own in-flight invokes at MaxInflight, shrunk
 // further to PacingBudget/SRTT once the reliable link has an RTT
 // estimate, so a slow link is never asked to hold more requests than
-// it can turn around within the budget.
+// it can turn around within the budget. NewPeer sets the defaults; the
+// options only replace them with valid values.
 type InvokeConfig struct {
 	Workers      int           // concurrent executions per connection (default 16)
 	QueueDepth   int           // waiting invokes beyond Workers before shedding (default 128)
 	MaxInflight  int           // client-side in-flight cap per connection (default 64)
 	PacingBudget time.Duration // SRTT-derived window: at most budget/SRTT in flight (0 = off)
-	FailFast     bool          // full client window errors instead of blocking
-}
-
-const (
-	defaultInvokeWorkers     = 16
-	defaultInvokeQueueDepth  = 128
-	defaultInvokeMaxInflight = 64
-)
-
-func (cfg InvokeConfig) workers() int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return defaultInvokeWorkers
-}
-
-func (cfg InvokeConfig) queueDepth() int {
-	if cfg.QueueDepth >= 0 {
-		return cfg.QueueDepth
-	}
-	return defaultInvokeQueueDepth
-}
-
-func (cfg InvokeConfig) maxInflight() int {
-	if cfg.MaxInflight > 0 {
-		return cfg.MaxInflight
-	}
-	return defaultInvokeMaxInflight
 }
 
 // WithInvokeConcurrency bounds the server side of the invoke path:
 // workers concurrent executions per connection, queueDepth waiting
 // beyond that, everything else shed with ErrInvokeQueueFull. A
-// negative queueDepth selects the default.
+// non-positive workers or a negative queueDepth keeps the default.
 func WithInvokeConcurrency(workers, queueDepth int) PeerOption {
 	return func(p *Peer) {
-		p.invCfg.Workers = workers
-		p.invCfg.QueueDepth = queueDepth
+		if workers > 0 {
+			p.invCfg.Workers = workers
+		}
+		if queueDepth >= 0 {
+			p.invCfg.QueueDepth = queueDepth
+		}
 	}
 }
 
 // WithInvokePacing bounds the client side: at most maxInflight
-// invokes in flight per connection, shrunk to budget/SRTT once the
-// connection's reliable link has sampled the round trip (budget 0
-// disables the SRTT term). A full window blocks the caller unless
-// WithInvokeFailFast is set.
+// invokes in flight per connection (a non-positive maxInflight keeps
+// the default), shrunk to budget/SRTT once the connection's reliable
+// link has sampled the round trip (budget 0 disables the SRTT term).
+// A full window blocks the caller until a slot frees.
 func WithInvokePacing(maxInflight int, budget time.Duration) PeerOption {
 	return func(p *Peer) {
-		p.invCfg.MaxInflight = maxInflight
+		if maxInflight > 0 {
+			p.invCfg.MaxInflight = maxInflight
+		}
 		p.invCfg.PacingBudget = budget
 	}
-}
-
-// WithInvokeFailFast makes a full client-side pacing window return
-// ErrInvokeQueueFull immediately instead of blocking until a slot
-// frees — the load-shed hint without a round trip.
-func WithInvokeFailFast() PeerOption {
-	return func(p *Peer) { p.invCfg.FailFast = true }
 }
 
 // invokePacer admission-controls one connection's outbound invokes.
@@ -108,7 +80,7 @@ func (pc *invokePacer) init(c *Conn) {
 // Unreliable connections have no estimator and keep the static cap.
 func (pc *invokePacer) window() int {
 	cfg := pc.c.peer.invCfg
-	lim := cfg.maxInflight()
+	lim := cfg.MaxInflight
 	if cfg.PacingBudget > 0 {
 		if st, ok := pc.c.ReliableSnapshot(); ok && st.RTTSamples > 0 && st.SRTT > 0 {
 			if w := int(cfg.PacingBudget / st.SRTT); w < lim {
@@ -133,10 +105,6 @@ func (pc *invokePacer) acquire() error {
 			pc.inflight++
 			return nil
 		}
-		if pc.c.peer.invCfg.FailFast {
-			return fmt.Errorf("%w: %d invokes in flight to %s",
-				ErrInvokeQueueFull, pc.inflight, pc.c.RemoteLabel())
-		}
 		pc.cond.Wait()
 	}
 }
@@ -155,44 +123,45 @@ func (pc *invokePacer) close() {
 	pc.mu.Unlock()
 }
 
-// dispatchInvoke admission-controls and schedules one incoming
-// MsgInvokeRequest. Each accepted invoke runs on its own goroutine
-// gated by the connection's worker semaphore, so a slow method
-// head-of-line-blocks neither the read loop nor faster invokes behind
-// it (replies correlate by seq and complete out of order). Anything
-// past the worker+queue budget is shed immediately with a coded
-// ErrInvokeQueueFull reply — the backpressure signal callers can
-// match with errors.Is.
+// dispatchInvoke admission-controls one incoming MsgInvokeRequest.
+// It never blocks, so the read loop runs it in place. Each accepted
+// invoke runs on its own handler goroutine gated by the connection's
+// worker semaphore, so a slow method head-of-line-blocks neither the
+// read loop nor faster invokes behind it (replies correlate by seq and
+// complete out of order). Anything past the worker+queue budget is shed
+// immediately with a coded ErrInvokeQueueFull reply — the backpressure
+// signal callers can match with errors.Is — written, like every reply,
+// from a handler goroutine.
 func (p *Peer) dispatchInvoke(c *Conn, m *Message) {
-	limit := int64(cap(c.invokeSem) + p.invCfg.queueDepth())
+	limit := int64(cap(c.invokeSem) + p.invCfg.QueueDepth)
 	if depth := c.invokeQueued.Add(1); depth > limit {
 		c.invokeQueued.Add(-1)
 		p.step(cInvokesShed, EventInvokeShed, typedesc.TypeRef{},
 			"depth ", strconv.FormatInt(depth, 10), " over ", strconv.FormatInt(limit, 10))
-		_ = c.replyError(m, fmt.Errorf("%w: %d invokes pending on %s",
-			ErrInvokeQueueFull, depth-1, p.name))
+		shed := fmt.Errorf("%w: %d invokes pending on %s", ErrInvokeQueueFull, depth-1, p.name)
+		p.goHandler(sendFrame, c, &Message{Type: MsgError, Seq: m.Seq, Body: encodeWireError(shed)})
 		return
 	}
-	// A handler like any other (handlerEnter), whose semaphore wait is
-	// parked because a queued invoke makes no progress of its own.
-	p.handlerEnter()
-	go func() {
-		defer p.handlerExit()
-		defer c.invokeQueued.Add(-1)
-		p.park()
-		select {
-		case c.invokeSem <- struct{}{}:
-		case <-c.done:
-			p.unpark()
-			return
-		case <-p.closeCh:
-			p.unpark()
-			return
-		}
+	p.goHandler((*Peer).runInvoke, c, m)
+}
+
+// runInvoke waits for a worker slot, parked because a queued invoke
+// makes no progress of its own, and then executes the invoke.
+func (p *Peer) runInvoke(c *Conn, m *Message) {
+	defer c.invokeQueued.Add(-1)
+	p.park()
+	select {
+	case c.invokeSem <- struct{}{}:
+	case <-c.done:
 		p.unpark()
-		defer func() { <-c.invokeSem }()
-		p.handleInvoke(c, m)
-	}()
+		return
+	case <-p.closeCh:
+		p.unpark()
+		return
+	}
+	p.unpark()
+	defer func() { <-c.invokeSem }()
+	p.handleInvoke(c, m)
 }
 
 // Pause blocks for d on the peer's clock, parked so a virtual-clock

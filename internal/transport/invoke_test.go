@@ -253,42 +253,6 @@ func TestInvokeServerShedsOverload(t *testing.T) {
 	}
 }
 
-func TestInvokeClientFailFastPacing(t *testing.T) {
-	// Client window of 1 in fail-fast mode: the second CallAsync is
-	// refused locally, before anything travels.
-	a := NewPeer(registry.New(), WithName("server"))
-	b := NewPeer(registry.New(), WithName("client"),
-		WithInvokePacing(1, 0), WithInvokeFailFast())
-	_, cb := Connect(a, b)
-	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-
-	svc := &GateSvc{Gate: make(chan struct{}), Started: make(chan struct{}, 1)}
-	if err := a.Export("svc", svc); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := b.Remote(cb, "svc", GateSvc{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sent := a.Stats().Snapshot().Invokes
-	first, err := ref.CallAsync("Hold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-svc.Started
-	if _, err := ref.CallAsync("Hold"); !errors.Is(err, ErrInvokeQueueFull) {
-		t.Fatalf("full window: got %v, want ErrInvokeQueueFull", err)
-	}
-	if got := a.Stats().Snapshot().Invokes; got != sent+1 {
-		t.Errorf("shed call reached the server: invokes %d -> %d", sent, got)
-	}
-	close(svc.Gate)
-	if _, err := first.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // SleepySvc exposes a slow and a fast method; the slow one consumes
 // virtual service time through an injected Peer.Pause (a func field:
 // describing a *Peer field would drag the whole peer struct graph

@@ -19,19 +19,11 @@ var _ Link = (*Conn)(nil)
 
 // Send writes a one-way message over the connection. When a reliable
 // sender is attached (WithReliableLinks, NewReliableLink), every
-// message except the reliable layer's own frames and the lifecycle
-// probes rides the exactly-once in-order channel: heartbeats must
-// measure the raw link (a ping queued behind a stalled window says
-// nothing about liveness), and the resume handshake runs before the
-// reliable channel is usable again.
+// message except raw link control (msgClass.raw) rides the
+// exactly-once in-order channel.
 func (c *Conn) Send(m *Message) error {
-	if r := c.rel.Load(); r != nil {
-		switch m.Type {
-		case MsgReliableData, MsgReliableAck,
-			MsgPing, MsgPong, MsgResumeRequest, MsgResumeReply:
-		default:
-			return r.Send(m)
-		}
+	if r := c.rel.Load(); r != nil && !m.Type.class().raw {
+		return r.Send(m)
 	}
 	return c.send(m)
 }

@@ -89,43 +89,79 @@ const (
 	MsgResumeReply
 )
 
-func (t MsgType) String() string {
-	switch t {
-	case MsgObject:
-		return "Object"
-	case MsgTypeInfoRequest:
-		return "TypeInfoRequest"
-	case MsgTypeInfoReply:
-		return "TypeInfoReply"
-	case MsgCodeRequest:
-		return "CodeRequest"
-	case MsgCodeReply:
-		return "CodeReply"
-	case MsgInvokeRequest:
-		return "InvokeRequest"
-	case MsgInvokeReply:
-		return "InvokeReply"
-	case MsgLookupRequest:
-		return "LookupRequest"
-	case MsgLookupReply:
-		return "LookupReply"
-	case MsgError:
-		return "Error"
-	case MsgReliableData:
-		return "ReliableData"
-	case MsgReliableAck:
-		return "ReliableAck"
-	case MsgPing:
-		return "Ping"
-	case MsgPong:
-		return "Pong"
-	case MsgResumeRequest:
-		return "ResumeRequest"
-	case MsgResumeReply:
-		return "ResumeReply"
-	default:
-		return fmt.Sprintf("MsgType(%d)", uint8(t))
+// handler serves one inbound message on a connection.
+type handler func(p *Peer, c *Conn, m *Message)
+
+// msgClass is everything the transport decides by message type: the
+// read loop, the reliable receiver, Conn.Send and request dispatch all
+// read it from msgClasses, and nothing else lists types.
+type msgClass struct {
+	name string
+	// reply marks a correlated reply: it goes straight to the request
+	// waiting on its seq, never to a handler.
+	reply bool
+	// raw marks link control that never rides the reliable channel:
+	// the reliable layer's own frames, heartbeats (a ping queued behind
+	// a stalled window says nothing about liveness) and the resume
+	// handshake, which runs before the channel is usable again. Inside
+	// a reliable data frame a raw type is never routed as a reply; it
+	// is dispatched like a request.
+	raw bool
+	// onRead, when set, runs on the read loop itself instead of a
+	// handler goroutine. It must neither block nor write to the conn.
+	onRead handler
+	// serve is the request handler. A message that is neither a reply
+	// nor handled on read and has no serve is answered "unexpected".
+	serve handler
+}
+
+// msgClasses is indexed by MsgType; type 13 and undefined types have
+// the zero class. It is filled by init because the handlers reach
+// back into the table (Conn.Send, MsgType.String).
+var msgClasses [MsgResumeReply + 1]msgClass
+
+func init() {
+	msgClasses = [...]msgClass{
+		MsgObject:          {name: "Object", serve: (*Peer).handleObject},
+		MsgTypeInfoRequest: {name: "TypeInfoRequest", serve: (*Peer).handleTypeInfo},
+		MsgTypeInfoReply:   {name: "TypeInfoReply", reply: true},
+		MsgCodeRequest:     {name: "CodeRequest", serve: (*Peer).handleCode},
+		MsgCodeReply:       {name: "CodeReply", reply: true},
+		// Invoke admission never blocks, so the read loop runs it in
+		// place and an accepted call starts one handler, not two.
+		MsgInvokeRequest: {name: "InvokeRequest", onRead: (*Peer).dispatchInvoke, serve: (*Peer).dispatchInvoke},
+		MsgInvokeReply:   {name: "InvokeReply", reply: true},
+		MsgLookupRequest: {name: "LookupRequest", serve: (*Peer).handleLookup},
+		MsgLookupReply:   {name: "LookupReply", reply: true},
+		MsgError:         {name: "Error", reply: true},
+		MsgReliableData:  {name: "ReliableData", raw: true, onRead: (*Peer).acceptData},
+		MsgReliableAck:   {name: "ReliableAck", raw: true, onRead: (*Peer).acceptAck},
+		MsgPing:          {name: "Ping", raw: true, onRead: (*Peer).answerPing},
+		MsgPong:          {name: "Pong", raw: true, onRead: ignoreFrame},
+		MsgResumeRequest: {name: "ResumeRequest", raw: true, serve: (*Peer).handleResume},
+		MsgResumeReply:   {name: "ResumeReply", reply: true, raw: true},
 	}
+}
+
+// ignoreFrame handles a pong: reading it refreshed the conn's
+// liveness, and nothing is left to do.
+func ignoreFrame(*Peer, *Conn, *Message) {}
+
+// noClass is the class of every type msgClasses does not name.
+var noClass msgClass
+
+func (t MsgType) class() *msgClass {
+	if int(t) < len(msgClasses) {
+		return &msgClasses[t]
+	}
+	return &noClass
+}
+
+func (t MsgType) String() string {
+	if name := t.class().name; name != "" {
+		return name
+	}
+	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
 // Message is one protocol frame: a type, a correlation sequence
@@ -147,20 +183,6 @@ var (
 const MaxFrameSize = 16 << 20
 
 const frameHeaderSize = 4 + 1 + 8 // length + type + seq
-
-// WriteMessage writes one length-prefixed frame in a single Write and
-// returns the number of bytes put on the wire.
-func WriteMessage(w io.Writer, m *Message) (int, error) {
-	frame, err := appendFrame(nil, m)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(frame)
-	if err != nil {
-		return n, fmt.Errorf("transport: write frame: %w", err)
-	}
-	return n, nil
-}
 
 // appendFrame appends m's length-prefixed frame to buf, growing it at
 // most once.

@@ -4,10 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"net"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"pti/internal/guid"
+	"pti/internal/registry"
 	"pti/internal/typedesc"
 )
 
@@ -19,15 +26,12 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Type: MsgInvokeReply, Seq: 7, Body: bytes.Repeat([]byte{0xAB}, 10000)},
 	}
 	for _, msg := range tests {
-		var buf bytes.Buffer
-		wrote, err := WriteMessage(&buf, &msg)
+		frame, err := appendFrame(nil, &msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wrote != buf.Len() {
-			t.Errorf("wrote = %d, buffer = %d", wrote, buf.Len())
-		}
-		got, read, err := ReadMessage(bufio.NewReader(&buf))
+		wrote := len(frame)
+		got, read, err := ReadMessage(bufio.NewReader(bytes.NewReader(frame)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,9 +45,8 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 func TestMessageTooLarge(t *testing.T) {
-	var buf bytes.Buffer
 	big := Message{Type: MsgObject, Body: make([]byte, MaxFrameSize)}
-	if _, err := WriteMessage(&buf, &big); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := appendFrame(nil, &big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize write: %v", err)
 	}
 }
@@ -54,11 +57,10 @@ func TestReadMessageErrors(t *testing.T) {
 		t.Errorf("empty read: %v", err)
 	}
 	// Truncated frame.
-	var buf bytes.Buffer
-	if _, err := WriteMessage(&buf, &Message{Type: MsgObject, Body: []byte("hello")}); err != nil {
+	data, err := appendFrame(nil, &Message{Type: MsgObject, Body: []byte("hello")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
 	if _, _, err := ReadMessage(bufio.NewReader(bytes.NewReader(data[:len(data)-2]))); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("truncated read: %v", err)
 	}
@@ -157,5 +159,104 @@ func TestChunkPacking(t *testing.T) {
 	}
 	if _, _, err := readChunk([]byte{0, 0, 0, 200, 1}); err == nil {
 		t.Error("overlong chunk accepted")
+	}
+}
+
+// TestMessageClasses pins msgClasses, the one table that classifies
+// message types, to the routing the transport has always had. raw is
+// the read loop's path: a reply goes to its request, an onRead handler
+// runs on the loop, and anything else runs handleRequest on a handler
+// goroutine. rel is the path of a message unwrapped from a reliable
+// data frame: a reply that is not raw goes to its request, and
+// anything else is dispatched in order through handleRequest. A type
+// without a serve handler is answered "unexpected".
+func TestMessageClasses(t *testing.T) {
+	type want struct {
+		name       string
+		reply, raw bool
+		rawRoute   string
+		relRoute   string
+	}
+	wants := map[MsgType]want{
+		MsgObject:          {"Object", false, false, "handler handleObject", "serve handleObject"},
+		MsgTypeInfoRequest: {"TypeInfoRequest", false, false, "handler handleTypeInfo", "serve handleTypeInfo"},
+		MsgTypeInfoReply:   {"TypeInfoReply", true, false, "reply", "reply"},
+		MsgCodeRequest:     {"CodeRequest", false, false, "handler handleCode", "serve handleCode"},
+		MsgCodeReply:       {"CodeReply", true, false, "reply", "reply"},
+		MsgInvokeRequest:   {"InvokeRequest", false, false, "read dispatchInvoke", "serve dispatchInvoke"},
+		MsgInvokeReply:     {"InvokeReply", true, false, "reply", "reply"},
+		MsgLookupRequest:   {"LookupRequest", false, false, "handler handleLookup", "serve handleLookup"},
+		MsgLookupReply:     {"LookupReply", true, false, "reply", "reply"},
+		MsgError:           {"Error", true, false, "reply", "reply"},
+		MsgReliableData:    {"ReliableData", false, true, "read acceptData", "unexpected"},
+		MsgReliableAck:     {"ReliableAck", false, true, "read acceptAck", "unexpected"},
+		MsgPing:            {"Ping", false, true, "read answerPing", "unexpected"},
+		MsgPong:            {"Pong", false, true, "read ignoreFrame", "unexpected"},
+		MsgResumeRequest:   {"ResumeRequest", false, true, "handler handleResume", "serve handleResume"},
+		MsgResumeReply:     {"ResumeReply", true, true, "reply", "unexpected"},
+	}
+	short := func(h handler) string {
+		name := runtime.FuncForPC(reflect.ValueOf(h).Pointer()).Name()
+		return name[strings.LastIndexByte(name, '.')+1:]
+	}
+	for i := 0; i < 256; i++ {
+		mt := MsgType(i)
+		w, ok := wants[mt]
+		if !ok { // 0, the reserved 13 and every undefined type
+			w = want{fmt.Sprintf("MsgType(%d)", i), false, false, "handler unexpected", "unexpected"}
+		}
+		cl := mt.class()
+		var rawRoute, relRoute string
+		switch {
+		case cl.reply:
+			rawRoute = "reply"
+		case cl.onRead != nil:
+			rawRoute = "read " + short(cl.onRead)
+		case cl.serve != nil:
+			rawRoute = "handler " + short(cl.serve)
+		default:
+			rawRoute = "handler unexpected"
+		}
+		switch {
+		case cl.reply && !cl.raw:
+			relRoute = "reply"
+		case cl.serve != nil:
+			relRoute = "serve " + short(cl.serve)
+		default:
+			relRoute = "unexpected"
+		}
+		got := want{mt.String(), cl.reply, cl.raw, rawRoute, relRoute}
+		if got != w {
+			t.Errorf("MsgType(%d) = %+v\n want %+v", i, got, w)
+		}
+	}
+
+	// Live, on the raw path: the reserved 13 and an undefined type are
+	// answered with an "unexpected message" error echoing their seq.
+	p := NewPeer(registry.New())
+	defer p.Close()
+	local, remote := net.Pipe()
+	defer remote.Close()
+	newConn(p, local)
+	br := bufio.NewReader(remote)
+	for _, mt := range []MsgType{13, 200} {
+		frame, err := appendFrame(nil, &Message{Type: mt, Seq: 40 + uint64(mt)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = remote.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := remote.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := ReadMessage(br)
+		if err != nil {
+			t.Fatalf("%s: no answer: %v", mt, err)
+		}
+		if m.Type != MsgError || m.Seq != 40+uint64(mt) {
+			t.Fatalf("%s: answer %s seq %d, want Error seq %d", mt, m.Type, m.Seq, 40+uint64(mt))
+		}
+		if err := decodeWireError(m.Body); !strings.Contains(err.Error(), "unexpected message "+mt.String()) {
+			t.Errorf("%s: answer %q, want an unexpected-message error", mt, err)
+		}
 	}
 }

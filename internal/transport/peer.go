@@ -233,18 +233,14 @@ func NewPeer(reg *registry.Registry, opts ...PeerOption) *Peer {
 		codec:          wire.Binary{},
 		requestTimeout: 5 * time.Second,
 		clock:          realClock{},
-		invCfg: InvokeConfig{
-			Workers:     defaultInvokeWorkers,
-			QueueDepth:  defaultInvokeQueueDepth,
-			MaxInflight: defaultInvokeMaxInflight,
-		},
-		lifeCfg:   defaultLifecycleConfig(),
-		exports:   make(map[string]*export),
-		conns:     make(map[*Conn]struct{}),
-		remotes:   make(map[string]*Remote),
-		inflight:  make(map[flightKey]chan struct{}),
-		relResume: make(map[uint64]uint64),
-		closeCh:   make(chan struct{}),
+		invCfg:         InvokeConfig{Workers: 16, QueueDepth: 128, MaxInflight: 64},
+		lifeCfg:        defaultLifecycleConfig(),
+		exports:        make(map[string]*export),
+		conns:          make(map[*Conn]struct{}),
+		remotes:        make(map[string]*Remote),
+		inflight:       make(map[flightKey]chan struct{}),
+		relResume:      make(map[uint64]uint64),
+		closeCh:        make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -522,7 +518,7 @@ func (p *Peer) resumeSessionFor(epoch uint64, exclude *Conn) (next uint64, ok bo
 	}
 	p.mu.Unlock()
 	for _, c := range conns {
-		n, held, timedOut := c.rrecv.sealIfWithin(epoch, p.clock, p.requestTimeout/2)
+		n, held, timedOut := c.rrecv.seal(epoch, p.clock, p.requestTimeout/2)
 		if timedOut {
 			return 0, false
 		}
@@ -563,21 +559,17 @@ func (p *Peer) deregisterRemote(rm *Remote) {
 	}
 }
 
-// handleAsync processes an incoming request off the read loop.
-func (p *Peer) handleAsync(c *Conn, m *Message) {
+// goHandler runs h(p, c, m) on a new handler goroutine. It is the one
+// place an inbound handler starts: requests off the read loop, admitted
+// invokes, reliable drains, and the frames the read loop must not write
+// itself (pongs, receipt acks, shed replies). h is normally a method
+// expression or a plain function, so the launch allocates only the
+// goroutine's closure.
+func (p *Peer) goHandler(h handler, c *Conn, m *Message) {
 	p.handlerEnter()
 	go func() {
 		defer p.handlerExit()
-		p.handleRequest(c, m)
-	}()
-}
-
-// goHandler runs f on a new handler goroutine.
-func (p *Peer) goHandler(f func()) {
-	p.handlerEnter()
-	go func() {
-		defer p.handlerExit()
-		f()
+		h(p, c, m)
 	}()
 }
 
@@ -614,23 +606,15 @@ func (p *Peer) busy(n int64) {
 func (p *Peer) park()   { p.busy(-1) }
 func (p *Peer) unpark() { p.busy(1) }
 
+// handleRequest runs m's request handler (msgClass.serve) and answers
+// a type without one as unexpected. The reliable drain calls it in
+// sequence order; the read loop starts it through goHandler.
 func (p *Peer) handleRequest(c *Conn, m *Message) {
-	switch m.Type {
-	case MsgObject:
-		p.handleObject(c, m)
-	case MsgTypeInfoRequest:
-		p.handleTypeInfo(c, m)
-	case MsgCodeRequest:
-		p.handleCode(c, m)
-	case MsgInvokeRequest:
-		p.dispatchInvoke(c, m)
-	case MsgLookupRequest:
-		p.handleLookup(c, m)
-	case MsgResumeRequest:
-		c.handleResume(m)
-	default:
-		_ = c.replyError(m, fmt.Errorf("unexpected message %s", m.Type))
+	if serve := m.Type.class().serve; serve != nil {
+		serve(p, c, m)
+		return
 	}
+	_ = c.replyError(m, fmt.Errorf("unexpected message %s", m.Type))
 }
 
 // --- sender side ----------------------------------------------------

@@ -418,7 +418,8 @@ func TestRelReceiverAckPolicy(t *testing.T) {
 				// seal waits out this very handler, so it runs beside
 				// it; the handler returns once the seal has landed.
 				go func() {
-					e, n := h.rr.seal()
+					h.rr.seal(0, nil, 0)
+					e, n := h.rr.session()
 					sealed <- [2]uint64{e, n}
 				}()
 				if !waitUntil(2*time.Second, func() bool {
@@ -452,7 +453,7 @@ func TestRelReceiverAckPolicy(t *testing.T) {
 			seqOf := make(map[string]uint64)
 			for _, f := range tc.frames {
 				kind := "dispatch"
-				if isRelReply(f.inner.Type) {
+				if f.inner.Type.class().reply {
 					kind = "reply"
 				}
 				seqOf[fmt.Sprintf("%s %d", kind, f.inner.Seq)] = f.seq

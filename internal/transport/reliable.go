@@ -1283,13 +1283,14 @@ type relReceiver struct {
 	idle        *sync.Cond // signalled when dispatching goes false
 
 	dispatch func(*Message)                         // in-order request dispatch
-	spawn    func(drain func())                     // runs a drain off the accepting goroutine
+	spawn    func(f func())                         // runs f off the accepting goroutine
 	reply    func(*Message)                         // immediate correlated-reply routing
 	ack      func(epoch, cum uint64, gaps []uint64) // feedback frame transmission
 	drop     func(DropReason)                       // counts and reports a discarded frame
+	drainFn  func()                                 // drain, bound once: spawning it allocates no method value
 }
 
-func newRelReceiver(stats *Stats, dispatch func(*Message), spawn func(drain func()), reply func(*Message), ack func(epoch, cum uint64, gaps []uint64), drop func(DropReason)) *relReceiver {
+func newRelReceiver(stats *Stats, dispatch func(*Message), spawn func(f func()), reply func(*Message), ack func(epoch, cum uint64, gaps []uint64), drop func(DropReason)) *relReceiver {
 	rr := &relReceiver{
 		stats:    stats,
 		next:     1,
@@ -1302,25 +1303,16 @@ func newRelReceiver(stats *Stats, dispatch func(*Message), spawn func(drain func
 		drop:     drop,
 	}
 	rr.idle = sync.NewCond(&rr.mu)
+	rr.drainFn = rr.drain
 	return rr
-}
-
-// isRelReply reports whether an inner message is a correlated reply,
-// which bypasses the in-order queue (see the package comment's
-// deadlock argument).
-func isRelReply(t MsgType) bool {
-	switch t {
-	case MsgTypeInfoReply, MsgCodeReply, MsgInvokeReply, MsgLookupReply, MsgError:
-		return true
-	}
-	return false
 }
 
 // handleData accepts one MsgReliableData body: dedup, buffer,
 // contiguity, gap detection and reply routing. The conn's read loop
 // calls it in arrival order, so over an ordered stream a gap is real
-// loss, never local reordering. It never runs a handler: when frames
-// become deliverable and no drain is running, it hands one to spawn.
+// loss, never local reordering. It never runs a handler and never
+// writes: when frames become deliverable and no drain is running, it
+// hands one to spawn, and a receipt ack goes out through spawn too.
 //
 // Ack policy: fresh frames that land in order are acked by the drain
 // once per delivered run — after the handler of the run's last frame
@@ -1380,9 +1372,11 @@ func (rr *relReceiver) handleData(body []byte) error {
 		// Too far ahead to hold; the ack below still reports where
 		// the contiguous prefix ends, and retransmit recovers this.
 	default:
-		if isRelReply(inner.Type) {
+		if cl := inner.Type.class(); cl.reply && !cl.raw {
 			// Replies route immediately; a nil sentinel keeps the
-			// seq accounted for dedup and contiguity.
+			// seq accounted for dedup and contiguity. A raw reply
+			// never rides the channel, so one found here is
+			// dispatched, and answered as unexpected.
 			replyNow = inner
 			rr.buf[seq] = nil
 		} else {
@@ -1432,10 +1426,10 @@ func (rr *relReceiver) handleData(body []byte) error {
 		rr.drop(dropReason) // outside rr.mu: drop callbacks reach the observer
 	}
 	if !inOrder {
-		rr.sendAck(ackEpoch, cum, missing)
+		rr.spawn(func() { rr.sendAck(ackEpoch, cum, missing) })
 	}
 	if runDispatch {
-		rr.spawn(rr.drain)
+		rr.spawn(rr.drainFn)
 	}
 	return nil
 }
@@ -1505,45 +1499,35 @@ func (rr *relReceiver) session() (epoch, next uint64) {
 	return rr.epoch, rr.deliv + 1
 }
 
-// seal freezes the receiver at conn teardown and returns the session
-// the owning peer should save. It waits out an in-flight dispatch —
-// its frame counts as delivered once the handler returns — and drops
-// the rest of the pending queue unacked, so the saved (epoch, next)
-// names exactly the delivered prefix: a resumed replay neither skips
-// an undelivered frame nor redelivers a delivered one.
-func (rr *relReceiver) seal() (epoch, next uint64) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	rr.closed = true
-	for rr.dispatching {
-		rr.idle.Wait()
-	}
-	rr.pending = nil
-	return rr.epoch, rr.deliv + 1
-}
-
-// sealIfWithin seals the receiver only when it holds the named
-// epoch's session, returning its next-to-deliver. A resume handshake
-// that adopts a session from a conn still live or tearing down must
-// stop that conn's dispatch first — otherwise the predecessor would
-// keep delivering past the point the handshake advertised, and the
-// replay would duplicate into the same peer. The wait for an
-// in-flight dispatch is bounded: the handler being waited out can
+// seal freezes the receiver: it accepts and dispatches nothing more.
+// It waits out an in-flight dispatch — its frame counts as delivered
+// once the handler returns — and drops the rest of the pending queue
+// unacked, so the session (epoch, next) names exactly the delivered
+// prefix: a resumed replay neither skips an undelivered frame nor
+// redelivers a delivered one. It returns next.
+//
+// Conn teardown seals whatever the receiver holds (epoch 0) and waits
+// as long as the dispatch takes (timeout 0). A resume handshake that
+// adopts a session from a conn still live or tearing down seals only a
+// receiver holding the named epoch (held reports whether it did):
+// otherwise that conn would keep delivering past the point the
+// handshake advertised, and the replay would duplicate into the same
+// peer. Its wait is bounded, because the handler being waited out can
 // itself be blocked on an exchange whose reply must arrive over the
-// resuming conn, so on timeout the seal is rolled back — the
-// receiver keeps its session, and frames refused while briefly
-// sealed ride the sender's retransmit — and timedOut tells the
-// handshake to answer found=false instead of deadlocking the peer.
-func (rr *relReceiver) sealIfWithin(epoch uint64, clock Clock, timeout time.Duration) (next uint64, ok, timedOut bool) {
+// resuming conn: on timeout the seal is rolled back — the receiver
+// keeps its session, and frames refused while briefly sealed ride the
+// sender's retransmit — and timedOut tells the handshake to answer
+// found=false instead of deadlocking the peer.
+func (rr *relReceiver) seal(epoch uint64, clock Clock, timeout time.Duration) (next uint64, held, timedOut bool) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
-	if rr.epoch != epoch {
+	if epoch != 0 && rr.epoch != epoch {
 		return 0, false, false
 	}
 	wasClosed := rr.closed
 	rr.closed = true
-	if rr.dispatching {
-		var expired atomic.Bool
+	var expired atomic.Bool
+	if rr.dispatching && timeout > 0 {
 		timer := clock.NewTimer(timeout)
 		watcherDone := make(chan struct{})
 		go func() {
@@ -1556,15 +1540,17 @@ func (rr *relReceiver) sealIfWithin(epoch uint64, clock Clock, timeout time.Dura
 			case <-watcherDone:
 			}
 		}()
-		for rr.dispatching && !expired.Load() {
-			rr.idle.Wait()
-		}
-		timer.Stop()
-		close(watcherDone)
-		if rr.dispatching {
-			rr.closed = wasClosed
-			return 0, false, true
-		}
+		defer func() {
+			timer.Stop()
+			close(watcherDone)
+		}()
+	}
+	for rr.dispatching && !expired.Load() {
+		rr.idle.Wait()
+	}
+	if rr.dispatching {
+		rr.closed = wasClosed
+		return 0, false, true
 	}
 	rr.pending = nil
 	return rr.deliv + 1, true, false

@@ -926,7 +926,11 @@ func TestConnGapReportIsOneFrame(t *testing.T) {
 
 	const epoch = 7
 	frame := &Message{Type: MsgReliableData, Body: encodeRelData(epoch, 3, obj(12))}
-	if _, err := WriteMessage(remote, frame); err != nil {
+	raw, err := appendFrame(nil, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := remote.Write(raw); err != nil {
 		t.Fatal(err)
 	}
 	_ = remote.SetReadDeadline(time.Now().Add(2 * time.Second))

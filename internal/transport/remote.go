@@ -300,10 +300,9 @@ func (r *RemoteRef) Call(method string, args ...interface{}) ([]interface{}, err
 // connection (replies correlate by seq and complete out of order — a
 // slow method does not head-of-line-block fast ones behind it). The
 // connection's pacer bounds how many may be in flight: a full window
-// blocks here, or fails with ErrInvokeQueueFull under
-// WithInvokeFailFast. Errors that need no round trip (unknown method,
-// arity mismatch, encode failure) surface here; everything else comes
-// from Wait.
+// blocks here until a slot frees. Errors that need no round trip
+// (unknown method, arity mismatch, encode failure) surface here;
+// everything else comes from Wait.
 func (r *RemoteRef) CallAsync(method string, args ...interface{}) (*PendingCall, error) {
 	sc := bufpool.Get()
 	defer bufpool.Put(sc)

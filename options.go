@@ -232,9 +232,8 @@ func WithMaxRedials(n int) PeerOption { return transport.WithMaxRedials(n) }
 //
 // Invoke options bound the pass-by-reference invocation path on both
 // sides of a connection: server-side worker and queue budgets
-// (WithInvokeConcurrency), client-side pacing of in-flight calls
-// (WithInvokePacing) and the fail-fast alternative to blocking on a
-// full pacing window (WithInvokeFailFast) — see docs/remote.md.
+// (WithInvokeConcurrency) and client-side pacing of in-flight calls
+// (WithInvokePacing) — see docs/remote.md.
 func WithInvokeConcurrency(workers, queueDepth int) PeerOption {
 	return transport.WithInvokeConcurrency(workers, queueDepth)
 }
@@ -246,10 +245,6 @@ func WithInvokeConcurrency(workers, queueDepth int) PeerOption {
 func WithInvokePacing(maxInflight int, budget time.Duration) PeerOption {
 	return transport.WithInvokePacing(maxInflight, budget)
 }
-
-// WithInvokeFailFast makes a full client-side pacing window fail
-// immediately with ErrInvokeQueueFull instead of blocking.
-func WithInvokeFailFast() PeerOption { return transport.WithInvokeFailFast() }
 
 // FabricOption customizes a simulation fabric built by
 // Runtime.NewFabric.

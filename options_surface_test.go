@@ -21,7 +21,6 @@ var facadeOptionSurface = []string{
 	"WithDownloadPaths",
 	"WithHeartbeat",
 	"WithInvokeConcurrency",
-	"WithInvokeFailFast",
 	"WithInvokePacing",
 	"WithMaxAttempts",
 	"WithMaxBackoff",
